@@ -31,6 +31,20 @@ from .numkit import Array, Linear, Mlp, layer_params
 
 MAGIC = b"relembd1"
 FORMAT = 1
+HEADER_KEYS = (
+    "appearance_dim",
+    "config",
+    "config_hash",
+    "format",
+    "gamma",
+    "objects",
+    "observed",
+    "params",
+    "predicates",
+    "seed",
+    "subjects",
+    "word_dim",
+)
 
 
 def model_params(model: JointModel, gamma: Gamma | None = None) -> list[tuple[str, Array]]:
@@ -102,8 +116,13 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
         header = json.loads(raw[start : start + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         _fail(path, f"unreadable header: {e}")
-    if header.get("format") != FORMAT:
-        _fail(path, f"unsupported format {header.get('format')!r}")
+    if not isinstance(header, dict):
+        _fail(path, "header is not a JSON object")
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        _fail(path, f"header lacks {', '.join(missing)}")
+    if header["format"] != FORMAT:
+        _fail(path, f"unsupported format {header['format']!r}")
     cfg = parse_config(header["config"], source=path)
     if config_hash(cfg) != header["config_hash"]:
         _fail(path, "config hash mismatch")

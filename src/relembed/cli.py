@@ -13,14 +13,7 @@ import argparse
 import os
 import sys
 
-from .analogy import (
-    Gamma,
-    gamma_init,
-    select_sources,
-    source_pool,
-    train_stage2,
-    transfer_embedding,
-)
+from .analogy import Gamma, gamma_init, select_sources, source_pool, train_stage2
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config, write_config
 from .data import (
@@ -39,13 +32,11 @@ from .data import (
 )
 from .model import build_model, embed_language_batch, train_stage1
 from .numkit import NonFiniteGradient, ShapeError, rng_stream
-from .retrieval import (
-    MatchPolicy,
-    average_precision,
-    ground_truth_for,
-    rank_candidates,
-    write_results,
-)
+from .retrieval import MatchPolicy, evaluate_queries, write_results
+
+
+class UsageError(ValueError):
+    """A command-line argument out of range."""
 
 
 def _load_run_config(args) -> RunConfig:
@@ -132,6 +123,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.top < 0:
+        raise UsageError(f"--top must be >= 0, got {args.top}")
     cfg = _load_run_config(args)
     out = _outdir(args)
     if args.mode:
@@ -139,33 +132,23 @@ def cmd_eval(args) -> int:
     if not cfg.checkpoint or not cfg.test_data or not cfg.queries:
         raise ConfigError("checkpoint, test_data and queries paths must be set")
     model, gamma, _ = load_checkpoint(cfg.checkpoint)
+    # an eval-time switch: the config file decides, not the checkpoint's copy
+    model.cfg.normalize_aggregation = cfg.normalize_aggregation
     dataset = load_dataset(cfg.test_data)
     queries = load_queries(cfg.queries, dataset)
     if not queries:
         raise DataError(f"{cfg.queries}: empty query list")
     policy = MatchPolicy(cfg.iou_threshold)
-    if cfg.eval_mode == "transfer":
-        pool = source_pool(model)
-        if not pool:
-            raise DataError("no transfer sources: every observed triplet is rare")
+    transfer = gamma if cfg.eval_mode == "transfer" else None
+    vocabs = (dataset.subjects, dataset.predicates, dataset.objects)
     results, top_lines = [], []
-    for query in queries:
-        if cfg.eval_mode == "transfer":
-            override = transfer_embedding(model, gamma, query, pool)
-        else:
-            override = None
-        detections = rank_candidates(model, query, dataset.pairs, vp_override=override)
-        results.append(
-            average_precision(query, detections, ground_truth_for(dataset, query), policy)
-        )
+    for query, detections, result in evaluate_queries(model, dataset, queries, policy, transfer):
+        results.append(result)
         if args.top:
-            toks = [
-                token_to_file(v[i])
-                for v, i in zip((dataset.subjects, dataset.predicates, dataset.objects), query)
-            ]
+            toks = " ".join(token_to_file(v[i]) for v, i in zip(vocabs, query))
             for rank, d in enumerate(detections[: args.top], 1):
                 top_lines.append(
-                    f"query {' '.join(toks)} rank {rank} pair {d.pair_id}"
+                    f"query {toks} rank {rank} pair {d.pair_id}"
                     f" image {d.image_id} score {_fmt_reals([d.score])}\n"
                 )
     write_results(
@@ -289,6 +272,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as e:
+        print(f"error:usage: {e}", file=sys.stderr)
     except ConfigError as e:
         print(f"error:config: {e}", file=sys.stderr)
     except DataError as e:

@@ -11,6 +11,7 @@ against a triplet query as the product of per-branch sigmoids.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -360,8 +361,44 @@ def branch_loss(
 # ---------------------------------------------------------------------------
 
 
+# (id(model), id(pairs)) -> their embeddings, or None until first computed;
+# an entry lives only inside ``reuse_pair_embeddings``
+_REUSED: dict[tuple[int, int], dict[str, Array] | None] = {}
+
+
+@contextlib.contextmanager
+def reuse_pair_embeddings(model: JointModel, pairs):
+    """Inside the block, ``pair_embeddings(model, pairs)`` for this model and
+    this pair list computes once and returns the same read-only arrays after.
+
+    The caller holds both objects for the whole block and does not change
+    the model's weights in it.
+    """
+    key = (id(model), id(pairs))
+    if key in _REUSED:  # nested: the outer block owns the entry
+        yield
+        return
+    _REUSED[key] = None
+    try:
+        yield
+    finally:
+        del _REUSED[key]
+
+
 def pair_embeddings(model: JointModel, pairs) -> dict[str, Array]:
     """Eval-mode visual embeddings per branch, shared across queries."""
+    key = (id(model), id(pairs))
+    if key not in _REUSED:
+        return _embed_pairs(model, pairs)
+    if _REUSED[key] is None:
+        out = _embed_pairs(model, pairs)
+        for v in out.values():
+            v.flags.writeable = False
+        _REUSED[key] = out
+    return dict(_REUSED[key])
+
+
+def _embed_pairs(model: JointModel, pairs) -> dict[str, Array]:
     a_s, a_o, r = pair_arrays(pairs, model.cfg.spatial_norm)
     needs_x = any(k not in ("s", "o") for k in model.active_kinds)
     x = visual_forward(model.visual, a_s, a_o, r)[0] if needs_x else None

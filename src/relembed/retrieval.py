@@ -7,12 +7,19 @@ score order, and each claims the best still-unmatched ground-truth pair in
 its image whose subject and object boxes both clear the IoU threshold.
 AP is interpolation-free: the sum of precision at each true-positive rank,
 divided by the number of ground-truth positives.
+
+``evaluate_queries`` is the eval loop: it embeds the candidate pairs and
+indexes the ground truth once, then scores, ranks and matches each query.
+``ground_truth_for`` is the per-query form of the index.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .data import (
     BoundingBox,
@@ -24,7 +31,8 @@ from .data import (
     _LineCursor,
     token_to_file,
 )
-from .model import JointModel, score_pairs
+from .analogy import Gamma, source_pool, transfer_embedding
+from .model import JointModel, reuse_pair_embeddings, score_pairs
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -90,17 +98,28 @@ def ground_truth_for(dataset: Dataset, query: Triplet) -> list[GroundTruthPair]:
     ]
 
 
+def ground_truth_index(dataset: Dataset) -> dict[Triplet, list[GroundTruthPair]]:
+    """``ground_truth_for`` of every triplet at once, from one pass over the
+    pairs; each list keeps the dataset's pair order."""
+    index: dict[Triplet, list[GroundTruthPair]] = {}
+    for p in dataset.pairs:
+        gt = GroundTruthPair(p.image_id, p.sub_box, p.obj_box)
+        for t in dict.fromkeys(p.positives()):
+            index.setdefault(t, []).append(gt)
+    return index
+
+
 def rank_candidates(
     model: JointModel, query: Triplet, pairs, vp_override=None
 ) -> list[Detection]:
     """Candidate pairs as detections, best score first; ties by pair id."""
     scores = score_pairs(model, query, pairs, vp_override=vp_override)
     dets = [
-        Detection(p.pair_id, p.image_id, float(s), p.sub_box, p.obj_box)
-        for p, s in zip(pairs, scores)
+        Detection(p.pair_id, p.image_id, s, p.sub_box, p.obj_box)
+        for p, s in zip(pairs, scores.tolist())
     ]
-    dets.sort(key=lambda d: (-d.score, d.pair_id))
-    return dets
+    order = np.lexsort(([d.pair_id for d in dets], -scores))
+    return [dets[i] for i in order.tolist()]
 
 
 def match_detections(
@@ -112,14 +131,18 @@ def match_detections(
 
     A detection claims the unmatched same-image ground-truth pair with the
     largest min(subject IoU, object IoU) among those where both clear tau;
-    ties go to the earlier ground-truth entry.
+    ties go to the earlier ground-truth entry. Only the detection's own
+    image is scanned.
     """
+    by_image: dict[int, list[tuple[int, GroundTruthPair]]] = {}
+    for j, gt in enumerate(ground_truth):
+        by_image.setdefault(gt.image_id, []).append((j, gt))
     matched: set[int] = set()
     flags = []
     for det in detections:
         best, best_q = -1, 0.0
-        for j, gt in enumerate(ground_truth):
-            if j in matched or gt.image_id != det.image_id:
+        for j, gt in by_image.get(det.image_id, ()):
+            if j in matched:
                 continue
             q = min(iou(det.sub_box, gt.sub_box), iou(det.obj_box, gt.obj_box))
             if q >= policy.tau and q > best_q:
@@ -156,15 +179,32 @@ def average_precision(
     return APResult(query, ap / npos, npos, len(detections))
 
 
-def evaluate_query(
+def evaluate_queries(
     model: JointModel,
-    query: Triplet,
     dataset: Dataset,
+    queries: list[Triplet],
     policy: MatchPolicy | None = None,
-    vp_override=None,
-) -> APResult:
-    detections = rank_candidates(model, query, dataset.pairs, vp_override=vp_override)
-    return average_precision(query, detections, ground_truth_for(dataset, query), policy)
+    gamma: Gamma | None = None,
+) -> Iterator[tuple[Triplet, list[Detection], APResult]]:
+    """Rank every candidate pair of the dataset for each query, in order.
+
+    Yields (query, ranked detections, AP). The pair embeddings and the
+    ground-truth index are built once, on the first step; each query's
+    ``pair_embeddings`` call then returns the same arrays. Without ``gamma``
+    each query is scored directly; with it, its vp factor is the embedding
+    transferred from the source pool (analogy transfer).
+    """
+    pool = None
+    if gamma is not None:
+        pool = source_pool(model)
+        if not pool:
+            raise DataError("no transfer sources: every observed triplet is rare")
+    truth = ground_truth_index(dataset)
+    with reuse_pair_embeddings(model, dataset.pairs):
+        for query in queries:
+            override = None if pool is None else transfer_embedding(model, gamma, query, pool)
+            detections = rank_candidates(model, query, dataset.pairs, vp_override=override)
+            yield query, detections, average_precision(query, detections, truth.get(query, []), policy)
 
 
 def mean_ap(results: list[APResult]) -> float:

@@ -21,7 +21,6 @@ from relembed.analogy import (
     gamma_init,
     gamma_input_matrix,
     similarity_many,
-    source_pool,
     stage2_params,
     train_stage2,
     transfer_embedding,
@@ -52,9 +51,8 @@ from relembed.retrieval import (
     GroundTruthPair,
     MatchPolicy,
     average_precision,
-    ground_truth_for,
+    evaluate_queries,
     mean_ap,
-    rank_candidates,
     iou,
 )
 
@@ -308,15 +306,9 @@ def test_criterion_4_ap_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 
-def _zero_shot_map(model, gamma, test, heldout, pool):
-    results = []
-    for u in heldout:
-        override = transfer_embedding(model, gamma, u, pool)
-        dets = rank_candidates(model, u, test.pairs, vp_override=override)
-        results.append(
-            average_precision(u, dets, ground_truth_for(test, u), MatchPolicy(0.5))
-        )
-    return mean_ap(results)
+def _zero_shot_map(model, gamma, test, heldout):
+    evaluated = evaluate_queries(model, test, heldout, MatchPolicy(0.5), gamma)
+    return mean_ap([r for _, _, r in evaluated])
 
 
 def test_criterion_5_transfer_variant_ordering():
@@ -328,7 +320,7 @@ def test_criterion_5_transfer_variant_ordering():
         model = build_model(cfg, train, table, seed)
         train_stage1(model, train, seed)
         per["absent"].append(
-            _zero_shot_map(model, Gamma("absent"), test, heldout, source_pool(model))
+            _zero_shot_map(model, Gamma("absent"), test, heldout)
         )
         for gkind in ("zero", "linear", "deep"):
             trained = copy.deepcopy(model)
@@ -337,7 +329,7 @@ def test_criterion_5_transfer_variant_ordering():
             )
             train_stage2(trained, gamma, train, seed)
             per[gkind].append(
-                _zero_shot_map(trained, gamma, test, heldout, source_pool(trained))
+                _zero_shot_map(trained, gamma, test, heldout)
             )
     med = {k: statistics.median(v) for k, v in per.items()}
     elapsed = time.time() - t0
@@ -364,13 +356,8 @@ def _seen_map(branches: str, seed: int) -> float:
     train, test, table, _ = synth_generate(cfg.synth_config(), seed)
     model = build_model(cfg, train, table, seed)
     train_stage1(model, train, seed)
-    results = []
-    for u in sorted(train.counts):
-        dets = rank_candidates(model, u, test.pairs)
-        results.append(
-            average_precision(u, dets, ground_truth_for(test, u), MatchPolicy(0.5))
-        )
-    return mean_ap(results)
+    evaluated = evaluate_queries(model, test, sorted(train.counts), MatchPolicy(0.5))
+    return mean_ap([r for _, _, r in evaluated])
 
 
 def test_criterion_6_branch_ablation_ordering():

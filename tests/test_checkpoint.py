@@ -1,11 +1,21 @@
 """Tests for the binary model container: byte determinism, bit-exact
 round-trips, and corruption detection."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from relembed.analogy import Gamma, gamma_init, train_stage2, transfer_embedding
-from relembed.checkpoint import load_checkpoint, model_params, save_checkpoint
+from relembed.checkpoint import (
+    HEADER_KEYS,
+    MAGIC,
+    load_checkpoint,
+    model_params,
+    save_checkpoint,
+)
+from relembed.cli import main
 from relembed.data import DataError
 from relembed.model import build_model, score_pairs, train_stage1
 from relembed.numkit import rng_stream
@@ -122,6 +132,38 @@ def test_loader_rejects_tampered_config(trained, tmp_path):
     open(path, "wb").write(mutated)
     with pytest.raises(DataError, match="hash mismatch"):
         load_checkpoint(path)
+
+
+def _drop_header_key(path: str, key: str):
+    """Rewrite the checkpoint with one header key removed, blocks untouched."""
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = len(MAGIC) + 4
+    header = json.loads(raw[start : start + hlen])
+    del header[key]
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + hlen :])
+
+
+@pytest.mark.parametrize("key", HEADER_KEYS)
+def test_loader_rejects_header_without_required_key(trained, tmp_path, key):
+    model, gamma, _, _ = trained
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model, gamma, seed=0)
+    _drop_header_key(path, key)
+    with pytest.raises(DataError, match=f"header lacks {key}$"):
+        load_checkpoint(path)
+
+
+def test_header_without_observed_is_one_data_error_line(trained, tmp_path, capsys):
+    model, gamma, _, _ = trained
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model, gamma, seed=0)
+    _drop_header_key(path, "observed")
+    assert main(["inspect", "--checkpoint", path, "embeddings"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:data:") and "observed" in err[0]
 
 
 def test_absent_gamma_none_argument(small_bench, tmp_path):

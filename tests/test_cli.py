@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from relembed.checkpoint import load_checkpoint, model_params
+from relembed import model as model_mod
+from relembed.checkpoint import load_checkpoint, model_params, save_checkpoint
 from relembed.cli import main
 from relembed.config import load_config, write_config
 from relembed.data import Triplet, load_dataset, load_queries, write_queries
@@ -216,6 +217,68 @@ def test_eval_empty_query_list_fails(run_dir, tmp_path, capsys):
     write_config(cfg, cfg_path)
     assert main(["eval", "--config", cfg_path, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:data:")
+
+
+@pytest.mark.parametrize("mode", ["direct", "transfer"])
+def test_eval_embeds_test_pairs_once(run_dir, tmp_path, monkeypatch, mode):
+    asked, computed = [], []
+    ask, compute = model_mod.pair_embeddings, model_mod._embed_pairs
+
+    def asking(model, pairs):
+        asked.append(len(pairs))
+        return ask(model, pairs)
+
+    def computing(model, pairs):
+        computed.append(len(pairs))
+        return compute(model, pairs)
+
+    monkeypatch.setattr(model_mod, "pair_embeddings", asking)
+    monkeypatch.setattr(model_mod, "_embed_pairs", computing)
+    eff = os.path.join(run_dir, "effective.cfg")
+    assert main(["eval", "--config", eff, "--mode", mode, "--out", str(tmp_path)]) == 0
+    cfg = effective(run_dir)
+    test = load_dataset(cfg.test_data)
+    # every query asks for the embeddings; only the first ask computes them
+    assert computed == [len(test.pairs)]
+    assert asked == [len(test.pairs)] * len(load_queries(cfg.queries, test))
+
+
+def test_eval_negative_top_is_usage_error(run_dir, tmp_path, capsys):
+    eff = os.path.join(run_dir, "effective.cfg")
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", eff, "--out", str(out), "--top", "-5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:usage:")
+    assert not out.exists()
+
+
+def test_eval_normalize_aggregation_comes_from_config(run_dir, tmp_path):
+    """The config file's flag decides, whatever the checkpoint's copy says:
+    either flag with either checkpoint writes what a checkpoint holding that
+    flag does."""
+    cfg = effective(run_dir)
+    model, gamma, seed = load_checkpoint(cfg.checkpoint)
+    assert not model.cfg.normalize_aggregation
+    model.cfg.normalize_aggregation = True
+    flipped = str(tmp_path / "flipped.ckpt")
+    save_checkpoint(flipped, model, gamma, seed)
+
+    def run(normalize, ckpt):
+        cfg.normalize_aggregation, cfg.checkpoint = normalize, ckpt
+        name = f"{normalize}-{os.path.basename(ckpt)}"
+        cfg_path = str(tmp_path / f"{name}.cfg")
+        write_config(cfg, cfg_path)
+        out = str(tmp_path / name)
+        argv = ["eval", "--config", cfg_path, "--mode", "transfer", "--out", out, "--top", "5"]
+        assert main(argv) == 0
+        return [read_bytes(os.path.join(out, f)) for f in ("results.txt", "top_detections.txt")]
+
+    original = effective(run_dir).checkpoint
+    normalized = run(True, flipped)
+    plain = run(False, original)
+    assert normalized != plain
+    assert run(True, original) == normalized
+    assert run(False, flipped) == plain
 
 
 # ---------------------------------------------------------------------------

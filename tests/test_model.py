@@ -21,6 +21,7 @@ from relembed.model import (
     joint_loss,
     pair_embeddings,
     query_embeddings,
+    reuse_pair_embeddings,
     score_from_embeddings,
     score_pairs,
     stage1_params,
@@ -236,6 +237,23 @@ def test_score_extra_zero_dot_branch_halves(small_bench):
     zero_out(model.branches["o"].f_v)  # o-branch dot becomes 0 for every pair
     withextra = score_from_embeddings(pair_embeddings(model, pairs), language)
     assert np.allclose(withextra, 0.5 * base, rtol=1e-12, atol=0)
+
+
+def test_reused_pair_embeddings_are_the_same_only_inside_the_block(small_bench):
+    model, train, _, _ = bench_model(small_bench)
+    pairs = train.pairs[:5]
+    fresh = pair_embeddings(model, pairs)
+    with reuse_pair_embeddings(model, pairs):
+        first = pair_embeddings(model, pairs)
+        with reuse_pair_embeddings(model, pairs):  # nested: same entry
+            again = pair_embeddings(model, pairs)
+        assert all(again[k] is first[k] for k in first)
+        assert pair_embeddings(model, pairs)["s"] is first["s"]  # outer entry kept
+        assert all(np.array_equal(first[k], fresh[k]) for k in fresh)
+        assert not any(v.flags.writeable for v in first.values())
+        assert pair_embeddings(model, train.pairs[:5])["s"] is not first["s"]  # other list
+    zero_out(model.branches["s"].f_v)
+    assert not np.array_equal(pair_embeddings(model, pairs)["s"], first["s"])
 
 
 def test_scores_strictly_inside_unit_interval(small_bench):

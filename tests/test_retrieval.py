@@ -3,7 +3,10 @@ and the results file round-trip."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relembed.analogy import gamma_init, source_pool, train_stage2, transfer_embedding
 from relembed.data import (
     BoundingBox,
     CandidatePair,
@@ -13,15 +16,17 @@ from relembed.data import (
     Vocabulary,
     WordTable,
 )
-from relembed.model import build_model, score_pairs
+from relembed.model import build_model, score_pairs, train_stage1
+from relembed.numkit import rng_stream
 from relembed.retrieval import (
     APResult,
     Detection,
     GroundTruthPair,
     MatchPolicy,
     average_precision,
-    evaluate_query,
+    evaluate_queries,
     ground_truth_for,
+    ground_truth_index,
     iou,
     load_results,
     match_detections,
@@ -185,6 +190,43 @@ def test_match_tie_goes_to_earlier_ground_truth():
     # the second detection must still find the (identical) leftover
     flags = match_detections([det(0, 0.9, UNIT, UNIT), det(1, 0.8, UNIT, UNIT)], g, MatchPolicy(0.5))
     assert flags == [True, True]
+
+
+def _brute_force_flags(dets, gts, tau):
+    """The matcher without the per-image grouping: every detection scans
+    all ground truth and skips other images' entries."""
+    matched, flags = set(), []
+    for d in dets:
+        best, best_q = -1, 0.0
+        for j, g in enumerate(gts):
+            if j in matched or g.image_id != d.image_id:
+                continue
+            q = min(iou(d.sub_box, g.sub_box), iou(d.obj_box, g.obj_box))
+            if q >= tau and q > best_q:
+                best, best_q = j, q
+        if best >= 0:
+            matched.add(best)
+        flags.append(best >= 0)
+    return flags
+
+
+# 4x4 boxes shifted along x: a box at shift x overlaps those at x - 1 and
+# x + 1 equally (IoU 0.6), so one detection often ties between two
+# different ground-truth pairs, and the tie rule decides later matches
+_shifted_box = st.sampled_from([box(x, 0, x + 4, 4) for x in range(5)])
+_image = st.integers(0, 1)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    gts=st.lists(st.builds(gt, _shifted_box, _shifted_box, _image), max_size=8),
+    dets=st.lists(st.tuples(_shifted_box, _shifted_box, _image), max_size=12),
+    tau=st.sampled_from([0.1, 0.5, 1.0]),
+)
+def test_per_image_matcher_equals_brute_force(gts, dets, tau):
+    detections = [det(i, 0.5, s, o, img) for i, (s, o, img) in enumerate(dets)]
+    want = _brute_force_flags(detections, gts, tau)
+    assert match_detections(detections, gts, MatchPolicy(tau)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +466,8 @@ def test_evaluate_query_counts_ground_truth(small_bench):
     model = build_model(cfg, train, table, seed=0)
     query = model.observed[0]
     want_npos = sum(1 for p in test.pairs if query in p.positives())
-    r = evaluate_query(model, query, test, MatchPolicy(0.5))
+    [(q, dets, r)] = evaluate_queries(model, test, [query], MatchPolicy(0.5))
+    assert q == query and len(dets) == len(test.pairs)
     assert r.npos == want_npos > 0
     assert r.ndet == len(test.pairs)
     assert 0.0 <= r.ap <= 1.0
@@ -436,3 +479,74 @@ def test_evaluate_query_ground_truth_listing(small_bench):
     gts = ground_truth_for(test, q)
     assert all(isinstance(g, GroundTruthPair) for g in gts)
     assert len(gts) == sum(1 for p in test.pairs if q in p.positives())
+
+
+def test_ground_truth_index_lists_what_ground_truth_for_returns(small_bench):
+    cfg, (train, test, table, heldout) = small_bench
+    a = np.full(4, 0.3)
+    # several positives per pair, in either order, over two images
+    multi = Dataset.build(
+        Vocabulary(["s0", "s1"]),
+        Vocabulary(["p0", "p1", "p2"]),
+        Vocabulary(["o0"]),
+        [
+            CandidatePair(i, i % 2, UNIT, box(i, 0, i + 10, 10), i % 2, 0, a, a, pos)
+            for i, pos in enumerate([(0, 1), (1,), (), (2, 0, 1), (1, 0)])
+        ],
+        4,
+    )
+    for ds in (test, multi):
+        index = ground_truth_index(ds)
+        everything = {
+            Triplet(s, p, o)
+            for s in range(len(ds.subjects))
+            for p in range(len(ds.predicates))
+            for o in range(len(ds.objects))
+        }
+        assert index.keys() <= everything
+        for t in sorted(everything):
+            assert index.get(t, []) == ground_truth_for(ds, t)
+    assert len(ground_truth_index(multi)[Triplet(0, 0, 0)]) == 2
+
+
+@pytest.fixture(scope="module")
+def trained_bench(small_bench):
+    cfg, (train, test, table, heldout) = small_bench
+    cfg = desk_config(stage1_epochs=1, stage2_epochs=1)
+    model = build_model(cfg, train, table, seed=0)
+    train_stage1(model, train, seed=0)
+    gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    train_stage2(model, gamma, train, seed=0)
+    return model, gamma, test, list(heldout) + model.observed[:3]
+
+
+def _per_query_oracle(model, test, queries, gamma):
+    """The eval loop written per query: every query embeds the pairs again
+    and scans the dataset for its ground truth."""
+    for q in queries:
+        override = None if gamma is None else transfer_embedding(model, gamma, q, source_pool(model))
+        dets = rank_candidates(model, q, test.pairs, vp_override=override)
+        yield q, dets, average_precision(q, dets, ground_truth_for(test, q), MatchPolicy(0.5))
+
+
+def _write_eval(out, test, rows):
+    """results.txt plus every detection of every query, as the CLI writes them."""
+    out.mkdir()
+    results = []
+    with open(out / "top_detections.txt", "w") as fh:
+        for q, dets, r in rows:
+            results.append(r)
+            for rank, d in enumerate(dets, 1):
+                fh.write(f"query {tuple(q)} rank {rank} pair {d.pair_id} image {d.image_id} score {d.score!r}\n")
+    write_results(str(out / "results.txt"), results, test.subjects, test.predicates, test.objects)
+    return [(out / name).read_bytes() for name in ("results.txt", "top_detections.txt")]
+
+
+@pytest.mark.parametrize("mode", ["direct", "transfer"])
+def test_eval_loop_is_byte_identical_to_per_query_oracle(trained_bench, tmp_path, mode):
+    model, gamma, test, queries = trained_bench
+    gamma = gamma if mode == "transfer" else None
+    got = _write_eval(tmp_path / "loop", test, evaluate_queries(model, test, queries, MatchPolicy(0.5), gamma))
+    want = _write_eval(tmp_path / "oracle", test, _per_query_oracle(model, test, queries, gamma))
+    assert got == want
+    assert got[1].count(b"\n") == len(queries) * len(test.pairs)
