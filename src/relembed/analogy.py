@@ -22,17 +22,18 @@ from .data import DataError, Dataset, Triplet
 from .features import pair_arrays, visual_forward
 from .model import (
     JointModel,
+    adam_update,
     batch_iter,
     embed_language_batch,
     embed_language_masked,
     joint_loss,
+    trainable,
 )
 from .numkit import (
     Array,
     Linear,
     Mlp,
     adam_init,
-    adam_step,
     glorot_uniform,
     layer_params,
     log_sigmoid,
@@ -76,14 +77,6 @@ def gamma_init(kind: str, embed_dim: int, hidden: int, rng: np.random.Generator)
         second = Linear(glorot_uniform(rng, embed_dim, hidden))
         return Gamma(kind, net=Mlp(first, second))
     raise DataError(f"unknown gamma kind {kind!r}")
-
-
-def gamma_params(gamma: Gamma) -> list[tuple[str, Array]]:
-    if gamma.kind == "linear":
-        return list(layer_params("gamma.lin", gamma.lin))
-    if gamma.kind == "deep":
-        return list(layer_params("gamma.net", gamma.net))
-    return []
 
 
 def gamma_forward(gamma: Gamma, diffs: Array) -> tuple[Array, tuple | None]:
@@ -191,10 +184,6 @@ def similarity_many(model: JointModel, targets: list[Triplet], pool: list[Triple
     if cfg.clamp_similarity:
         g = np.clip(g, 0.0, 1.0)
     return g
-
-
-def similarity(model: JointModel, t: Triplet, u: Triplet) -> float:
-    return float(similarity_many(model, [t], [u])[0, 0])
 
 
 def source_pool(model: JointModel) -> list[Triplet]:
@@ -329,15 +318,6 @@ def analogy_loss(
 # ---------------------------------------------------------------------------
 
 
-def stage2_params(model: JointModel, gamma: Gamma) -> list[tuple[str, Array]]:
-    """vp branch plus Gamma; everything else stays frozen."""
-    br = model.branch("vp")
-    out = list(layer_params("branch.vp.f_v", br.f_v))
-    out.extend(layer_params("branch.vp.f_w", br.f_w))
-    out.extend(gamma_params(gamma))
-    return out
-
-
 def build_source_sets(
     model: JointModel, targets: list[Triplet], pool: list[Triplet]
 ) -> dict[Triplet, list[tuple[Triplet, float]]]:
@@ -363,9 +343,8 @@ def train_stage2(
     if "vp" not in model.branches:
         raise DataError("stage-2 training requires an active vp branch")
     rng = rng_stream(seed, "stage2")
-    named = stage2_params(model, gamma)
-    arrays = [a for _, a in named]
-    opt = adam_init(arrays, lr=cfg.lr)
+    named = trainable(model, 2, gamma)
+    opt = adam_init([a for _, a in named], lr=cfg.lr)
     n_pos = cfg.positives_per_batch()
     n_neg = cfg.batch_size - n_pos
     pool = source_pool(model)
@@ -386,8 +365,7 @@ def train_stage2(
             for name, arr in g_an.items():
                 lam = cfg.analogy_weight
                 grads[name] = grads[name] + lam * arr if name in grads else lam * arr
-            glist = [grads[name] if name in grads else np.zeros_like(a) for name, a in named]
-            adam_step(opt, arrays, glist)
+            adam_update(opt, named, grads)
             losses.append(loss_vp + cfg.analogy_weight * loss_an)
         trace.append(float(np.mean(losses)))
     return trace, skipped_total

@@ -10,9 +10,14 @@ Layout:
 The header carries everything needed to rebuild the model without the
 training inputs: the effective config text and its hash, the seed, the
 three vocabularies, dims, observed triplet counts, and the parameter
-catalog (name plus shape). Word-vector matrices travel as ordinary
-parameter blocks, so a loaded checkpoint scores queries with no word-table
-file on hand. Writing the same model twice yields byte-identical files.
+catalog (name plus shape). The catalog is ``model.named_parameters`` of
+the saved model. Loading rebuilds the layers from the stored config with the
+training constructors (``model.init_layers``, ``analogy.gamma_init``) and
+requires the header catalog to equal that model's registry, (name, shape)
+for every entry in order, before it copies any block; any difference is one
+``DataError``. Word-vector matrices travel as ordinary parameter blocks, so a
+loaded checkpoint scores queries with no word-table file on hand. Writing the
+same model twice yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,12 +27,11 @@ import struct
 
 import numpy as np
 
-from .analogy import Gamma, gamma_params
+from .analogy import Gamma, gamma_init
 from .config import config_hash, emit_config, parse_config
 from .data import DataError, Triplet, Vocabulary
-from .features import VisualInputParams
-from .model import Branch, JointModel
-from .numkit import Array, Linear, Mlp, layer_params
+from .model import JointModel, init_layers, named_parameters
+from .numkit import rng_stream
 
 MAGIC = b"relembd1"
 FORMAT = 1
@@ -47,25 +51,8 @@ HEADER_KEYS = (
 )
 
 
-def model_params(model: JointModel, gamma: Gamma | None = None) -> list[tuple[str, Array]]:
-    """Every persistent array, in the fixed order the container uses."""
-    named = [
-        ("words.sub", model.e_sub),
-        ("words.pre", model.e_pre),
-        ("words.obj", model.e_obj),
-    ]
-    named.extend(model.visual.params())
-    for kind in model.cfg.branch_list():
-        br = model.branch(kind)
-        named.extend(layer_params(f"branch.{kind}.f_v", br.f_v))
-        named.extend(layer_params(f"branch.{kind}.f_w", br.f_w))
-    if gamma is not None:
-        named.extend(gamma_params(gamma))
-    return named
-
-
 def save_checkpoint(path: str, model: JointModel, gamma: Gamma | None, seed: int):
-    named = model_params(model, gamma)
+    named = named_parameters(model, gamma)
     header = {
         "format": FORMAT,
         "config": emit_config(model.cfg),
@@ -91,14 +78,6 @@ def save_checkpoint(path: str, model: JointModel, gamma: Gamma | None, seed: int
 
 def _fail(path: str, msg: str):
     raise DataError(f"{path}: {msg}")
-
-
-def _mlp(take, prefix: str, dropout: float = 0.0) -> Mlp:
-    return Mlp(
-        Linear(take(prefix + ".first.w"), take(prefix + ".first.b")),
-        Linear(take(prefix + ".second.w"), take(prefix + ".second.b")),
-        dropout,
-    )
 
 
 def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
@@ -127,75 +106,63 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
     if config_hash(cfg) != header["config_hash"]:
         _fail(path, "config hash mismatch")
 
-    body = raw[start + hlen :]
-    blocks: dict[str, Array] = {}
-    offset = 0
-    for name, shape in header["params"]:
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
-        if end > len(body):
-            _fail(path, f"truncated parameter block {name!r}")
-        blocks[name] = (
-            np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        offset = end
-    if offset != len(body):
-        _fail(path, f"{len(body) - offset} trailing bytes after parameter blocks")
-
-    def take(name: str) -> Array:
-        try:
-            return blocks.pop(name)
-        except KeyError:
-            _fail(path, f"missing parameter block {name!r}")
-
-    e_sub, e_pre, e_obj = take("words.sub"), take("words.pre"), take("words.obj")
-    if e_sub.shape[1] != header["word_dim"]:
-        _fail(path, "word_dim disagrees with words.sub block")
-    visual = VisualInputParams(
-        Linear(take("visual.sub_proj.w"), take("visual.sub_proj.b")),
-        Linear(take("visual.obj_proj.w"), take("visual.obj_proj.b")),
-        _mlp(take, "visual.spatial"),
-    )
-    branches = {
-        kind: Branch(
-            kind,
-            f_v=_mlp(take, f"branch.{kind}.f_v", dropout=cfg.dropout),
-            f_w=_mlp(take, f"branch.{kind}.f_w"),
-        )
-        for kind in cfg.branch_list()
-    }
-
     kind = header["gamma"]
     if kind != cfg.gamma:
         _fail(path, f"gamma kind {kind!r} disagrees with config {cfg.gamma!r}")
-    if kind == "linear":
-        gamma = Gamma("linear", lin=Linear(take("gamma.lin.w")))
-    elif kind == "deep":
-        gamma = Gamma(
-            "deep", net=Mlp(Linear(take("gamma.net.first.w")), Linear(take("gamma.net.second.w")))
-        )
-    else:
-        gamma = Gamma(kind)
-    if blocks:
-        _fail(path, f"unused parameter blocks: {', '.join(sorted(blocks))}")
+    for key, least in (("seed", 0), ("word_dim", 1), ("appearance_dim", 1)):
+        if type(header[key]) is not int or header[key] < least:
+            _fail(path, f"header {key} must be an integer >= {least}, got {header[key]!r}")
 
-    observed = [Triplet(s, p, o) for s, p, o, _ in header["observed"]]
-    counts = {Triplet(s, p, o): c for s, p, o, c in header["observed"]}
+    subjects = Vocabulary(header["subjects"])
+    predicates = Vocabulary(header["predicates"])
+    objects = Vocabulary(header["objects"])
+    word_dim = header["word_dim"]
+    visual, branches = init_layers(cfg, word_dim, header["appearance_dim"], header["seed"])
     model = JointModel(
         cfg=cfg,
-        subjects=Vocabulary(header["subjects"]),
-        predicates=Vocabulary(header["predicates"]),
-        objects=Vocabulary(header["objects"]),
-        word_dim=header["word_dim"],
-        e_sub=e_sub,
-        e_pre=e_pre,
-        e_obj=e_obj,
+        subjects=subjects,
+        predicates=predicates,
+        objects=objects,
+        word_dim=word_dim,
+        e_sub=np.zeros((len(subjects), word_dim)),
+        e_pre=np.zeros((len(predicates), word_dim)),
+        e_obj=np.zeros((len(objects), word_dim)),
         visual=visual,
         branches=branches,
-        observed=observed,
-        counts=counts,
+        observed=[Triplet(s, p, o) for s, p, o, _ in header["observed"]],
+        counts={Triplet(s, p, o): c for s, p, o, c in header["observed"]},
         appearance_dim=header["appearance_dim"],
     )
+    gamma = gamma_init(
+        kind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(header["seed"], "gamma")
+    )
+
+    named = named_parameters(model, gamma)
+    catalog = [[name, list(arr.shape)] for name, arr in named]
+    if header["params"] != catalog:
+        diff = _first_difference(header["params"], catalog)
+        _fail(path, f"parameter catalog disagrees with the model: {diff}")
+    body = raw[start + hlen :]
+    offset = 0
+    for name, arr in named:
+        end = offset + 8 * arr.size
+        if end > len(body):
+            _fail(path, f"truncated parameter block {name!r}")
+        block = np.frombuffer(body, dtype="<f8", count=arr.size, offset=offset)
+        arr[...] = block.reshape(arr.shape)
+        offset = end
+    if offset != len(body):
+        _fail(path, f"{len(body) - offset} trailing bytes after parameter blocks")
     return model, gamma, header["seed"]
+
+
+def _first_difference(got, want: list) -> str:
+    """Where a header catalog first departs from the model's registry."""
+    if not isinstance(got, list):
+        return f"expected a list of [name, shape] entries, got {type(got).__name__}"
+    for i, entry in enumerate(want):
+        if i >= len(got):
+            return f"missing entry {i} {entry}"
+        if got[i] != entry:
+            return f"entry {i} is {got[i]!r}, the model has {entry}"
+    return f"{len(got) - len(want)} extra entries after {len(want)}"

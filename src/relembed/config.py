@@ -8,6 +8,7 @@ reparses to an equal config, and ``config_hash`` fingerprints it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .data import SynthConfig
@@ -124,6 +125,10 @@ def _parse_value(name: str, kind: type, raw: str):
 
 
 def validate(cfg: RunConfig) -> RunConfig:
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
     active = cfg.branch_list()
     if not active:
         raise ConfigError("branches: at least one branch required")
@@ -147,6 +152,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("vp_negatives: choose observed or cartesian")
     if cfg.similarity_input not in ("branches", "words"):
         raise ConfigError("similarity_input: choose branches or words")
+    if cfg.lr <= 0.0:
+        raise ConfigError(f"lr must be > 0, got {cfg.lr}")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
     if not 0.0 < cfg.positive_fraction <= 1.0:
@@ -160,12 +167,17 @@ def validate(cfg: RunConfig) -> RunConfig:
     alpha = cfg.alpha_s + cfg.alpha_p + cfg.alpha_o
     if abs(alpha - 1.0) > 1e-9:
         raise ConfigError(f"alpha_s + alpha_p + alpha_o must equal 1, got {alpha}")
+    if cfg.analogy_weight < 0.0:
+        raise ConfigError(f"analogy_weight must be >= 0, got {cfg.analogy_weight}")
     if cfg.rare_threshold < 1:
         raise ConfigError("rare_threshold must be >= 1")
     if not 0.0 < cfg.iou_threshold <= 1.0:
         raise ConfigError("iou_threshold must be in (0, 1]")
     if cfg.eval_mode not in ("direct", "transfer"):
         raise ConfigError("eval_mode: choose direct or transfer")
+    for key in ("synth_noise", "synth_word_noise", "synth_negative_ratio"):
+        if getattr(cfg, key) < 0.0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     return cfg
 
 

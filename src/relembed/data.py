@@ -164,17 +164,6 @@ class Dataset:
         return (self.subjects[t.s], self.predicates[t.p], self.objects[t.o])
 
 
-def occurrence_rank(dataset: Dataset, threshold: int = 10) -> tuple[dict[Triplet, int], list[Triplet]]:
-    """Per-triplet positive counts and the sorted set of frequent triplets.
-
-    A triplet is frequent (eligible as a transfer source) when it has at
-    least ``threshold`` positive pairs.
-    """
-    counts = dict(dataset.counts)
-    frequent = sorted(t for t, c in counts.items() if c >= threshold)
-    return counts, frequent
-
-
 @dataclass(eq=False)
 class WordTable:
     dim: int

@@ -14,13 +14,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import RunConfig
 from .data import DataError, Dataset, Triplet, Vocabulary, WordTable
 from .features import (
-    BRANCH_KINDS,
     BRANCH_MASK,
     VisualInputParams,
     language_matrix,
@@ -30,6 +30,7 @@ from .features import (
     visual_init,
 )
 from .numkit import (
+    AdamState,
     Array,
     Mlp,
     adam_init,
@@ -43,6 +44,9 @@ from .numkit import (
     rng_stream,
     sigmoid,
 )
+
+if TYPE_CHECKING:
+    from .analogy import Gamma
 
 # dot products are clipped here before the sigmoid when scoring, keeping
 # every score strictly inside (0, 1) in float64
@@ -83,38 +87,96 @@ class JointModel:
             raise DataError(f"branch {kind!r} not active (have {','.join(self.branches)})") from None
 
 
-def build_model(cfg: RunConfig, dataset: Dataset, table: WordTable, seed: int) -> JointModel:
-    """Fresh model with seeded initialization; layout is deterministic."""
+def init_layers(
+    cfg: RunConfig, word_dim: int, appearance_dim: int, seed: int
+) -> tuple[VisualInputParams, dict[str, Branch]]:
+    """Seeded visual front end and active branches; layout is deterministic."""
     rng = rng_stream(seed, "init")
-    e_sub = np.stack([table.lookup(t) for t in dataset.subjects.tokens])
-    e_pre = np.stack([table.lookup(t) for t in dataset.predicates.tokens])
-    e_obj = np.stack([table.lookup(t) for t in dataset.objects.tokens])
-    visual = visual_init(
-        rng, dataset.appearance_dim, cfg.app_out, cfg.spatial_hidden, cfg.spatial_out
-    )
-    d_q = 3 * table.dim
+    visual = visual_init(rng, appearance_dim, cfg.app_out, cfg.spatial_hidden, cfg.spatial_out)
     branches = {}
     for kind in cfg.branch_list():
-        vis_in = dataset.appearance_dim if kind in ("s", "o") else visual.d_v
+        vis_in = appearance_dim if kind in ("s", "o") else visual.d_v
         branches[kind] = Branch(
             kind,
             f_v=mlp_init(rng, vis_in, cfg.branch_hidden, cfg.embed_dim, dropout=cfg.dropout),
-            f_w=mlp_init(rng, d_q, cfg.branch_hidden, cfg.embed_dim),
+            f_w=mlp_init(rng, 3 * word_dim, cfg.branch_hidden, cfg.embed_dim),
         )
+    return visual, branches
+
+
+def build_model(cfg: RunConfig, dataset: Dataset, table: WordTable, seed: int) -> JointModel:
+    """Fresh model: word vectors from the table, layers from ``init_layers``."""
+    visual, branches = init_layers(cfg, table.dim, dataset.appearance_dim, seed)
     return JointModel(
         cfg=cfg,
         subjects=dataset.subjects,
         predicates=dataset.predicates,
         objects=dataset.objects,
         word_dim=table.dim,
-        e_sub=e_sub,
-        e_pre=e_pre,
-        e_obj=e_obj,
+        e_sub=np.stack([table.lookup(t) for t in dataset.subjects.tokens]),
+        e_pre=np.stack([table.lookup(t) for t in dataset.predicates.tokens]),
+        e_obj=np.stack([table.lookup(t) for t in dataset.objects.tokens]),
         visual=visual,
         branches=branches,
         observed=dataset.observed_sorted(),
         counts=dict(dataset.counts),
         appearance_dim=dataset.appearance_dim,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Parameter registry
+# ---------------------------------------------------------------------------
+
+
+def named_parameters(model: JointModel, gamma: Gamma | None = None) -> list[tuple[str, Array]]:
+    """Every persistent array, in checkpoint order: word vectors, the visual
+    front end, each active branch's f_v and f_w in branch order, then Gamma.
+
+    Training stages, checkpoints and tests all take their parameter lists
+    from here (see ``trainable``).
+    """
+    named = [("words.sub", model.e_sub), ("words.pre", model.e_pre), ("words.obj", model.e_obj)]
+    named.extend(model.visual.params())
+    for kind in model.active_kinds:
+        br = model.branch(kind)
+        named.extend(layer_params(f"branch.{kind}.f_v", br.f_v))
+        named.extend(layer_params(f"branch.{kind}.f_w", br.f_w))
+    if gamma is not None and gamma.lin is not None:
+        named.extend(layer_params("gamma.lin", gamma.lin))
+    if gamma is not None and gamma.net is not None:
+        named.extend(layer_params("gamma.net", gamma.net))
+    return named
+
+
+def trainable(model: JointModel, stage: int, gamma: Gamma | None = None) -> list[tuple[str, Array]]:
+    """The registry entries a training stage updates, in registry order.
+
+    Stage 1: every branch, the visual front end when a branch reads the pair
+    descriptor, and the word vectors when ``finetune_words`` is set.
+    Stage 2: both nets of the vp branch plus Gamma.
+    """
+    if stage == 1:
+        prefixes = ("branch.",)
+        if any(k not in ("s", "o") for k in model.active_kinds):
+            prefixes += ("visual.",)
+        if model.cfg.finetune_words:
+            prefixes += ("words.",)
+    elif stage == 2:
+        prefixes = ("branch.vp.", "gamma.")
+    else:
+        raise ValueError(f"no training stage {stage!r}")
+    named = named_parameters(model, gamma)
+    return [(name, arr) for name, arr in named if name.startswith(prefixes)]
+
+
+def adam_update(opt: AdamState, named: list[tuple[str, Array]], grads: dict[str, Array]) -> None:
+    """One Adam step on the arrays of ``named``; a name missing from
+    ``grads`` gets a zero gradient."""
+    adam_step(
+        opt,
+        [arr for _, arr in named],
+        [grads[name] if name in grads else np.zeros_like(arr) for name, arr in named],
     )
 
 
@@ -212,10 +274,6 @@ def embed_language_masked(
 def embed_language_batch(model: JointModel, kind: str, triplets: list[Triplet]) -> Array:
     """Unit-norm language embeddings, one row per triplet."""
     return embed_language_masked(model, kind, triplets, BRANCH_MASK[kind])
-
-
-def embed_language(model: JointModel, t: Triplet, kind: str) -> Array:
-    return embed_language_batch(model, kind, [t])[0]
 
 
 def embed_visual_batch(
@@ -346,16 +404,6 @@ def joint_loss(
     return total, grads
 
 
-def branch_loss(
-    model: JointModel,
-    batch,
-    kind: str,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, dict[str, Array]]:
-    return joint_loss(model, batch, kinds=(kind,), training=training, rng=rng)
-
-
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
@@ -410,10 +458,6 @@ def _embed_pairs(model: JointModel, pairs) -> dict[str, Array]:
     return out
 
 
-def query_embeddings(model: JointModel, t: Triplet) -> dict[str, Array]:
-    return {kind: embed_language(model, t, kind) for kind in model.active_kinds}
-
-
 def score_from_embeddings(
     visual: dict[str, Array], language: dict[str, Array]
 ) -> Array:
@@ -434,7 +478,7 @@ def score_pairs(
     ``vp_override`` substitutes a transferred embedding for the vp factor,
     used when t was never observed in training.
     """
-    language = query_embeddings(model, t)
+    language = {kind: embed_language_batch(model, kind, [t])[0] for kind in model.active_kinds}
     if vp_override is not None:
         language["vp"] = vp_override
     return score_from_embeddings(pair_embeddings(model, pairs), language)
@@ -479,31 +523,14 @@ def batch_iter(dataset: Dataset, n_pos: int, n_neg: int, rng: np.random.Generato
         yield [dataset.pairs[i] for i in chunk]
 
 
-def stage1_params(model: JointModel) -> list[tuple[str, Array]]:
-    """Everything trained in the first stage, in fixed order."""
-    out: list[tuple[str, Array]] = []
-    if any(k not in ("s", "o") for k in model.active_kinds):
-        out.extend(model.visual.params())
-    for kind in model.active_kinds:
-        br = model.branch(kind)
-        out.extend(layer_params(f"branch.{kind}.f_v", br.f_v))
-        out.extend(layer_params(f"branch.{kind}.f_w", br.f_w))
-    if model.cfg.finetune_words:
-        out.extend(
-            [("words.sub", model.e_sub), ("words.pre", model.e_pre), ("words.obj", model.e_obj)]
-        )
-    return out
-
-
 def train_stage1(model: JointModel, dataset: Dataset, seed: int) -> list[float]:
     """Optimize the joint loss; returns mean batch loss per epoch."""
     cfg = model.cfg
     if not any(p.positive_predicates for p in dataset.pairs):
         raise DataError("dataset has no positive pairs")
     rng = rng_stream(seed, "stage1")
-    named = stage1_params(model)
-    arrays = [a for _, a in named]
-    opt = adam_init(arrays, lr=cfg.lr)
+    named = trainable(model, 1)
+    opt = adam_init([a for _, a in named], lr=cfg.lr)
     n_pos = cfg.positives_per_batch()
     n_neg = cfg.batch_size - n_pos
     trace = []
@@ -511,8 +538,7 @@ def train_stage1(model: JointModel, dataset: Dataset, seed: int) -> list[float]:
         losses = []
         for batch in batch_iter(dataset, n_pos, n_neg, rng):
             loss, grads = joint_loss(model, batch, training=True, rng=rng)
-            glist = [grads[name] if name in grads else np.zeros_like(a) for name, a in named]
-            adam_step(opt, arrays, glist)
+            adam_update(opt, named, grads)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     return trace

@@ -21,7 +21,6 @@ from relembed.analogy import (
     gamma_init,
     gamma_input_matrix,
     similarity_many,
-    stage2_params,
     train_stage2,
     transfer_embedding,
 )
@@ -30,18 +29,18 @@ from relembed.cli import main
 from relembed.config import RunConfig, validate, write_config
 from relembed.data import BoundingBox, Triplet, synth_generate
 from relembed.model import (
+    adam_update,
     batch_iter,
     build_model,
-    embed_language,
     embed_language_batch,
     joint_loss,
+    named_parameters,
     score_pairs,
-    stage1_params,
     train_stage1,
+    trainable,
 )
 from relembed.numkit import (
     adam_init,
-    adam_step,
     finite_diff_grad,
     max_relative_error,
     rng_stream,
@@ -113,7 +112,7 @@ def test_criterion_1_gradient_correctness():
 
         model = build_model(cfg, train, table, seed)
         _, grads = joint_loss(model, batch, kinds=(kind,))
-        named = stage1_params(model)
+        named = trainable(model, 1)
         numeric = finite_diff_grad(
             lambda: joint_loss(model, batch, kinds=(kind,))[0], [a for _, a in named]
         )
@@ -128,7 +127,7 @@ def test_criterion_1_gradient_correctness():
         targets = sorted({t for p in batch for t in p.positives()})
         q = [(observed[int(rng.integers(len(observed)))], u) for u in targets[:5]]
         _, agrads = analogy_loss(model_vp, gamma, batch, q)
-        named_a = [(n, a) for n, a in stage2_params(model_vp, gamma) if ".f_w." not in n]
+        named_a = [(n, a) for n, a in trainable(model_vp, 2, gamma) if ".f_w." not in n]
         numeric_a = finite_diff_grad(
             lambda: analogy_loss(model_vp, gamma, batch, q)[0], [a for _, a in named_a]
         )
@@ -169,7 +168,7 @@ def test_criterion_2_analogy_identity():
             else gamma_init(gkind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(1, "gamma"))
         )
         for t in probes:
-            direct = embed_language(model, t, "vp")
+            direct = embed_language_batch(model, "vp", [t])[0]
             transferred = transfer_embedding(model, gamma, t, pool=[t])
             worst = max(worst, float(np.max(np.abs(transferred - direct))))
     ok = bitwise and worst <= 1e-12
@@ -196,18 +195,18 @@ def test_criterion_3_gradient_flow_restriction():
 
     named_only = all(n.startswith(("gamma.", "branch.vp.f_v.")) for n in grads)
 
-    language = [(n, a) for n, a in stage1_params(model) if ".f_w." in n]
-    language += [("words.sub", model.e_sub), ("words.pre", model.e_pre), ("words.obj", model.e_obj)]
+    language = [
+        (n, a) for n, a in named_parameters(model) if ".f_w." in n or n.startswith("words.")
+    ]
     all_zero = all(np.all(grads.get(n, 0.0) == 0.0) for n, _ in language)
 
     # an optimizer step along the analogy gradient must leave the language
     # projection bit-for-bit untouched even though it sits in the stage-2
     # parameter set
-    named2 = stage2_params(model, gamma)
+    named2 = trainable(model, 2, gamma)
     snapshot = {n: a.copy() for n, a in named2 if ".f_w." in n}
-    arrays = [a for _, a in named2]
-    opt = adam_init(arrays, lr=0.05)
-    adam_step(opt, arrays, [grads.get(n, np.zeros_like(a)) for n, a in named2])
+    opt = adam_init([a for _, a in named2], lr=0.05)
+    adam_update(opt, named2, grads)
     frozen = all(np.array_equal(a, snapshot[n]) for n, a in named2 if n in snapshot)
 
     ok = named_only and all_zero and frozen and len(snapshot) > 0

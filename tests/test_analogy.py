@@ -13,17 +13,13 @@ from relembed.analogy import (
     gamma_forward,
     gamma_init,
     gamma_input_matrix,
-    gamma_params,
     sample_q_pairs,
     select_sources,
-    similarity,
     similarity_many,
     source_pool,
-    stage2_params,
     train_stage2,
     transfer_embedding,
     transfer_from_sources,
-    unigram_vp_embeddings,
 )
 from relembed.data import (
     BoundingBox,
@@ -36,11 +32,11 @@ from relembed.data import (
 )
 from relembed.model import (
     build_model,
-    embed_language,
     embed_language_batch,
-    joint_loss,
+    named_parameters,
     score_pairs,
     train_stage1,
+    trainable,
 )
 from relembed.numkit import finite_diff_grad, max_relative_error, rng_stream
 
@@ -89,7 +85,9 @@ def test_gamma_has_no_biases(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     for kind in ("linear", "deep"):
         gamma = make_gamma(model, kind)
-        for name, arr in gamma_params(gamma):
+        named = [(n, a) for n, a in named_parameters(model, gamma) if n.startswith("gamma.")]
+        assert named, kind
+        for name, arr in named:
             assert name.endswith(".w"), name
             assert arr.ndim == 2
 
@@ -104,11 +102,12 @@ def test_gamma_deep_forward_by_hand():
     assert np.array_equal(got, want)
 
 
-def test_gamma_linear_grad_matches_finite_differences():
+def test_gamma_linear_grad_matches_finite_differences(small_bench):
+    cfg, train, table, model = bench_model(small_bench)
     rng = np.random.default_rng(3)
-    gamma = gamma_init("linear", 4, 0, rng)
-    x = rng.normal(size=(5, 12))
-    upstream = rng.normal(size=(5, 4))
+    gamma = gamma_init("linear", cfg.embed_dim, 0, rng)
+    x = rng.normal(size=(5, 3 * cfg.embed_dim))
+    upstream = rng.normal(size=(5, cfg.embed_dim))
 
     def loss_fn():
         out, _ = gamma_forward(gamma, x)
@@ -116,7 +115,8 @@ def test_gamma_linear_grad_matches_finite_differences():
 
     out, cache = gamma_forward(gamma, x)
     grads = gamma_backward(gamma, cache, upstream)
-    named = gamma_params(gamma)
+    named = [(n, a) for n, a in named_parameters(model, gamma) if n.startswith("gamma.")]
+    assert [n for n, _ in named] == ["gamma.lin.w"]
     numeric = finite_diff_grad(loss_fn, [a for _, a in named])
     for (name, _), num in zip(named, numeric):
         assert max_relative_error(grads[name], num) < 1e-6
@@ -163,15 +163,15 @@ def test_similarity_words_mode_hand_value():
     t = Triplet(0, 0, 0)  # (a, p, x)
     u = Triplet(1, 0, 0)  # (b, p, x): only the subject differs
     # 0.1 * 0.5 + 0.8 * 1 + 0.1 * 1 = 0.95
-    assert abs(similarity(model, t, u) - 0.95) < 1e-12
+    assert abs(similarity_many(model, [t], [u])[0, 0] - 0.95) < 1e-12
     v = Triplet(1, 1, 1)  # everything differs: 0.1*0.5 + 0 + 0 = 0.05
-    assert abs(similarity(model, t, v) - 0.05) < 1e-12
+    assert abs(similarity_many(model, [t], [v])[0, 0] - 0.05) < 1e-12
 
 
 def test_similarity_self_is_one(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     for t in model.observed[:5]:
-        assert abs(similarity(model, t, t) - 1.0) < 1e-12
+        assert abs(similarity_many(model, [t], [t])[0, 0] - 1.0) < 1e-12
 
 
 def test_similarity_clamped_to_unit_interval(small_bench):
@@ -185,7 +185,7 @@ def test_similarity_unclamped_can_leave_interval():
     model.cfg.clamp_similarity = False
     t = Triplet(0, 0, 0)
     u = Triplet(0, 1, 1)  # cos by slot: 1, 0, 0 -> 0.1 exactly
-    assert abs(similarity(model, t, u) - 0.1) < 1e-12
+    assert abs(similarity_many(model, [t], [u])[0, 0] - 0.1) < 1e-12
 
 
 def test_similarity_branch_mode_needs_unigram_branches(small_bench):
@@ -232,6 +232,29 @@ def test_source_pool_applies_rare_threshold(small_bench):
     assert source_pool(model) == []
 
 
+def test_source_pool_threshold_boundary():
+    subjects, predicates, objects = Vocabulary(["s"]), Vocabulary(["p0", "p1", "p2"]), Vocabulary(["o"])
+    rng = np.random.default_rng(0)
+    pairs = []
+    for p, count in ((0, 5), (1, 10), (2, 11)):
+        for _ in range(count):
+            pid = len(pairs)
+            pairs.append(
+                CandidatePair(
+                    pid, pid,
+                    BoundingBox(0, 0, 1, 1), BoundingBox(0, 0, 1, 1),
+                    0, 0, rng.normal(size=2), rng.normal(size=2), (p,),
+                )
+            )
+    ds = Dataset.build(subjects, predicates, objects, pairs, 2)
+    table = WordTable(2, {tok: rng.normal(size=2) for tok in ("s", "p0", "p1", "p2", "o")})
+    model = build_model(desk_config(rare_threshold=10), ds, table, seed=0)
+    assert model.counts == {Triplet(0, 0, 0): 5, Triplet(0, 1, 0): 10, Triplet(0, 2, 0): 11}
+    assert source_pool(model) == [Triplet(0, 1, 0), Triplet(0, 2, 0)]
+    model.cfg.rare_threshold = 12
+    assert source_pool(model) == []
+
+
 def test_build_source_sets_exclude_target(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = source_pool(model)
@@ -250,8 +273,8 @@ def test_transfer_weighted_sum_by_hand(small_bench):
     gamma = make_gamma(model, "zero")
     u = model.observed[0]
     t1, t2 = model.observed[1], model.observed[2]
-    w1 = embed_language(model, t1, "vp")
-    w2 = embed_language(model, t2, "vp")
+    w1 = embed_language_batch(model, "vp", [t1])[0]
+    w2 = embed_language_batch(model, "vp", [t2])[0]
     got = transfer_from_sources(model, gamma, u, [(t1, 0.6), (t2, 0.3)])
     assert np.allclose(got, 0.6 * w1 + 0.3 * w2, rtol=0.0, atol=1e-15)
 
@@ -262,8 +285,8 @@ def test_transfer_normalized_aggregation(small_bench):
     gamma = make_gamma(model, "zero")
     u = model.observed[0]
     t1, t2 = model.observed[1], model.observed[2]
-    w1 = embed_language(model, t1, "vp")
-    w2 = embed_language(model, t2, "vp")
+    w1 = embed_language_batch(model, "vp", [t1])[0]
+    w2 = embed_language_batch(model, "vp", [t2])[0]
     got = transfer_from_sources(model, gamma, u, [(t1, 0.6), (t2, 0.3)])
     assert np.allclose(got, (0.6 * w1 + 0.3 * w2) / 0.9, rtol=0.0, atol=1e-15)
 
@@ -282,7 +305,7 @@ def test_self_transfer_equals_direct_embedding(small_bench):
     for kind in ("zero", "linear", "deep"):
         gamma = make_gamma(model, kind)
         for u in model.observed[:4]:
-            direct = embed_language(model, u, "vp")
+            direct = embed_language_batch(model, "vp", [u])[0]
             transferred = transfer_embedding(model, gamma, u, pool=model.observed)
             assert np.max(np.abs(transferred - direct)) < 1e-12, kind
 
@@ -360,7 +383,7 @@ def test_analogy_loss_matches_finite_differences(small_bench):
     q = [(model.observed[2], u0), (model.observed[3], u1), (u0, u0)]
     for kind in ("linear", "deep"):
         gamma = make_gamma(model, kind)
-        named = stage2_params(model, gamma)
+        named = trainable(model, 2, gamma)
         named = [(n, a) for n, a in named if not n.startswith("branch.vp.f_w")]
         _, grads = analogy_loss(model, gamma, batch, q)
 
@@ -382,7 +405,7 @@ def test_analogy_loss_language_side_sees_zero_gradient(small_bench):
     batch = _batch(train, 6)
     q = [(model.observed[1], model.observed[0])]
     _, grads = analogy_loss(model, gamma, batch, q)
-    fw = [(n, a) for n, a in stage2_params(model, gamma) if n.startswith("branch.vp.f_w")]
+    fw = [(n, a) for n, a in trainable(model, 2, gamma) if n.startswith("branch.vp.f_w")]
     assert fw
     for name, _ in fw:
         assert name not in grads
@@ -432,46 +455,29 @@ def test_sample_q_pairs_counts_missing_targets(small_bench):
 # ---------------------------------------------------------------------------
 
 
-def _frozen_snapshot(model):
-    keep = {}
-    for name, arr in model.visual.params():
-        keep["visual." + name] = arr.copy()
-    for kind in ("s", "o", "p"):
-        if kind in model.branches:
-            br = model.branches[kind]
-            for net, tag in ((br.f_v, "f_v"), (br.f_w, "f_w")):
-                for name, arr in (
-                    ("first.w", net.first.w),
-                    ("first.b", net.first.b),
-                    ("second.w", net.second.w),
-                    ("second.b", net.second.b),
-                ):
-                    keep[f"branch.{kind}.{tag}.{name}"] = arr.copy()
-    keep["e_sub"] = model.e_sub.copy()
-    keep["e_pre"] = model.e_pre.copy()
-    keep["e_obj"] = model.e_obj.copy()
-    return keep
-
-
-def _assert_snapshot_unchanged(model, keep):
-    now = _frozen_snapshot(model)
-    assert keep.keys() == now.keys()
-    for name in keep:
-        assert np.array_equal(keep[name], now[name]), name
-
-
 def test_stage2_trains_only_vp_and_gamma(small_bench):
-    cfg, train, table, model = bench_model(small_bench, stage2_epochs=1)
+    """Every registry entry outside stage 2's set is bit-identical after
+    train_stage2; both vp nets and Gamma move."""
+    cfg, train, table, model = bench_model(
+        small_bench, branches="s,o,p,vp,sp,po", stage2_epochs=1
+    )
     train_stage1(model, train, seed=0)
     gamma = make_gamma(model, "deep")
-    keep = _frozen_snapshot(model)
-    before_fv = model.branch("vp").f_v.first.w.copy()
-    before_g = gamma.net.first.w.copy()
+    before = {n: a.copy() for n, a in named_parameters(model, gamma)}
+    stage2 = {n for n, _ in trainable(model, 2, gamma)}
     trace, skipped = train_stage2(model, gamma, train, seed=0)
     assert len(trace) == 1
-    _assert_snapshot_unchanged(model, keep)
-    assert not np.array_equal(before_fv, model.branch("vp").f_v.first.w)
-    assert not np.array_equal(before_g, gamma.net.first.w)
+    after = dict(named_parameters(model, gamma))
+    assert after.keys() == before.keys()
+    frozen = [n for n in before if n not in stage2]
+    assert any(n.startswith("branch.sp.") for n in frozen)
+    assert any(n.startswith("branch.po.") for n in frozen)
+    for name in frozen:
+        assert np.array_equal(before[name], after[name]), name
+    for prefix in ("branch.vp.f_v.", "branch.vp.f_w.", "gamma."):
+        moved = [n for n in stage2 if n.startswith(prefix)]
+        assert moved, prefix
+        assert all(not np.array_equal(before[n], after[n]) for n in moved), prefix
 
 
 def test_stage2_absent_gamma_is_noop(small_bench):

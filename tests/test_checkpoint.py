@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 
 from relembed.analogy import Gamma, gamma_init, train_stage2, transfer_embedding
-from relembed.checkpoint import (
-    HEADER_KEYS,
-    MAGIC,
-    load_checkpoint,
-    model_params,
-    save_checkpoint,
-)
+from relembed.checkpoint import HEADER_KEYS, MAGIC, load_checkpoint, save_checkpoint
 from relembed.cli import main
 from relembed.data import DataError
-from relembed.model import build_model, score_pairs, train_stage1
+from relembed.model import build_model, named_parameters, score_pairs, train_stage1
 from relembed.numkit import rng_stream
 
 from conftest import desk_config
@@ -40,8 +34,8 @@ def test_round_trip_is_bitwise(trained, tmp_path):
     save_checkpoint(path, model, gamma, seed=0)
     back, gback, seed = load_checkpoint(path)
     assert seed == 0
-    want = dict(model_params(model, gamma))
-    got = dict(model_params(back, gback))
+    want = dict(named_parameters(model, gamma))
+    got = dict(named_parameters(back, gback))
     assert want.keys() == got.keys()
     for name in want:
         assert np.array_equal(want[name], got[name]), name
@@ -74,12 +68,20 @@ def test_same_model_saves_identical_bytes(trained, tmp_path):
 
 
 def test_gamma_kinds_round_trip(small_bench, tmp_path):
+    """Every catalog shape loads back and saves to the same bytes: each Gamma
+    kind, the fewest and the most branches, and finetuned word vectors."""
     cfg, (train, test, table, heldout) = small_bench
-    for i, kind in enumerate(("absent", "zero", "linear", "deep")):
-        cfg = desk_config(gamma=kind)
+    cases = [dict(gamma=kind) for kind in ("absent", "zero", "linear", "deep")] + [
+        dict(branches="s,o"),
+        dict(branches="s,o,p,vp,sp,po"),
+        dict(finetune_words=True),
+    ]
+    for i, overrides in enumerate(cases):
+        cfg = desk_config(**overrides)
+        kind = cfg.gamma
         model = build_model(cfg, train, table, seed=0)
         gamma = gamma_init(kind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "init"))
-        path = str(tmp_path / f"g{i}.ckpt")
+        path, again = str(tmp_path / f"g{i}.ckpt"), str(tmp_path / f"g{i}-again.ckpt")
         save_checkpoint(path, model, gamma, seed=7)
         back, gback, seed = load_checkpoint(path)
         assert seed == 7 and gback.kind == kind
@@ -88,6 +90,8 @@ def test_gamma_kinds_round_trip(small_bench, tmp_path):
         if kind == "deep":
             assert np.array_equal(gback.net.first.w, gamma.net.first.w)
             assert np.array_equal(gback.net.second.w, gamma.net.second.w)
+        save_checkpoint(again, back, gback, seed)
+        assert open(again, "rb").read() == open(path, "rb").read(), overrides
 
 
 def test_loader_rejects_bad_magic(trained, tmp_path):
@@ -134,13 +138,13 @@ def test_loader_rejects_tampered_config(trained, tmp_path):
         load_checkpoint(path)
 
 
-def _drop_header_key(path: str, key: str):
-    """Rewrite the checkpoint with one header key removed, blocks untouched."""
+def _edit_header(path: str, edit):
+    """Rewrite the checkpoint with ``edit`` applied to its header, blocks untouched."""
     raw = open(path, "rb").read()
     (hlen,) = struct.unpack_from("<I", raw, len(MAGIC))
     start = len(MAGIC) + 4
     header = json.loads(raw[start : start + hlen])
-    del header[key]
+    edit(header)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + hlen :])
@@ -151,7 +155,7 @@ def test_loader_rejects_header_without_required_key(trained, tmp_path, key):
     model, gamma, _, _ = trained
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(path, model, gamma, seed=0)
-    _drop_header_key(path, key)
+    _edit_header(path, lambda header: header.pop(key))
     with pytest.raises(DataError, match=f"header lacks {key}$"):
         load_checkpoint(path)
 
@@ -160,10 +164,56 @@ def test_header_without_observed_is_one_data_error_line(trained, tmp_path, capsy
     model, gamma, _, _ = trained
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(path, model, gamma, seed=0)
-    _drop_header_key(path, "observed")
+    _edit_header(path, lambda header: header.pop("observed"))
     assert main(["inspect", "--checkpoint", path, "embeddings"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:data:") and "observed" in err[0]
+
+
+# a non-square block, so its transpose has the same size but not the same shape
+EDITED_BLOCK = "visual.spatial.first.w"
+CATALOG_EDITS = {
+    "negative": lambda shape: [-shape[0]] + shape[1:],
+    "not_a_list": lambda shape: "x".join(str(n) for n in shape),
+    "transposed": lambda shape: shape[::-1],
+}
+
+
+def _edit_catalog(path: str, edit):
+    def apply(header):
+        for entry in header["params"]:
+            if entry[0] == EDITED_BLOCK:
+                assert entry[1][0] != entry[1][1]
+                entry[1] = edit(entry[1])
+
+    _edit_header(path, apply)
+
+
+@pytest.mark.parametrize("edit", sorted(CATALOG_EDITS))
+def test_loader_rejects_catalog_unlike_the_model(trained, tmp_path, capsys, edit):
+    model, gamma, _, _ = trained
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model, gamma, seed=0)
+    _edit_catalog(path, CATALOG_EDITS[edit])
+    with pytest.raises(DataError, match=f"catalog disagrees with the model: .*{EDITED_BLOCK}"):
+        load_checkpoint(path)
+    assert main(["inspect", "--checkpoint", path, "embeddings"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:data:"), err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "key, value", [("seed", -1), ("seed", "0"), ("word_dim", 0), ("appearance_dim", 2.5)]
+)
+def test_loader_rejects_header_sizes_it_cannot_build(trained, tmp_path, key, value):
+    model, gamma, _, _ = trained
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model, gamma, seed=0)
+    _edit_header(path, lambda header: header.update({key: value}))
+    with pytest.raises(DataError, match=f"header {key} must be an integer"):
+        load_checkpoint(path)
 
 
 def test_absent_gamma_none_argument(small_bench, tmp_path):

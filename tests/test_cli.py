@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from relembed import model as model_mod
-from relembed.checkpoint import load_checkpoint, model_params, save_checkpoint
+from relembed.checkpoint import load_checkpoint, save_checkpoint
 from relembed.cli import main
 from relembed.config import load_config, write_config
 from relembed.data import Triplet, load_dataset, load_queries, write_queries
-from relembed.model import build_model, pair_embeddings, score_pairs
+from relembed.model import build_model, named_parameters, pair_embeddings, score_pairs
 from relembed.retrieval import load_results
 
 from conftest import desk_config
@@ -108,7 +108,7 @@ def test_train_zero_epochs_equals_initialization(tmp_path, run_dir):
 
     table = load_word_table(cfg.word_table, (train.subjects, train.predicates, train.objects))
     fresh = build_model(cfg, train, table, cfg.seed)
-    for (name, arr), (fname, farr) in zip(model_params(model), model_params(fresh)):
+    for (name, arr), (fname, farr) in zip(named_parameters(model), named_parameters(fresh)):
         assert name == fname
         assert np.array_equal(arr, farr), name
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from relembed.cli import main
 from relembed.config import (
     ConfigError,
     RunConfig,
@@ -84,6 +85,28 @@ def test_range_checks():
     ):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lr", "nan"),
+        ("lr", "0"),
+        ("lr", "-1"),
+        ("analogy_weight", "-2"),
+        ("alpha_s", "nan"),
+        ("synth_noise", "inf"),
+        ("synth_word_noise", "-1"),
+        ("synth_negative_ratio", "nan"),
+    ],
+)
+def test_non_finite_or_out_of_range_float_is_one_config_error(tmp_path, capsys, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:config:") and key in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gamma_hidden_defaults_to_three_embed_dims():

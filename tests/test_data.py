@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relembed.analogy import source_pool
 from relembed.data import (
     BoundingBox,
     CandidatePair,
@@ -14,13 +15,15 @@ from relembed.data import (
     load_queries,
     load_vocabulary,
     load_word_table,
-    occurrence_rank,
     synth_generate,
     write_dataset,
     write_queries,
     write_vocabulary,
     write_word_table,
 )
+from relembed.model import build_model
+
+from conftest import desk_config
 
 
 def tiny_dataset() -> Dataset:
@@ -222,28 +225,6 @@ def test_word_table_rejects_wrong_dim(tmp_path):
         load_word_table(str(path), [vocab])
 
 
-def test_occurrence_rank_threshold_boundary():
-    subjects, predicates, objects = Vocabulary(["s"]), Vocabulary(["p0", "p1", "p2"]), Vocabulary(["o"])
-    rng = np.random.default_rng(0)
-    pairs = []
-    for p, count in ((0, 5), (1, 10), (2, 11)):
-        for _ in range(count):
-            pid = len(pairs)
-            pairs.append(
-                CandidatePair(
-                    pid, pid,
-                    BoundingBox(0, 0, 1, 1), BoundingBox(0, 0, 1, 1),
-                    0, 0, rng.normal(size=2), rng.normal(size=2), (p,),
-                )
-            )
-    ds = Dataset.build(subjects, predicates, objects, pairs, 2)
-    counts, frequent = occurrence_rank(ds, threshold=10)
-    assert counts == {Triplet(0, 0, 0): 5, Triplet(0, 1, 0): 10, Triplet(0, 2, 0): 11}
-    assert frequent == [Triplet(0, 1, 0), Triplet(0, 2, 0)]
-    _, none_frequent = occurrence_rank(ds, threshold=12)
-    assert none_frequent == []
-
-
 def test_query_file_round_trip(tmp_path):
     ds = tiny_dataset()
     queries = [Triplet(0, 0, 0), Triplet(1, 1, 1)]
@@ -289,13 +270,13 @@ def test_synth_zero_noise_features_equal_planted_prototypes():
 
 def test_synth_heldout_absent_from_train_present_in_test():
     cfg = small_cfg()
-    train, test, _, heldout = synth_generate(cfg, seed=2)
+    train, test, table, heldout = synth_generate(cfg, seed=2)
     assert len(heldout) == cfg.heldout_count
     for t in heldout:
         assert train.counts.get(t, 0) == 0
         assert test.counts[t] >= 20
     # every non-heldout triplet is frequent enough to act as a source
-    _, frequent = occurrence_rank(train, threshold=10)
+    frequent = source_pool(build_model(desk_config(rare_threshold=10), train, table, seed=0))
     assert set(frequent) == train.observed
     assert not set(heldout) & train.observed
 

@@ -12,20 +12,17 @@ from relembed.data import (
 )
 from relembed.model import (
     batch_iter,
-    branch_loss,
     branch_universe,
     build_model,
-    embed_language,
     embed_language_batch,
     embed_visual_batch,
     joint_loss,
     pair_embeddings,
-    query_embeddings,
     reuse_pair_embeddings,
     score_from_embeddings,
     score_pairs,
-    stage1_params,
     train_stage1,
+    trainable,
 )
 from relembed.numkit import finite_diff_grad, max_relative_error, rng_stream, sigmoid
 
@@ -67,11 +64,11 @@ def test_language_embeddings_are_unit_norm(small_bench):
 
 def test_language_masking_ignores_masked_slots(small_bench):
     model, _, _, _ = bench_model(small_bench)
-    a = embed_language(model, Triplet(0, 2, 1), "p")
-    b = embed_language(model, Triplet(3, 2, 5), "p")
+    a = embed_language_batch(model, "p", [Triplet(0, 2, 1)])[0]
+    b = embed_language_batch(model, "p", [Triplet(3, 2, 5)])[0]
     assert np.array_equal(a, b)
-    c = embed_language(model, Triplet(0, 2, 1), "vp")
-    d = embed_language(model, Triplet(3, 2, 1), "vp")
+    c = embed_language_batch(model, "vp", [Triplet(0, 2, 1)])[0]
+    d = embed_language_batch(model, "vp", [Triplet(3, 2, 1)])[0]
     assert not np.array_equal(c, d)
 
 
@@ -83,14 +80,14 @@ def test_language_embedding_matches_by_hand(small_bench):
     h = np.maximum(br.f_w.first.w @ q + br.f_w.first.b, 0.0)
     raw = br.f_w.second.w @ h + br.f_w.second.b
     expect = raw / np.linalg.norm(raw)
-    assert np.allclose(embed_language(model, t, "vp"), expect, rtol=0, atol=1e-12)
+    assert np.allclose(embed_language_batch(model, "vp", [t])[0], expect, rtol=0, atol=1e-12)
 
 
 def test_language_zero_vector_is_an_error(small_bench):
     model, _, _, _ = bench_model(small_bench)
     zero_out(model.branches["p"].f_w)
     with pytest.raises(FloatingPointError):
-        embed_language(model, Triplet(0, 0, 0), "p")
+        embed_language_batch(model, "p", [Triplet(0, 0, 0)])[0]
 
 
 def test_visual_subject_branch_ignores_object_appearance(small_bench):
@@ -134,7 +131,7 @@ def test_single_positive_zero_dot_loss_is_log_two():
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=16)
     model = build_model(cfg, ds, table, seed=0)
     zero_out(model.branches["s"].f_v)  # v = 0 so every dot is 0
-    loss, _ = branch_loss(model, [pair], "s")
+    loss, _ = joint_loss(model, [pair], kinds=("s",))
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -142,10 +139,10 @@ def test_saturated_positive_loss_vanishes():
     ds, table, pair = one_label_world()
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=16)
     model = build_model(cfg, ds, table, seed=0)
-    w = embed_language(model, Triplet(0, 0, 0), "s")
+    w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
     zero_out(model.branches["s"].f_v)
     model.branches["s"].f_v.second.b[:] = 50.0 * w  # dot = 50
-    loss, _ = branch_loss(model, [pair], "s")
+    loss, _ = joint_loss(model, [pair], kinds=("s",))
     assert 0.0 < loss < 1e-9
 
 
@@ -162,10 +159,10 @@ def test_branch_loss_gradients_match_finite_differences(small_bench):
         batch = [train.pairs[i] for i in rng.choice(len(train.pairs), size=8, replace=False)]
         for kind in ("s", "p", "vp"):
             loss_fn = lambda: joint_loss(model, batch, kinds=(kind,))[0]
-            _, grads = branch_loss(model, batch, kind)
+            _, grads = joint_loss(model, batch, kinds=(kind,))
             named = [
                 (n, a)
-                for n, a in stage1_params(model)
+                for n, a in trainable(model, 1)
                 if n.startswith(("visual.", f"branch.{kind}."))
             ]
             numeric = finite_diff_grad(loss_fn, [a for _, a in named])
@@ -178,7 +175,7 @@ def test_joint_loss_is_sum_of_branch_losses(small_bench):
     model, train, _, _ = bench_model(small_bench, dropout=0.0)
     batch = train.pairs[:10]
     total, joint_grads = joint_loss(model, batch)
-    parts = [branch_loss(model, batch, k) for k in model.active_kinds]
+    parts = [joint_loss(model, batch, kinds=(k,)) for k in model.active_kinds]
     assert total == pytest.approx(sum(p[0] for p in parts), rel=1e-12)
     single, _ = joint_loss(model, batch, kinds=("vp",))
     assert single == pytest.approx(parts[-1][0], rel=1e-12)
@@ -200,10 +197,10 @@ def test_positive_gains_from_moving_along_language_direction():
     ds, table, pair = one_label_world()
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=4)
     model = build_model(cfg, ds, table, seed=1)
-    w = embed_language(model, Triplet(0, 0, 0), "s")
-    base, _ = branch_loss(model, [pair], "s")
+    w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
+    base, _ = joint_loss(model, [pair], kinds=("s",))
     model.branches["s"].f_v.second.b[:] += 0.05 * w
-    moved, _ = branch_loss(model, [pair], "s")
+    moved, _ = joint_loss(model, [pair], kinds=("s",))
     assert moved < base
 
 
@@ -219,7 +216,7 @@ def test_score_single_branch_log_three_dot():
     ds, table, pair = one_label_world()
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=16)
     model = build_model(cfg, ds, table, seed=0)
-    w = embed_language(model, Triplet(0, 0, 0), "s")
+    w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
     zero_out(model.branches["s"].f_v)
     model.branches["s"].f_v.second.b[:] = np.log(3.0) * w
     s = score_pairs(model, Triplet(0, 0, 0), [pair])
@@ -231,7 +228,7 @@ def test_score_extra_zero_dot_branch_halves(small_bench):
     t = Triplet(0, 0, 0)
     pairs = train.pairs[:5]
     visual = pair_embeddings(model, pairs)
-    language = query_embeddings(model, t)
+    language = {k: embed_language_batch(model, k, [t])[0] for k in model.active_kinds}
     without_o = {k: v for k, v in visual.items() if k != "o"}
     base = score_from_embeddings(without_o, language)
     zero_out(model.branches["o"].f_v)  # o-branch dot becomes 0 for every pair
@@ -332,11 +329,12 @@ def test_batch_iter_requires_positives(small_bench):
 
 def test_train_zero_learning_rate_leaves_parameters(small_bench):
     _, (train, _, table, _) = small_bench
-    cfg = desk_config(lr=0.0, stage1_epochs=1)
+    cfg = desk_config(stage1_epochs=1)
+    cfg.lr = 0.0  # a config file may not say this (lr > 0), but Adam must honour it
     model = build_model(cfg, train, table, seed=2)
-    before = [(n, a.copy()) for n, a in stage1_params(model)]
+    before = [(n, a.copy()) for n, a in trainable(model, 1)]
     train_stage1(model, train, seed=2)
-    for (_, old), (_, new) in zip(before, stage1_params(model)):
+    for (_, old), (_, new) in zip(before, trainable(model, 1)):
         assert np.array_equal(old, new)
 
 
@@ -356,7 +354,7 @@ def test_training_is_bit_reproducible(small_bench):
         cfg = desk_config(stage1_epochs=1)
         model = build_model(cfg, train, table, seed=4)
         train_stage1(model, train, seed=4)
-        return [a.copy() for _, a in stage1_params(model)]
+        return [a.copy() for _, a in trainable(model, 1)]
 
     for pa, pb in zip(run(), run()):
         assert np.array_equal(pa, pb)
