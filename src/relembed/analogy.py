@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, Dataset, Triplet
-from .features import pair_arrays, visual_forward
+from .features import mask_triplet, pair_arrays, visual_forward
 from .model import (
     JointModel,
     adam_update,
@@ -27,6 +27,7 @@ from .model import (
     embed_language_batch,
     embed_language_masked,
     joint_loss,
+    label_matrix,
     trainable,
 )
 from .numkit import (
@@ -106,21 +107,9 @@ def gamma_backward(gamma: Gamma, cache, grad_out: Array) -> dict[str, Array]:
 # ---------------------------------------------------------------------------
 
 
-def unigram_vp_embeddings(model: JointModel, slot: str, indices: list[int]) -> Array:
-    """Visual-phrase language embeddings of single words (other slots zero)."""
-    if slot == "s":
-        triplets = [Triplet(i, 0, 0) for i in indices]
-    elif slot == "p":
-        triplets = [Triplet(0, i, 0) for i in indices]
-    elif slot == "o":
-        triplets = [Triplet(0, 0, i) for i in indices]
-    else:
-        raise DataError(f"unknown slot {slot!r}")
-    return embed_language_masked(model, "vp", triplets, slot)
-
-
 def gamma_input_matrix(model: JointModel, pairs_st: list[tuple[Triplet, Triplet]]) -> Array:
-    """Stacked [target - source] unigram-embedding differences, (n, 3d).
+    """Stacked [target - source] differences of the vp language embeddings
+    of single words (each slot's masked triplets), (n, 3d).
 
     Each unique word is embedded once, so identical source and target
     produce an exactly zero row.
@@ -128,11 +117,12 @@ def gamma_input_matrix(model: JointModel, pairs_st: list[tuple[Triplet, Triplet]
     if not pairs_st:
         return np.zeros((0, 3 * model.cfg.embed_dim))
     per_slot = []
-    for slot_pos, slot in enumerate(SLOTS):
-        indices = sorted({t[slot_pos] for st in pairs_st for t in st})
-        embeds = unigram_vp_embeddings(model, slot, indices)
-        at = {idx: embeds[j] for j, idx in enumerate(indices)}
-        per_slot.append(np.stack([at[u[slot_pos]] - at[t[slot_pos]] for t, u in pairs_st]))
+    for slot in SLOTS:
+        words = sorted({mask_triplet(t, slot) for st in pairs_st for t in st})
+        at = dict(zip(words, embed_language_masked(model, "vp", words, slot)))
+        per_slot.append(
+            np.stack([at[mask_triplet(u, slot)] - at[mask_triplet(t, slot)] for t, u in pairs_st])
+        )
     return np.concatenate(per_slot, axis=1)
 
 
@@ -294,12 +284,7 @@ def analogy_loss(
     corr, g_cache = gamma_forward(gamma, diffs)
     w = w_src + corr  # (Q, d), treated as constant in w_src
 
-    y = np.zeros((len(batch), len(q_pairs)))
-    for j, (_, u) in enumerate(q_pairs):
-        for i, pair in enumerate(batch):
-            if u in pair.positives():
-                y[i, j] = 1.0
-
+    y = label_matrix(batch, [u for _, u in q_pairs], "full")
     d = v @ w.T
     m = d.size
     loss = -float(np.sum(y * log_sigmoid(d) + (1.0 - y) * log_sigmoid(-d))) / m
@@ -335,19 +320,23 @@ def train_stage2(
     """Optimize vp-branch loss plus weighted analogy loss.
 
     Returns (per-epoch mean combined loss, count of skipped empty-source
-    targets). With gamma 'absent' there is nothing to train: no-op.
+    targets). With gamma 'absent' there is nothing to train: no-op. With no
+    frequent triplet to draw sources from, every target would be skipped
+    and Gamma would learn nothing: an error.
     """
     cfg = model.cfg
     if gamma.kind == "absent":
         return [], 0
     if "vp" not in model.branches:
         raise DataError("stage-2 training requires an active vp branch")
+    pool = source_pool(model)
+    if not pool:
+        raise DataError("no transfer sources: every observed triplet is rare")
     rng = rng_stream(seed, "stage2")
     named = trainable(model, 2, gamma)
     opt = adam_init([a for _, a in named], lr=cfg.lr)
     n_pos = cfg.positives_per_batch()
     n_neg = cfg.batch_size - n_pos
-    pool = source_pool(model)
     trace: list[float] = []
     skipped_total = 0
     for _ in range(cfg.stage2_epochs):

@@ -15,9 +15,12 @@ the saved model. Loading rebuilds the layers from the stored config with the
 training constructors (``model.init_layers``, ``analogy.gamma_init``) and
 requires the header catalog to equal that model's registry, (name, shape)
 for every entry in order, before it copies any block; any difference is one
-``DataError``. Word-vector matrices travel as ordinary parameter blocks, so a
-loaded checkpoint scores queries with no word-table file on hand. Writing the
-same model twice yields byte-identical files.
+``DataError``. So is a vocabulary that is not a list of non-empty strings,
+and an ``observed`` list that differs from what saving writes: [s, p, o,
+count] integer entries, indices inside the vocabularies, count >= 1,
+triplets strictly ascending. Word-vector matrices travel as ordinary
+parameter blocks, so a loaded checkpoint scores queries with no word-table
+file on hand. Writing the same model twice yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -113,9 +116,14 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
         if type(header[key]) is not int or header[key] < least:
             _fail(path, f"header {key} must be an integer >= {least}, got {header[key]!r}")
 
-    subjects = Vocabulary(header["subjects"])
-    predicates = Vocabulary(header["predicates"])
-    objects = Vocabulary(header["objects"])
+    vocabs = []
+    for key in ("subjects", "predicates", "objects"):
+        tokens = header[key]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) and t for t in tokens):
+            _fail(path, f"header {key} must be a list of non-empty strings")
+        vocabs.append(Vocabulary(tokens))
+    subjects, predicates, objects = vocabs
+    counts = _observed_counts(path, header["observed"], vocabs)
     word_dim = header["word_dim"]
     visual, branches = init_layers(cfg, word_dim, header["appearance_dim"], header["seed"])
     model = JointModel(
@@ -129,8 +137,8 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
         e_obj=np.zeros((len(objects), word_dim)),
         visual=visual,
         branches=branches,
-        observed=[Triplet(s, p, o) for s, p, o, _ in header["observed"]],
-        counts={Triplet(s, p, o): c for s, p, o, c in header["observed"]},
+        observed=list(counts),
+        counts=counts,
         appearance_dim=header["appearance_dim"],
     )
     gamma = gamma_init(
@@ -154,6 +162,26 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
     if offset != len(body):
         _fail(path, f"{len(body) - offset} trailing bytes after parameter blocks")
     return model, gamma, header["seed"]
+
+
+def _observed_counts(path: str, entries, vocabs: list[Vocabulary]) -> dict[Triplet, int]:
+    """Header ``observed`` as save writes it: [s, p, o, count] entries with
+    indices inside the vocabularies, count >= 1, triplets strictly ascending."""
+    if not isinstance(entries, list):
+        _fail(path, f"header observed must be a list, got {type(entries).__name__}")
+    counts: dict[Triplet, int] = {}
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 4 and all(type(v) is int for v in entry)):
+            _fail(path, f"observed entry {i} must be four integers, got {entry!r}")
+        t, count = Triplet(*entry[:3]), entry[3]
+        if not all(0 <= index < len(vocab) for index, vocab in zip(t, vocabs)):
+            _fail(path, f"observed entry {i} {entry} indexes outside the vocabularies")
+        if count < 1:
+            _fail(path, f"observed entry {i} {entry} has count {count} < 1")
+        if counts and t <= next(reversed(counts)):
+            _fail(path, f"observed entry {i} {entry} is out of ascending order")
+        counts[t] = count
+    return counts
 
 
 def _first_difference(got, want: list) -> str:

@@ -18,19 +18,19 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config, write_config
 from .data import (
     DataError,
-    Triplet,
-    _fmt_reals,
+    fmt_reals,
     load_dataset,
     load_queries,
     load_word_table,
+    parse_triplet,
     synth_generate,
-    token_from_file,
-    token_to_file,
+    triplet_text,
     write_dataset,
     write_queries,
     write_word_table,
 )
-from .model import build_model, embed_language_batch, train_stage1
+from .features import BRANCH_MASK
+from .model import branch_universe, build_model, embed_language_batch, train_stage1
 from .numkit import NonFiniteGradient, ShapeError, rng_stream
 from .retrieval import MatchPolicy, evaluate_queries, write_results
 
@@ -109,9 +109,9 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt, model, gamma, cfg.seed)
     with open(os.path.join(out, "loss_trace.txt"), "w") as fh:
         for i, loss in enumerate(trace1, 1):
-            fh.write(f"stage1 {i} {_fmt_reals([loss])}\n")
+            fh.write(f"stage1 {i} {fmt_reals([loss])}\n")
         for i, loss in enumerate(trace2, 1):
-            fh.write(f"stage2 {i} {_fmt_reals([loss])}\n")
+            fh.write(f"stage2 {i} {fmt_reals([loss])}\n")
         fh.write(f"skipped_targets {skipped}\n")
     _emit_effective(cfg, out)
     return 0
@@ -145,11 +145,11 @@ def cmd_eval(args) -> int:
     for query, detections, result in evaluate_queries(model, dataset, queries, policy, transfer):
         results.append(result)
         if args.top:
-            toks = " ".join(token_to_file(v[i]) for v, i in zip(vocabs, query))
+            toks = triplet_text(vocabs, query)
             for rank, d in enumerate(detections[: args.top], 1):
                 top_lines.append(
                     f"query {toks} rank {rank} pair {d.pair_id}"
-                    f" image {d.image_id} score {_fmt_reals([d.score])}\n"
+                    f" image {d.image_id} score {fmt_reals([d.score])}\n"
                 )
     write_results(
         os.path.join(out, "results.txt"),
@@ -170,65 +170,26 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_triplet(model, tokens: list[str]) -> Triplet:
-    if len(tokens) != 3:
-        raise DataError(f"expected subject predicate object, got {len(tokens)} tokens")
-    vocabs = (model.subjects, model.predicates, model.objects)
-    return Triplet(*(v.lookup(token_from_file(tok)) for v, tok in zip(vocabs, tokens)))
-
-
 def cmd_inspect(args) -> int:
     path = args.checkpoint
     if not path and args.config:
         path = load_config(args.config).checkpoint
     if not path:
         raise ConfigError("--checkpoint (or a config with one) is required")
-    model, gamma, _ = load_checkpoint(path)
+    model, _, _ = load_checkpoint(path)
+    vocabs = (model.subjects, model.predicates, model.objects)
     out = sys.stdout
     if args.what == "embeddings":
         for kind in model.active_kinds:
-            labeled = _embedding_rows(model, kind)
-            rows = embed_language_batch(model, kind, [t for _, t in labeled])
-            for (label, _), row in zip(labeled, rows):
-                out.write(f"{kind} {label} {_fmt_reals(row)}\n")
+            labels = branch_universe(model, kind)
+            for t, row in zip(labels, embed_language_batch(model, kind, labels)):
+                out.write(f"{kind} {triplet_text(vocabs, t, BRANCH_MASK[kind])} {fmt_reals(row)}\n")
         return 0
     # sources
-    u = _resolve_triplet(model, args.args)
-    pool = source_pool(model)
-    for t, g in select_sources(model, u, pool):
-        out.write(f"source {_triplet_label(model, t)} g {_fmt_reals([g])}\n")
+    u = parse_triplet(vocabs, args.args)
+    for t, g in select_sources(model, u, source_pool(model)):
+        out.write(f"source {triplet_text(vocabs, t)} g {fmt_reals([g])}\n")
     return 0
-
-
-def _triplet_label(model, t: Triplet) -> str:
-    return (
-        f"{token_to_file(model.subjects[t.s])}"
-        f" {token_to_file(model.predicates[t.p])}"
-        f" {token_to_file(model.objects[t.o])}"
-    )
-
-
-def _embedding_rows(model, kind: str):
-    """(label, triplet) pairs spanning what the branch can express."""
-    if kind == "s":
-        return [(token_to_file(tok), Triplet(i, 0, 0)) for i, tok in enumerate(model.subjects.tokens)]
-    if kind == "p":
-        return [(token_to_file(tok), Triplet(0, i, 0)) for i, tok in enumerate(model.predicates.tokens)]
-    if kind == "o":
-        return [(token_to_file(tok), Triplet(0, 0, i)) for i, tok in enumerate(model.objects.tokens)]
-    if kind == "vp":
-        return [(_triplet_label(model, t), t) for t in model.observed]
-    if kind == "sp":
-        keys = sorted({(t.s, t.p) for t in model.observed})
-        return [
-            (f"{token_to_file(model.subjects[s])} {token_to_file(model.predicates[p])}", Triplet(s, p, 0))
-            for s, p in keys
-        ]
-    keys = sorted({(t.p, t.o) for t in model.observed})
-    return [
-        (f"{token_to_file(model.predicates[p])} {token_to_file(model.objects[o])}", Triplet(0, p, o))
-        for p, o in keys
-    ]
 
 
 # ---------------------------------------------------------------------------

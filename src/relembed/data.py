@@ -19,6 +19,9 @@ File formats (all line-oriented text, floats written with full precision):
   query list:  one triplet per line, ``<subject> <predicate> <object>``.
 
 Tokens containing spaces are written with underscores and restored on read.
+A triplet reads and prints through one codec, ``parse_triplet`` and
+``triplet_text``; a label triplet with masked slots prints only the tokens
+of the slots its mask keeps.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ def token_from_file(token: str) -> str:
     return token.replace("_", " ")
 
 
-def _fmt_reals(values) -> str:
+def fmt_reals(values) -> str:
     return " ".join(repr(float(v)) for v in values)
 
 
@@ -63,6 +66,20 @@ class Triplet(NamedTuple):
     s: int
     p: int
     o: int
+
+
+# slot multipliers (subject, predicate, object) per language-input variant;
+# a label triplet holds 0 in every slot its mask zeroes
+LANGUAGE_MASKS = {
+    "full": (1.0, 1.0, 1.0),
+    "s": (1.0, 0.0, 0.0),
+    "p": (0.0, 1.0, 0.0),
+    "o": (0.0, 0.0, 1.0),
+    "sp": (1.0, 1.0, 0.0),
+    "po": (0.0, 1.0, 1.0),
+}
+
+_SLOT_NAMES = ("subject", "predicate", "object")
 
 
 class Vocabulary:
@@ -128,6 +145,8 @@ class CandidatePair:
     positive_predicates: tuple[int, ...]
 
     def positives(self) -> tuple[Triplet, ...]:
+        if not self.positive_predicates:  # most pairs; skips building a generator
+            return ()
         return tuple(Triplet(self.subject_cat, p, self.object_cat) for p in self.positive_predicates)
 
 
@@ -159,9 +178,6 @@ class Dataset:
 
     def observed_sorted(self) -> list[Triplet]:
         return sorted(self.observed)
-
-    def triplet_tokens(self, t: Triplet) -> tuple[str, str, str]:
-        return (self.subjects[t.s], self.predicates[t.p], self.objects[t.o])
 
 
 @dataclass(eq=False)
@@ -207,7 +223,7 @@ def write_word_table(table: WordTable, path: str):
     with open(path, "w") as fh:
         fh.write(f"dim {table.dim}\n")
         for tok in table.vectors:
-            fh.write(token_to_file(tok) + " " + _fmt_reals(table.vectors[tok]) + "\n")
+            fh.write(token_to_file(tok) + " " + fmt_reals(table.vectors[tok]) + "\n")
 
 
 def load_word_table(path: str, vocabularies: Iterable[Vocabulary]) -> WordTable:
@@ -289,18 +305,19 @@ def write_dataset(
             )
             fh.write(
                 f"pair {pair.pair_id} {pair.image_id}"
-                f" sub {_fmt_reals(pair.sub_box.coords())}"
-                f" obj {_fmt_reals(pair.obj_box.coords())}"
+                f" sub {fmt_reals(pair.sub_box.coords())}"
+                f" obj {fmt_reals(pair.obj_box.coords())}"
                 f" scat {token_to_file(dataset.subjects[pair.subject_cat])}"
                 f" ocat {token_to_file(dataset.objects[pair.object_cat])}"
-                f" afeat_s {_fmt_reals(pair.appear_sub)}"
-                f" afeat_o {_fmt_reals(pair.appear_obj)}"
+                f" afeat_s {fmt_reals(pair.appear_sub)}"
+                f" afeat_o {fmt_reals(pair.appear_obj)}"
                 f" labels{' ' if labels else ''}{labels}\n"
             )
 
 
-class _LineCursor:
-    """Keyword-checked token consumption for one pair line."""
+class LineCursor:
+    """Keyword-checked token consumption for one line of a dataset or
+    results file; every failure names the file and line."""
 
     def __init__(self, path: str, lineno: int, parts: list[str]):
         self.path, self.lineno, self.parts, self.at = path, lineno, parts, 0
@@ -310,7 +327,7 @@ class _LineCursor:
 
     def take(self) -> str:
         if self.at >= len(self.parts):
-            self.fail("truncated pair line")
+            self.fail("truncated line")
         tok = self.parts[self.at]
         self.at += 1
         return tok
@@ -342,6 +359,13 @@ class _LineCursor:
         if tok not in vocab:
             self.fail(f"unknown {what} token {tok!r}")
         return vocab.lookup(tok)
+
+    def triplet(self, vocabs) -> Triplet:
+        tokens = [self.take() for _ in _SLOT_NAMES]
+        try:
+            return parse_triplet(vocabs, tokens)
+        except DataError as e:
+            self.fail(str(e))
 
 
 def load_dataset(path: str) -> Dataset:
@@ -383,7 +407,7 @@ def load_dataset(path: str) -> Dataset:
                 if missing:
                     _err(path, lineno, f"pair line before vocabulary headers: {', '.join(missing)}")
                 vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
-            cur = _LineCursor(path, lineno, line.split())
+            cur = LineCursor(path, lineno, line.split())
             cur.keyword("pair")
             pair_id = cur.integer("pair id")
             if pair_id in seen_ids:
@@ -434,41 +458,50 @@ def load_dataset(path: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Query lists
+# Triplet text and query lists
 # ---------------------------------------------------------------------------
 
 
+def triplet_text(vocabs, t: Triplet, mask: str = "full") -> str:
+    """File tokens of the slots of t that ``mask`` keeps, subject first;
+    ``vocabs`` are the subject, predicate and object vocabularies."""
+    return " ".join(
+        token_to_file(vocab[i]) for vocab, i, keep in zip(vocabs, t, LANGUAGE_MASKS[mask]) if keep
+    )
+
+
+def parse_triplet(vocabs, tokens: list[str]) -> Triplet:
+    """The triplet named by ``<subject> <predicate> <object>`` file tokens."""
+    if len(tokens) != len(_SLOT_NAMES):
+        raise DataError(f"expected subject predicate object, got {len(tokens)} tokens")
+    index = []
+    for vocab, slot, tok in zip(vocabs, _SLOT_NAMES, tokens):
+        tok = token_from_file(tok)
+        if tok not in vocab:
+            raise DataError(f"unknown {slot} token {tok!r}")
+        index.append(vocab.lookup(tok))
+    return Triplet(*index)
+
+
 def write_queries(triplets: Iterable[Triplet], dataset: Dataset, path: str):
+    vocabs = (dataset.subjects, dataset.predicates, dataset.objects)
     with open(path, "w") as fh:
         for t in triplets:
-            s, p, o = dataset.triplet_tokens(t)
-            fh.write(f"{token_to_file(s)} {token_to_file(p)} {token_to_file(o)}\n")
+            fh.write(triplet_text(vocabs, t) + "\n")
 
 
 def load_queries(path: str, dataset: Dataset) -> list[Triplet]:
+    vocabs = (dataset.subjects, dataset.predicates, dataset.objects)
     out = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split()
             if not parts:
                 continue
-            if len(parts) != 3:
-                _err(path, lineno, f"expected 3 tokens, found {len(parts)}")
-            toks = [token_from_file(p) for p in parts]
-            for tok, vocab, what in zip(
-                toks,
-                (dataset.subjects, dataset.predicates, dataset.objects),
-                ("subject", "predicate", "object"),
-            ):
-                if tok not in vocab:
-                    _err(path, lineno, f"unknown {what} token {tok!r}")
-            out.append(
-                Triplet(
-                    dataset.subjects.lookup(toks[0]),
-                    dataset.predicates.lookup(toks[1]),
-                    dataset.objects.lookup(toks[2]),
-                )
-            )
+            try:
+                out.append(parse_triplet(vocabs, parts))
+            except DataError as e:
+                _err(path, lineno, str(e))
     return out
 
 

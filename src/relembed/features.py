@@ -6,7 +6,8 @@ M is a two-layer net over the 8-dim box-geometry feature r, and a_s, a_o are
 also kept raw for the subject/object appearance branches.
 
 Language side: q_t = [e_s; e_p; e_o], the concatenated word vectors of the
-triplet, with unused slots zeroed for unigram/bigram variants.
+triplet, with unused slots zeroed for unigram/bigram variants. Every label a
+branch scores is a Triplet whose masked slots are 0 (``mask_triplet``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import BoundingBox, CandidatePair, Triplet
+from .data import LANGUAGE_MASKS, BoundingBox, CandidatePair, Triplet
 from .numkit import (
     Array,
     Linear,
@@ -36,18 +37,8 @@ SPATIAL_NORMS = ("area", "extent")
 # canonical branch order; also the parameter-block order in checkpoints
 BRANCH_KINDS = ("s", "o", "p", "vp", "sp", "po")
 
-# language-input variant used by each branch
+# language-input variant used by each branch (a key of LANGUAGE_MASKS)
 BRANCH_MASK = {"s": "s", "o": "o", "p": "p", "vp": "full", "sp": "sp", "po": "po"}
-
-# slot multipliers (subject, predicate, object) per input variant
-LANGUAGE_MASKS = {
-    "full": (1.0, 1.0, 1.0),
-    "s": (1.0, 0.0, 0.0),
-    "p": (0.0, 1.0, 0.0),
-    "o": (0.0, 0.0, 1.0),
-    "sp": (1.0, 1.0, 0.0),
-    "po": (0.0, 1.0, 1.0),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +155,10 @@ def visual_backward(vip: VisualInputParams, cache: tuple, grad_x: Array) -> dict
 # ---------------------------------------------------------------------------
 
 
-def language_input(e_s: Array, e_p: Array, e_o: Array, mask: str) -> Array:
-    """q = [e_s; e_p; e_o] with masked slots zeroed."""
+def mask_triplet(t: Triplet, mask: str) -> Triplet:
+    """The label of t under a language mask: masked slots set to 0."""
     ms, mp, mo = LANGUAGE_MASKS[mask]
-    return np.concatenate([e_s * ms, e_p * mp, e_o * mo])
+    return Triplet(t.s if ms else 0, t.p if mp else 0, t.o if mo else 0)
 
 
 def language_matrix(

@@ -22,8 +22,10 @@ from .config import RunConfig
 from .data import DataError, Dataset, Triplet, Vocabulary, WordTable
 from .features import (
     BRANCH_MASK,
+    LANGUAGE_MASKS,
     VisualInputParams,
     language_matrix,
+    mask_triplet,
     pair_arrays,
     visual_backward,
     visual_forward,
@@ -185,74 +187,51 @@ def adam_update(opt: AdamState, named: list[tuple[str, Array]], grads: dict[str,
 # ---------------------------------------------------------------------------
 
 
-def branch_universe(model: JointModel, kind: str) -> tuple[list, list[Triplet]]:
-    """Keys of all labels scored by a branch plus their language-row triplets.
+def branch_universe(model: JointModel, kind: str) -> list[Triplet]:
+    """Every label a branch scores: masked triplets in ascending order.
 
-    Unigram branches label against the whole vocabulary; phrase and bigram
-    branches against the combinations observed in training (or the full
-    cartesian product when configured). Masked slots use index 0, which the
-    mask zeroes out.
+    Unigram branches label against their whole vocabulary; phrase and bigram
+    branches against the masked triplets observed in training, or against
+    every subject-predicate-object combination when ``vp_negatives`` is
+    ``cartesian``.
     """
-    if kind == "s":
-        keys = list(range(len(model.subjects)))
-        rows = [Triplet(i, 0, 0) for i in keys]
-    elif kind == "o":
-        keys = list(range(len(model.objects)))
-        rows = [Triplet(0, 0, i) for i in keys]
-    elif kind == "p":
-        keys = list(range(len(model.predicates)))
-        rows = [Triplet(0, i, 0) for i in keys]
-    elif kind == "vp":
-        if model.cfg.vp_negatives == "cartesian":
-            keys = [
-                Triplet(s, p, o)
-                for s, p, o in itertools.product(
-                    range(len(model.subjects)),
-                    range(len(model.predicates)),
-                    range(len(model.objects)),
-                )
-            ]
-        else:
-            keys = list(model.observed)
-        rows = keys
-    elif kind == "sp":
-        keys = sorted({(t.s, t.p) for t in model.observed})
-        rows = [Triplet(s, p, 0) for s, p in keys]
-    elif kind == "po":
-        keys = sorted({(t.p, t.o) for t in model.observed})
-        rows = [Triplet(0, p, o) for p, o in keys]
-    else:
+    if kind not in BRANCH_MASK:
         raise DataError(f"unknown branch kind {kind!r}")
-    if not keys:
+    mask = BRANCH_MASK[kind]
+    if kind in ("s", "p", "o") or (kind == "vp" and model.cfg.vp_negatives == "cartesian"):
+        vocabs = (model.subjects, model.predicates, model.objects)
+        slots = [range(len(v)) if keep else (0,) for v, keep in zip(vocabs, LANGUAGE_MASKS[mask])]
+        labels = [Triplet(*t) for t in itertools.product(*slots)]
+    else:
+        labels = sorted({mask_triplet(t, mask) for t in model.observed})
+    if not labels:
         raise DataError(f"empty label universe for branch {kind!r}")
-    return keys, rows
+    return labels
 
 
-def _positive_keys(pair, kind: str) -> list:
-    if kind == "s":
-        return [pair.subject_cat] if pair.positive_predicates else []
-    if kind == "o":
-        return [pair.object_cat] if pair.positive_predicates else []
-    if kind == "p":
-        return list(pair.positive_predicates)
-    if kind == "vp":
-        return list(pair.positives())
-    if kind == "sp":
-        return [(pair.subject_cat, p) for p in pair.positive_predicates]
-    if kind == "po":
-        return [(p, pair.object_cat) for p in pair.positive_predicates]
-    raise DataError(f"unknown branch kind {kind!r}")
+def label_matrix(batch, columns: list[Triplet], mask: str, branch: str | None = None) -> Array:
+    """1 where a pair's positive triplet, masked, equals the column label.
 
-
-def _label_matrix(model: JointModel, kind: str, batch, keys: list) -> Array:
-    col = {key: j for j, key in enumerate(keys)}
-    y = np.zeros((len(batch), len(keys)))
+    With ``branch`` named, a positive that matches no column is an error;
+    without, it stays unlabeled (the analogy columns hold only the targets
+    that drew a source).
+    """
+    first: dict[Triplet, int] = {}
+    for j, label in enumerate(columns):
+        first.setdefault(label, j)
+    y = np.zeros((len(batch), len(columns)))
     for i, pair in enumerate(batch):
-        for key in _positive_keys(pair, kind):
-            j = col.get(key)
-            if j is None:
-                raise DataError(f"positive label {key} outside the {kind!r} branch universe")
-            y[i, j] = 1.0
+        for t in pair.positives():
+            label = mask_triplet(t, mask)
+            j = first.get(label)
+            if j is not None:
+                y[i, j] = 1.0
+            elif branch is not None:
+                raise DataError(
+                    f"positive label {tuple(label)} outside the {branch!r} branch universe"
+                )
+    if len(first) < len(columns):  # a repeated label copies its first column
+        y = y[:, [first[label] for label in columns]]
     return y
 
 
@@ -309,8 +288,8 @@ def _branch_terms(model, kind, batch, a_s, a_o, x, x_is_input, training, rng):
     the binary labels under sigmoid(w . v).
     """
     br = model.branch(kind)
-    keys, rows = branch_universe(model, kind)
-    y = _label_matrix(model, kind, batch, keys)
+    labels = branch_universe(model, kind)
+    y = label_matrix(batch, labels, BRANCH_MASK[kind], kind)
 
     if kind == "s":
         inp = a_s
@@ -319,7 +298,7 @@ def _branch_terms(model, kind, batch, a_s, a_o, x, x_is_input, training, rng):
     else:
         inp = x
     v, v_cache = mlp_forward(br.f_v, inp, training=training, rng=rng)
-    q = language_matrix(rows, model.e_sub, model.e_pre, model.e_obj, BRANCH_MASK[kind])
+    q = language_matrix(labels, model.e_sub, model.e_pre, model.e_obj, BRANCH_MASK[kind])
     w_raw, w_cache = mlp_forward(br.f_w, q)
     w, norms = normalize_rows(w_raw)
 
@@ -338,13 +317,11 @@ def _branch_terms(model, kind, batch, a_s, a_o, x, x_is_input, training, rng):
     grads = dict(layer_params(f"branch.{kind}.f_v", g_fv))
     grads.update(layer_params(f"branch.{kind}.f_w", g_fw))
     if model.cfg.finetune_words:
-        _accumulate_word_grads(model, grads, rows, BRANCH_MASK[kind], g_q)
+        _accumulate_word_grads(model, grads, labels, BRANCH_MASK[kind], g_q)
     return loss, grads, (g_inp if x_is_input else None)
 
 
 def _accumulate_word_grads(model, grads, rows, mask, g_q):
-    from .features import LANGUAGE_MASKS
-
     ms, mp, mo = LANGUAGE_MASKS[mask]
     dw = model.word_dim
     idx = np.array([tuple(t) for t in rows], dtype=np.intp).reshape(-1, 3)

@@ -21,16 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    BoundingBox,
-    DataError,
-    Dataset,
-    Triplet,
-    _err,
-    _fmt_reals,
-    _LineCursor,
-    token_to_file,
-)
+from .data import BoundingBox, DataError, Dataset, LineCursor, Triplet, fmt_reals, triplet_text
 from .analogy import Gamma, source_pool, transfer_embedding
 from .model import JointModel, reuse_pair_embeddings, score_pairs
 
@@ -218,18 +209,18 @@ def mean_ap(results: list[APResult]) -> float:
 def write_results(path: str, results: list[APResult], subjects, predicates, objects):
     """One line per query, then the mean over non-excluded queries."""
     overall = mean_ap(results)
+    vocabs = (subjects, predicates, objects)
     with open(path, "w") as fh:
         for r in results:
             fh.write(
-                f"query {token_to_file(subjects[r.query.s])}"
-                f" {token_to_file(predicates[r.query.p])}"
-                f" {token_to_file(objects[r.query.o])}"
-                f" ap {_fmt_reals([r.ap])} npos {r.npos} ndet {r.ndet}\n"
+                f"query {triplet_text(vocabs, r.query)}"
+                f" ap {fmt_reals([r.ap])} npos {r.npos} ndet {r.ndet}\n"
             )
-        fh.write(f"map {_fmt_reals([overall])}\n")
+        fh.write(f"map {fmt_reals([overall])}\n")
 
 
 def load_results(path: str, subjects, predicates, objects) -> tuple[list[APResult], float]:
+    vocabs = (subjects, predicates, objects)
     results: list[APResult] = []
     overall = None
     with open(path) as fh:
@@ -237,23 +228,21 @@ def load_results(path: str, subjects, predicates, objects) -> tuple[list[APResul
             line = raw.strip()
             if not line:
                 continue
-            cur = _LineCursor(path, lineno, line.split())
+            cur = LineCursor(path, lineno, line.split())
             head = cur.take()
             if head == "map":
                 overall = float(cur.reals(1, "map")[0])
             elif head == "query":
-                s = cur.token(subjects, "subject")
-                p = cur.token(predicates, "predicate")
-                o = cur.token(objects, "object")
+                query = cur.triplet(vocabs)
                 cur.keyword("ap")
                 ap = float(cur.reals(1, "ap")[0])
                 cur.keyword("npos")
                 npos = cur.integer("npos")
                 cur.keyword("ndet")
                 ndet = cur.integer("ndet")
-                results.append(APResult(Triplet(s, p, o), ap, npos, ndet))
+                results.append(APResult(query, ap, npos, ndet))
             else:
                 cur.fail(f"expected query or map, found {head!r}")
     if overall is None:
-        _err(path, 0, "missing final map line")
+        raise DataError(f"{path}: missing final map line")
     return results, overall

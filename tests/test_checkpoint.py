@@ -216,6 +216,38 @@ def test_loader_rejects_header_sizes_it_cannot_build(trained, tmp_path, key, val
         load_checkpoint(path)
 
 
+# header edits save_checkpoint never writes, each one DataError with no output
+HEADER_EDITS = {
+    "observed_short_entry": ("observed", lambda h: [[0, 0]], "observed entry 0 must be four"),
+    "observed_not_a_list": ("observed", lambda h: "abc", "observed must be a list"),
+    "observed_index_outside": ("observed", lambda h: [[99, 0, 0, 20]], "outside the vocab"),
+    "subjects_not_strings": (
+        "subjects", lambda h: list(range(1, len(h["subjects"]) + 1)), "subjects must be a list"
+    ),
+    "subjects_a_string": ("subjects", lambda h: "abcdef", "subjects must be a list"),
+    "observed_zero_count": ("observed", lambda h: [h["observed"][0][:3] + [0]], "count 0"),
+    "observed_descending": ("observed", lambda h: h["observed"][1::-1], "ascending"),
+    "observed_repeated": ("observed", lambda h: h["observed"][:1] * 2, "ascending"),
+    "observed_bool_index": ("observed", lambda h: [[True, 0, 0, 1]], "four integers"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(HEADER_EDITS))
+def test_loader_rejects_malformed_vocabularies_and_observed(trained, tmp_path, capsys, edit):
+    model, gamma, _, _ = trained
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model, gamma, seed=0)
+    key, value, message = HEADER_EDITS[edit]
+    _edit_header(path, lambda header: header.update({key: value(header)}))
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+    assert main(["inspect", "--checkpoint", path, "embeddings"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:data:"), err
+    assert captured.out == ""
+
+
 def test_absent_gamma_none_argument(small_bench, tmp_path):
     """Saving with gamma=None records kind 'absent'."""
     cfg, (train, test, table, heldout) = small_bench

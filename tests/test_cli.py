@@ -129,6 +129,22 @@ def test_train_absent_gamma_skips_stage2(tmp_path, run_dir):
     assert "skipped_targets 0" in trace
 
 
+def test_train_with_no_transfer_sources_is_one_data_error(tmp_path, run_dir, capsys):
+    cfg = effective(run_dir)
+    cfg.rare_threshold = 1000  # every observed triplet is rare: stage 2 learns nothing
+    cfg.stage1_epochs = 1
+    cfg.checkpoint = str(tmp_path / "rare.ckpt")
+    cfg_path = str(tmp_path / "rare.cfg")
+    write_config(cfg, cfg_path)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err == ["error:data: no transfer sources: every observed triplet is rare"]
+    assert captured.out == ""
+    assert not os.path.exists(cfg.checkpoint)
+    assert not os.path.exists(tmp_path / "loss_trace.txt")
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -326,6 +342,34 @@ def test_inspect_embeddings_unit_norm_and_score_round_trip(run_dir, capsys):
         score *= 1.0 / (1.0 + np.exp(-dot))
     want = score_pairs(model, t, [pair])[0]
     assert abs(score - want) < 1e-12
+
+
+def test_inspect_embeddings_lists_each_branch_universe(small_bench, tmp_path, capsys):
+    """One line per label each branch trains against; under cartesian vp
+    negatives that is every subject-predicate-object combination."""
+    _, (train, _, table, _) = small_bench
+    cfg = desk_config(vp_negatives="cartesian", gamma="absent")
+    model = build_model(cfg, train, table, seed=0)
+    path = str(tmp_path / "cart.ckpt")
+    save_checkpoint(path, model, None, seed=0)
+    assert main(["inspect", "--checkpoint", path, "embeddings"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sizes = {"s": len(train.subjects), "p": len(train.predicates), "o": len(train.objects)}
+    d = model.cfg.embed_dim
+    labels = {kind: [] for kind in model.active_kinds}
+    for line in lines:
+        parts = line.split()
+        labels[parts[0]].append(" ".join(parts[1:-d]))
+    assert {k: len(v) for k, v in labels.items()} == {
+        **sizes, "vp": sizes["s"] * sizes["p"] * sizes["o"]
+    }
+    assert labels["vp"] == [
+        f"{s} {p} {o}"
+        for s in train.subjects.tokens
+        for p in train.predicates.tokens
+        for o in train.objects.tokens
+    ]
+    assert len(model.observed) < len(labels["vp"])  # more than the observed triplets
 
 
 def test_inspect_sources_lists_self_first(run_dir, capsys):

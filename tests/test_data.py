@@ -15,7 +15,9 @@ from relembed.data import (
     load_queries,
     load_vocabulary,
     load_word_table,
+    parse_triplet,
     synth_generate,
+    triplet_text,
     write_dataset,
     write_queries,
     write_vocabulary,
@@ -231,6 +233,28 @@ def test_query_file_round_trip(tmp_path):
     path = tmp_path / "q.txt"
     write_queries(queries, ds, str(path))
     assert load_queries(str(path), ds) == queries
+
+
+def test_triplet_text_prints_the_slots_a_mask_keeps():
+    ds = tiny_dataset()
+    vocabs = (ds.subjects, ds.predicates, ds.objects)
+    t = Triplet(1, 0, 1)
+    assert triplet_text(vocabs, t) == "dog ride sports_ball"
+    assert triplet_text(vocabs, Triplet(0, 0, 1), "o") == "sports_ball"
+    assert triplet_text(vocabs, Triplet(1, 1, 0), "sp") == "dog hold"
+    assert triplet_text(vocabs, Triplet(0, 1, 1), "po") == "hold sports_ball"
+    assert parse_triplet(vocabs, triplet_text(vocabs, t).split()) == t
+
+
+def test_query_file_reports_the_bad_line(tmp_path):
+    ds = tiny_dataset()
+    path = tmp_path / "q.txt"
+    path.write_text("person ride horse\ndog ride unicorn\n")
+    with pytest.raises(DataError, match=r"q\.txt:2: unknown object token 'unicorn'"):
+        load_queries(str(path), ds)
+    path.write_text("\nperson ride\n")
+    with pytest.raises(DataError, match=r"q\.txt:2: expected subject predicate object, got 2"):
+        load_queries(str(path), ds)
 
 
 def small_cfg(**kw) -> SynthConfig:

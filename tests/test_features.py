@@ -5,8 +5,8 @@ from relembed.data import BoundingBox, Triplet
 from relembed.features import (
     LANGUAGE_MASKS,
     VisualInputParams,
-    language_input,
     language_matrix,
+    mask_triplet,
     spatial_features,
     visual_backward,
     visual_forward,
@@ -126,6 +126,13 @@ def test_visual_backward_matches_finite_differences():
     assert max_relative_error([grads[n] for n in names], numeric) < 1e-5
 
 
+def language_input(e_s, e_p, e_o, mask: str):
+    """Oracle for one row of ``language_matrix``: [e_s; e_p; e_o] with masked
+    slots zeroed."""
+    ms, mp, mo = LANGUAGE_MASKS[mask]
+    return np.concatenate([e_s * ms, e_p * mp, e_o * mo])
+
+
 def test_language_input_full_and_masked():
     e_s, e_p, e_o = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])
     assert np.array_equal(language_input(e_s, e_p, e_o, "full"), [1, 2, 3, 4, 5, 6])
@@ -159,6 +166,21 @@ def test_language_matrix_rows_match_single_inputs():
         for i, t in enumerate(triplets):
             row = language_input(e_sub[t.s], e_pre[t.p], e_obj[t.o], mask)
             assert np.array_equal(mat[i], row)
+
+
+def test_masked_triplet_keeps_its_slots_and_its_language_rows():
+    rng = np.random.default_rng(8)
+    e_sub, e_pre, e_obj = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
+    triplets = [Triplet(2, 4, 1), Triplet(1, 3, 0)]
+    for mask, flags in LANGUAGE_MASKS.items():
+        masked = [mask_triplet(t, mask) for t in triplets]
+        for t, m in zip(triplets, masked):
+            assert tuple(m) == tuple(v if flag else 0 for v, flag in zip(t, flags))
+        assert np.array_equal(
+            language_matrix(masked, e_sub, e_pre, e_obj, mask),
+            language_matrix(triplets, e_sub, e_pre, e_obj, mask),
+        )
+    assert mask_triplet(Triplet(2, 4, 1), "sp") == Triplet(2, 4, 0)
 
 
 def test_language_matrix_empty_list():

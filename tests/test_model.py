@@ -10,6 +10,7 @@ from relembed.data import (
     Vocabulary,
     WordTable,
 )
+from relembed.features import BRANCH_KINDS, BRANCH_MASK
 from relembed.model import (
     batch_iter,
     branch_universe,
@@ -17,6 +18,7 @@ from relembed.model import (
     embed_language_batch,
     embed_visual_batch,
     joint_loss,
+    label_matrix,
     pair_embeddings,
     reuse_pair_embeddings,
     score_from_embeddings,
@@ -277,23 +279,88 @@ def test_score_without_predicate_branches_ignores_predicate(small_bench):
 
 def test_universe_shapes(small_bench):
     model, train, _, _ = bench_model(small_bench)
-    keys, rows = branch_universe(model, "s")
-    assert keys == list(range(4))
-    keys, _ = branch_universe(model, "vp")
-    assert keys == model.observed
+    assert branch_universe(model, "s") == [Triplet(i, 0, 0) for i in range(4)]
+    assert branch_universe(model, "vp") == model.observed
     cart = bench_model(small_bench, vp_negatives="cartesian")[0]
-    keys, _ = branch_universe(cart, "vp")
-    assert len(keys) == 4 * 5 * 6
+    labels = branch_universe(cart, "vp")
+    assert len(labels) == 4 * 5 * 6
+    assert labels == sorted(set(labels))
 
 
 def test_bigram_universes_and_loss(small_bench):
     model, train, _, _ = bench_model(small_bench, branches="s,o,p,vp,sp,po")
-    keys, _ = branch_universe(model, "sp")
-    assert keys == sorted({(t.s, t.p) for t in model.observed})
+    assert branch_universe(model, "sp") == [
+        Triplet(s, p, 0) for s, p in sorted({(t.s, t.p) for t in model.observed})
+    ]
     loss, grads = joint_loss(model, train.pairs[:8])
     assert np.isfinite(loss)
     assert "branch.sp.f_w.first.w" in grads
     assert "branch.po.f_v.second.w" in grads
+
+
+def positive_keys(pair, kind: str) -> list:
+    """Oracle: the labels a pair is positive for, keyed per branch."""
+    if kind == "s":
+        return [pair.subject_cat] if pair.positive_predicates else []
+    if kind == "o":
+        return [pair.object_cat] if pair.positive_predicates else []
+    if kind == "p":
+        return list(pair.positive_predicates)
+    if kind == "vp":
+        return list(pair.positives())
+    if kind == "sp":
+        return [(pair.subject_cat, p) for p in pair.positive_predicates]
+    return [(p, pair.object_cat) for p in pair.positive_predicates]
+
+
+def label_key(t: Triplet, kind: str):
+    """Oracle: the key of a masked triplet label in ``positive_keys``."""
+    return {"s": t.s, "o": t.o, "p": t.p, "vp": t, "sp": (t.s, t.p), "po": (t.p, t.o)}[kind]
+
+
+def test_label_matrix_matches_positive_keys_oracle(small_bench):
+    _, (train, _, _, _) = small_bench
+    for cartesian in (False, True):
+        model = bench_model(
+            small_bench, branches="s,o,p,vp,sp,po",
+            vp_negatives="cartesian" if cartesian else "observed",
+        )[0]
+        batch = train.pairs[::7]
+        assert any(p.positive_predicates for p in batch)
+        assert any(not p.positive_predicates for p in batch)
+        for kind in BRANCH_KINDS:
+            labels = branch_universe(model, kind)
+            keys = [label_key(t, kind) for t in labels]
+            assert len(set(keys)) == len(keys)
+            want = np.zeros((len(batch), len(keys)))
+            for i, pair in enumerate(batch):
+                for key in positive_keys(pair, kind):
+                    want[i, keys.index(key)] = 1.0
+            got = label_matrix(batch, labels, BRANCH_MASK[kind], kind)
+            assert np.array_equal(got, want), kind
+
+
+def test_label_matrix_labels_every_copy_of_a_repeated_column(small_bench):
+    """Analogy columns repeat a target drawn with two sources; each copy is
+    labeled, as the analogy loss's per-column loop did."""
+    model, train, _, _ = bench_model(small_bench)
+    pair = next(p for p in train.pairs if p.positive_predicates)
+    t = pair.positives()[0]
+    other = next(u for u in model.observed if u != t)
+    y = label_matrix([pair, train.pairs[-1]], [t, other, t], "full")
+    assert y.tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+
+
+def test_label_outside_branch_universe_is_an_error(small_bench):
+    model, train, _, _ = bench_model(small_bench)
+    pair = next(p for p in train.pairs if p.positive_predicates)
+    t = pair.positives()[0]
+    model.observed = [u for u in model.observed if u != t]
+    with pytest.raises(DataError, match=r"positive label .* outside the 'vp' branch universe"):
+        joint_loss(model, [pair], kinds=("vp",))
+    # without a branch named, the positive stays unlabeled
+    y = label_matrix([pair], model.observed, "full")
+    assert not y.any()
 
 
 def test_batch_iter_composition(small_bench):

@@ -454,6 +454,14 @@ def test_results_loader_rejects_garbage(tmp_path):
         fh.write("query a p o ap 0.5 npos 2 ndet 3\n")
     with pytest.raises(DataError, match="map"):
         load_results(path, subs, pres, objs)
+    with open(path, "w") as fh:
+        fh.write("query a p\nmap 0.5\n")
+    with pytest.raises(DataError, match=r"bad.txt:1: truncated line$"):
+        load_results(path, subs, pres, objs)
+    with open(path, "w") as fh:
+        fh.write("query a q o ap 0.5 npos 2 ndet 3\nmap 0.5\n")
+    with pytest.raises(DataError, match=r"bad.txt:1: unknown predicate token 'q'"):
+        load_results(path, subs, pres, objs)
 
 
 # ---------------------------------------------------------------------------
