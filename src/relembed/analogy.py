@@ -19,30 +19,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, Dataset, Triplet
-from .features import mask_triplet, pair_arrays, visual_forward
+from .features import mask_triplet
 from .model import (
     JointModel,
-    adam_update,
-    batch_iter,
+    add_grads,
+    branch_inputs,
     embed_language_batch,
     embed_language_masked,
+    fit,
     joint_loss,
     label_matrix,
+    logistic_terms,
     trainable,
 )
 from .numkit import (
     Array,
     Linear,
     Mlp,
-    adam_init,
     glorot_uniform,
     layer_params,
-    log_sigmoid,
     mlp_backward,
     mlp_forward,
     normalize_rows,
     rng_stream,
-    sigmoid,
 )
 
 SLOTS = ("s", "p", "o")
@@ -128,13 +127,15 @@ def gamma_input_matrix(model: JointModel, pairs_st: list[tuple[Triplet, Triplet]
 
 def corrected_embeddings(
     model: JointModel, gamma: Gamma, pairs_st: list[tuple[Triplet, Triplet]]
-) -> Array:
-    """w_source + Gamma(source, target) for each (source, target) pair."""
-    if gamma.kind == "absent":
-        raise DataError("gamma kind 'absent' defines no correction")
+) -> tuple[Array, tuple | None]:
+    """w_source + Gamma(source, target) for each (source, target) pair, and
+    Gamma's cache for its backward pass. Gamma 'absent' corrects nothing:
+    the source embeddings come back as they are, with no cache."""
     w_src = embed_language_batch(model, "vp", [t for t, _ in pairs_st])
-    corr, _ = gamma_forward(gamma, gamma_input_matrix(model, pairs_st))
-    return w_src + corr
+    if gamma.kind == "absent":
+        return w_src, None
+    corr, cache = gamma_forward(gamma, gamma_input_matrix(model, pairs_st))
+    return w_src + corr, cache
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +213,7 @@ def transfer_from_sources(
     weights = np.array([g for _, g in sources])
     if not np.any(weights > 0.0):
         raise DataError(f"no informative sources for target {tuple(u)}: all weights zero")
-    if gamma.kind == "absent":
-        w = embed_language_batch(model, "vp", [t for t, _ in sources])
-    else:
-        w = corrected_embeddings(model, gamma, [(t, u) for t, _ in sources])
+    w, _ = corrected_embeddings(model, gamma, [(t, u) for t, _ in sources])
     out = weights @ w
     if model.cfg.normalize_aggregation:
         out = out / float(np.sum(weights))
@@ -275,24 +273,12 @@ def analogy_loss(
     if not q_pairs:
         return 0.0, {}
     br = model.branch("vp")
-    a_s, a_o, r = pair_arrays(batch, model.cfg.spatial_norm)
-    x, _ = visual_forward(model.visual, a_s, a_o, r)
-    v, v_cache = mlp_forward(br.f_v, x, training=training, rng=rng)
-
-    w_src = embed_language_batch(model, "vp", [t for t, _ in q_pairs])
-    diffs = gamma_input_matrix(model, q_pairs)
-    corr, g_cache = gamma_forward(gamma, diffs)
-    w = w_src + corr  # (Q, d), treated as constant in w_src
-
+    inputs, _ = branch_inputs(model, batch, ("vp",))
+    v, v_cache = mlp_forward(br.f_v, inputs["vp"], training=training, rng=rng)
+    w, g_cache = corrected_embeddings(model, gamma, q_pairs)  # constant in the source part
     y = label_matrix(batch, [u for _, u in q_pairs], "full")
-    d = v @ w.T
-    m = d.size
-    loss = -float(np.sum(y * log_sigmoid(d) + (1.0 - y) * log_sigmoid(-d))) / m
-    dd = (sigmoid(d) - y) / m
-
-    g_v = dd @ w
-    g_w = dd.T @ v  # flows into the correction only, never into w_src
-    grads = gamma_backward(gamma, g_cache, g_w)
+    loss, g_v, g_w = logistic_terms(v, w, y)
+    grads = gamma_backward(gamma, g_cache, g_w)  # g_w reaches the correction only
     g_fv, _ = mlp_backward(br.f_v, v_cache, g_v)
     grads.update(layer_params("branch.vp.f_v", g_fv))
     return loss, grads
@@ -332,29 +318,23 @@ def train_stage2(
     pool = source_pool(model)
     if not pool:
         raise DataError("no transfer sources: every observed triplet is rare")
+    if cfg.stage2_epochs == 0:
+        return [], 0
+    # G reads only nets stage 2 does not train, so the sets hold for every epoch
+    source_sets = build_source_sets(model, model.observed, pool)
     rng = rng_stream(seed, "stage2")
-    named = trainable(model, 2, gamma)
-    opt = adam_init([a for _, a in named], lr=cfg.lr)
-    n_pos = cfg.positives_per_batch()
-    n_neg = cfg.batch_size - n_pos
-    trace: list[float] = []
     skipped_total = 0
-    for _ in range(cfg.stage2_epochs):
-        # source sets refresh each epoch; the slots G reads stay frozen, so
-        # this is stable, but it keeps the rule in one place
-        source_sets = build_source_sets(model, model.observed, pool)
-        losses = []
-        for batch in batch_iter(dataset, n_pos, n_neg, rng):
-            loss_vp, grads = joint_loss(
-                model, batch, kinds=("vp",), training=True, rng=rng, through_visual=False
-            )
-            q_pairs, skipped = sample_q_pairs(batch, source_sets, rng)
-            skipped_total += skipped
-            loss_an, g_an = analogy_loss(model, gamma, batch, q_pairs, training=True, rng=rng)
-            for name, arr in g_an.items():
-                lam = cfg.analogy_weight
-                grads[name] = grads[name] + lam * arr if name in grads else lam * arr
-            adam_update(opt, named, grads)
-            losses.append(loss_vp + cfg.analogy_weight * loss_an)
-        trace.append(float(np.mean(losses)))
+
+    def step(batch):
+        nonlocal skipped_total
+        loss_vp, grads = joint_loss(
+            model, batch, kinds=("vp",), training=True, rng=rng, through_visual=False
+        )
+        q_pairs, skipped = sample_q_pairs(batch, source_sets, rng)
+        skipped_total += skipped
+        loss_an, g_an = analogy_loss(model, gamma, batch, q_pairs, training=True, rng=rng)
+        add_grads(grads, g_an, cfg.analogy_weight)
+        return loss_vp + cfg.analogy_weight * loss_an, grads
+
+    trace = fit(model, dataset, trainable(model, 2, gamma), cfg.stage2_epochs, rng, step)
     return trace, skipped_total

@@ -121,7 +121,10 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
         tokens = header[key]
         if not isinstance(tokens, list) or not all(isinstance(t, str) and t for t in tokens):
             _fail(path, f"header {key} must be a list of non-empty strings")
-        vocabs.append(Vocabulary(tokens))
+        try:
+            vocabs.append(Vocabulary(tokens))
+        except DataError as e:
+            _fail(path, str(e))
     subjects, predicates, objects = vocabs
     counts = _observed_counts(path, header["observed"], vocabs)
     word_dim = header["word_dim"]

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .analogy import Gamma, gamma_init, select_sources, source_pool, train_stage2
+from .analogy import gamma_init, select_sources, source_pool, train_stage2
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config, write_config
 from .data import (
@@ -97,13 +97,10 @@ def cmd_train(args) -> int:
     )
     model = build_model(cfg, dataset, table, cfg.seed)
     trace1 = train_stage1(model, dataset, cfg.seed)
-    if cfg.gamma == "absent":
-        gamma, trace2, skipped = Gamma("absent"), [], 0
-    else:
-        gamma = gamma_init(
-            cfg.gamma, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(cfg.seed, "gamma")
-        )
-        trace2, skipped = train_stage2(model, gamma, dataset, cfg.seed)
+    gamma = gamma_init(
+        cfg.gamma, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(cfg.seed, "gamma")
+    )
+    trace2, skipped = train_stage2(model, gamma, dataset, cfg.seed)
     ckpt = cfg.checkpoint or os.path.join(out, "model.ckpt")
     cfg.checkpoint = ckpt
     save_checkpoint(ckpt, model, gamma, cfg.seed)
@@ -135,6 +132,9 @@ def cmd_eval(args) -> int:
     # an eval-time switch: the config file decides, not the checkpoint's copy
     model.cfg.normalize_aggregation = cfg.normalize_aggregation
     dataset = load_dataset(cfg.test_data)
+    for key in ("subjects", "predicates", "objects"):
+        if getattr(dataset, key).tokens != getattr(model, key).tokens:
+            raise DataError(f"{cfg.test_data}: {key} differ from the checkpoint's")
     queries = load_queries(cfg.queries, dataset)
     if not queries:
         raise DataError(f"{cfg.queries}: empty query list")

@@ -255,24 +255,16 @@ def embed_language_batch(model: JointModel, kind: str, triplets: list[Triplet]) 
     return embed_language_masked(model, kind, triplets, BRANCH_MASK[kind])
 
 
-def embed_visual_batch(
-    model: JointModel,
-    kind: str,
-    pairs,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Array:
-    """Visual embeddings (unnormalized), one row per candidate pair."""
-    br = model.branch(kind)
+def branch_inputs(model: JointModel, pairs, kinds) -> tuple[dict[str, Array], tuple | None]:
+    """The visual input of each branch in ``kinds``, one row per pair: the
+    subject or object appearance for s and o, the shared pair descriptor
+    (computed once) for every other kind. Also returns the descriptor's
+    cache, None when no kind reads it."""
     a_s, a_o, r = pair_arrays(pairs, model.cfg.spatial_norm)
-    if kind == "s":
-        inp = a_s
-    elif kind == "o":
-        inp = a_o
-    else:
-        inp, _ = visual_forward(model.visual, a_s, a_o, r)
-    v, _ = mlp_forward(br.f_v, inp, training=training, rng=rng)
-    return v
+    x, x_cache = None, None
+    if any(k not in ("s", "o") for k in kinds):
+        x, x_cache = visual_forward(model.visual, a_s, a_o, r)
+    return {k: a_s if k == "s" else a_o if k == "o" else x for k in kinds}, x_cache
 
 
 # ---------------------------------------------------------------------------
@@ -280,35 +272,37 @@ def embed_visual_batch(
 # ---------------------------------------------------------------------------
 
 
-def _branch_terms(model, kind, batch, a_s, a_o, x, x_is_input, training, rng):
-    """Loss and gradients of one branch given precomputed inputs.
+def logistic_terms(v: Array, w: Array, y: Array) -> tuple[float, Array, Array]:
+    """Mean over all (row, column) combinations of the negative
+    log-likelihood of the binary labels ``y`` under sigmoid(v . w), with its
+    gradients wrt v and w."""
+    d = v @ w.T  # (N, U)
+    m = d.size
+    loss = -float(np.sum(y * log_sigmoid(d) + (1.0 - y) * log_sigmoid(-d))) / m
+    dd = (sigmoid(d) - y) / m
+    return loss, dd @ w, dd.T @ v
 
-    Returns (loss, grads dict, grad wrt x or None). The loss is the mean
-    over all (pair, label) combinations of the negative log-likelihood of
-    the binary labels under sigmoid(w . v).
-    """
+
+def add_grads(total: dict[str, Array], grads: dict[str, Array], scale: float = 1.0):
+    """total[name] += scale * grads[name] for every name, into new arrays."""
+    for name, arr in grads.items():
+        term = arr if scale == 1.0 else scale * arr
+        total[name] = total[name] + term if name in total else term
+
+
+def _branch_terms(model, kind, batch, inp, training, rng):
+    """Loss of one branch on its visual input, its parameter gradients and
+    the gradient wrt the input."""
     br = model.branch(kind)
     labels = branch_universe(model, kind)
     y = label_matrix(batch, labels, BRANCH_MASK[kind], kind)
 
-    if kind == "s":
-        inp = a_s
-    elif kind == "o":
-        inp = a_o
-    else:
-        inp = x
     v, v_cache = mlp_forward(br.f_v, inp, training=training, rng=rng)
     q = language_matrix(labels, model.e_sub, model.e_pre, model.e_obj, BRANCH_MASK[kind])
     w_raw, w_cache = mlp_forward(br.f_w, q)
     w, norms = normalize_rows(w_raw)
 
-    d = v @ w.T  # (N, U)
-    m = d.size
-    loss = -float(np.sum(y * log_sigmoid(d) + (1.0 - y) * log_sigmoid(-d))) / m
-
-    dd = (sigmoid(d) - y) / m
-    g_v = dd @ w
-    g_w = dd.T @ v
+    loss, g_v, g_w = logistic_terms(v, w, y)
     # back through row normalization
     g_w_raw = (g_w - np.sum(g_w * w, axis=1, keepdims=True) * w) / norms
 
@@ -318,7 +312,7 @@ def _branch_terms(model, kind, batch, a_s, a_o, x, x_is_input, training, rng):
     grads.update(layer_params(f"branch.{kind}.f_w", g_fw))
     if model.cfg.finetune_words:
         _accumulate_word_grads(model, grads, labels, BRANCH_MASK[kind], g_q)
-    return loss, grads, (g_inp if x_is_input else None)
+    return loss, grads, g_inp
 
 
 def _accumulate_word_grads(model, grads, rows, mask, g_q):
@@ -356,27 +350,18 @@ def joint_loss(
     if not batch:
         raise DataError("empty batch")
     kinds = tuple(kinds) if kinds is not None else model.active_kinds
-    a_s, a_o, r = pair_arrays(batch, model.cfg.spatial_norm)
-    needs_x = any(k not in ("s", "o") for k in kinds)
-    x, x_cache = visual_forward(model.visual, a_s, a_o, r) if needs_x else (None, None)
-    grad_x = np.zeros_like(x) if needs_x else None
+    inputs, x_cache = branch_inputs(model, batch, kinds)
+    grad_x = np.zeros((len(batch), model.visual.d_v))  # summed over descriptor kinds
 
     total = 0.0
     grads: dict[str, Array] = {}
     for kind in kinds:
-        loss, g, g_x = _branch_terms(
-            model, kind, batch, a_s, a_o, x, x_is_input=kind not in ("s", "o"),
-            training=training, rng=rng,
-        )
+        loss, g, g_inp = _branch_terms(model, kind, batch, inputs[kind], training, rng)
         total += loss
-        for name, arr in g.items():
-            if name in grads:
-                grads[name] = grads[name] + arr
-            else:
-                grads[name] = arr
-        if g_x is not None:
-            grad_x += g_x
-    if needs_x and through_visual:
+        add_grads(grads, g)
+        if kind not in ("s", "o"):
+            grad_x += g_inp
+    if x_cache is not None and through_visual:
         grads.update(visual_backward(model.visual, x_cache, grad_x))
     return total, grads
 
@@ -424,15 +409,8 @@ def pair_embeddings(model: JointModel, pairs) -> dict[str, Array]:
 
 
 def _embed_pairs(model: JointModel, pairs) -> dict[str, Array]:
-    a_s, a_o, r = pair_arrays(pairs, model.cfg.spatial_norm)
-    needs_x = any(k not in ("s", "o") for k in model.active_kinds)
-    x = visual_forward(model.visual, a_s, a_o, r)[0] if needs_x else None
-    out = {}
-    for kind in model.active_kinds:
-        br = model.branch(kind)
-        inp = a_s if kind == "s" else a_o if kind == "o" else x
-        out[kind] = mlp_forward(br.f_v, inp)[0]
-    return out
+    inputs, _ = branch_inputs(model, pairs, model.active_kinds)
+    return {kind: mlp_forward(model.branch(kind).f_v, inp)[0] for kind, inp in inputs.items()}
 
 
 def score_from_embeddings(
@@ -462,7 +440,7 @@ def score_pairs(
 
 
 # ---------------------------------------------------------------------------
-# Batch sampling and stage-1 training
+# Batch sampling and the training loop
 # ---------------------------------------------------------------------------
 
 
@@ -500,22 +478,31 @@ def batch_iter(dataset: Dataset, n_pos: int, n_neg: int, rng: np.random.Generato
         yield [dataset.pairs[i] for i in chunk]
 
 
-def train_stage1(model: JointModel, dataset: Dataset, seed: int) -> list[float]:
-    """Optimize the joint loss; returns mean batch loss per epoch."""
+def fit(model: JointModel, dataset: Dataset, named, epochs: int, rng, step) -> list[float]:
+    """Adam on the arrays of ``named`` over ``epochs`` epochs of
+    ``batch_iter`` batches; ``step(batch)`` returns the batch's (loss,
+    gradients by name). Returns the mean batch loss per epoch."""
     cfg = model.cfg
-    if not any(p.positive_predicates for p in dataset.pairs):
-        raise DataError("dataset has no positive pairs")
-    rng = rng_stream(seed, "stage1")
-    named = trainable(model, 1)
     opt = adam_init([a for _, a in named], lr=cfg.lr)
     n_pos = cfg.positives_per_batch()
     n_neg = cfg.batch_size - n_pos
     trace = []
-    for _ in range(cfg.stage1_epochs):
+    for _ in range(epochs):
         losses = []
         for batch in batch_iter(dataset, n_pos, n_neg, rng):
-            loss, grads = joint_loss(model, batch, training=True, rng=rng)
+            loss, grads = step(batch)
             adam_update(opt, named, grads)
             losses.append(loss)
         trace.append(float(np.mean(losses)))
     return trace
+
+
+def train_stage1(model: JointModel, dataset: Dataset, seed: int) -> list[float]:
+    """Optimize the joint loss; returns mean batch loss per epoch."""
+    if not any(p.positive_predicates for p in dataset.pairs):
+        raise DataError("dataset has no positive pairs")
+    rng = rng_stream(seed, "stage1")
+    return fit(
+        model, dataset, trainable(model, 1), model.cfg.stage1_epochs, rng,
+        lambda batch: joint_loss(model, batch, training=True, rng=rng),
+    )

@@ -321,13 +321,22 @@ def test_transfer_absent_gamma_skips_correction(small_bench):
     assert np.array_equal(a, b)
 
 
+def test_corrected_embeddings_absent_gamma_is_uncorrected(small_bench):
+    cfg, train, table, model = bench_model(small_bench)
+    sources = model.observed[1:4]
+    u = model.observed[0]
+    got, cache = corrected_embeddings(model, Gamma("absent"), [(t, u) for t in sources])
+    assert np.array_equal(got, embed_language_batch(model, "vp", sources))
+    assert cache is None
+
+
 def test_corrected_embeddings_shift_by_gamma(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "linear")
     t, u = model.observed[1], model.observed[0]
     base = embed_language_batch(model, "vp", [t])
     corr, _ = gamma_forward(gamma, gamma_input_matrix(model, [(t, u)]))
-    got = corrected_embeddings(model, gamma, [(t, u)])
+    got, _ = corrected_embeddings(model, gamma, [(t, u)])
     assert np.array_equal(got, base + corr)
 
 

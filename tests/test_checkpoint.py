@@ -229,6 +229,10 @@ HEADER_EDITS = {
     "observed_descending": ("observed", lambda h: h["observed"][1::-1], "ascending"),
     "observed_repeated": ("observed", lambda h: h["observed"][:1] * 2, "ascending"),
     "observed_bool_index": ("observed", lambda h: [[True, 0, 0, 1]], "four integers"),
+    "subjects_duplicate": (
+        "subjects", lambda h: h["subjects"][:1] * 2 + h["subjects"][2:],
+        r"model\.ckpt: duplicate token 'sub0'",
+    ),
 }
 
 

@@ -145,6 +145,32 @@ def test_train_with_no_transfer_sources_is_one_data_error(tmp_path, run_dir, cap
     assert not os.path.exists(tmp_path / "loss_trace.txt")
 
 
+@pytest.mark.parametrize("stage2_epochs", [0, 1])
+def test_train_without_slot_branches_needs_them_only_for_stage2(
+    tmp_path, run_dir, capsys, stage2_epochs
+):
+    """G over branch embeddings reads the s, p and o branches; stage 2 asks
+    for them only when it runs."""
+    cfg = effective(run_dir)
+    cfg.branches = "p,vp"
+    cfg.stage1_epochs = 1
+    cfg.stage2_epochs = stage2_epochs
+    cfg.checkpoint = str(tmp_path / "pvp.ckpt")
+    cfg_path = str(tmp_path / "pvp.cfg")
+    write_config(cfg, cfg_path)
+    rc = main(["train", "--config", cfg_path, "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    if stage2_epochs == 0:
+        assert rc == 0 and err == []
+        assert os.path.exists(cfg.checkpoint)
+    else:
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith(
+            "error:data: similarity over branch embeddings needs branches s,p,o"
+        ), err
+        assert not os.path.exists(cfg.checkpoint)
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -233,6 +259,33 @@ def test_eval_empty_query_list_fails(run_dir, tmp_path, capsys):
     write_config(cfg, cfg_path)
     assert main(["eval", "--config", cfg_path, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:data:")
+
+
+@pytest.mark.parametrize("change", ["swapped", "more_subjects"])
+def test_eval_refuses_test_vocabularies_unlike_the_checkpoint(run_dir, tmp_path, capsys, change):
+    cfg = effective(run_dir)
+    subjects = load_dataset(cfg.test_data).subjects.tokens
+    data = tmp_path / "data"
+    if change == "swapped":
+        data.mkdir()
+        for name in ("test.ds", "predicates.txt", "objects.txt"):
+            (data / name).write_text(open(os.path.join(os.path.dirname(cfg.test_data), name)).read())
+        swapped = [subjects[1], subjects[0], *subjects[2:]]
+        (data / "subjects.txt").write_text("".join(f"{t}\n" for t in swapped))
+        cfg.test_data = str(data / "test.ds")
+    else:
+        base = str(tmp_path / "base.cfg")
+        write_config(desk_config(synth_subjects=6, seed=0), base)
+        assert main(["synth", "--config", base, "--out", str(data)]) == 0
+        cfg.test_data = str(data / "test.ds")
+        assert len(load_dataset(cfg.test_data).subjects) == 6 > len(subjects)
+    cfg_path = str(tmp_path / "eval.cfg")
+    write_config(cfg, cfg_path)
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", cfg_path, "--mode", "transfer", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error:data: {cfg.test_data}: subjects differ from the checkpoint's"]
+    assert not (out / "results.txt").exists()
 
 
 @pytest.mark.parametrize("mode", ["direct", "transfer"])

@@ -16,7 +16,6 @@ from relembed.model import (
     branch_universe,
     build_model,
     embed_language_batch,
-    embed_visual_batch,
     joint_loss,
     label_matrix,
     pair_embeddings,
@@ -95,16 +94,16 @@ def test_language_zero_vector_is_an_error(small_bench):
 def test_visual_subject_branch_ignores_object_appearance(small_bench):
     model, train, _, _ = bench_model(small_bench)
     pair = train.pairs[0]
-    v1 = embed_visual_batch(model, "s", [pair])
+    v1 = pair_embeddings(model, [pair])["s"]
     bumped = CandidatePair(
         pair.pair_id, pair.image_id, pair.sub_box, pair.obj_box,
         pair.subject_cat, pair.object_cat,
         pair.appear_sub, pair.appear_obj + 1.0, pair.positive_predicates,
     )
-    v2 = embed_visual_batch(model, "s", [bumped])
+    v2 = pair_embeddings(model, [bumped])["s"]
     assert np.array_equal(v1, v2)
     assert not np.array_equal(
-        embed_visual_batch(model, "o", [pair]), embed_visual_batch(model, "o", [bumped])
+        pair_embeddings(model, [pair])["o"], pair_embeddings(model, [bumped])["o"]
     )
 
 
@@ -118,14 +117,14 @@ def test_visual_branch_matches_by_hand(small_bench):
     br = model.branches["vp"]
     h = np.maximum(br.f_v.first.w @ x + br.f_v.first.b, 0.0)
     expect = br.f_v.second.w @ h + br.f_v.second.b
-    got = embed_visual_batch(model, "vp", [pair])[0]
+    got = pair_embeddings(model, [pair])["vp"][0]
     assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
 
 def test_inactive_branch_is_an_error(small_bench):
     model, train, _, _ = bench_model(small_bench, branches="s,o")
     with pytest.raises(DataError, match="not active"):
-        embed_visual_batch(model, "vp", [train.pairs[0]])
+        joint_loss(model, [train.pairs[0]], kinds=("vp",))
 
 
 def test_single_positive_zero_dot_loss_is_log_two():

@@ -1,0 +1,104 @@
+"""Run the whole relembed pipeline on one source tree and digest every file
+it writes, so two trees can be compared byte for byte.
+
+    python tools/output_digests.py SRC OUT [key=value ...]
+
+SRC is the ``src`` directory of the tree to run; OUT is a new or empty
+directory. The key=value arguments become the run's config file
+(``OUT/base.cfg``); with none, every key keeps its default. Each command
+runs as ``python -m relembed.cli`` in its own subprocess, with
+``PYTHONPATH=SRC``, BLAS pinned to one thread and OUT as the working
+directory. Every path is relative to OUT, so the checkpoint header and the
+effective configs do not depend on where OUT is:
+
+    synth                                         -> data/
+    train                                         -> train/ (checkpoint in data/)
+    eval --mode direct --top 20                   -> eval-direct/
+    eval --mode transfer --top 20                 -> eval-transfer/
+    eval --mode transfer --top 20, normalized     -> eval-transfer-normalized/
+    inspect embeddings                            -> inspect/embeddings.txt
+    inspect sources <first held-out query>        -> inspect/sources.txt
+
+Then it writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per file
+it produced, sorted by relative path (the format ``sha256sum -c`` reads).
+Standard library only; any failing command stops the run with exit 1.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run(src: str, out: str, args: list[str], stdout_path: str | None = None):
+    env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
+    argv = [sys.executable, "-m", "relembed.cli", *args]
+    done = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"output_digests: relembed {' '.join(args)} exited {done.returncode}\n{done.stderr}")
+    if stdout_path is not None:
+        os.makedirs(os.path.dirname(os.path.join(out, stdout_path)), exist_ok=True)
+        with open(os.path.join(out, stdout_path), "w") as fh:
+            fh.write(done.stdout)
+
+
+def with_key(config_text: str, key: str, value: str) -> str:
+    """The config text with ``key`` set to ``value``."""
+    lines = [line for line in config_text.splitlines() if line.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+def digests(out: str) -> list[str]:
+    lines = []
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            lines.append((os.path.relpath(path, out).replace(os.sep, "/"), digest))
+    return [f"{digest}  {rel}\n" for rel, digest in sorted(lines)]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 2 or any("=" not in kv for kv in argv[2:]):
+        sys.exit(__doc__.split("\n\n")[1])
+    src, out = os.path.abspath(argv[0]), argv[1]
+    if os.path.isdir(out) and os.listdir(out):
+        sys.exit(f"output_digests: {out} is not empty")
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "base.cfg"), "w") as fh:
+        for kv in argv[2:]:
+            key, _, value = kv.partition("=")
+            fh.write(f"{key.strip()} = {value.strip()}\n")
+
+    run(src, out, ["synth", "--config", "base.cfg", "--out", "data"])
+    run(src, out, ["train", "--config", "data/effective.cfg", "--out", "train"])
+    trained = "train/effective.cfg"
+    with open(os.path.join(out, trained)) as fh:
+        normalized = with_key(fh.read(), "normalize_aggregation", "true")
+    with open(os.path.join(out, "normalized.cfg"), "w") as fh:
+        fh.write(normalized)
+    for mode, cfg, name in (
+        ("direct", trained, "eval-direct"),
+        ("transfer", trained, "eval-transfer"),
+        ("transfer", "normalized.cfg", "eval-transfer-normalized"),
+    ):
+        run(src, out, ["eval", "--config", cfg, "--mode", mode, "--top", "20", "--out", name])
+    run(src, out, ["inspect", "--config", trained, "embeddings"], "inspect/embeddings.txt")
+    with open(os.path.join(out, "data", "heldout.txt")) as fh:
+        query = fh.readline().split()
+    run(src, out, ["inspect", "--config", trained, "sources", *query], "inspect/sources.txt")
+
+    lines = digests(out)
+    with open(os.path.join(out, "SHA256SUMS"), "w") as fh:
+        fh.writelines(lines)
+    print(f"{len(lines)} files digested into {os.path.join(out, 'SHA256SUMS')}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
