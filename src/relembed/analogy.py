@@ -24,10 +24,10 @@ from .model import (
     JointModel,
     add_grads,
     branch_inputs,
+    branch_terms,
     embed_language_batch,
     embed_language_masked,
     fit,
-    joint_loss,
     label_matrix,
     logistic_terms,
     trainable,
@@ -258,12 +258,14 @@ def analogy_loss(
     model: JointModel,
     gamma: Gamma,
     batch,
+    x: Array,
     q_pairs: list[tuple[Triplet, Triplet]],
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, Array]]:
     """Mean binary log-likelihood of batch pairs against transferred
-    embeddings, one column per (source, target) analogy.
+    embeddings, one column per (source, target) analogy; ``x`` is the vp
+    branch input of the batch (``branch_inputs``).
 
     Gradients flow only to Gamma parameters and the vp visual projection;
     the language side and the shared descriptor front end get none.
@@ -273,8 +275,7 @@ def analogy_loss(
     if not q_pairs:
         return 0.0, {}
     br = model.branch("vp")
-    inputs, _ = branch_inputs(model, batch, ("vp",))
-    v, v_cache = mlp_forward(br.f_v, inputs["vp"], training=training, rng=rng)
+    v, v_cache = mlp_forward(br.f_v, x, training=training, rng=rng)
     w, g_cache = corrected_embeddings(model, gamma, q_pairs)  # constant in the source part
     y = label_matrix(batch, [u for _, u in q_pairs], "full")
     loss, g_v, g_w = logistic_terms(v, w, y)
@@ -327,12 +328,13 @@ def train_stage2(
 
     def step(batch):
         nonlocal skipped_total
-        loss_vp, grads = joint_loss(
-            model, batch, kinds=("vp",), training=True, rng=rng, through_visual=False
-        )
+        # the descriptor front end is frozen and has no dropout: one input
+        # serves both terms
+        x = branch_inputs(model, batch, ("vp",))[0]["vp"]
+        loss_vp, grads, _ = branch_terms(model, "vp", batch, x, True, rng)
         q_pairs, skipped = sample_q_pairs(batch, source_sets, rng)
         skipped_total += skipped
-        loss_an, g_an = analogy_loss(model, gamma, batch, q_pairs, training=True, rng=rng)
+        loss_an, g_an = analogy_loss(model, gamma, batch, x, q_pairs, training=True, rng=rng)
         add_grads(grads, g_an, cfg.analogy_weight)
         return loss_vp + cfg.analogy_weight * loss_an, grads
 

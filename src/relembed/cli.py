@@ -15,7 +15,7 @@ import sys
 
 from .analogy import gamma_init, select_sources, source_pool, train_stage2
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, load_config, write_config
+from .config import ConfigError, RunConfig, load_config, validate, write_config
 from .data import (
     DataError,
     fmt_reals,
@@ -36,7 +36,15 @@ from .retrieval import MatchPolicy, evaluate_queries, write_results
 
 
 class UsageError(ValueError):
-    """A command-line argument out of range."""
+    """A malformed command line or a command-line argument out of range."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as a UsageError
+    (one ``error:usage:`` line) instead of exiting with a usage block."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _load_run_config(args) -> RunConfig:
@@ -45,6 +53,7 @@ def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+        validate(cfg)
     return cfg
 
 
@@ -198,7 +207,7 @@ def cmd_inspect(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="relembed", description=__doc__)
+    top = _Parser(prog="relembed", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -230,8 +239,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"error:usage: {e}", file=sys.stderr)

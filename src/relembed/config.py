@@ -129,6 +129,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     active = cfg.branch_list()
     if not active:
         raise ConfigError("branches: at least one branch required")

@@ -13,10 +13,20 @@ File formats (all line-oriented text, floats written with full precision):
                the dataset file), then one line per pair:
                ``pair <id> <image_id> sub <4 reals> obj <4 reals> scat <tok>
                ocat <tok> afeat_s <d_a reals> afeat_o <d_a reals> labels
-               p1:<tok> p2:<tok> ...`` (label list may be empty).
+               p1:<tok> p2:<tok> ...`` (label list may be empty). Every
+               header precedes the first pair line. With d = d_a, a pair
+               line's fields sit at fixed positions: the keywords at 0, 3,
+               8, 13, 15, 17, 18+d and 19+2d; id 1, image_id 2, sub 4-7, obj
+               9-12, scat 14, ocat 16, afeat_s 18 to 17+d, afeat_o 19+d to
+               18+2d, and the label entries from 20+2d on.
   vocabulary:  one token per line, line order defines the index.
   word table:  first line ``dim <d_w>``, then ``<tok> v1 ... v_dw``.
   query list:  one triplet per line, ``<subject> <predicate> <object>``.
+
+Every reader, ``retrieval.load_results`` included, goes through one line
+reader, ``read_lines``: numbered, split, non-blank lines, each a ``Line``
+whose accessors take field positions and name the file and line in every
+error. Blank lines are skipped everywhere.
 
 Tokens containing spaces are written with underscores and restored on read.
 A triplet reads and prints through one codec, ``parse_triplet`` and
@@ -28,7 +38,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,10 +49,6 @@ Array = np.ndarray
 
 class DataError(ValueError):
     """Malformed or inconsistent data; message carries file:line when known."""
-
-
-def _err(path: str, lineno: int, msg: str):
-    raise DataError(f"{path}:{lineno}: {msg}")
 
 
 def token_to_file(token: str) -> str:
@@ -157,8 +163,7 @@ class Dataset:
     objects: Vocabulary
     pairs: list[CandidatePair]
     appearance_dim: int
-    counts: dict[Triplet, int] = field(default_factory=dict)
-    observed: set[Triplet] = field(default_factory=set)
+    counts: dict[Triplet, int] = field(default_factory=dict)  # positives per observed triplet
 
     @classmethod
     def build(
@@ -173,11 +178,7 @@ class Dataset:
         for pair in pairs:
             for t in pair.positives():
                 ds.counts[t] = ds.counts.get(t, 0) + 1
-                ds.observed.add(t)
         return ds
-
-    def observed_sorted(self) -> list[Triplet]:
-        return sorted(self.observed)
 
 
 @dataclass(eq=False)
@@ -193,6 +194,74 @@ class WordTable:
 
 
 # ---------------------------------------------------------------------------
+# The line reader
+# ---------------------------------------------------------------------------
+
+
+class Line:
+    """One numbered, split, non-blank line of an input file. The accessors
+    take field positions; every failure names the file and the line."""
+
+    __slots__ = ("path", "lineno", "parts")
+
+    def __init__(self, path: str, lineno: int, parts: list[str]):
+        self.path, self.lineno, self.parts = path, lineno, parts
+
+    def fail(self, msg: str):
+        raise DataError(f"{self.path}:{self.lineno}: {msg}")
+
+    def expect(self, length: int, keywords: Iterable[tuple[int, str]]):
+        """At least ``length`` fields, and each (position, word) of
+        ``keywords`` in place, checked in order."""
+        if len(self.parts) < length:
+            self.fail("truncated line")
+        for at, word in keywords:
+            if self.parts[at] != word:
+                self.fail(f"expected {word!r}, found {self.parts[at]!r}")
+
+    def integer(self, at: int, what: str) -> int:
+        try:
+            return int(self.parts[at])
+        except ValueError:
+            self.fail(f"bad {what} {self.parts[at]!r}")
+
+    def reals(self, start: int, stop: int | None, what: str) -> Array:
+        """Fields start:stop as one float64 array (same bits as ``float``)."""
+        block = self.parts[start:stop]
+        try:
+            return np.array(block, dtype=np.float64)
+        except ValueError:
+            for tok in block:
+                try:
+                    float(tok)
+                except ValueError:
+                    self.fail(f"bad real in {what}: {tok!r}")
+            raise
+
+    def token(self, at: int, vocab: Vocabulary, what: str) -> int:
+        tok = token_from_file(self.parts[at])
+        if tok not in vocab:
+            self.fail(f"unknown {what} token {tok!r}")
+        return vocab.index[tok]
+
+    def triplet(self, vocabs, start: int = 0, stop: int | None = None) -> Triplet:
+        try:
+            return parse_triplet(vocabs, self.parts[start:stop])
+        except DataError as e:
+            self.fail(str(e))
+
+
+def read_lines(path: str) -> Iterator[Line]:
+    """The non-blank lines of a text file, split on whitespace, numbered
+    from 1."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if parts:
+                yield Line(path, lineno, parts)
+
+
+# ---------------------------------------------------------------------------
 # Vocabulary and word-table files
 # ---------------------------------------------------------------------------
 
@@ -205,14 +274,10 @@ def write_vocabulary(vocab: Vocabulary, path: str):
 
 def load_vocabulary(path: str) -> Vocabulary:
     tokens = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if len(line.split()) != 1:
-                _err(path, lineno, "vocabulary lines hold exactly one token")
-            tokens.append(token_from_file(line))
+    for line in read_lines(path):
+        if len(line.parts) != 1:
+            line.fail("vocabulary lines hold exactly one token")
+        tokens.append(token_from_file(line.parts[0]))
     try:
         return Vocabulary(tokens)
     except DataError as e:
@@ -237,31 +302,21 @@ def load_word_table(path: str, vocabularies: Iterable[Vocabulary]) -> WordTable:
         wanted.update(vocab.tokens)
     vectors: dict[str, Array] = {}
     dim = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if dim is None:
-                if parts[0] != "dim" or len(parts) != 2:
-                    _err(path, lineno, "expected header 'dim <d_w>'")
-                try:
-                    dim = int(parts[1])
-                except ValueError:
-                    _err(path, lineno, f"bad dimension {parts[1]!r}")
-                if dim <= 0:
-                    _err(path, lineno, f"dimension must be positive, got {dim}")
-                continue
-            tok = token_from_file(parts[0])
-            if tok not in wanted:
-                continue
-            if len(parts) - 1 != dim:
-                _err(path, lineno, f"expected {dim} values, found {len(parts) - 1}")
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError:
-                _err(path, lineno, "unparsable real value")
-            vectors[tok] = vec
+    for line in read_lines(path):
+        parts = line.parts
+        if dim is None:
+            if parts[0] != "dim" or len(parts) != 2:
+                line.fail("expected header 'dim <d_w>'")
+            dim = line.integer(1, "dimension")
+            if dim <= 0:
+                line.fail(f"dimension must be positive, got {dim}")
+            continue
+        tok = token_from_file(parts[0])
+        if tok not in wanted:
+            continue
+        if len(parts) - 1 != dim:
+            line.fail(f"expected {dim} values, found {len(parts) - 1}")
+        vectors[tok] = line.reals(1, None, f"the vector of {parts[0]!r}")
     if dim is None:
         raise DataError(f"{path}: empty word table")
     missing = sorted(wanted - vectors.keys())
@@ -277,27 +332,17 @@ def load_word_table(path: str, vocabularies: Iterable[Vocabulary]) -> WordTable:
 _VOCAB_KEYS = ("subjects", "predicates", "objects")
 
 
-def write_dataset(
-    dataset: Dataset,
-    path: str,
-    vocab_paths: dict[str, str] | None = None,
-    write_vocabularies: bool = True,
-):
-    """Write a dataset file plus (by default) its three vocabulary files.
-
-    ``vocab_paths`` maps 'subjects'/'predicates'/'objects' to paths relative
-    to the dataset file; defaults to ``<key>.txt`` next to it.
-    """
-    if vocab_paths is None:
-        vocab_paths = {k: f"{k}.txt" for k in _VOCAB_KEYS}
+def write_dataset(dataset: Dataset, path: str, write_vocabularies: bool = True):
+    """Write a dataset file plus (by default) its three vocabulary files,
+    ``<key>.txt`` next to it for 'subjects', 'predicates' and 'objects'."""
     base = os.path.dirname(os.path.abspath(path))
     if write_vocabularies:
         for key, vocab in zip(_VOCAB_KEYS, (dataset.subjects, dataset.predicates, dataset.objects)):
-            write_vocabulary(vocab, os.path.join(base, vocab_paths[key]))
+            write_vocabulary(vocab, os.path.join(base, f"{key}.txt"))
     with open(path, "w") as fh:
         fh.write(f"#appearance_dim {dataset.appearance_dim}\n")
         for key in _VOCAB_KEYS:
-            fh.write(f"#{key} {vocab_paths[key]}\n")
+            fh.write(f"#{key} {key}.txt\n")
         for pair in dataset.pairs:
             labels = " ".join(
                 f"p{j + 1}:{token_to_file(dataset.predicates[p])}"
@@ -315,57 +360,40 @@ def write_dataset(
             )
 
 
-class LineCursor:
-    """Keyword-checked token consumption for one line of a dataset or
-    results file; every failure names the file and line."""
+def _pair_keywords(d: int) -> tuple[tuple[int, str], ...]:
+    """(position, keyword) of every keyword of a pair line, appearance dim d."""
+    return (
+        (0, "pair"), (3, "sub"), (8, "obj"), (13, "scat"), (15, "ocat"),
+        (17, "afeat_s"), (18 + d, "afeat_o"), (19 + 2 * d, "labels"),
+    )
 
-    def __init__(self, path: str, lineno: int, parts: list[str]):
-        self.path, self.lineno, self.parts, self.at = path, lineno, parts, 0
 
-    def fail(self, msg: str):
-        _err(self.path, self.lineno, msg)
-
-    def take(self) -> str:
-        if self.at >= len(self.parts):
-            self.fail("truncated line")
-        tok = self.parts[self.at]
-        self.at += 1
-        return tok
-
-    def keyword(self, word: str):
-        tok = self.take()
-        if tok != word:
-            self.fail(f"expected {word!r}, found {tok!r}")
-
-    def integer(self, what: str) -> int:
-        tok = self.take()
-        try:
-            return int(tok)
-        except ValueError:
-            self.fail(f"bad {what} {tok!r}")
-
-    def reals(self, n: int, what: str) -> Array:
-        out = np.empty(n)
-        for i in range(n):
-            tok = self.take()
-            try:
-                out[i] = float(tok)
-            except ValueError:
-                self.fail(f"bad real in {what}: {tok!r}")
-        return out
-
-    def token(self, vocab: Vocabulary, what: str) -> int:
-        tok = token_from_file(self.take())
-        if tok not in vocab:
-            self.fail(f"unknown {what} token {tok!r}")
-        return vocab.lookup(tok)
-
-    def triplet(self, vocabs) -> Triplet:
-        tokens = [self.take() for _ in _SLOT_NAMES]
-        try:
-            return parse_triplet(vocabs, tokens)
-        except DataError as e:
-            self.fail(str(e))
+def _read_pair(line: Line, d: int, keywords, vocabs: dict[str, Vocabulary]) -> CandidatePair:
+    line.expect(20 + 2 * d, keywords)
+    pair_id = line.integer(1, "pair id")
+    image_id = line.integer(2, "image id")
+    sub = line.reals(4, 8, "sub box")
+    obj = line.reals(9, 13, "obj box")
+    scat = line.token(14, vocabs["subjects"], "subject category")
+    ocat = line.token(16, vocabs["objects"], "object category")
+    a_s = line.reals(18, 18 + d, "afeat_s")
+    a_o = line.reals(19 + d, 19 + 2 * d, "afeat_o")
+    predicates = vocabs["predicates"]
+    preds = []
+    for entry in line.parts[20 + 2 * d :]:
+        tag, sep, tok = entry.partition(":")
+        if not sep or not tag.startswith("p") or not tag[1:].isdigit():
+            line.fail(f"bad label entry {entry!r}, expected p<n>:<token>")
+        tok = token_from_file(tok)
+        if tok not in predicates:
+            line.fail(f"unknown predicate token {tok!r}")
+        preds.append(predicates.index[tok])
+    try:
+        sub_box = BoundingBox(*sub)
+        obj_box = BoundingBox(*obj)
+    except DataError as e:
+        line.fail(str(e))
+    return CandidatePair(pair_id, image_id, sub_box, obj_box, scat, ocat, a_s, a_o, tuple(preds))
 
 
 def load_dataset(path: str) -> Dataset:
@@ -373,80 +401,44 @@ def load_dataset(path: str) -> Dataset:
     appearance_dim = None
     vocab_paths: dict[str, str] = {}
     vocabs: dict[str, Vocabulary] | None = None
+    keywords = None
     pairs: list[CandidatePair] = []
     seen_ids: set[int] = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if not parts:
-                    _err(path, lineno, "empty header line")
-                if parts[0] == "appearance_dim":
-                    if len(parts) != 2:
-                        _err(path, lineno, "expected '#appearance_dim <d_a>'")
-                    try:
-                        appearance_dim = int(parts[1])
-                    except ValueError:
-                        _err(path, lineno, f"bad appearance dim {parts[1]!r}")
-                    if appearance_dim < 1:
-                        _err(path, lineno, f"appearance dim must be >= 1, got {appearance_dim}")
-                elif parts[0] in _VOCAB_KEYS:
-                    if len(parts) != 2:
-                        _err(path, lineno, f"expected '#{parts[0]} <path>'")
-                    vocab_paths[parts[0]] = parts[1]
-                else:
-                    _err(path, lineno, f"unknown header key {parts[0]!r}")
-                continue
-            if vocabs is None:
-                missing = [k for k in _VOCAB_KEYS if k not in vocab_paths]
-                if appearance_dim is None:
-                    _err(path, lineno, "pair line before '#appearance_dim' header")
-                if missing:
-                    _err(path, lineno, f"pair line before vocabulary headers: {', '.join(missing)}")
-                vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
-            cur = LineCursor(path, lineno, line.split())
-            cur.keyword("pair")
-            pair_id = cur.integer("pair id")
-            if pair_id in seen_ids:
-                cur.fail(f"duplicate pair id {pair_id}")
-            seen_ids.add(pair_id)
-            image_id = cur.integer("image id")
-            cur.keyword("sub")
-            sub = cur.reals(4, "sub box")
-            cur.keyword("obj")
-            obj = cur.reals(4, "obj box")
-            cur.keyword("scat")
-            scat = cur.token(vocabs["subjects"], "subject category")
-            cur.keyword("ocat")
-            ocat = cur.token(vocabs["objects"], "object category")
-            cur.keyword("afeat_s")
-            a_s = cur.reals(appearance_dim, "afeat_s")
-            cur.keyword("afeat_o")
-            a_o = cur.reals(appearance_dim, "afeat_o")
-            cur.keyword("labels")
-            preds = []
-            while cur.at < len(cur.parts):
-                entry = cur.take()
-                tag, sep, tok = entry.partition(":")
-                if not sep or not tag.startswith("p") or not tag[1:].isdigit():
-                    cur.fail(f"bad label entry {entry!r}, expected p<n>:<token>")
-                tok = token_from_file(tok)
-                if tok not in vocabs["predicates"]:
-                    cur.fail(f"unknown predicate token {tok!r}")
-                preds.append(vocabs["predicates"].lookup(tok))
-            try:
-                sub_box = BoundingBox(*sub)
-                obj_box = BoundingBox(*obj)
-            except DataError as e:
-                cur.fail(str(e))
-            pairs.append(
-                CandidatePair(
-                    pair_id, image_id, sub_box, obj_box, scat, ocat, a_s, a_o, tuple(preds)
-                )
-            )
+    for line in read_lines(path):
+        if line.parts[0].startswith("#"):
+            if vocabs is not None:
+                line.fail("header line after the first pair line")
+            # '#key value' and '# key value' are the same header
+            header = Line(path, line.lineno, " ".join(line.parts)[1:].split())
+            if not header.parts:
+                line.fail("empty header line")
+            key = header.parts[0]
+            if key == "appearance_dim":
+                if len(header.parts) != 2:
+                    line.fail("expected '#appearance_dim <d_a>'")
+                appearance_dim = header.integer(1, "appearance dim")
+                if appearance_dim < 1:
+                    line.fail(f"appearance dim must be >= 1, got {appearance_dim}")
+            elif key in _VOCAB_KEYS:
+                if len(header.parts) != 2:
+                    line.fail(f"expected '#{key} <path>'")
+                vocab_paths[key] = header.parts[1]
+            else:
+                line.fail(f"unknown header key {key!r}")
+            continue
+        if vocabs is None:
+            missing = [k for k in _VOCAB_KEYS if k not in vocab_paths]
+            if appearance_dim is None:
+                line.fail("pair line before '#appearance_dim' header")
+            if missing:
+                line.fail(f"pair line before vocabulary headers: {', '.join(missing)}")
+            vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
+            keywords = _pair_keywords(appearance_dim)
+        pair = _read_pair(line, appearance_dim, keywords, vocabs)
+        if pair.pair_id in seen_ids:
+            line.fail(f"duplicate pair id {pair.pair_id}")
+        seen_ids.add(pair.pair_id)
+        pairs.append(pair)
     if vocabs is None:
         missing = [k for k in _VOCAB_KEYS if k not in vocab_paths]
         if appearance_dim is None or missing:
@@ -492,17 +484,7 @@ def write_queries(triplets: Iterable[Triplet], dataset: Dataset, path: str):
 
 def load_queries(path: str, dataset: Dataset) -> list[Triplet]:
     vocabs = (dataset.subjects, dataset.predicates, dataset.objects)
-    out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts:
-                continue
-            try:
-                out.append(parse_triplet(vocabs, parts))
-            except DataError as e:
-                _err(path, lineno, str(e))
-    return out
+    return [line.triplet(vocabs) for line in read_lines(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def build_model(cfg: RunConfig, dataset: Dataset, table: WordTable, seed: int) -
         e_obj=np.stack([table.lookup(t) for t in dataset.objects.tokens]),
         visual=visual,
         branches=branches,
-        observed=dataset.observed_sorted(),
+        observed=sorted(dataset.counts),
         counts=dict(dataset.counts),
         appearance_dim=dataset.appearance_dim,
     )
@@ -290,7 +290,7 @@ def add_grads(total: dict[str, Array], grads: dict[str, Array], scale: float = 1
         total[name] = total[name] + term if name in total else term
 
 
-def _branch_terms(model, kind, batch, inp, training, rng):
+def branch_terms(model, kind, batch, inp, training, rng):
     """Loss of one branch on its visual input, its parameter gradients and
     the gradient wrt the input."""
     br = model.branch(kind)
@@ -339,13 +339,11 @@ def joint_loss(
     kinds: tuple[str, ...] | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    through_visual: bool = True,
 ) -> tuple[float, dict[str, Array]]:
     """Sum of branch losses over ``kinds`` (default: all active branches).
 
     The shared pair descriptor is computed once; its parameter gradients
-    accumulate over branches unless ``through_visual`` is false (used when
-    the descriptor front end is frozen).
+    accumulate over branches.
     """
     if not batch:
         raise DataError("empty batch")
@@ -356,12 +354,12 @@ def joint_loss(
     total = 0.0
     grads: dict[str, Array] = {}
     for kind in kinds:
-        loss, g, g_inp = _branch_terms(model, kind, batch, inputs[kind], training, rng)
+        loss, g, g_inp = branch_terms(model, kind, batch, inputs[kind], training, rng)
         total += loss
         add_grads(grads, g)
         if kind not in ("s", "o"):
             grad_x += g_inp
-    if x_cache is not None and through_visual:
+    if x_cache is not None:
         grads.update(visual_backward(model.visual, x_cache, grad_x))
     return total, grads
 

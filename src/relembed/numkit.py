@@ -36,7 +36,6 @@ _STREAM_IDS = {
     "init": 1,
     "stage1": 2,
     "stage2": 3,
-    "eval": 4,
     "gamma": 5,
 }
 
@@ -104,18 +103,15 @@ class Linear:
     def n_out(self) -> int:
         return self.w.shape[0]
 
-    def zeros_like(self) -> "Linear":
-        return Linear(np.zeros_like(self.w), None if self.b is None else np.zeros_like(self.b))
-
 
 def glorot_uniform(rng: np.random.Generator, n_out: int, n_in: int) -> Array:
     limit = np.sqrt(6.0 / (n_in + n_out))
     return rng.uniform(-limit, limit, size=(n_out, n_in))
 
 
-def linear_init(rng: np.random.Generator, n_in: int, n_out: int, bias: bool = True) -> Linear:
+def linear_init(rng: np.random.Generator, n_in: int, n_out: int) -> Linear:
     """Glorot-uniform weights, zero bias."""
-    return Linear(glorot_uniform(rng, n_out, n_in), np.zeros(n_out) if bias else None)
+    return Linear(glorot_uniform(rng, n_out, n_in), np.zeros(n_out))
 
 
 def linear_forward(lin: Linear, x: Array) -> tuple[Array, tuple]:
@@ -164,21 +160,17 @@ class Mlp:
     def n_out(self) -> int:
         return self.second.n_out
 
-    def zeros_like(self) -> "Mlp":
-        return Mlp(self.first.zeros_like(), self.second.zeros_like(), self.dropout)
-
 
 def mlp_init(
     rng: np.random.Generator,
     n_in: int,
     n_hidden: int,
     n_out: int,
-    bias: bool = True,
     dropout: float = 0.0,
 ) -> Mlp:
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout rate {dropout} outside [0, 1)")
-    return Mlp(linear_init(rng, n_in, n_hidden, bias), linear_init(rng, n_hidden, n_out, bias), dropout)
+    return Mlp(linear_init(rng, n_in, n_hidden), linear_init(rng, n_hidden, n_out), dropout)
 
 
 def mlp_forward(

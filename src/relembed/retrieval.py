@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BoundingBox, DataError, Dataset, LineCursor, Triplet, fmt_reals, triplet_text
+from .data import BoundingBox, DataError, Dataset, Triplet, fmt_reals, read_lines, triplet_text
 from .analogy import Gamma, source_pool, transfer_embedding
 from .model import JointModel, reuse_pair_embeddings, score_pairs
 
@@ -219,30 +219,26 @@ def write_results(path: str, results: list[APResult], subjects, predicates, obje
         fh.write(f"map {fmt_reals([overall])}\n")
 
 
+# (position, keyword) of every keyword of a query line
+_QUERY_KEYWORDS = ((4, "ap"), (6, "npos"), (8, "ndet"))
+
+
 def load_results(path: str, subjects, predicates, objects) -> tuple[list[APResult], float]:
     vocabs = (subjects, predicates, objects)
     results: list[APResult] = []
     overall = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            cur = LineCursor(path, lineno, line.split())
-            head = cur.take()
-            if head == "map":
-                overall = float(cur.reals(1, "map")[0])
-            elif head == "query":
-                query = cur.triplet(vocabs)
-                cur.keyword("ap")
-                ap = float(cur.reals(1, "ap")[0])
-                cur.keyword("npos")
-                npos = cur.integer("npos")
-                cur.keyword("ndet")
-                ndet = cur.integer("ndet")
-                results.append(APResult(query, ap, npos, ndet))
-            else:
-                cur.fail(f"expected query or map, found {head!r}")
+    for line in read_lines(path):
+        head = line.parts[0]
+        if head == "map":
+            line.expect(2, ())
+            overall = float(line.reals(1, 2, "map")[0])
+        elif head == "query":
+            line.expect(10, _QUERY_KEYWORDS)
+            query = line.triplet(vocabs, 1, 4)
+            ap = float(line.reals(5, 6, "ap")[0])
+            results.append(APResult(query, ap, line.integer(7, "npos"), line.integer(9, "ndet")))
+        else:
+            line.fail(f"expected query or map, found {head!r}")
     if overall is None:
         raise DataError(f"{path}: missing final map line")
     return results, overall

@@ -31,6 +31,7 @@ from relembed.data import BoundingBox, Triplet, synth_generate
 from relembed.model import (
     adam_update,
     batch_iter,
+    branch_inputs,
     build_model,
     embed_language_batch,
     joint_loss,
@@ -126,10 +127,11 @@ def test_criterion_1_gradient_correctness():
         observed = sorted(train.counts)
         targets = sorted({t for p in batch for t in p.positives()})
         q = [(observed[int(rng.integers(len(observed)))], u) for u in targets[:5]]
-        _, agrads = analogy_loss(model_vp, gamma, batch, q)
+        x = branch_inputs(model_vp, batch, ("vp",))[0]["vp"]
+        _, agrads = analogy_loss(model_vp, gamma, batch, x, q)
         named_a = [(n, a) for n, a in trainable(model_vp, 2, gamma) if ".f_w." not in n]
         numeric_a = finite_diff_grad(
-            lambda: analogy_loss(model_vp, gamma, batch, q)[0], [a for _, a in named_a]
+            lambda: analogy_loss(model_vp, gamma, batch, x, q)[0], [a for _, a in named_a]
         )
         analytic_a = [agrads.get(n, np.zeros_like(a)) for n, a in named_a]
         worst_analogy = max(worst_analogy, max_relative_error(analytic_a, numeric_a))
@@ -191,7 +193,8 @@ def test_criterion_3_gradient_flow_restriction():
     observed = sorted(train.counts)
     targets = sorted({t for p in batch for t in p.positives()})
     q = [(observed[int(rng.integers(len(observed)))], u) for u in targets]
-    _, grads = analogy_loss(model, gamma, batch, q)
+    x = branch_inputs(model, batch, ("vp",))[0]["vp"]
+    _, grads = analogy_loss(model, gamma, batch, x, q)
 
     named_only = all(n.startswith(("gamma.", "branch.vp.f_v.")) for n in grads)
 

@@ -31,6 +31,7 @@ from relembed.data import (
     WordTable,
 )
 from relembed.model import (
+    branch_inputs,
     build_model,
     embed_language_batch,
     named_parameters,
@@ -349,13 +350,17 @@ def _batch(dataset, n=8):
     return dataset.pairs[:n]
 
 
+def _vp_input(model, batch):
+    return branch_inputs(model, batch, ("vp",))[0]["vp"]
+
+
 def test_analogy_loss_grads_touch_only_gamma_and_vp_visual(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "deep")
     batch = _batch(train)
     u = model.observed[0]
     q = [(model.observed[1], u), (model.observed[2], u)]
-    loss, grads = analogy_loss(model, gamma, batch, q)
+    loss, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), q)
     assert loss > 0.0
     for name in grads:
         assert name.startswith("gamma.") or name.startswith("branch.vp.f_v."), name
@@ -368,21 +373,21 @@ def test_analogy_loss_zero_gamma_has_no_gamma_grads(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "zero")
     q = [(model.observed[1], model.observed[0])]
-    _, grads = analogy_loss(model, gamma, _batch(train), q)
+    _, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), q)
     assert all(name.startswith("branch.vp.f_v.") for name in grads)
 
 
 def test_analogy_loss_empty_q_is_zero(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "deep")
-    loss, grads = analogy_loss(model, gamma, _batch(train), [])
+    loss, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), [])
     assert loss == 0.0 and grads == {}
 
 
 def test_analogy_loss_absent_gamma_rejected(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     with pytest.raises(DataError, match="absent"):
-        analogy_loss(model, Gamma("absent"), _batch(train), [])
+        analogy_loss(model, Gamma("absent"), _batch(train), _vp_input(model, _batch(train)), [])
 
 
 def test_analogy_loss_matches_finite_differences(small_bench):
@@ -394,10 +399,10 @@ def test_analogy_loss_matches_finite_differences(small_bench):
         gamma = make_gamma(model, kind)
         named = trainable(model, 2, gamma)
         named = [(n, a) for n, a in named if not n.startswith("branch.vp.f_w")]
-        _, grads = analogy_loss(model, gamma, batch, q)
+        _, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), q)
 
         def loss_fn():
-            return analogy_loss(model, gamma, batch, q)[0]
+            return analogy_loss(model, gamma, batch, _vp_input(model, batch), q)[0]
 
         numeric = finite_diff_grad(loss_fn, [a for _, a in named])
         for (name, arr), num in zip(named, numeric):
@@ -413,7 +418,7 @@ def test_analogy_loss_language_side_sees_zero_gradient(small_bench):
     gamma = make_gamma(model, "deep")
     batch = _batch(train, 6)
     q = [(model.observed[1], model.observed[0])]
-    _, grads = analogy_loss(model, gamma, batch, q)
+    _, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), q)
     fw = [(n, a) for n, a in trainable(model, 2, gamma) if n.startswith("branch.vp.f_w")]
     assert fw
     for name, _ in fw:
@@ -427,7 +432,7 @@ def test_analogy_loss_uninformative_prediction_is_log2(small_bench):
     br.f_v.second.w[:] = 0.0
     br.f_v.second.b[:] = 0.0
     q = [(model.observed[1], model.observed[0])]
-    loss, _ = analogy_loss(model, gamma, _batch(train), q)
+    loss, _ = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), q)
     assert abs(loss - np.log(2.0)) < 1e-12
 
 

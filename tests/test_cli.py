@@ -2,14 +2,18 @@
 inspect, determinism of outputs, and error reporting."""
 
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import relembed
 from relembed import model as model_mod
 from relembed.checkpoint import load_checkpoint, save_checkpoint
 from relembed.cli import main
-from relembed.config import load_config, write_config
+from relembed.config import RunConfig, load_config, write_config
 from relembed.data import Triplet, load_dataset, load_queries, write_queries
 from relembed.model import build_model, named_parameters, pair_embeddings, score_pairs
 from relembed.retrieval import load_results
@@ -494,3 +498,57 @@ def test_corrupt_dataset_is_data_error(run_dir, tmp_path, capsys):
     write_config(cfg, cfg_path)
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:data:")
+
+
+@pytest.mark.parametrize(
+    "argv", [["eval", "--top", "abc"], ["bogus"], []], ids=["bad_int", "unknown_command", "no_command"]
+)
+def test_bad_command_line_is_one_usage_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:usage: relembed"), err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "synth" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_is_one_config_error(tmp_path, capsys, where):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = -3\n" if where == "config" else "seed = 0\n")
+    argv = ["synth", "--config", str(path), "--out", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--seed", "-3"]
+    assert main(argv) == 1
+    source = f"{path}: " if where == "config" else ""
+    assert capsys.readouterr().err.splitlines() == [f"error:config: {source}seed must be >= 0, got -3"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_training_is_byte_identical_across_blas_thread_counts(tmp_path):
+    """The package pins BLAS to one thread, so a train process started with
+    two writes the same bytes as one started with one. Both runs use the
+    same relative paths: the checkpoint header stores them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relembed.__file__)))
+
+    def relembed_cli(cwd, *args, threads="1"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "relembed.cli", *args],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+
+    one, two = tmp_path / "one", tmp_path / "two"
+    one.mkdir()
+    write_config(RunConfig(stage1_epochs=4, stage2_epochs=0), str(one / "run.cfg"))
+    relembed_cli(one, "synth", "--config", "run.cfg", "--out", "data")
+    shutil.copytree(one, two)
+    relembed_cli(one, "train", "--config", "data/effective.cfg", "--out", "train", threads="1")
+    relembed_cli(two, "train", "--config", "data/effective.cfg", "--out", "train", threads="2")
+    for name in ("data/model.ckpt", "train/loss_trace.txt"):
+        assert read_bytes(one / name) == read_bytes(two / name), name

@@ -59,7 +59,6 @@ def assert_datasets_equal(a: Dataset, b: Dataset):
     assert a.objects.tokens == b.objects.tokens
     assert a.appearance_dim == b.appearance_dim
     assert a.counts == b.counts
-    assert a.observed == b.observed
     assert len(a.pairs) == len(b.pairs)
     for pa, pb in zip(a.pairs, b.pairs):
         assert pa.pair_id == pb.pair_id
@@ -102,7 +101,7 @@ def test_dataset_counts_single_positive():
     assert ds.counts[Triplet(0, 0, 0)] == 1
     assert ds.counts[Triplet(0, 0, 1)] == 1
     assert ds.counts[Triplet(0, 1, 1)] == 1
-    assert Triplet(1, 0, 0) not in ds.observed  # all-negative pair
+    assert Triplet(1, 0, 0) not in ds.counts  # all-negative pair
 
 
 def test_dataset_file_round_trip(tmp_path):
@@ -121,7 +120,7 @@ def test_empty_dataset_round_trip(tmp_path):
     write_dataset(ds, str(path))
     back = load_dataset(str(path))
     assert back.pairs == []
-    assert back.observed == set()
+    assert back.counts == {}
 
 
 def write_then_edit(tmp_path, transform):
@@ -183,6 +182,68 @@ def test_loader_rejects_bad_label_entry(tmp_path):
         load_dataset(path)
 
 
+def _set(at, tok):
+    def edit(parts):
+        parts[at] = tok
+        return parts
+
+    return edit
+
+
+# The first pair line of ``tiny_dataset`` (appearance dim 3), by position:
+# 0 pair, 1 id, 2 image, 3 sub, 4-7, 8 obj, 9-12, 13 scat, 14, 15 ocat, 16,
+# 17 afeat_s, 18-20, 21 afeat_o, 22-24, 25 labels, 26 p1:ride
+_KEYWORDS = ((0, "pair"), (3, "sub"), (8, "obj"), (13, "scat"), (15, "ocat"),
+             (17, "afeat_s"), (21, "afeat_o"), (25, "labels"))
+_MALFORMED_PAIR_LINES = [
+    *(
+        pytest.param(_set(at, word + "x"), f"expected '{word}', found '{word}x'", id=f"keyword_{word}")
+        for at, word in _KEYWORDS
+    ),
+    pytest.param(_set(1, "x1"), "bad pair id 'x1'", id="pair_id"),
+    pytest.param(_set(2, "7.5"), "bad image id '7.5'", id="image_id"),
+    pytest.param(_set(5, "oops"), "bad real in sub box: 'oops'", id="real_sub"),
+    pytest.param(_set(10, "1,5"), "bad real in obj box: '1,5'", id="real_obj"),
+    pytest.param(_set(19, "0x1"), "bad real in afeat_s: '0x1'", id="real_afeat_s"),
+    pytest.param(_set(24, "e"), "bad real in afeat_o: 'e'", id="real_afeat_o"),
+    pytest.param(_set(14, "unicorn"), "unknown subject category token 'unicorn'", id="scat"),
+    pytest.param(_set(16, "unicorn"), "unknown object category token 'unicorn'", id="ocat"),
+    pytest.param(_set(26, "ride"), "bad label entry 'ride', expected p<n>:<token>", id="label_entry"),
+    pytest.param(_set(26, "p1:fly"), "unknown predicate token 'fly'", id="label_predicate"),
+    pytest.param(_set(6, "0.0"), "degenerate box (0.0, 0.0, 0.0, 10.0)", id="degenerate_box"),
+    pytest.param(lambda parts: parts[:23], "truncated line", id="cut_in_afeat_o"),
+]
+
+
+@pytest.mark.parametrize("edit, message", _MALFORMED_PAIR_LINES)
+def test_loader_names_file_and_line_for_each_malformed_pair_field(tmp_path, edit, message):
+    def mangle(lines):
+        assert lines[4].split()[26] == "p1:ride"  # the layout the cases index
+        lines[4] = " ".join(edit(lines[4].split()))
+        return lines
+
+    path = write_then_edit(tmp_path, mangle)
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}:5: {message}"
+
+
+def test_loader_accepts_a_space_after_the_header_hash(tmp_path):
+    def spaced(lines):
+        return ["# " + line[1:] if line.startswith("#") else line for line in lines]
+
+    path = write_then_edit(tmp_path, spaced)
+    assert open(path).readline() == "# appearance_dim 3\n"
+    assert_datasets_equal(load_dataset(path), tiny_dataset())
+
+
+def test_loader_rejects_a_header_after_the_pair_lines(tmp_path):
+    path = write_then_edit(tmp_path, lambda lines: lines + ["#appearance_dim 2"])
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}:8: header line after the first pair line"
+
+
 def test_loader_requires_headers_before_pairs(tmp_path):
     def mangle(lines):
         return lines[1:]  # drop #appearance_dim
@@ -224,6 +285,9 @@ def test_word_table_rejects_wrong_dim(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("dim 3\na 1 2\n")
     with pytest.raises(DataError, match=r"w\.txt:2"):
+        load_word_table(str(path), [vocab])
+    path.write_text("dim 3\na 1 x 2\n")
+    with pytest.raises(DataError, match=r"w\.txt:2: bad real in the vector of 'a': 'x'$"):
         load_word_table(str(path), [vocab])
 
 
@@ -301,8 +365,8 @@ def test_synth_heldout_absent_from_train_present_in_test():
         assert test.counts[t] >= 20
     # every non-heldout triplet is frequent enough to act as a source
     frequent = source_pool(build_model(desk_config(rare_threshold=10), train, table, seed=0))
-    assert set(frequent) == train.observed
-    assert not set(heldout) & train.observed
+    assert set(frequent) == set(train.counts)
+    assert not set(heldout) & set(train.counts)
 
 
 def test_synth_counts_match_independent_recount():

@@ -462,6 +462,16 @@ def test_results_loader_rejects_garbage(tmp_path):
         fh.write("query a q o ap 0.5 npos 2 ndet 3\nmap 0.5\n")
     with pytest.raises(DataError, match=r"bad.txt:1: unknown predicate token 'q'"):
         load_results(path, subs, pres, objs)
+    for line, message in (
+        ("query a p o ap high npos 2 ndet 3", "bad real in ap: 'high'"),
+        ("query a p o ap 0.5 npos 2.0 ndet 3", "bad npos '2.0'"),
+        ("query a p o ap 0.5 npos 2 ndex 3", "expected 'ndet', found 'ndex'"),
+    ):
+        with open(path, "w") as fh:
+            fh.write(f"{line}\nmap 0.5\n")
+        with pytest.raises(DataError) as info:
+            load_results(path, subs, pres, objs)
+        assert str(info.value) == f"{path}:1: {message}"
 
 
 # ---------------------------------------------------------------------------
