@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, Triplet
+from .data import DataError, Dataset, PairTable, Triplet
 from .features import mask_triplet
 from .model import (
     JointModel,
@@ -234,7 +234,7 @@ def transfer_embedding(
 
 
 def sample_q_pairs(
-    batch,
+    batch: PairTable,
     source_sets: dict[Triplet, list[tuple[Triplet, float]]],
     rng: np.random.Generator,
 ) -> tuple[list[tuple[Triplet, Triplet]], int]:
@@ -242,9 +242,9 @@ def sample_q_pairs(
 
     Targets with an empty source set are skipped and counted.
     """
-    targets = sorted({t for pair in batch for t in pair.positives()})
+    targets = np.unique(batch.positives()[1], axis=0).tolist()
     q, skipped = [], 0
-    for u in targets:
+    for u in map(Triplet._make, targets):
         sources = source_sets.get(u, [])
         if not sources:
             skipped += 1
@@ -257,7 +257,7 @@ def sample_q_pairs(
 def analogy_loss(
     model: JointModel,
     gamma: Gamma,
-    batch,
+    batch: PairTable,
     x: Array,
     q_pairs: list[tuple[Triplet, Triplet]],
     training: bool = False,

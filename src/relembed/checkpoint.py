@@ -105,6 +105,8 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
         _fail(path, f"header lacks {', '.join(missing)}")
     if header["format"] != FORMAT:
         _fail(path, f"unsupported format {header['format']!r}")
+    if not isinstance(header["config"], str):
+        _fail(path, f"header config must be a string, got {type(header['config']).__name__}")
     cfg = parse_config(header["config"], source=path)
     if config_hash(cfg) != header["config_hash"]:
         _fail(path, "config hash mismatch")

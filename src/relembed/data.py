@@ -1,10 +1,12 @@
-"""Vocabularies, candidate box pairs, datasets, word-vector tables, their
-file formats, and a planted synthetic-relation generator.
+"""Vocabularies, the candidate pair table, datasets, word-vector tables,
+their file formats, and a planted synthetic-relation generator.
 
 A candidate pair is one (subject box, object box) proposal inside an image,
 carrying precomputed appearance features for both boxes and a possibly empty
-list of predicate labels. The triplets annotated on a pair are
-(subject_category, predicate, object_category) for each labeled predicate.
+list of predicate labels, each annotating the triplet (subject_category,
+predicate, object_category). Candidate pairs live in one ``PairTable`` of
+columns, one row per pair; a dataset's pairs, every training batch and every
+eval candidate set are tables, and ``PairTable.take`` selects rows.
 
 File formats (all line-oriented text, floats written with full precision):
 
@@ -26,7 +28,8 @@ File formats (all line-oriented text, floats written with full precision):
 Every reader, ``retrieval.load_results`` included, goes through one line
 reader, ``read_lines``: numbered, split, non-blank lines, each a ``Line``
 whose accessors take field positions and name the file and line in every
-error. Blank lines are skipped everywhere.
+error. Blank lines are skipped everywhere, and every integer field must fit
+in int64.
 
 Tokens containing spaces are written with underscores and restored on read.
 A triplet reads and prints through one codec, ``parse_triplet`` and
@@ -37,7 +40,7 @@ of the slots its mask keeps.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -139,21 +142,57 @@ class BoundingBox:
 
 
 @dataclass(eq=False)
-class CandidatePair:
-    pair_id: int
-    image_id: int
-    sub_box: BoundingBox
-    obj_box: BoundingBox
-    subject_cat: int
-    object_cat: int
-    appear_sub: Array
-    appear_obj: Array
-    positive_predicates: tuple[int, ...]
+class PairTable:
+    """Candidate pairs as columns, one row per pair. Row i's positive
+    predicates, in file order and repeats kept, are compressed sparse rows:
+    ``pos_preds[pos_offsets[i]:pos_offsets[i + 1]]``."""
 
-    def positives(self) -> tuple[Triplet, ...]:
-        if not self.positive_predicates:  # most pairs; skips building a generator
-            return ()
-        return tuple(Triplet(self.subject_cat, p, self.object_cat) for p in self.positive_predicates)
+    pair_id: Array  # (N,) int64
+    image_id: Array  # (N,) int64
+    scat: Array  # (N,) int64 subject category
+    ocat: Array  # (N,) int64 object category
+    a_s: Array  # (N, d_a) subject appearance
+    a_o: Array  # (N, d_a) object appearance
+    boxes: Array  # (N, 2) BoundingBox objects: subject, object
+    coords: Array  # (N, 8) the boxes' coordinates, subject box first
+    pos_offsets: Array  # (N + 1,) int64
+    pos_preds: Array  # int64 predicate indices
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple], appearance_dim: int) -> "PairTable":
+        """A table from (pair_id, image_id, sub_box, obj_box, scat, ocat,
+        a_s, a_o, predicates) rows."""
+        n = len(rows)
+        ids, images, subs, objs, scat, ocat, a_s, a_o, preds = zip(*rows) if rows else [()] * 9
+        return cls(
+            *(np.array(column, dtype=np.int64) for column in (ids, images, scat, ocat)),
+            *(np.array(a, dtype=np.float64).reshape(n, appearance_dim) for a in (a_s, a_o)),
+            np.array(list(zip(subs, objs)), dtype=object).reshape(n, 2),
+            np.array([s.coords() + o.coords() for s, o in zip(subs, objs)], np.float64).reshape(n, 8),
+            np.cumsum([0, *map(len, preds)], dtype=np.int64),
+            np.array([p for ps in preds for p in ps], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.pair_id)
+
+    def __iter__(self) -> Iterator["PairTable"]:  # one-row tables, in row order
+        return (self.take([i]) for i in range(len(self)))
+
+    def take(self, rows) -> "PairTable":
+        """The table of the given rows (an index sequence), in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        start = self.pos_offsets[rows]
+        lengths = self.pos_offsets[rows + 1] - start
+        offsets = np.cumsum(np.concatenate(([0], lengths)), dtype=np.int64)
+        entries = np.repeat(start - offsets[:-1], lengths) + np.arange(offsets[-1])
+        columns = (getattr(self, f.name)[rows] for f in fields(self)[:-2])  # all but the CSR pair
+        return PairTable(*columns, offsets, self.pos_preds[entries])
+
+    def positives(self) -> tuple[Array, Array]:
+        """Row indices and (E, 3) (scat, predicate, ocat) of every positive entry."""
+        rows = np.repeat(np.arange(len(self)), np.diff(self.pos_offsets))
+        return rows, np.stack([self.scat[rows], self.pos_preds, self.ocat[rows]], axis=1)
 
 
 @dataclass(eq=False)
@@ -161,24 +200,16 @@ class Dataset:
     subjects: Vocabulary
     predicates: Vocabulary
     objects: Vocabulary
-    pairs: list[CandidatePair]
-    appearance_dim: int
-    counts: dict[Triplet, int] = field(default_factory=dict)  # positives per observed triplet
+    pairs: PairTable
+    counts: dict[Triplet, int] = field(init=False)  # positives per observed triplet
 
-    @classmethod
-    def build(
-        cls,
-        subjects: Vocabulary,
-        predicates: Vocabulary,
-        objects: Vocabulary,
-        pairs: list[CandidatePair],
-        appearance_dim: int,
-    ) -> "Dataset":
-        ds = cls(subjects, predicates, objects, pairs, appearance_dim)
-        for pair in pairs:
-            for t in pair.positives():
-                ds.counts[t] = ds.counts.get(t, 0) + 1
-        return ds
+    def __post_init__(self):
+        triplets, n = np.unique(self.pairs.positives()[1], axis=0, return_counts=True)
+        self.counts = {Triplet(*t): c for t, c in zip(triplets.tolist(), n.tolist())}
+
+    @property
+    def appearance_dim(self) -> int:
+        return self.pairs.a_s.shape[1]
 
 
 @dataclass(eq=False)
@@ -198,6 +229,9 @@ class WordTable:
 # ---------------------------------------------------------------------------
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 class Line:
     """One numbered, split, non-blank line of an input file. The accessors
     take field positions; every failure names the file and the line."""
@@ -210,20 +244,25 @@ class Line:
     def fail(self, msg: str):
         raise DataError(f"{self.path}:{self.lineno}: {msg}")
 
-    def expect(self, length: int, keywords: Iterable[tuple[int, str]]):
-        """At least ``length`` fields, and each (position, word) of
-        ``keywords`` in place, checked in order."""
+    def expect(self, length: int, keywords: Iterable[tuple[int, str]], exact: bool = False):
+        """At least (``exact``: exactly) ``length`` fields, and each
+        (position, word) of ``keywords`` in place, checked in order."""
         if len(self.parts) < length:
             self.fail("truncated line")
+        if exact and len(self.parts) > length:
+            self.fail(f"expected {length} fields, found {len(self.parts)}")
         for at, word in keywords:
             if self.parts[at] != word:
                 self.fail(f"expected {word!r}, found {self.parts[at]!r}")
 
     def integer(self, at: int, what: str) -> int:
         try:
-            return int(self.parts[at])
+            value = int(self.parts[at])
         except ValueError:
             self.fail(f"bad {what} {self.parts[at]!r}")
+        if not _INT64.min <= value <= _INT64.max:
+            self.fail(f"{what} {self.parts[at]} outside the int64 range")
+        return value
 
     def reals(self, start: int, stop: int | None, what: str) -> Array:
         """Fields start:stop as one float64 array (same bits as ``float``)."""
@@ -255,10 +294,13 @@ def read_lines(path: str) -> Iterator[Line]:
     """The non-blank lines of a text file, split on whitespace, numbered
     from 1."""
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if parts:
-                yield Line(path, lineno, parts)
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                parts = raw.split()
+                if parts:
+                    yield Line(path, lineno, parts)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: undecodable text: {e.reason}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -343,32 +385,28 @@ def write_dataset(dataset: Dataset, path: str, write_vocabularies: bool = True):
         fh.write(f"#appearance_dim {dataset.appearance_dim}\n")
         for key in _VOCAB_KEYS:
             fh.write(f"#{key} {key}.txt\n")
-        for pair in dataset.pairs:
-            labels = " ".join(
-                f"p{j + 1}:{token_to_file(dataset.predicates[p])}"
-                for j, p in enumerate(pair.positive_predicates)
-            )
+        t = dataset.pairs
+        offsets, preds = t.pos_offsets.tolist(), t.pos_preds.tolist()
+        columns = (t.pair_id, t.image_id, t.coords, t.scat, t.ocat)  # small: listed at once
+        for i, (pair_id, image_id, xy, scat, ocat) in enumerate(zip(*(c.tolist() for c in columns))):
+            row_preds = preds[offsets[i] : offsets[i + 1]]
+            labels = " ".join(f"p{j + 1}:{token_to_file(dataset.predicates[p])}" for j, p in enumerate(row_preds))
             fh.write(
-                f"pair {pair.pair_id} {pair.image_id}"
-                f" sub {fmt_reals(pair.sub_box.coords())}"
-                f" obj {fmt_reals(pair.obj_box.coords())}"
-                f" scat {token_to_file(dataset.subjects[pair.subject_cat])}"
-                f" ocat {token_to_file(dataset.objects[pair.object_cat])}"
-                f" afeat_s {fmt_reals(pair.appear_sub)}"
-                f" afeat_o {fmt_reals(pair.appear_obj)}"
+                f"pair {pair_id} {image_id}"
+                f" sub {fmt_reals(xy[:4])} obj {fmt_reals(xy[4:])}"
+                f" scat {token_to_file(dataset.subjects[scat])}"
+                f" ocat {token_to_file(dataset.objects[ocat])}"
+                f" afeat_s {fmt_reals(t.a_s[i].tolist())}"
+                f" afeat_o {fmt_reals(t.a_o[i].tolist())}"
                 f" labels{' ' if labels else ''}{labels}\n"
             )
 
 
-def _pair_keywords(d: int) -> tuple[tuple[int, str], ...]:
-    """(position, keyword) of every keyword of a pair line, appearance dim d."""
-    return (
+def _read_pair(line: Line, d: int, vocabs: dict[str, Vocabulary]) -> tuple:
+    keywords = (  # (position, keyword) of every keyword of a pair line
         (0, "pair"), (3, "sub"), (8, "obj"), (13, "scat"), (15, "ocat"),
         (17, "afeat_s"), (18 + d, "afeat_o"), (19 + 2 * d, "labels"),
     )
-
-
-def _read_pair(line: Line, d: int, keywords, vocabs: dict[str, Vocabulary]) -> CandidatePair:
     line.expect(20 + 2 * d, keywords)
     pair_id = line.integer(1, "pair id")
     image_id = line.integer(2, "image id")
@@ -389,11 +427,10 @@ def _read_pair(line: Line, d: int, keywords, vocabs: dict[str, Vocabulary]) -> C
             line.fail(f"unknown predicate token {tok!r}")
         preds.append(predicates.index[tok])
     try:
-        sub_box = BoundingBox(*sub)
-        obj_box = BoundingBox(*obj)
+        boxes = BoundingBox(*sub), BoundingBox(*obj)
     except DataError as e:
         line.fail(str(e))
-    return CandidatePair(pair_id, image_id, sub_box, obj_box, scat, ocat, a_s, a_o, tuple(preds))
+    return pair_id, image_id, *boxes, scat, ocat, a_s, a_o, preds
 
 
 def load_dataset(path: str) -> Dataset:
@@ -401,8 +438,7 @@ def load_dataset(path: str) -> Dataset:
     appearance_dim = None
     vocab_paths: dict[str, str] = {}
     vocabs: dict[str, Vocabulary] | None = None
-    keywords = None
-    pairs: list[CandidatePair] = []
+    rows: list[tuple] = []
     seen_ids: set[int] = set()
     for line in read_lines(path):
         if line.parts[0].startswith("#"):
@@ -433,20 +469,18 @@ def load_dataset(path: str) -> Dataset:
             if missing:
                 line.fail(f"pair line before vocabulary headers: {', '.join(missing)}")
             vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
-            keywords = _pair_keywords(appearance_dim)
-        pair = _read_pair(line, appearance_dim, keywords, vocabs)
-        if pair.pair_id in seen_ids:
-            line.fail(f"duplicate pair id {pair.pair_id}")
-        seen_ids.add(pair.pair_id)
-        pairs.append(pair)
+        row = _read_pair(line, appearance_dim, vocabs)
+        if row[0] in seen_ids:
+            line.fail(f"duplicate pair id {row[0]}")
+        seen_ids.add(row[0])
+        rows.append(row)
     if vocabs is None:
         missing = [k for k in _VOCAB_KEYS if k not in vocab_paths]
         if appearance_dim is None or missing:
             raise DataError(f"{path}: incomplete header (no pairs and missing declarations)")
         vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
-    return Dataset.build(
-        vocabs["subjects"], vocabs["predicates"], vocabs["objects"], pairs, appearance_dim
-    )
+    pairs = PairTable.from_rows(rows, appearance_dim)
+    return Dataset(vocabs["subjects"], vocabs["predicates"], vocabs["objects"], pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +710,7 @@ def synth_generate(
     heldout_set = set(heldout)
 
     def emit(pairs_per_triplet, heldout_pairs):
-        pairs: list[CandidatePair] = []
+        rows: list[tuple] = []
         for fam in families:
             for t in fam:
                 n_pos = heldout_pairs if t in heldout_set else pairs_per_triplet
@@ -684,16 +718,12 @@ def synth_generate(
                 for _ in range(n_pos):
                     a_s, a_o = planted.appearance(t, t.s, t.o, rng)
                     sub, obj = planted.boxes(t.p, rng)
-                    pid = len(pairs)
-                    pairs.append(
-                        CandidatePair(pid, pid, sub, obj, t.s, t.o, a_s, a_o, (t.p,))
-                    )
+                    rows.append((len(rows), len(rows), sub, obj, t.s, t.o, a_s, a_o, (t.p,)))
                 for _ in range(n_neg):
                     a_s, a_o = planted.appearance(None, t.s, t.o, rng)
                     sub, obj = planted.boxes(None, rng)
-                    pid = len(pairs)
-                    pairs.append(CandidatePair(pid, pid, sub, obj, t.s, t.o, a_s, a_o, ()))
-        return Dataset.build(subjects, predicates, objects, pairs, cfg.appearance_dim)
+                    rows.append((len(rows), len(rows), sub, obj, t.s, t.o, a_s, a_o, ()))
+        return Dataset(subjects, predicates, objects, PairTable.from_rows(rows, cfg.appearance_dim))
 
     train = emit(cfg.train_pairs_per_triplet, heldout_pairs=0)
     test = emit(cfg.test_pairs_per_triplet, heldout_pairs=cfg.heldout_test_pairs)

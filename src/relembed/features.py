@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import LANGUAGE_MASKS, BoundingBox, CandidatePair, Triplet
+from .data import LANGUAGE_MASKS, PairTable, Triplet
 from .numkit import (
     Array,
     Linear,
@@ -46,45 +46,29 @@ BRANCH_MASK = {"s": "s", "o": "o", "p": "p", "vp": "full", "sp": "sp", "po": "po
 # ---------------------------------------------------------------------------
 
 
-def spatial_features(sub: BoundingBox, obj: BoundingBox, norm: str = "area") -> Array:
-    """8-vector of union-normalized box coordinates, subject block first.
+def spatial_features(coords: Array, norm: str = "area") -> Array:
+    """Union-normalized box coordinates, one 8-vector per row of ``coords``
+    (subject then object box, each (x_min, y_min, x_max, y_max)); each
+    output row is subject then object (x_min, x_max, y_min, y_max).
 
     Coordinates are shifted to the union-box origin, then divided by the
     union area (norm='area', the default) or by the union width/height per
-    axis (norm='extent').
+    axis (norm='extent'). Ties in the union keep the subject's value.
     """
-    ux = min(sub.x_min, obj.x_min)
-    uy = min(sub.y_min, obj.y_min)
-    uw = max(sub.x_max, obj.x_max) - ux
-    uh = max(sub.y_max, obj.y_max) - uy
-    if norm == "area":
-        ax = ay = uw * uh
-    elif norm == "extent":
-        ax, ay = uw, uh
-    else:
+    if norm not in SPATIAL_NORMS:
         raise ValueError(f"unknown spatial norm {norm!r}")
-    return np.array(
-        [
-            (sub.x_min - ux) / ax,
-            (sub.x_max - ux) / ax,
-            (sub.y_min - uy) / ay,
-            (sub.y_max - uy) / ay,
-            (obj.x_min - ux) / ax,
-            (obj.x_max - ux) / ax,
-            (obj.y_min - uy) / ay,
-            (obj.y_max - uy) / ay,
-        ]
-    )
+    box = coords.reshape(-1, 2, 2, 2)  # row, subject/object, min/max corner, x/y
+    sub, obj = box[:, 0], box[:, 1]
+    origin = np.where(obj[:, 0] < sub[:, 0], obj[:, 0], sub[:, 0])
+    size = np.where(obj[:, 1] > sub[:, 1], obj[:, 1], sub[:, 1]) - origin
+    scale = size[:, :1] * size[:, 1:] if norm == "area" else size
+    out = (box - origin[:, None, None, :]) / scale[:, None, None, :]
+    return out.transpose(0, 1, 3, 2).reshape(-1, 8)
 
 
-def pair_arrays(
-    pairs: list[CandidatePair], spatial_norm: str = "area"
-) -> tuple[Array, Array, Array]:
-    """Stack appearance and geometry features of a pair list into batches."""
-    a_s = np.stack([p.appear_sub for p in pairs])
-    a_o = np.stack([p.appear_obj for p in pairs])
-    r = np.stack([spatial_features(p.sub_box, p.obj_box, spatial_norm) for p in pairs])
-    return a_s, a_o, r
+def pair_arrays(pairs: PairTable, spatial_norm: str = "area") -> tuple[Array, Array, Array]:
+    """The appearance blocks and the geometry features of a pair table."""
+    return pairs.a_s, pairs.a_o, spatial_features(pairs.coords, spatial_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import RunConfig
-from .data import DataError, Dataset, Triplet, Vocabulary, WordTable
+from .data import DataError, Dataset, PairTable, Triplet, Vocabulary, WordTable
 from .features import (
     BRANCH_MASK,
     LANGUAGE_MASKS,
@@ -209,27 +209,22 @@ def branch_universe(model: JointModel, kind: str) -> list[Triplet]:
     return labels
 
 
-def label_matrix(batch, columns: list[Triplet], mask: str, branch: str | None = None) -> Array:
+def label_matrix(batch: PairTable, columns: list[Triplet], mask: str, branch: str | None = None) -> Array:
     """1 where a pair's positive triplet, masked, equals the column label.
 
     With ``branch`` named, a positive that matches no column is an error;
     without, it stays unlabeled (the analogy columns hold only the targets
     that drew a source).
     """
-    first: dict[Triplet, int] = {}
-    for j, label in enumerate(columns):
-        first.setdefault(label, j)
+    first = {label: j for j, label in reversed(list(enumerate(columns)))}  # a label's first column
+    rows, triplets = batch.positives()
+    labels = (triplets * np.array(LANGUAGE_MASKS[mask], dtype=np.int64)).tolist()
     y = np.zeros((len(batch), len(columns)))
-    for i, pair in enumerate(batch):
-        for t in pair.positives():
-            label = mask_triplet(t, mask)
-            j = first.get(label)
-            if j is not None:
-                y[i, j] = 1.0
-            elif branch is not None:
-                raise DataError(
-                    f"positive label {tuple(label)} outside the {branch!r} branch universe"
-                )
+    for i, label in zip(rows.tolist(), map(tuple, labels)):
+        if label in first:
+            y[i, first[label]] = 1.0
+        elif branch is not None:
+            raise DataError(f"positive label {label} outside the {branch!r} branch universe")
     if len(first) < len(columns):  # a repeated label copies its first column
         y = y[:, [first[label] for label in columns]]
     return y
@@ -255,7 +250,7 @@ def embed_language_batch(model: JointModel, kind: str, triplets: list[Triplet]) 
     return embed_language_masked(model, kind, triplets, BRANCH_MASK[kind])
 
 
-def branch_inputs(model: JointModel, pairs, kinds) -> tuple[dict[str, Array], tuple | None]:
+def branch_inputs(model: JointModel, pairs: PairTable, kinds) -> tuple[dict[str, Array], tuple | None]:
     """The visual input of each branch in ``kinds``, one row per pair: the
     subject or object appearance for s and o, the shared pair descriptor
     (computed once) for every other kind. Also returns the descriptor's
@@ -375,9 +370,9 @@ _REUSED: dict[tuple[int, int], dict[str, Array] | None] = {}
 
 
 @contextlib.contextmanager
-def reuse_pair_embeddings(model: JointModel, pairs):
+def reuse_pair_embeddings(model: JointModel, pairs: PairTable):
     """Inside the block, ``pair_embeddings(model, pairs)`` for this model and
-    this pair list computes once and returns the same read-only arrays after.
+    this pair table computes once and returns the same read-only arrays after.
 
     The caller holds both objects for the whole block and does not change
     the model's weights in it.
@@ -393,7 +388,7 @@ def reuse_pair_embeddings(model: JointModel, pairs):
         del _REUSED[key]
 
 
-def pair_embeddings(model: JointModel, pairs) -> dict[str, Array]:
+def pair_embeddings(model: JointModel, pairs: PairTable) -> dict[str, Array]:
     """Eval-mode visual embeddings per branch, shared across queries."""
     key = (id(model), id(pairs))
     if key not in _REUSED:
@@ -406,7 +401,7 @@ def pair_embeddings(model: JointModel, pairs) -> dict[str, Array]:
     return dict(_REUSED[key])
 
 
-def _embed_pairs(model: JointModel, pairs) -> dict[str, Array]:
+def _embed_pairs(model: JointModel, pairs: PairTable) -> dict[str, Array]:
     inputs, _ = branch_inputs(model, pairs, model.active_kinds)
     return {kind: mlp_forward(model.branch(kind).f_v, inp)[0] for kind, inp in inputs.items()}
 
@@ -423,9 +418,7 @@ def score_from_embeddings(
     return score
 
 
-def score_pairs(
-    model: JointModel, t: Triplet, pairs, vp_override: Array | None = None
-) -> Array:
+def score_pairs(model: JointModel, t: Triplet, pairs: PairTable, vp_override: Array | None = None) -> Array:
     """Scores of every pair against query t (eval mode).
 
     ``vp_override`` substitutes a transferred embedding for the vp factor,
@@ -449,31 +442,31 @@ def batch_iter(dataset: Dataset, n_pos: int, n_neg: int, rng: np.random.Generato
     object category with the batch positives; the short final positive
     chunk is completed by resampling with replacement, so every batch is
     full. If no category-matched negative exists the whole negative pool is
-    used; with no negatives at all, batches are positives-only.
+    used; with no negatives at all, batches are positives-only. A batch is
+    a row selection of ``dataset.pairs``.
     """
-    positives = [i for i, p in enumerate(dataset.pairs) if p.positive_predicates]
-    if not positives:
+    table = dataset.pairs
+    labelled = np.diff(table.pos_offsets) > 0
+    positives = np.flatnonzero(labelled)
+    if not positives.size:
         raise DataError("dataset has no positive pairs")
-    by_combo: dict[tuple[int, int], list[int]] = {}
-    all_negatives = []
-    for i, p in enumerate(dataset.pairs):
-        if not p.positive_predicates:
-            by_combo.setdefault((p.subject_cat, p.object_cat), []).append(i)
-            all_negatives.append(i)
+    combo = table.scat * (int(table.ocat.max()) + 1) + table.ocat
+    negatives = np.flatnonzero(~labelled)
+    grouped = negatives[np.argsort(combo[negatives], kind="stable")]  # by category pair, then row
+    keys, starts = np.unique(combo[grouped], return_index=True)
+    by_combo = dict(zip(keys.tolist(), np.split(grouped, starts[1:])))
     order = rng.permutation(len(positives))
     for start in range(0, len(order), n_pos):
-        chunk = [positives[j] for j in order[start : start + n_pos]]
+        chunk = positives[order[start : start + n_pos]]
         if len(chunk) < n_pos:
             extra = rng.choice(len(positives), size=n_pos - len(chunk), replace=True)
-            chunk += [positives[j] for j in extra]
-        combos = {(dataset.pairs[i].subject_cat, dataset.pairs[i].object_cat) for i in chunk}
-        eligible = sorted(set().union(*(by_combo.get(c, []) for c in combos)))
-        if not eligible:
-            eligible = all_negatives
-        if eligible and n_neg > 0:
+            chunk = np.concatenate([chunk, positives[extra]])
+        found = [by_combo[k] for k in np.unique(combo[chunk]).tolist() if k in by_combo]
+        eligible = np.sort(np.concatenate(found)) if found else negatives
+        if eligible.size and n_neg > 0:
             neg = rng.choice(eligible, size=n_neg, replace=len(eligible) < n_neg)
-            chunk = chunk + [int(i) for i in neg]
-        yield [dataset.pairs[i] for i in chunk]
+            chunk = np.concatenate([chunk, neg])
+        yield table.take(chunk)
 
 
 def fit(model: JointModel, dataset: Dataset, named, epochs: int, rng, step) -> list[float]:
@@ -497,7 +490,7 @@ def fit(model: JointModel, dataset: Dataset, named, epochs: int, rng, step) -> l
 
 def train_stage1(model: JointModel, dataset: Dataset, seed: int) -> list[float]:
     """Optimize the joint loss; returns mean batch loss per epoch."""
-    if not any(p.positive_predicates for p in dataset.pairs):
+    if not dataset.pairs.pos_preds.size:
         raise DataError("dataset has no positive pairs")
     rng = rng_stream(seed, "stage1")
     return fit(

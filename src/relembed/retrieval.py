@@ -10,7 +10,7 @@ divided by the number of ground-truth positives.
 
 ``evaluate_queries`` is the eval loop: it embeds the candidate pairs and
 indexes the ground truth once, then scores, ranks and matches each query.
-``ground_truth_for`` is the per-query form of the index.
+``ground_truth_for`` is one query's entry of the index.
 """
 
 from __future__ import annotations
@@ -82,35 +82,26 @@ class APResult:
 
 def ground_truth_for(dataset: Dataset, query: Triplet) -> list[GroundTruthPair]:
     """Ground-truth box pairs: every candidate positive for the query."""
-    return [
-        GroundTruthPair(p.image_id, p.sub_box, p.obj_box)
-        for p in dataset.pairs
-        if query in p.positives()
-    ]
+    return ground_truth_index(dataset).get(query, [])
 
 
 def ground_truth_index(dataset: Dataset) -> dict[Triplet, list[GroundTruthPair]]:
-    """``ground_truth_for`` of every triplet at once, from one pass over the
-    pairs; each list keeps the dataset's pair order."""
+    """Each triplet's ground-truth box pairs in pair order, one per pair listing it."""
+    rows, triplets = dataset.pairs.positives()
+    images, boxes = dataset.pairs.image_id.tolist(), dataset.pairs.boxes.tolist()
     index: dict[Triplet, list[GroundTruthPair]] = {}
-    for p in dataset.pairs:
-        gt = GroundTruthPair(p.image_id, p.sub_box, p.obj_box)
-        for t in dict.fromkeys(p.positives()):
-            index.setdefault(t, []).append(gt)
+    for s, p, o, i in np.unique(np.column_stack([triplets, rows]), axis=0).tolist():
+        index.setdefault(Triplet(s, p, o), []).append(GroundTruthPair(images[i], *boxes[i]))
     return index
 
 
-def rank_candidates(
-    model: JointModel, query: Triplet, pairs, vp_override=None
-) -> list[Detection]:
+def rank_candidates(model: JointModel, query: Triplet, pairs, vp_override=None) -> list[Detection]:
     """Candidate pairs as detections, best score first; ties by pair id."""
     scores = score_pairs(model, query, pairs, vp_override=vp_override)
-    dets = [
-        Detection(p.pair_id, p.image_id, s, p.sub_box, p.obj_box)
-        for p, s in zip(pairs, scores.tolist())
-    ]
-    order = np.lexsort(([d.pair_id for d in dets], -scores))
-    return [dets[i] for i in order.tolist()]
+    ids, images, values = pairs.pair_id.tolist(), pairs.image_id.tolist(), scores.tolist()
+    boxes = pairs.boxes.tolist()
+    order = np.lexsort((pairs.pair_id, -scores)).tolist()
+    return [Detection(ids[i], images[i], values[i], *boxes[i]) for i in order]
 
 
 def match_detections(
@@ -230,10 +221,10 @@ def load_results(path: str, subjects, predicates, objects) -> tuple[list[APResul
     for line in read_lines(path):
         head = line.parts[0]
         if head == "map":
-            line.expect(2, ())
+            line.expect(2, (), exact=True)
             overall = float(line.reals(1, 2, "map")[0])
         elif head == "query":
-            line.expect(10, _QUERY_KEYWORDS)
+            line.expect(10, _QUERY_KEYWORDS, exact=True)
             query = line.triplet(vocabs, 1, 4)
             ap = float(line.reals(5, 6, "ap")[0])
             results.append(APResult(query, ap, line.integer(7, "npos"), line.integer(9, "ndet")))

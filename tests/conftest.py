@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relembed.config import RunConfig, validate
-from relembed.data import synth_generate
+from relembed.data import PairTable, Triplet, synth_generate
 
 
 def desk_config(**overrides) -> RunConfig:
@@ -26,6 +26,15 @@ def desk_config(**overrides) -> RunConfig:
     )
     base.update(overrides)
     return validate(RunConfig(**base))
+
+
+def row_triplets(table: PairTable) -> list[list[Triplet]]:
+    """Each row's positive triplets in file order, read entry by entry."""
+    offsets, preds = table.pos_offsets.tolist(), table.pos_preds.tolist()
+    return [
+        [Triplet(s, p, o) for p in preds[offsets[i] : offsets[i + 1]]]
+        for i, (s, o) in enumerate(zip(table.scat.tolist(), table.ocat.tolist()))
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -56,7 +56,7 @@ from relembed.retrieval import (
     iou,
 )
 
-from conftest import desk_config
+from conftest import desk_config, row_triplets
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -109,7 +109,7 @@ def test_criterion_1_gradient_correctness():
         cfg = _fd_config(branches=kind)
         train, _, table, _ = synth_generate(cfg.synth_config(), seed)
         rng = np.random.default_rng(100 + seed)
-        batch = [train.pairs[i] for i in rng.choice(len(train.pairs), size=10, replace=False)]
+        batch = train.pairs.take(rng.choice(len(train.pairs), size=10, replace=False))
 
         model = build_model(cfg, train, table, seed)
         _, grads = joint_loss(model, batch, kinds=(kind,))
@@ -125,7 +125,7 @@ def test_criterion_1_gradient_correctness():
         model_vp = build_model(cfg_vp, train, table, seed)
         gamma = gamma_init(gkind, cfg_vp.embed_dim, cfg_vp.gamma_hidden_dim(), rng_stream(seed, "gamma"))
         observed = sorted(train.counts)
-        targets = sorted({t for p in batch for t in p.positives()})
+        targets = sorted({t for row in row_triplets(batch) for t in row})
         q = [(observed[int(rng.integers(len(observed)))], u) for u in targets[:5]]
         x = branch_inputs(model_vp, batch, ("vp",))[0]["vp"]
         _, agrads = analogy_loss(model_vp, gamma, batch, x, q)
@@ -189,9 +189,9 @@ def test_criterion_3_gradient_flow_restriction():
     gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(1, "gamma"))
 
     rng = np.random.default_rng(7)
-    batch = [train.pairs[i] for i in rng.choice(len(train.pairs), size=16, replace=False)]
+    batch = train.pairs.take(rng.choice(len(train.pairs), size=16, replace=False))
     observed = sorted(train.counts)
-    targets = sorted({t for p in batch for t in p.positives()})
+    targets = sorted({t for row in row_triplets(batch) for t in row})
     q = [(observed[int(rng.integers(len(observed)))], u) for u in targets]
     x = branch_inputs(model, batch, ("vp",))[0]["vp"]
     _, grads = analogy_loss(model, gamma, batch, x, q)
@@ -389,13 +389,13 @@ def test_criterion_7_batch_composition():
     combos_ok = True
     for batch in batch_iter(train, 16, 48, rng):
         n_batches += 1
-        pos = [p for p in batch if p.positive_predicates]
-        neg = [p for p in batch if not p.positive_predicates]
+        labelled = (np.diff(batch.pos_offsets) > 0).tolist()
+        cats = list(zip(batch.scat.tolist(), batch.ocat.tolist()))
+        pos = [c for c, lab in zip(cats, labelled) if lab]
+        neg = [c for c, lab in zip(cats, labelled) if not lab]
         counts_ok = counts_ok and len(pos) == 16 and len(neg) == 48
-        combos = {(p.subject_cat, p.object_cat) for p in pos}
-        combos_ok = combos_ok and all(
-            (p.subject_cat, p.object_cat) in combos for p in neg
-        )
+        combos = set(pos)
+        combos_ok = combos_ok and all(c in combos for c in neg)
     ok = counts_ok and combos_ok and n_batches > 0
     _report(7, "16+48 category-matched batches", ok, f"{n_batches} batches")
 

@@ -23,9 +23,9 @@ from relembed.analogy import (
 )
 from relembed.data import (
     BoundingBox,
-    CandidatePair,
     DataError,
     Dataset,
+    PairTable,
     Triplet,
     Vocabulary,
     WordTable,
@@ -41,7 +41,7 @@ from relembed.model import (
 )
 from relembed.numkit import finite_diff_grad, max_relative_error, rng_stream
 
-from conftest import desk_config
+from conftest import desk_config, row_triplets
 
 
 def bench_model(bench, seed=0, **overrides):
@@ -149,11 +149,14 @@ def _word_mode_world():
     }
     table = WordTable(2, vectors)
     box = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    pairs = [
-        CandidatePair(0, 0, box, box, 0, 0, np.zeros(4), np.zeros(4), (0,)),
-        CandidatePair(1, 0, box, box, 1, 1, np.zeros(4), np.zeros(4), (1,)),
-    ]
-    ds = Dataset.build(subs, pres, objs, pairs, 4)
+    pairs = PairTable.from_rows(
+        [
+            (0, 0, box, box, 0, 0, np.zeros(4), np.zeros(4), (0,)),
+            (1, 0, box, box, 1, 1, np.zeros(4), np.zeros(4), (1,)),
+        ],
+        4,
+    )
+    ds = Dataset(subs, pres, objs, pairs)
     cfg = desk_config(similarity_input="words", synth_appearance_dim=4)
     model = build_model(cfg, ds, table, seed=0)
     return model
@@ -236,18 +239,18 @@ def test_source_pool_applies_rare_threshold(small_bench):
 def test_source_pool_threshold_boundary():
     subjects, predicates, objects = Vocabulary(["s"]), Vocabulary(["p0", "p1", "p2"]), Vocabulary(["o"])
     rng = np.random.default_rng(0)
-    pairs = []
+    rows = []
     for p, count in ((0, 5), (1, 10), (2, 11)):
         for _ in range(count):
-            pid = len(pairs)
-            pairs.append(
-                CandidatePair(
+            pid = len(rows)
+            rows.append(
+                (
                     pid, pid,
                     BoundingBox(0, 0, 1, 1), BoundingBox(0, 0, 1, 1),
                     0, 0, rng.normal(size=2), rng.normal(size=2), (p,),
                 )
             )
-    ds = Dataset.build(subjects, predicates, objects, pairs, 2)
+    ds = Dataset(subjects, predicates, objects, PairTable.from_rows(rows, 2))
     table = WordTable(2, {tok: rng.normal(size=2) for tok in ("s", "p0", "p1", "p2", "o")})
     model = build_model(desk_config(rare_threshold=10), ds, table, seed=0)
     assert model.counts == {Triplet(0, 0, 0): 5, Triplet(0, 1, 0): 10, Triplet(0, 2, 0): 11}
@@ -347,7 +350,7 @@ def test_corrected_embeddings_shift_by_gamma(small_bench):
 
 
 def _batch(dataset, n=8):
-    return dataset.pairs[:n]
+    return dataset.pairs.take(range(n))
 
 
 def _vp_input(model, batch):
@@ -445,8 +448,8 @@ def test_sample_q_pairs_one_per_target(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = source_pool(model)
     sets = build_source_sets(model, model.observed, pool)
-    batch = train.pairs[:16]
-    targets = sorted({t for pair in batch for t in pair.positives()})
+    batch = train.pairs.take(range(16))
+    targets = sorted({t for row in row_triplets(batch) for t in row})
     q, skipped = sample_q_pairs(batch, sets, rng_stream(0, "stage2"))
     assert skipped == 0
     assert [u for _, u in q] == targets
@@ -456,8 +459,8 @@ def test_sample_q_pairs_one_per_target(small_bench):
 
 def test_sample_q_pairs_counts_missing_targets(small_bench):
     cfg, train, table, model = bench_model(small_bench)
-    batch = train.pairs[:16]
-    targets = sorted({t for pair in batch for t in pair.positives()})
+    batch = train.pairs.take(range(16))
+    targets = sorted({t for row in row_triplets(batch) for t in row})
     sets = {targets[0]: []}
     q, skipped = sample_q_pairs(batch, sets, rng_stream(0, "stage2"))
     assert q == []
@@ -537,7 +540,7 @@ def test_stage2_changes_transfer_scores(small_bench):
     train_stage1(model, train, seed=0)
     gamma = make_gamma(model, "deep")
     u = model.observed[0]
-    pairs = train.pairs[:4]
+    pairs = train.pairs.take(range(4))
     before = score_pairs(
         model, u, pairs, vp_override=transfer_embedding(model, gamma, u)
     )

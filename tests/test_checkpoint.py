@@ -50,7 +50,7 @@ def test_round_trip_preserves_scores_bitwise(trained, tmp_path):
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(path, model, gamma, seed=0)
     back, gback, _ = load_checkpoint(path)
-    pairs = test.pairs[:10]
+    pairs = test.pairs.take(range(10))
     for query in model.observed[:3]:
         assert np.array_equal(score_pairs(model, query, pairs), score_pairs(back, query, pairs))
     u = model.observed[0]
@@ -229,6 +229,7 @@ HEADER_EDITS = {
     "observed_descending": ("observed", lambda h: h["observed"][1::-1], "ascending"),
     "observed_repeated": ("observed", lambda h: h["observed"][:1] * 2, "ascending"),
     "observed_bool_index": ("observed", lambda h: [[True, 0, 0, 1]], "four integers"),
+    "config_not_a_string": ("config", lambda h: 5, "header config must be a string, got int"),
     "subjects_duplicate": (
         "subjects", lambda h: h["subjects"][:1] * 2 + h["subjects"][2:],
         r"model\.ckpt: duplicate token 'sub0'",

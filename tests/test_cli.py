@@ -18,7 +18,7 @@ from relembed.data import Triplet, load_dataset, load_queries, write_queries
 from relembed.model import build_model, named_parameters, pair_embeddings, score_pairs
 from relembed.retrieval import load_results
 
-from conftest import desk_config
+from conftest import desk_config, row_triplets
 
 
 def read_bytes(path):
@@ -231,7 +231,7 @@ def test_eval_transfer_equals_direct_for_seen_query(run_dir, tmp_path):
 def test_eval_reports_excluded_query(run_dir, tmp_path):
     cfg = effective(run_dir)
     test = load_dataset(cfg.test_data)
-    positives = {t for p in test.pairs for t in p.positives()}
+    positives = {t for row in row_triplets(test.pairs) for t in row}
     never = next(
         Triplet(s, pr, o)
         for s in range(len(test.subjects))
@@ -377,7 +377,7 @@ def test_inspect_embeddings_unit_norm_and_score_round_trip(run_dir, capsys):
 
     # the dumped language vectors reproduce score() against the live model
     test = load_dataset(cfg.test_data)
-    pair = test.pairs[0]
+    pair = test.pairs.take([0])
     t = model.observed[0]
     toks = (
         model.subjects[t.s].replace(" ", "_"),
@@ -390,14 +390,14 @@ def test_inspect_embeddings_unit_norm_and_score_round_trip(run_dir, capsys):
         "o": parsed[("o", toks[2])],
         "vp": parsed[("vp", " ".join(toks))],
     }
-    v = pair_embeddings(model, [pair])
+    v = pair_embeddings(model, pair)
     from relembed.model import DOT_CLAMP
 
     score = 1.0
     for kind in model.active_kinds:
         dot = np.clip(float(v[kind][0] @ w[kind]), -DOT_CLAMP, DOT_CLAMP)
         score *= 1.0 / (1.0 + np.exp(-dot))
-    want = score_pairs(model, t, [pair])[0]
+    want = score_pairs(model, t, pair)[0]
     assert abs(score - want) < 1e-12
 
 

@@ -4,9 +4,9 @@ import pytest
 from relembed.analogy import source_pool
 from relembed.data import (
     BoundingBox,
-    CandidatePair,
     DataError,
     Dataset,
+    PairTable,
     SynthConfig,
     Triplet,
     Vocabulary,
@@ -33,24 +33,24 @@ def tiny_dataset() -> Dataset:
     predicates = Vocabulary(["ride", "hold"])
     objects = Vocabulary(["horse", "sports ball"])
     rng = np.random.default_rng(0)
-    pairs = [
-        CandidatePair(
+    rows = [
+        (
             0, 0,
             BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(5.0, 0.0, 15.0, 10.0),
             0, 0, rng.normal(size=3), rng.normal(size=3), (0,),
         ),
-        CandidatePair(
+        (
             1, 0,
             BoundingBox(1.5, 2.5, 3.5, 4.5), BoundingBox(2.0, 2.0, 9.0, 9.0),
             0, 1, rng.normal(size=3), rng.normal(size=3), (0, 1),
         ),
-        CandidatePair(
+        (
             2, 1,
             BoundingBox(0.0, 0.0, 4.0, 4.0), BoundingBox(1.0, 1.0, 2.0, 2.0),
             1, 0, rng.normal(size=3), rng.normal(size=3), (),
         ),
     ]
-    return Dataset.build(subjects, predicates, objects, pairs, 3)
+    return Dataset(subjects, predicates, objects, PairTable.from_rows(rows, 3))
 
 
 def assert_datasets_equal(a: Dataset, b: Dataset):
@@ -60,16 +60,11 @@ def assert_datasets_equal(a: Dataset, b: Dataset):
     assert a.appearance_dim == b.appearance_dim
     assert a.counts == b.counts
     assert len(a.pairs) == len(b.pairs)
-    for pa, pb in zip(a.pairs, b.pairs):
-        assert pa.pair_id == pb.pair_id
-        assert pa.image_id == pb.image_id
-        assert pa.sub_box == pb.sub_box
-        assert pa.obj_box == pb.obj_box
-        assert pa.subject_cat == pb.subject_cat
-        assert pa.object_cat == pb.object_cat
-        assert np.array_equal(pa.appear_sub, pb.appear_sub)
-        assert np.array_equal(pa.appear_obj, pb.appear_obj)
-        assert pa.positive_predicates == pb.positive_predicates
+    for name in ("pair_id", "image_id", "scat", "ocat", "a_s", "a_o", "coords", "pos_offsets", "pos_preds"):
+        column_a, column_b = getattr(a.pairs, name), getattr(b.pairs, name)
+        assert column_a.dtype == column_b.dtype and column_a.shape == column_b.shape, name
+        assert np.array_equal(column_a, column_b), name
+    assert a.pairs.boxes.tolist() == b.pairs.boxes.tolist()
 
 
 def test_vocabulary_rejects_duplicates_and_empties():
@@ -114,13 +109,13 @@ def test_dataset_file_round_trip(tmp_path):
 
 def test_empty_dataset_round_trip(tmp_path):
     ds = tiny_dataset()
-    ds.pairs = []
-    ds = Dataset.build(ds.subjects, ds.predicates, ds.objects, [], 3)
+    ds = Dataset(ds.subjects, ds.predicates, ds.objects, ds.pairs.take([]))
     path = tmp_path / "d.ds"
     write_dataset(ds, str(path))
     back = load_dataset(str(path))
-    assert back.pairs == []
+    assert len(back.pairs) == 0 and back.pairs.a_s.shape == (0, 3)
     assert back.counts == {}
+    assert_datasets_equal(ds, back)
 
 
 def write_then_edit(tmp_path, transform):
@@ -202,6 +197,10 @@ _MALFORMED_PAIR_LINES = [
     ),
     pytest.param(_set(1, "x1"), "bad pair id 'x1'", id="pair_id"),
     pytest.param(_set(2, "7.5"), "bad image id '7.5'", id="image_id"),
+    pytest.param(_set(1, str(2**63)), f"pair id {2**63} outside the int64 range", id="pair_id_int64"),
+    pytest.param(
+        _set(2, str(-(2**63) - 1)), f"image id {-(2**63) - 1} outside the int64 range", id="image_id_int64"
+    ),
     pytest.param(_set(5, "oops"), "bad real in sub box: 'oops'", id="real_sub"),
     pytest.param(_set(10, "1,5"), "bad real in obj box: '1,5'", id="real_obj"),
     pytest.param(_set(19, "0x1"), "bad real in afeat_s: '0x1'", id="real_afeat_s"),
@@ -226,6 +225,17 @@ def test_loader_names_file_and_line_for_each_malformed_pair_field(tmp_path, edit
     with pytest.raises(DataError) as info:
         load_dataset(path)
     assert str(info.value) == f"{path}:5: {message}"
+
+
+def test_loader_rejects_undecodable_bytes_in_one_line(tmp_path):
+    path = write_then_edit(tmp_path, lambda lines: lines)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw.replace(b"labels p1:ride", b"labels p1:r\xffde", 1))
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: undecodable text: invalid start byte"
 
 
 def test_loader_accepts_a_space_after_the_header_hash(tmp_path):
@@ -343,16 +353,14 @@ def test_synth_zero_noise_features_equal_planted_prototypes():
     train, _, _, heldout = synth_generate(cfg, seed=1)
     assert heldout == []
     by_triplet = {}
-    for pair in train.pairs:
-        if not pair.positive_predicates:
-            continue
-        t = pair.positives()[0]
+    for i, t in zip(*train.pairs.positives()):
+        t = Triplet(*t.tolist())
         if t in by_triplet:
             ref = by_triplet[t]
-            assert np.array_equal(pair.appear_sub, ref.appear_sub)
-            assert np.array_equal(pair.appear_obj, ref.appear_obj)
+            assert np.array_equal(train.pairs.a_s[i], train.pairs.a_s[ref])
+            assert np.array_equal(train.pairs.a_o[i], train.pairs.a_o[ref])
         else:
-            by_triplet[t] = pair
+            by_triplet[t] = i
     assert len(by_triplet) >= 2
 
 
@@ -373,11 +381,11 @@ def test_synth_counts_match_independent_recount():
     train, _, _, _ = synth_generate(small_cfg(), seed=5)
     recount = {}
     for pair in train.pairs:
-        for p in pair.positive_predicates:
-            t = Triplet(pair.subject_cat, p, pair.object_cat)
+        for p in pair.pos_preds.tolist():
+            t = Triplet(int(pair.scat[0]), p, int(pair.ocat[0]))
             recount[t] = recount.get(t, 0) + 1
     assert recount == train.counts
-    assert sum(len(p.positive_predicates) > 0 for p in train.pairs) >= 50
+    assert sum(len(p.pos_preds) > 0 for p in train.pairs) >= 50
 
 
 def test_synth_same_seed_is_bit_identical_different_seed_not():
@@ -389,7 +397,7 @@ def test_synth_same_seed_is_bit_identical_different_seed_not():
     for tok in a_table.vectors:
         assert np.array_equal(a_table.vectors[tok], b_table.vectors[tok])
     c_train, _, _, _ = synth_generate(small_cfg(), seed=10)
-    assert not np.array_equal(a_train.pairs[0].appear_sub, c_train.pairs[0].appear_sub)
+    assert not np.array_equal(a_train.pairs.a_s[0], c_train.pairs.a_s[0])
 
 
 def test_synth_word_vectors_cluster_structure():
@@ -411,12 +419,10 @@ def _linear_argmax_accuracy(feats, labels, n_classes):
 def test_synth_object_structure_linearly_recoverable():
     cfg = SynthConfig()
     train, _, _, _ = synth_generate(cfg, seed=0)
-    feats, idents, clusters = [], [], []
-    for pair in train.pairs:
-        if pair.positive_predicates:
-            feats.append(pair.appear_obj)
-            idents.append(pair.object_cat)
-            clusters.append(pair.object_cat // cfg.cluster_size)
+    labelled = np.diff(train.pairs.pos_offsets) > 0
+    feats = train.pairs.a_o[labelled]
+    idents = train.pairs.ocat[labelled]
+    clusters = idents // cfg.cluster_size
     n_clusters = (cfg.n_objects + cfg.cluster_size - 1) // cfg.cluster_size
     # the cluster is cleanly decodable; exact identity is deliberately
     # ambiguous so that telling near-synonyms apart needs the pair-level
@@ -430,9 +436,8 @@ def test_synth_predicate_changes_object_appearance():
     cfg = small_cfg(noise=0.0, heldout_count=0, train_pairs_per_triplet=2)
     _, test, _, _ = synth_generate(cfg, seed=3)
     proto = {}
-    for pair in test.pairs:
-        for t in pair.positives():
-            proto[t] = pair.appear_obj
+    for i, t in zip(*test.pairs.positives()):
+        proto[Triplet(*t.tolist())] = test.pairs.a_o[i]
     checked = 0
     for a in proto:
         for b in proto:

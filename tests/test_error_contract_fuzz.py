@@ -1,0 +1,114 @@
+"""Fuzz test of the CLI error contract: a mutated dataset or checkpoint makes
+``train`` (zero epochs) or ``inspect embeddings`` return 0, or return 1 with
+exactly one ``error:<category>:`` line on stderr, never a traceback.
+
+Derandomized and without an example database, so every run tries the same
+inputs; the whole file runs in a few seconds.
+"""
+
+import re
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from relembed.cli import main
+from relembed.config import load_config, write_config
+
+from conftest import desk_config
+
+ERROR_LINE = re.compile(r"error:(usage|config|data|io|numeric): ")
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+# tokens a hand-edited or corrupted pair line might hold
+TOKENS = [
+    b"", b"nan", b"inf", b"-inf", b"-0.0", b"1e309", b"9" * 25, b"9223372036854775808",
+    b"-9223372036854775809", b"0x1f", b"1_0", b"p1:", b":", b"p1:pre0", b"p9:pre9",
+    b"labels", b"pair", b"sub", b"#x", b"sub0", b"obj0", b"\xff", b"\xc3", "٣".encode(),
+    b"\x00", b"1" * 5000,
+]
+
+
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    """The directory of a desk world, a config that trains it for zero
+    epochs from ``fuzz.ds`` into ``fuzz.ckpt``, and that checkpoint's bytes
+    in ``good.ckpt``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    write_config(desk_config(stage1_epochs=0, stage2_epochs=0), str(root / "base.cfg"))
+    assert main(["synth", "--config", str(root / "base.cfg"), "--out", str(root)]) == 0
+    cfg = load_config(str(root / "effective.cfg"))
+    cfg.train_data, cfg.checkpoint = str(root / "fuzz.ds"), str(root / "fuzz.ckpt")
+    write_config(cfg, str(root / "fuzz.cfg"))
+    (root / "fuzz.ds").write_bytes((root / "train.ds").read_bytes())
+    assert main(["train", "--config", str(root / "fuzz.cfg"), "--out", str(root / "train")]) == 0
+    (root / "good.ckpt").write_bytes((root / "fuzz.ckpt").read_bytes())
+    return root
+
+
+def assert_contract(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 0 or (rc == 1 and len(err) == 1 and ERROR_LINE.match(err[0])), (rc, err)
+
+
+def mutate_line(data, line: bytes) -> bytes:
+    parts = line.split(b" ")
+    at = data.draw(st.integers(0, len(parts) - 1))
+    op = data.draw(st.sampled_from(["replace", "delete", "duplicate", "bytes", "truncate"]))
+    if op == "replace":
+        parts[at] = data.draw(st.sampled_from(TOKENS) | st.binary(max_size=4))
+    elif op == "delete":
+        del parts[at]
+    elif op == "duplicate":
+        parts.insert(at, parts[at])
+    elif op == "bytes":
+        cut = data.draw(st.integers(0, len(parts[at])))
+        parts[at] = parts[at][:cut] + data.draw(st.binary(min_size=1, max_size=3)) + parts[at][cut:]
+    else:
+        return b" ".join(parts[:at])
+    return b" ".join(parts)
+
+
+@settings(FUZZ, max_examples=250)
+@given(data=st.data())
+def test_train_on_mutated_pair_lines_keeps_the_error_contract(desk_run, capsys, data):
+    root = desk_run
+    lines = (root / "train.ds").read_bytes().split(b"\n")
+    first_pair = next(i for i, line in enumerate(lines) if line.startswith(b"pair"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(first_pair, len(lines) - 2))  # the last element is ""
+        lines[i] = mutate_line(data, lines[i])
+    (root / "fuzz.ds").write_bytes(b"\n".join(lines))
+    assert_contract(["train", "--config", str(root / "fuzz.cfg"), "--out", str(root / "train")], capsys)
+
+
+@settings(FUZZ, max_examples=400)
+@given(data=st.data())
+def test_inspect_on_mutated_checkpoint_bytes_keeps_the_error_contract(desk_run, capsys, data):
+    root = desk_run
+    raw = bytearray((root / "good.ckpt").read_bytes())
+    header_end = 12 + int.from_bytes(raw[8:12], "little")
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not raw:
+            break
+        # mostly the magic, length and JSON header, sometimes the parameter blocks
+        end = min(header_end, len(raw))
+        at = data.draw(st.integers(0, end - 1) | st.integers(0, len(raw) - 1))
+        op = data.draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+        if op == "set":
+            raw[at] = data.draw(st.integers(0, 255))
+        elif op == "insert":
+            raw[at:at] = data.draw(st.binary(min_size=1, max_size=1))
+        elif op == "delete":
+            del raw[at]
+        else:
+            del raw[at:]
+    (root / "fuzz.ckpt").write_bytes(bytes(raw))
+    assert_contract(["inspect", "--checkpoint", str(root / "fuzz.ckpt"), "embeddings"], capsys)

@@ -25,24 +25,68 @@ def box(x0, y0, x1, y1):
     return BoundingBox(float(x0), float(y0), float(x1), float(y1))
 
 
+def spatial_row(sub, obj, norm="area"):
+    """``spatial_features`` of one box pair."""
+    return spatial_features(np.array([sub.coords() + obj.coords()]), norm)[0]
+
+
+def spatial_features_per_pair(sub, obj, norm="area"):
+    """Oracle: the per-pair geometry that ``spatial_features`` vectorizes."""
+    ux = min(sub.x_min, obj.x_min)
+    uy = min(sub.y_min, obj.y_min)
+    uw = max(sub.x_max, obj.x_max) - ux
+    uh = max(sub.y_max, obj.y_max) - uy
+    if norm == "area":
+        ax = ay = uw * uh
+    elif norm == "extent":
+        ax, ay = uw, uh
+    else:
+        raise ValueError(f"unknown spatial norm {norm!r}")
+    return np.array(
+        [
+            (sub.x_min - ux) / ax,
+            (sub.x_max - ux) / ax,
+            (sub.y_min - uy) / ay,
+            (sub.y_max - uy) / ay,
+            (obj.x_min - ux) / ax,
+            (obj.x_max - ux) / ax,
+            (obj.y_min - uy) / ay,
+            (obj.y_max - uy) / ay,
+        ]
+    )
+
+
+@pytest.mark.parametrize("norm", ["area", "extent"])
+def test_spatial_features_are_bit_equal_to_the_per_pair_oracle(small_bench, norm):
+    _, (train, test, _, _) = small_bench
+    for table in (train.pairs, test.pairs):
+        want = np.stack([spatial_features_per_pair(s, o, norm) for s, o in table.boxes])
+        assert spatial_features(table.coords, norm).tobytes() == want.tobytes()
+    # ties and signed zeros in the union box keep the subject's value
+    pairs = [(box(-0.0, 0, 1, 1), box(0, -0.0, 1, 2)), (box(0, -0.0, 2, 1), box(-0.0, 0, 2, 1))]
+    coords = np.array([s.coords() + o.coords() for s, o in pairs])
+    want = np.stack([spatial_features_per_pair(s, o, norm) for s, o in pairs])
+    assert spatial_features(coords, norm).tobytes() == want.tobytes()
+
+
 def test_spatial_unit_union_box():
     b = box(0, 0, 1, 1)
-    assert np.array_equal(spatial_features(b, b), [0, 1, 0, 1, 0, 1, 0, 1])
+    assert np.array_equal(spatial_row(b, b), [0, 1, 0, 1, 0, 1, 0, 1])
 
 
 def test_spatial_hand_computed_side_by_side_case():
-    got = spatial_features(box(0, 0, 10, 10), box(10, 0, 20, 10))
+    got = spatial_row(box(0, 0, 10, 10), box(10, 0, 20, 10))
     expect = [0, 0.05, 0, 0.05, 0.05, 0.1, 0, 0.05]
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
 
 
 def test_spatial_extent_normalization_divides_per_axis():
-    got = spatial_features(box(0, 0, 10, 10), box(10, 0, 20, 10), norm="extent")
+    got = spatial_row(box(0, 0, 10, 10), box(10, 0, 20, 10), norm="extent")
     # union 20 x 10: x coords / 20, y coords / 10
     expect = [0, 0.5, 0, 1.0, 0.5, 1.0, 0, 1.0]
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
-        spatial_features(box(0, 0, 1, 1), box(0, 0, 1, 1), norm="volume")
+        spatial_row(box(0, 0, 1, 1), box(0, 0, 1, 1), norm="volume")
 
 
 def test_spatial_translation_invariance():
@@ -52,17 +96,17 @@ def test_spatial_translation_invariance():
         sub = box(x0, y0, x0 + rng.uniform(1, 30), y0 + rng.uniform(1, 30))
         x1, y1 = rng.uniform(0, 50, size=2)
         obj = box(x1, y1, x1 + rng.uniform(1, 30), y1 + rng.uniform(1, 30))
-        moved = spatial_features(
+        moved = spatial_row(
             box(sub.x_min + 7, sub.y_min + 3, sub.x_max + 7, sub.y_max + 3),
             box(obj.x_min + 7, obj.y_min + 3, obj.x_max + 7, obj.y_max + 3),
         )
-        assert np.allclose(spatial_features(sub, obj), moved, rtol=0, atol=1e-12)
+        assert np.allclose(spatial_row(sub, obj), moved, rtol=0, atol=1e-12)
 
 
 def test_spatial_swap_permutes_blocks():
     sub, obj = box(0, 0, 10, 10), box(5, 5, 30, 20)
-    fwd = spatial_features(sub, obj)
-    rev = spatial_features(obj, sub)
+    fwd = spatial_row(sub, obj)
+    rev = spatial_row(obj, sub)
     assert np.array_equal(fwd[:4], rev[4:])
     assert np.array_equal(fwd[4:], rev[:4])
 

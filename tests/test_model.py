@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from relembed.data import (
     BoundingBox,
-    CandidatePair,
     DataError,
     Dataset,
+    PairTable,
     Triplet,
     Vocabulary,
     WordTable,
@@ -40,14 +42,21 @@ def one_label_world():
     """Single-token vocabularies and one interacting pair."""
     subjects, predicates, objects = Vocabulary(["s0"]), Vocabulary(["p0"]), Vocabulary(["o0"])
     rng = np.random.default_rng(3)
-    pair = CandidatePair(
-        0, 0,
-        BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10),
-        0, 0, rng.normal(size=4), rng.normal(size=4), (0,),
+    pair = PairTable.from_rows(
+        [(0, 0, BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10),
+          0, 0, rng.normal(size=4), rng.normal(size=4), (0,))],
+        4,
     )
-    ds = Dataset.build(subjects, predicates, objects, [pair], 4)
+    ds = Dataset(subjects, predicates, objects, pair)
     table = WordTable(3, {t: v for t, v in zip(["s0", "p0", "o0"], rng.normal(size=(3, 3)))})
     return ds, table, pair
+
+
+def first_positive(table: PairTable) -> tuple[int, Triplet]:
+    """The first labelled row of a table and its first positive triplet."""
+    i = int(np.flatnonzero(np.diff(table.pos_offsets))[0])
+    p = int(table.pos_preds[table.pos_offsets[i]])
+    return i, Triplet(int(table.scat[i]), p, int(table.ocat[i]))
 
 
 def zero_out(mlp):
@@ -93,38 +102,34 @@ def test_language_zero_vector_is_an_error(small_bench):
 
 def test_visual_subject_branch_ignores_object_appearance(small_bench):
     model, train, _, _ = bench_model(small_bench)
-    pair = train.pairs[0]
-    v1 = pair_embeddings(model, [pair])["s"]
-    bumped = CandidatePair(
-        pair.pair_id, pair.image_id, pair.sub_box, pair.obj_box,
-        pair.subject_cat, pair.object_cat,
-        pair.appear_sub, pair.appear_obj + 1.0, pair.positive_predicates,
-    )
-    v2 = pair_embeddings(model, [bumped])["s"]
+    pair = train.pairs.take([0])
+    v1 = pair_embeddings(model, pair)["s"]
+    bumped = dataclasses.replace(pair, a_o=pair.a_o + 1.0)
+    v2 = pair_embeddings(model, bumped)["s"]
     assert np.array_equal(v1, v2)
     assert not np.array_equal(
-        pair_embeddings(model, [pair])["o"], pair_embeddings(model, [bumped])["o"]
+        pair_embeddings(model, pair)["o"], pair_embeddings(model, bumped)["o"]
     )
 
 
 def test_visual_branch_matches_by_hand(small_bench):
     model, train, _, _ = bench_model(small_bench)
-    pair = train.pairs[3]
+    pair = train.pairs.take([3])
     from relembed.features import pair_arrays, visual_forward
 
-    a_s, a_o, r = pair_arrays([pair], model.cfg.spatial_norm)
+    a_s, a_o, r = pair_arrays(pair, model.cfg.spatial_norm)
     x = visual_forward(model.visual, a_s, a_o, r)[0][0]
     br = model.branches["vp"]
     h = np.maximum(br.f_v.first.w @ x + br.f_v.first.b, 0.0)
     expect = br.f_v.second.w @ h + br.f_v.second.b
-    got = pair_embeddings(model, [pair])["vp"][0]
+    got = pair_embeddings(model, pair)["vp"][0]
     assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
 
 def test_inactive_branch_is_an_error(small_bench):
     model, train, _, _ = bench_model(small_bench, branches="s,o")
     with pytest.raises(DataError, match="not active"):
-        joint_loss(model, [train.pairs[0]], kinds=("vp",))
+        joint_loss(model, train.pairs.take([0]), kinds=("vp",))
 
 
 def test_single_positive_zero_dot_loss_is_log_two():
@@ -132,7 +137,7 @@ def test_single_positive_zero_dot_loss_is_log_two():
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=16)
     model = build_model(cfg, ds, table, seed=0)
     zero_out(model.branches["s"].f_v)  # v = 0 so every dot is 0
-    loss, _ = joint_loss(model, [pair], kinds=("s",))
+    loss, _ = joint_loss(model, pair, kinds=("s",))
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -143,7 +148,7 @@ def test_saturated_positive_loss_vanishes():
     w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
     zero_out(model.branches["s"].f_v)
     model.branches["s"].f_v.second.b[:] = 50.0 * w  # dot = 50
-    loss, _ = joint_loss(model, [pair], kinds=("s",))
+    loss, _ = joint_loss(model, pair, kinds=("s",))
     assert 0.0 < loss < 1e-9
 
 
@@ -157,7 +162,7 @@ def test_branch_loss_gradients_match_finite_differences(small_bench):
         )
         model = build_model(cfg, train, table, seed=seed)
         rng = np.random.default_rng(seed)
-        batch = [train.pairs[i] for i in rng.choice(len(train.pairs), size=8, replace=False)]
+        batch = train.pairs.take(rng.choice(len(train.pairs), size=8, replace=False))
         for kind in ("s", "p", "vp"):
             loss_fn = lambda: joint_loss(model, batch, kinds=(kind,))[0]
             _, grads = joint_loss(model, batch, kinds=(kind,))
@@ -174,7 +179,7 @@ def test_branch_loss_gradients_match_finite_differences(small_bench):
 
 def test_joint_loss_is_sum_of_branch_losses(small_bench):
     model, train, _, _ = bench_model(small_bench, dropout=0.0)
-    batch = train.pairs[:10]
+    batch = train.pairs.take(range(10))
     total, joint_grads = joint_loss(model, batch)
     parts = [joint_loss(model, batch, kinds=(k,)) for k in model.active_kinds]
     assert total == pytest.approx(sum(p[0] for p in parts), rel=1e-12)
@@ -188,9 +193,9 @@ def test_joint_loss_is_sum_of_branch_losses(small_bench):
 
 def test_joint_loss_batch_order_invariance(small_bench):
     model, train, _, _ = bench_model(small_bench, dropout=0.0)
-    batch = train.pairs[:12]
+    batch = train.pairs.take(range(12))
     a, _ = joint_loss(model, batch)
-    b, _ = joint_loss(model, list(reversed(batch)))
+    b, _ = joint_loss(model, batch.take(range(11, -1, -1)))
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -199,9 +204,9 @@ def test_positive_gains_from_moving_along_language_direction():
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=4)
     model = build_model(cfg, ds, table, seed=1)
     w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
-    base, _ = joint_loss(model, [pair], kinds=("s",))
+    base, _ = joint_loss(model, pair, kinds=("s",))
     model.branches["s"].f_v.second.b[:] += 0.05 * w
-    moved, _ = joint_loss(model, [pair], kinds=("s",))
+    moved, _ = joint_loss(model, pair, kinds=("s",))
     assert moved < base
 
 
@@ -209,7 +214,7 @@ def test_score_four_zero_dots_gives_sixteenth(small_bench):
     model, train, _, _ = bench_model(small_bench)
     for kind in model.active_kinds:
         zero_out(model.branches[kind].f_v)
-    s = score_pairs(model, Triplet(0, 0, 0), train.pairs[:3])
+    s = score_pairs(model, Triplet(0, 0, 0), train.pairs.take(range(3)))
     assert np.allclose(s, 0.0625, rtol=0, atol=1e-15)
 
 
@@ -220,14 +225,14 @@ def test_score_single_branch_log_three_dot():
     w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
     zero_out(model.branches["s"].f_v)
     model.branches["s"].f_v.second.b[:] = np.log(3.0) * w
-    s = score_pairs(model, Triplet(0, 0, 0), [pair])
+    s = score_pairs(model, Triplet(0, 0, 0), pair)
     assert s[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_score_extra_zero_dot_branch_halves(small_bench):
     model, train, _, _ = bench_model(small_bench)
     t = Triplet(0, 0, 0)
-    pairs = train.pairs[:5]
+    pairs = train.pairs.take(range(5))
     visual = pair_embeddings(model, pairs)
     language = {k: embed_language_batch(model, k, [t])[0] for k in model.active_kinds}
     without_o = {k: v for k, v in visual.items() if k != "o"}
@@ -239,7 +244,7 @@ def test_score_extra_zero_dot_branch_halves(small_bench):
 
 def test_reused_pair_embeddings_are_the_same_only_inside_the_block(small_bench):
     model, train, _, _ = bench_model(small_bench)
-    pairs = train.pairs[:5]
+    pairs = train.pairs.take(range(5))
     fresh = pair_embeddings(model, pairs)
     with reuse_pair_embeddings(model, pairs):
         first = pair_embeddings(model, pairs)
@@ -249,7 +254,7 @@ def test_reused_pair_embeddings_are_the_same_only_inside_the_block(small_bench):
         assert pair_embeddings(model, pairs)["s"] is first["s"]  # outer entry kept
         assert all(np.array_equal(first[k], fresh[k]) for k in fresh)
         assert not any(v.flags.writeable for v in first.values())
-        assert pair_embeddings(model, train.pairs[:5])["s"] is not first["s"]  # other list
+        assert pair_embeddings(model, train.pairs.take(range(5)))["s"] is not first["s"]  # other table
     zero_out(model.branches["s"].f_v)
     assert not np.array_equal(pair_embeddings(model, pairs)["s"], first["s"])
 
@@ -257,22 +262,22 @@ def test_reused_pair_embeddings_are_the_same_only_inside_the_block(small_bench):
 def test_scores_strictly_inside_unit_interval(small_bench):
     model, train, test, _ = bench_model(small_bench)
     for t in [Triplet(0, 0, 0), Triplet(3, 4, 5)]:
-        s = score_pairs(model, t, test.pairs[:50])
+        s = score_pairs(model, t, test.pairs.take(range(50)))
         assert np.all(s > 0.0)
         assert np.all(s < 1.0)
     # even with an absurdly saturated branch
     model.branches["s"].f_v.second.b[:] += 1e6
-    s = score_pairs(model, Triplet(0, 0, 0), test.pairs[:5])
+    s = score_pairs(model, Triplet(0, 0, 0), test.pairs.take(range(5)))
     assert np.all(s < 1.0)
     model.branches["s"].f_v.second.b[:] -= 2e6
-    s = score_pairs(model, Triplet(0, 0, 0), test.pairs[:5])
+    s = score_pairs(model, Triplet(0, 0, 0), test.pairs.take(range(5)))
     assert np.all(s > 0.0)
 
 
 def test_score_without_predicate_branches_ignores_predicate(small_bench):
     model, _, test, _ = bench_model(small_bench, branches="s,o")
-    a = score_pairs(model, Triplet(1, 0, 2), test.pairs[:20])
-    b = score_pairs(model, Triplet(1, 4, 2), test.pairs[:20])
+    a = score_pairs(model, Triplet(1, 0, 2), test.pairs.take(range(20)))
+    b = score_pairs(model, Triplet(1, 4, 2), test.pairs.take(range(20)))
     assert np.allclose(a, b, rtol=0, atol=0)
 
 
@@ -291,25 +296,26 @@ def test_bigram_universes_and_loss(small_bench):
     assert branch_universe(model, "sp") == [
         Triplet(s, p, 0) for s, p in sorted({(t.s, t.p) for t in model.observed})
     ]
-    loss, grads = joint_loss(model, train.pairs[:8])
+    loss, grads = joint_loss(model, train.pairs.take(range(8)))
     assert np.isfinite(loss)
     assert "branch.sp.f_w.first.w" in grads
     assert "branch.po.f_v.second.w" in grads
 
 
-def positive_keys(pair, kind: str) -> list:
-    """Oracle: the labels a pair is positive for, keyed per branch."""
+def positive_keys(pair: PairTable, kind: str) -> list:
+    """Oracle: the labels a one-row table is positive for, keyed per branch."""
+    s, o, preds = int(pair.scat[0]), int(pair.ocat[0]), pair.pos_preds.tolist()
     if kind == "s":
-        return [pair.subject_cat] if pair.positive_predicates else []
+        return [s] if preds else []
     if kind == "o":
-        return [pair.object_cat] if pair.positive_predicates else []
+        return [o] if preds else []
     if kind == "p":
-        return list(pair.positive_predicates)
+        return preds
     if kind == "vp":
-        return list(pair.positives())
+        return [Triplet(s, p, o) for p in preds]
     if kind == "sp":
-        return [(pair.subject_cat, p) for p in pair.positive_predicates]
-    return [(p, pair.object_cat) for p in pair.positive_predicates]
+        return [(s, p) for p in preds]
+    return [(p, o) for p in preds]
 
 
 def label_key(t: Triplet, kind: str):
@@ -324,9 +330,9 @@ def test_label_matrix_matches_positive_keys_oracle(small_bench):
             small_bench, branches="s,o,p,vp,sp,po",
             vp_negatives="cartesian" if cartesian else "observed",
         )[0]
-        batch = train.pairs[::7]
-        assert any(p.positive_predicates for p in batch)
-        assert any(not p.positive_predicates for p in batch)
+        batch = train.pairs.take(range(0, len(train.pairs), 7))
+        assert any(len(p.pos_preds) for p in batch)
+        assert any(not len(p.pos_preds) for p in batch)
         for kind in BRANCH_KINDS:
             labels = branch_universe(model, kind)
             keys = [label_key(t, kind) for t in labels]
@@ -343,22 +349,21 @@ def test_label_matrix_labels_every_copy_of_a_repeated_column(small_bench):
     """Analogy columns repeat a target drawn with two sources; each copy is
     labeled, as the analogy loss's per-column loop did."""
     model, train, _, _ = bench_model(small_bench)
-    pair = next(p for p in train.pairs if p.positive_predicates)
-    t = pair.positives()[0]
+    i, t = first_positive(train.pairs)
     other = next(u for u in model.observed if u != t)
-    y = label_matrix([pair, train.pairs[-1]], [t, other, t], "full")
+    y = label_matrix(train.pairs.take([i, len(train.pairs) - 1]), [t, other, t], "full")
     assert y.tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
 
 
 def test_label_outside_branch_universe_is_an_error(small_bench):
     model, train, _, _ = bench_model(small_bench)
-    pair = next(p for p in train.pairs if p.positive_predicates)
-    t = pair.positives()[0]
+    i, t = first_positive(train.pairs)
+    pair = train.pairs.take([i])
     model.observed = [u for u in model.observed if u != t]
     with pytest.raises(DataError, match=r"positive label .* outside the 'vp' branch universe"):
-        joint_loss(model, [pair], kinds=("vp",))
+        joint_loss(model, pair, kinds=("vp",))
     # without a branch named, the positive stays unlabeled
-    y = label_matrix([pair], model.observed, "full")
+    y = label_matrix(pair, model.observed, "full")
     assert not y.any()
 
 
@@ -366,16 +371,15 @@ def test_batch_iter_composition(small_bench):
     _, (train, _, _, _) = small_bench
     rng = rng_stream(11, "stage1")
     batches = list(batch_iter(train, 4, 12, rng))
-    n_pos_total = sum(1 for p in train.pairs if p.positive_predicates)
+    n_pos_total = int(np.count_nonzero(np.diff(train.pairs.pos_offsets)))
     assert len(batches) == -(-n_pos_total // 4)
     for batch in batches:
         assert len(batch) == 16
-        pos, neg = batch[:4], batch[4:]
-        assert all(p.positive_predicates for p in pos)
-        assert all(not n.positive_predicates for n in neg)
-        combos = {(p.subject_cat, p.object_cat) for p in pos}
-        for n in neg:
-            assert (n.subject_cat, n.object_cat) in combos
+        labelled = np.diff(batch.pos_offsets) > 0
+        assert labelled[:4].all() and not labelled[4:].any()
+        combos = set(zip(batch.scat[:4].tolist(), batch.ocat[:4].tolist()))
+        for combo in zip(batch.scat[4:].tolist(), batch.ocat[4:].tolist()):
+            assert combo in combos
 
 
 def test_batch_iter_deterministic(small_bench):
@@ -387,10 +391,60 @@ def test_batch_iter_deterministic(small_bench):
 
 def test_batch_iter_requires_positives(small_bench):
     _, (train, _, _, _) = small_bench
-    negatives = [p for p in train.pairs if not p.positive_predicates]
-    ds = Dataset.build(train.subjects, train.predicates, train.objects, negatives, train.appearance_dim)
+    negatives = train.pairs.take(np.flatnonzero(np.diff(train.pairs.pos_offsets) == 0))
+    ds = Dataset(train.subjects, train.predicates, train.objects, negatives)
     with pytest.raises(DataError, match="no positive"):
         list(batch_iter(ds, 4, 12, np.random.default_rng(0)))
+
+
+def batch_iter_per_pair(table: PairTable, n_pos: int, n_neg: int, rng):
+    """Oracle: the list-based sampler ``batch_iter`` replaced; yields row lists."""
+    labelled = [n > 0 for n in np.diff(table.pos_offsets).tolist()]
+    cats = list(zip(table.scat.tolist(), table.ocat.tolist()))
+    positives = [i for i, lab in enumerate(labelled) if lab]
+    by_combo: dict[tuple[int, int], list[int]] = {}
+    all_negatives = []
+    for i, lab in enumerate(labelled):
+        if not lab:
+            by_combo.setdefault(cats[i], []).append(i)
+            all_negatives.append(i)
+    order = rng.permutation(len(positives))
+    for start in range(0, len(order), n_pos):
+        chunk = [positives[j] for j in order[start : start + n_pos]]
+        if len(chunk) < n_pos:
+            extra = rng.choice(len(positives), size=n_pos - len(chunk), replace=True)
+            chunk += [positives[j] for j in extra]
+        combos = {cats[i] for i in chunk}
+        eligible = sorted(set().union(*(by_combo.get(c, []) for c in combos)))
+        if not eligible:
+            eligible = all_negatives
+        if eligible and n_neg > 0:
+            neg = rng.choice(eligible, size=n_neg, replace=len(eligible) < n_neg)
+            chunk = chunk + [int(i) for i in neg]
+        yield chunk
+
+
+def test_batch_iter_yields_the_per_pair_oracles_rows(small_bench):
+    _, (train, _, _, _) = small_bench
+    pairs = train.pairs
+    labelled = np.diff(pairs.pos_offsets) > 0
+    combo = pairs.scat * 100 + pairs.ocat
+    first = combo[np.flatnonzero(labelled)[0]]
+    cases = {
+        # 7 does not divide the positives: the last chunk is short and resampled
+        "short final chunk": (np.arange(len(pairs)), 7, 9),
+        # one category pair's positives, negatives of every other one only
+        "no matched negative": (np.flatnonzero((combo == first) == labelled), 4, 12),
+        "no negatives": (np.flatnonzero(labelled), 4, 12),
+    }
+    assert labelled.sum() % 7
+    for name, (rows, n_pos, n_neg) in cases.items():
+        ds = Dataset(train.subjects, train.predicates, train.objects, pairs.take(rows))
+        got = [b.pair_id.tolist() for b in batch_iter(ds, n_pos, n_neg, rng_stream(5, "stage1"))]
+        oracle = batch_iter_per_pair(ds.pairs, n_pos, n_neg, rng_stream(5, "stage1"))
+        want = [ds.pairs.pair_id[chunk].tolist() for chunk in oracle]
+        assert got == want, name
+        assert len(got[-1]) == n_pos + (n_neg if name != "no negatives" else 0), name
 
 
 def test_train_zero_learning_rate_leaves_parameters(small_bench):

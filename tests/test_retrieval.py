@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from relembed.analogy import gamma_init, source_pool, train_stage2, transfer_embedding
 from relembed.data import (
     BoundingBox,
-    CandidatePair,
     DataError,
     Dataset,
+    PairTable,
     Triplet,
     Vocabulary,
     WordTable,
 )
-from relembed.model import build_model, score_pairs, train_stage1
+from relembed.model import build_model, label_matrix, score_pairs, train_stage1
 from relembed.numkit import rng_stream
 from relembed.retrieval import (
     APResult,
@@ -35,7 +35,7 @@ from relembed.retrieval import (
     write_results,
 )
 
-from conftest import desk_config
+from conftest import desk_config, row_triplets
 
 
 def box(x0, y0, x1, y1):
@@ -109,10 +109,8 @@ def test_detection_score_must_be_open_unit():
 def _identical_pairs_world(order):
     subs, pres, objs = Vocabulary(["s0"]), Vocabulary(["p0"]), Vocabulary(["o0"])
     a = np.full(4, 0.3)
-    pairs = [
-        CandidatePair(i, 0, UNIT, box(5, 0, 15, 10), 0, 0, a, a, (0,)) for i in order
-    ]
-    ds = Dataset.build(subs, pres, objs, pairs, 4)
+    pairs = PairTable.from_rows([(i, 0, UNIT, box(5, 0, 15, 10), 0, 0, a, a, (0,)) for i in order], 4)
+    ds = Dataset(subs, pres, objs, pairs)
     rng = np.random.default_rng(11)
     table = WordTable(3, {t: rng.normal(size=3) for t in ("s0", "p0", "o0")})
     model = build_model(desk_config(), ds, table, seed=0)
@@ -135,11 +133,11 @@ def test_rank_single_pair_is_singleton():
 def test_rank_matches_full_sort_oracle(small_bench):
     cfg, (train, test, table, heldout) = small_bench
     model = build_model(cfg, train, table, seed=0)
-    pairs = train.pairs[:20]
+    pairs = train.pairs.take(range(20))
     query = model.observed[0]
     dets = rank_candidates(model, query, pairs)
     scores = score_pairs(model, query, pairs)
-    want = [p.pair_id for p, _ in sorted(zip(pairs, scores), key=lambda ps: (-ps[1], ps[0].pair_id))]
+    want = [i for i, _ in sorted(zip(pairs.pair_id.tolist(), scores), key=lambda ps: (-ps[1], ps[0]))]
     assert [d.pair_id for d in dets] == want
     assert all(a.score >= b.score for a, b in zip(dets, dets[1:]))
 
@@ -466,12 +464,18 @@ def test_results_loader_rejects_garbage(tmp_path):
         ("query a p o ap high npos 2 ndet 3", "bad real in ap: 'high'"),
         ("query a p o ap 0.5 npos 2.0 ndet 3", "bad npos '2.0'"),
         ("query a p o ap 0.5 npos 2 ndex 3", "expected 'ndet', found 'ndex'"),
+        ("query a p o ap 0.5 npos 2 ndet 3 junk junk", "expected 10 fields, found 12"),
     ):
         with open(path, "w") as fh:
             fh.write(f"{line}\nmap 0.5\n")
         with pytest.raises(DataError) as info:
             load_results(path, subs, pres, objs)
         assert str(info.value) == f"{path}:1: {message}"
+    with open(path, "w") as fh:
+        fh.write("query a p o ap 0.5 npos 2 ndet 3\nmap 0.5 0.9\n")
+    with pytest.raises(DataError) as info:
+        load_results(path, subs, pres, objs)
+    assert str(info.value) == f"{path}:2: expected 2 fields, found 3"
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +487,7 @@ def test_evaluate_query_counts_ground_truth(small_bench):
     cfg, (train, test, table, heldout) = small_bench
     model = build_model(cfg, train, table, seed=0)
     query = model.observed[0]
-    want_npos = sum(1 for p in test.pairs if query in p.positives())
+    want_npos = sum(1 for row in row_triplets(test.pairs) if query in row)
     [(q, dets, r)] = evaluate_queries(model, test, [query], MatchPolicy(0.5))
     assert q == query and len(dets) == len(test.pairs)
     assert r.npos == want_npos > 0
@@ -496,22 +500,31 @@ def test_evaluate_query_ground_truth_listing(small_bench):
     q = heldout[0]
     gts = ground_truth_for(test, q)
     assert all(isinstance(g, GroundTruthPair) for g in gts)
-    assert len(gts) == sum(1 for p in test.pairs if q in p.positives())
+    assert len(gts) == sum(1 for row in row_triplets(test.pairs) if q in row)
+
+
+def ground_truth_scan(dataset: Dataset, query: Triplet) -> list[GroundTruthPair]:
+    """Oracle: one query's ground truth, scanning the pairs one by one."""
+    images, boxes = dataset.pairs.image_id.tolist(), dataset.pairs.boxes.tolist()
+    rows = row_triplets(dataset.pairs)
+    return [GroundTruthPair(images[i], *boxes[i]) for i, row in enumerate(rows) if query in row]
 
 
 def test_ground_truth_index_lists_what_ground_truth_for_returns(small_bench):
     cfg, (train, test, table, heldout) = small_bench
     a = np.full(4, 0.3)
     # several positives per pair, in either order, over two images
-    multi = Dataset.build(
+    multi = Dataset(
         Vocabulary(["s0", "s1"]),
         Vocabulary(["p0", "p1", "p2"]),
         Vocabulary(["o0"]),
-        [
-            CandidatePair(i, i % 2, UNIT, box(i, 0, i + 10, 10), i % 2, 0, a, a, pos)
-            for i, pos in enumerate([(0, 1), (1,), (), (2, 0, 1), (1, 0)])
-        ],
-        4,
+        PairTable.from_rows(
+            [
+                (i, i % 2, UNIT, box(i, 0, i + 10, 10), i % 2, 0, a, a, pos)
+                for i, pos in enumerate([(0, 1), (1,), (), (2, 0, 1), (1, 0)])
+            ],
+            4,
+        ),
     )
     for ds in (test, multi):
         index = ground_truth_index(ds)
@@ -523,8 +536,26 @@ def test_ground_truth_index_lists_what_ground_truth_for_returns(small_bench):
         }
         assert index.keys() <= everything
         for t in sorted(everything):
-            assert index.get(t, []) == ground_truth_for(ds, t)
+            assert index.get(t, []) == ground_truth_scan(ds, t) == ground_truth_for(ds, t)
     assert len(ground_truth_index(multi)[Triplet(0, 0, 0)]) == 2
+
+
+def test_a_predicate_listed_twice_counts_twice_is_labelled_once_and_is_one_truth():
+    a = np.full(2, 0.5)
+    near = box(2, 0, 12, 10)
+    rows = [
+        (0, 0, UNIT, near, 0, 0, a, a, (1, 1)),
+        (1, 0, UNIT, UNIT, 0, 0, a, a, (1,)),
+        (2, 1, UNIT, UNIT, 0, 0, a, a, ()),
+    ]
+    ds = Dataset(Vocabulary(["s"]), Vocabulary(["p0", "p1"]), Vocabulary(["o"]), PairTable.from_rows(rows, 2))
+    t = Triplet(0, 1, 0)
+    assert ds.counts == {t: 3}
+    assert label_matrix(ds.pairs, [Triplet(0, 0, 0), t], "full", "vp").tolist() == [[0, 1], [0, 1], [0, 0]]
+    assert label_matrix(ds.pairs, [Triplet(0, 1, 0)], "p", "p").tolist() == [[1], [1], [0]]
+    truth = [GroundTruthPair(0, UNIT, near), GroundTruthPair(0, UNIT, UNIT)]
+    assert ground_truth_index(ds) == {t: truth}
+    assert ground_truth_for(ds, t) == ground_truth_scan(ds, t) == truth
 
 
 @pytest.fixture(scope="module")
@@ -544,7 +575,7 @@ def _per_query_oracle(model, test, queries, gamma):
     for q in queries:
         override = None if gamma is None else transfer_embedding(model, gamma, q, source_pool(model))
         dets = rank_candidates(model, q, test.pairs, vp_override=override)
-        yield q, dets, average_precision(q, dets, ground_truth_for(test, q), MatchPolicy(0.5))
+        yield q, dets, average_precision(q, dets, ground_truth_scan(test, q), MatchPolicy(0.5))
 
 
 def _write_eval(out, test, rows):
