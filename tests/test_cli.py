@@ -325,6 +325,22 @@ def test_eval_negative_top_is_usage_error(run_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["direct", "transfer"])
+def test_eval_with_a_nan_vp_weight_is_one_data_error(run_dir, tmp_path, capsys, mode):
+    cfg = effective(run_dir)
+    model, gamma, seed = load_checkpoint(cfg.checkpoint)
+    dict(named_parameters(model))["branch.vp.f_v.first.w"][0, 0] = np.nan
+    cfg.checkpoint = str(tmp_path / "nan.ckpt")
+    save_checkpoint(cfg.checkpoint, model, gamma, seed)
+    cfg_path = str(tmp_path / "nan.cfg")
+    write_config(cfg, cfg_path)
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", cfg_path, "--mode", mode, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error:data: detection score must be finite in (0, 1), got nan"]
+    assert not (out / "results.txt").exists()
+
+
 def test_eval_normalize_aggregation_comes_from_config(run_dir, tmp_path):
     """The config file's flag decides, whatever the checkpoint's copy says:
     either flag with either checkpoint writes what a checkpoint holding that
