@@ -210,7 +210,11 @@ def parse_config(text: str, base: RunConfig | None = None, source: str = "<confi
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     with open(path) as fh:
-        return parse_config(fh.read(), base, source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: undecodable text: {e.reason}") from None
+    return parse_config(text, base, source=path)
 
 
 def emit_config(cfg: RunConfig) -> str:

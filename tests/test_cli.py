@@ -495,6 +495,16 @@ def test_bad_config_key_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:config:")
 
 
+@pytest.mark.parametrize("command", ["train", "inspect"])
+def test_undecodable_config_file_is_one_config_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 0\xff\n")
+    argv = [command, "--config", str(path)] + (["embeddings"] if command == "inspect" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error:config: {path}: undecodable text: invalid start byte"]
+
+
 def test_train_without_config_is_config_error(capsys):
     assert main(["train"]) == 1
     assert capsys.readouterr().err.startswith("error:config:")
