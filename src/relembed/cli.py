@@ -151,14 +151,15 @@ def cmd_eval(args) -> int:
     transfer = gamma if cfg.eval_mode == "transfer" else None
     vocabs = (dataset.subjects, dataset.predicates, dataset.objects)
     results, top_lines = [], []
-    for query, detections, result in evaluate_queries(model, dataset, queries, policy, transfer):
+    for query, ranked, scores, result in evaluate_queries(model, dataset, queries, policy, transfer):
         results.append(result)
         if args.top:
             toks = triplet_text(vocabs, query)
-            for rank, d in enumerate(detections[: args.top], 1):
+            top = (c[: args.top].tolist() for c in (ranked.pair_id, ranked.image_id, scores))
+            for rank, (pair_id, image_id, score) in enumerate(zip(*top), 1):
                 top_lines.append(
-                    f"query {toks} rank {rank} pair {d.pair_id}"
-                    f" image {d.image_id} score {fmt_reals([d.score])}\n"
+                    f"query {toks} rank {rank} pair {pair_id}"
+                    f" image {image_id} score {fmt_reals([score])}\n"
                 )
     write_results(
         os.path.join(out, "results.txt"),

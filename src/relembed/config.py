@@ -131,6 +131,9 @@ def validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{f.name} must be finite, got {value}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    for key in ("train_data", "test_data", "word_table", "queries", "checkpoint"):
+        if "\0" in getattr(cfg, key):
+            raise ConfigError(f"{key}: a path cannot hold a NUL byte")
     active = cfg.branch_list()
     if not active:
         raise ConfigError("branches: at least one branch required")

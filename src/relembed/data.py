@@ -5,8 +5,11 @@ A candidate pair is one (subject box, object box) proposal inside an image,
 carrying precomputed appearance features for both boxes and a possibly empty
 list of predicate labels, each annotating the triplet (subject_category,
 predicate, object_category). Candidate pairs live in one ``PairTable`` of
-columns, one row per pair; a dataset's pairs, every training batch and every
-eval candidate set are tables, and ``PairTable.take`` selects rows.
+columns, one row per pair; a dataset's pairs, every training batch, every
+eval candidate set, a query's ranking and its ground truth are tables, and
+``PairTable.take`` selects rows. Boxes enter a table as validated
+``BoundingBox`` rows (``PairTable.from_rows``) and are kept only as the
+``coords`` block.
 
 File formats (all line-oriented text, floats written with full precision):
 
@@ -133,10 +136,6 @@ class BoundingBox:
                 f"degenerate box ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
             )
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
     def coords(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
@@ -153,8 +152,7 @@ class PairTable:
     ocat: Array  # (N,) int64 object category
     a_s: Array  # (N, d_a) subject appearance
     a_o: Array  # (N, d_a) object appearance
-    boxes: Array  # (N, 2) BoundingBox objects: subject, object
-    coords: Array  # (N, 8) the boxes' coordinates, subject box first
+    coords: Array  # (N, 8) box coordinates, subject box first
     pos_offsets: Array  # (N + 1,) int64
     pos_preds: Array  # int64 predicate indices
 
@@ -167,7 +165,6 @@ class PairTable:
         return cls(
             *(np.array(column, dtype=np.int64) for column in (ids, images, scat, ocat)),
             *(np.array(a, dtype=np.float64).reshape(n, appearance_dim) for a in (a_s, a_o)),
-            np.array(list(zip(subs, objs)), dtype=object).reshape(n, 2),
             np.array([s.coords() + o.coords() for s, o in zip(subs, objs)], np.float64).reshape(n, 8),
             np.cumsum([0, *map(len, preds)], dtype=np.int64),
             np.array([p for ps in preds for p in ps], dtype=np.int64),

@@ -1,8 +1,14 @@
 """Retrieval evaluation: rank candidate pairs for a triplet query, match
-detections against ground truth by IoU on both boxes, and report average
+the ranking against ground truth by IoU on both boxes, and report average
 precision per query plus the mean over queries.
 
-Matching is greedy and one-to-one: detections are visited in descending
+A ranking and a query's ground truth are row selections of the dataset's
+pair table (``PairTable.take``): the ranking is every candidate pair, best
+score first, with its scores alongside; the ground truth is every pair that
+lists the query, in pair order. Matching reads their ``coords`` and
+``image_id`` columns.
+
+Matching is greedy and one-to-one: ranked pairs are visited in descending
 score order, and each claims the best still-unmatched ground-truth pair in
 its image whose subject and object boxes both clear the IoU threshold.
 AP is interpolation-free: the sum of precision at each true-positive rank,
@@ -10,30 +16,34 @@ divided by the number of ground-truth positives.
 
 ``evaluate_queries`` is the eval loop: it embeds the candidate pairs and
 indexes the ground truth once, then scores, ranks and matches each query.
-``ground_truth_for`` is one query's entry of the index.
+``ground_truth_for`` is one query's ground truth.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BoundingBox, DataError, Dataset, Triplet, fmt_reals, read_lines, triplet_text
+from .data import Array, DataError, Dataset, PairTable, Triplet, fmt_reals, read_lines, triplet_text
 from .analogy import Gamma, source_pool, transfer_embedding
 from .model import JointModel, reuse_pair_embeddings, score_pairs
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection area over union area; 0 when the boxes are disjoint."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def _area(box: Array) -> Array:
+    return (box[..., 2] - box[..., 0]) * (box[..., 3] - box[..., 1])
+
+
+def iou(a: Array, b: Array) -> Array:
+    """Intersection area over union area of (..., 4) box coordinates
+    (x_min, y_min, x_max, y_max), broadcast against each other; 0 where
+    the boxes are disjoint."""
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    overlap = (ix > 0.0) & (iy > 0.0)
+    inter = np.where(overlap, ix * iy, 0.0)
+    return np.where(overlap, inter / (_area(a) + _area(b) - inter), 0.0)
 
 
 @dataclass(frozen=True)
@@ -45,26 +55,6 @@ class MatchPolicy:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise DataError(f"iou threshold must be in (0, 1], got {self.tau}")
-
-
-@dataclass(frozen=True)
-class Detection:
-    pair_id: int
-    image_id: int
-    score: float
-    sub_box: BoundingBox
-    obj_box: BoundingBox
-
-    def __post_init__(self):
-        if not (math.isfinite(self.score) and 0.0 < self.score < 1.0):
-            raise DataError(f"detection score must be finite in (0, 1), got {self.score}")
-
-
-@dataclass(frozen=True)
-class GroundTruthPair:
-    image_id: int
-    sub_box: BoundingBox
-    obj_box: BoundingBox
 
 
 @dataclass
@@ -80,85 +70,78 @@ class APResult:
         return self.npos == 0
 
 
-def ground_truth_for(dataset: Dataset, query: Triplet) -> list[GroundTruthPair]:
-    """Ground-truth box pairs: every candidate positive for the query."""
-    return ground_truth_index(dataset).get(query, [])
+def ground_truth_for(dataset: Dataset, query: Triplet) -> PairTable:
+    """The query's ground truth: every pair that lists it, in pair order."""
+    return dataset.pairs.take(ground_truth_index(dataset).get(query, []))
 
 
-def ground_truth_index(dataset: Dataset) -> dict[Triplet, list[GroundTruthPair]]:
-    """Each triplet's ground-truth box pairs in pair order, one per pair listing it."""
+def ground_truth_index(dataset: Dataset) -> dict[Triplet, list[int]]:
+    """Each triplet's ground-truth rows in pair order, one per pair listing it."""
     rows, triplets = dataset.pairs.positives()
-    images, boxes = dataset.pairs.image_id.tolist(), dataset.pairs.boxes.tolist()
-    index: dict[Triplet, list[GroundTruthPair]] = {}
+    index: dict[Triplet, list[int]] = {}
     for s, p, o, i in np.unique(np.column_stack([triplets, rows]), axis=0).tolist():
-        index.setdefault(Triplet(s, p, o), []).append(GroundTruthPair(images[i], *boxes[i]))
+        index.setdefault(Triplet(s, p, o), []).append(i)
     return index
 
 
-def rank_candidates(model: JointModel, query: Triplet, pairs, vp_override=None) -> list[Detection]:
-    """Candidate pairs as detections, best score first; ties by pair id."""
+def rank_candidates(
+    model: JointModel, query: Triplet, pairs: PairTable, vp_override=None
+) -> tuple[PairTable, Array]:
+    """The candidate pairs best score first, ties by pair id, and their scores."""
     scores = score_pairs(model, query, pairs, vp_override=vp_override)
-    ids, images, values = pairs.pair_id.tolist(), pairs.image_id.tolist(), scores.tolist()
-    boxes = pairs.boxes.tolist()
-    order = np.lexsort((pairs.pair_id, -scores)).tolist()
-    return [Detection(ids[i], images[i], values[i], *boxes[i]) for i in order]
+    order = np.lexsort((pairs.pair_id, -scores))
+    scores = scores[order]
+    bad = ~((scores > 0.0) & (scores < 1.0))  # NaN fails both comparisons
+    if bad.any():
+        raise DataError(f"detection score must be finite in (0, 1), got {float(scores[bad][0])}")
+    return pairs.take(order), scores
 
 
-def match_detections(
-    detections: list[Detection],
-    ground_truth: list[GroundTruthPair],
-    policy: MatchPolicy,
-) -> list[bool]:
-    """True-positive flag per detection, in the given (descending) order.
+def match_detections(ranked: PairTable, truth: PairTable, policy: MatchPolicy) -> Array:
+    """True-positive flag per ranked pair, in rank order.
 
-    A detection claims the unmatched same-image ground-truth pair with the
+    A ranked pair claims the unmatched same-image ground-truth pair with the
     largest min(subject IoU, object IoU) among those where both clear tau;
-    ties go to the earlier ground-truth entry. Only the detection's own
-    image is scanned.
+    ties go to the earlier ground-truth entry. Only the rows that clear tau
+    against some ground truth are visited.
     """
-    by_image: dict[int, list[tuple[int, GroundTruthPair]]] = {}
-    for j, gt in enumerate(ground_truth):
-        by_image.setdefault(gt.image_id, []).append((j, gt))
-    matched: set[int] = set()
-    flags = []
-    for det in detections:
-        best, best_q = -1, 0.0
-        for j, gt in by_image.get(det.image_id, ()):
-            if j in matched:
-                continue
-            q = min(iou(det.sub_box, gt.sub_box), iou(det.obj_box, gt.obj_box))
-            if q >= policy.tau and q > best_q:
-                best, best_q = j, q
-        if best >= 0:
-            matched.add(best)
-            flags.append(True)
-        else:
-            flags.append(False)
-    assert len(matched) == sum(flags)  # one ground-truth pair per detection
+    det, gt = ranked.coords[:, None, :], truth.coords[None, :, :]
+    sub, obj = iou(det[..., :4], gt[..., :4]), iou(det[..., 4:], gt[..., 4:])
+    q = np.where(obj < sub, obj, sub)  # Python's min(sub, obj), also for a NaN IoU (infinite boxes)
+    claimable = (ranked.image_id[:, None] == truth.image_id[None, :]) & (q >= policy.tau)
+    q = np.where(claimable, q, -1.0)
+    flags = np.zeros(len(ranked), dtype=bool)
+    free = np.ones(len(truth), dtype=bool)
+    for r in np.flatnonzero(claimable.any(axis=1)).tolist():
+        row = np.where(free, q[r], -1.0)
+        best = int(row.argmax())  # the first of equal maxima
+        if row[best] >= 0.0:
+            free[best] = False
+            flags[r] = True
+    assert flags.sum() == len(truth) - free.sum()  # one ground-truth pair per detection
     return flags
 
 
 def average_precision(
     query: Triplet,
-    detections: list[Detection],
-    ground_truth: list[GroundTruthPair],
+    ranked: PairTable,
+    scores: Array,
+    truth: PairTable,
     policy: MatchPolicy | None = None,
 ) -> APResult:
-    """Interpolation-free AP of a sorted detection list against ground truth."""
+    """Interpolation-free AP of a ranking (descending ``scores``) against
+    ground truth."""
     policy = policy or MatchPolicy()
-    for prev, det in zip(detections, detections[1:]):
-        if det.score > prev.score:
-            raise DataError("detections must be sorted by descending score")
-    npos = len(ground_truth)
+    if (scores[1:] > scores[:-1]).any():
+        raise DataError("detections must be sorted by descending score")
+    npos = len(truth)
     if npos == 0:
-        return APResult(query, 0.0, 0, len(detections))
-    flags = match_detections(detections, ground_truth, policy)
-    ap, tp = 0.0, 0
-    for rank, hit in enumerate(flags, 1):
-        if hit:
-            tp += 1
-            ap += tp / rank
-    return APResult(query, ap / npos, npos, len(detections))
+        return APResult(query, 0.0, 0, len(ranked))
+    hit_ranks = (np.flatnonzero(match_detections(ranked, truth, policy)) + 1).tolist()
+    ap = 0.0
+    for tp, rank in enumerate(hit_ranks, 1):
+        ap += tp / rank
+    return APResult(query, ap / npos, npos, len(ranked))
 
 
 def evaluate_queries(
@@ -167,11 +150,11 @@ def evaluate_queries(
     queries: list[Triplet],
     policy: MatchPolicy | None = None,
     gamma: Gamma | None = None,
-) -> Iterator[tuple[Triplet, list[Detection], APResult]]:
+) -> Iterator[tuple[Triplet, PairTable, Array, APResult]]:
     """Rank every candidate pair of the dataset for each query, in order.
 
-    Yields (query, ranked detections, AP). The pair embeddings and the
-    ground-truth index are built once, on the first step; each query's
+    Yields (query, ranked pairs, their scores, AP). The pair embeddings and
+    the ground-truth index are built once, on the first step; each query's
     ``pair_embeddings`` call then returns the same arrays. Without ``gamma``
     each query is scored directly; with it, its vp factor is the embedding
     transferred from the source pool (analogy transfer).
@@ -181,12 +164,13 @@ def evaluate_queries(
         pool = source_pool(model)
         if not pool:
             raise DataError("no transfer sources: every observed triplet is rare")
-    truth = ground_truth_index(dataset)
+    index = ground_truth_index(dataset)
     with reuse_pair_embeddings(model, dataset.pairs):
         for query in queries:
             override = None if pool is None else transfer_embedding(model, gamma, query, pool)
-            detections = rank_candidates(model, query, dataset.pairs, vp_override=override)
-            yield query, detections, average_precision(query, detections, truth.get(query, []), policy)
+            ranked, scores = rank_candidates(model, query, dataset.pairs, vp_override=override)
+            truth = dataset.pairs.take(index.get(query, []))
+            yield query, ranked, scores, average_precision(query, ranked, scores, truth, policy)
 
 
 def mean_ap(results: list[APResult]) -> float:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,22 @@ def row_triplets(table: PairTable) -> list[list[Triplet]]:
         [Triplet(s, p, o) for p in preds[offsets[i] : offsets[i + 1]]]
         for i, (s, o) in enumerate(zip(table.scat.tolist(), table.ocat.tolist()))
     ]
+
+
+def box_table(rows) -> PairTable:
+    """A pair table of (image_id, sub box, obj box) rows: pair ids 0, 1, ...,
+    one zero appearance feature, no labels."""
+    a = np.zeros(1)
+    rows = [(i, img, sub, obj, 0, 0, a, a, ()) for i, (img, sub, obj) in enumerate(rows)]
+    return PairTable.from_rows(rows, 1)
+
+
+def assert_tables_equal(a: PairTable, b: PairTable):
+    """Every column of two pair tables has the same dtype, shape and bytes."""
+    for f in fields(PairTable):
+        column_a, column_b = getattr(a, f.name), getattr(b, f.name)
+        assert column_a.dtype == column_b.dtype and column_a.shape == column_b.shape, f.name
+        assert column_a.tobytes() == column_b.tobytes(), f.name
 
 
 @pytest.fixture(scope="session")

@@ -47,8 +47,6 @@ from relembed.numkit import (
     rng_stream,
 )
 from relembed.retrieval import (
-    Detection,
-    GroundTruthPair,
     MatchPolicy,
     average_precision,
     evaluate_queries,
@@ -56,7 +54,7 @@ from relembed.retrieval import (
     iou,
 )
 
-from conftest import desk_config, row_triplets
+from conftest import box_table, desk_config, row_triplets
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -231,14 +229,15 @@ def _iou_ref(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def _brute_ap(dets, gts, tau):
+    """dets and gts are (image_id, sub box, obj box) rows, dets in rank order."""
     taken = [False] * len(gts)
     flags = []
-    for d in dets:
+    for d_img, d_sub, d_obj in dets:
         best, best_q = None, tau
-        for gi, g in enumerate(gts):
-            if taken[gi] or g.image_id != d.image_id:
+        for gi, (g_img, g_sub, g_obj) in enumerate(gts):
+            if taken[gi] or g_img != d_img:
                 continue
-            q = min(_iou_ref(d.sub_box, g.sub_box), _iou_ref(d.obj_box, g.obj_box))
+            q = min(_iou_ref(d_sub, g_sub), _iou_ref(d_obj, g_obj))
             if q >= tau and (best is None or q > best_q):
                 best, best_q = gi, q
         if best is None:
@@ -267,11 +266,12 @@ def _jitter(box, rng) -> BoundingBox:
 
 
 def test_criterion_4_ap_oracle_equivalence():
-    third = iou(BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10))
+    unit = np.array([0.0, 0.0, 10.0, 10.0])
+    third = iou(unit, np.array([5.0, 0.0, 15.0, 10.0]))
     hand_ok = (
         abs(third - 1.0 / 3.0) < 1e-12
-        and iou(BoundingBox(0, 0, 10, 10), BoundingBox(0, 0, 10, 10)) == 1.0
-        and iou(BoundingBox(0, 0, 10, 10), BoundingBox(20, 20, 30, 30)) == 0.0
+        and iou(unit, unit) == 1.0
+        and iou(unit, np.array([20.0, 20.0, 30.0, 30.0])) == 0.0
     )
 
     rng = np.random.default_rng(2024)
@@ -281,7 +281,7 @@ def test_criterion_4_ap_oracle_equivalence():
         tau = 0.5 if case % 2 == 0 else 0.3
         n_img = int(rng.integers(1, 4))
         gts = [
-            GroundTruthPair(int(rng.integers(n_img)), _rand_box(rng), _rand_box(rng))
+            (int(rng.integers(n_img)), _rand_box(rng), _rand_box(rng))
             for _ in range(int(rng.integers(0, 9)))
         ]
         ndet = int(rng.integers(1, 21))
@@ -290,12 +290,12 @@ def test_criterion_4_ap_oracle_equivalence():
         for i in range(ndet):
             img = int(rng.integers(n_img))
             if gts and rng.uniform() < 0.5:
-                g = gts[int(rng.integers(len(gts)))]
-                img, sub, obj = g.image_id, _jitter(g.sub_box, rng), _jitter(g.obj_box, rng)
+                g_img, g_sub, g_obj = gts[int(rng.integers(len(gts)))]
+                img, sub, obj = g_img, _jitter(g_sub, rng), _jitter(g_obj, rng)
             else:
                 sub, obj = _rand_box(rng), _rand_box(rng)
-            dets.append(Detection(i, img, float(scores[i]), sub, obj))
-        got = average_precision(query, dets, gts, MatchPolicy(tau))
+            dets.append((img, sub, obj))
+        got = average_precision(query, box_table(dets), scores, box_table(gts), MatchPolicy(tau))
         want = _brute_ap(dets, gts, tau)
         if got.ap != want or got.npos != len(gts) or got.ndet != ndet:
             mismatches += 1
@@ -310,7 +310,7 @@ def test_criterion_4_ap_oracle_equivalence():
 
 def _zero_shot_map(model, gamma, test, heldout):
     evaluated = evaluate_queries(model, test, heldout, MatchPolicy(0.5), gamma)
-    return mean_ap([r for _, _, r in evaluated])
+    return mean_ap([r for _, _, _, r in evaluated])
 
 
 def test_criterion_5_transfer_variant_ordering():
@@ -359,7 +359,7 @@ def _seen_map(branches: str, seed: int) -> float:
     model = build_model(cfg, train, table, seed)
     train_stage1(model, train, seed)
     evaluated = evaluate_queries(model, test, sorted(train.counts), MatchPolicy(0.5))
-    return mean_ap([r for _, _, r in evaluated])
+    return mean_ap([r for _, _, _, r in evaluated])
 
 
 def test_criterion_6_branch_ablation_ordering():

@@ -109,6 +109,15 @@ def test_non_finite_or_out_of_range_float_is_one_config_error(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["train_data", "test_data", "word_table", "queries", "checkpoint"])
+def test_path_with_a_nul_byte_is_one_config_error(tmp_path, capsys, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = data\0.txt\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error:config: {path}: {key}: a path cannot hold a NUL byte"]
+
+
 def test_gamma_hidden_defaults_to_three_embed_dims():
     cfg = RunConfig(embed_dim=20)
     assert cfg.gamma_hidden_dim() == 60

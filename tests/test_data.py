@@ -25,7 +25,7 @@ from relembed.data import (
 )
 from relembed.model import build_model
 
-from conftest import desk_config
+from conftest import assert_tables_equal, desk_config
 
 
 def tiny_dataset() -> Dataset:
@@ -60,11 +60,7 @@ def assert_datasets_equal(a: Dataset, b: Dataset):
     assert a.appearance_dim == b.appearance_dim
     assert a.counts == b.counts
     assert len(a.pairs) == len(b.pairs)
-    for name in ("pair_id", "image_id", "scat", "ocat", "a_s", "a_o", "coords", "pos_offsets", "pos_preds"):
-        column_a, column_b = getattr(a.pairs, name), getattr(b.pairs, name)
-        assert column_a.dtype == column_b.dtype and column_a.shape == column_b.shape, name
-        assert np.array_equal(column_a, column_b), name
-    assert a.pairs.boxes.tolist() == b.pairs.boxes.tolist()
+    assert_tables_equal(a.pairs, b.pairs)
 
 
 def test_vocabulary_rejects_duplicates_and_empties():

@@ -1,6 +1,7 @@
-"""Fuzz test of the CLI error contract: a mutated dataset or checkpoint makes
-``train`` (zero epochs) or ``inspect embeddings`` return 0, or return 1 with
-exactly one ``error:<category>:`` line on stderr, never a traceback.
+"""Fuzz test of the CLI error contract: a mutated dataset, config file,
+checkpoint or query list makes ``train`` (zero epochs), ``inspect
+embeddings`` or ``eval --mode direct`` return 0, or return 1 with exactly
+one ``error:<category>:`` line on stderr, never a traceback.
 
 Derandomized and without an example database, so every run tries the same
 inputs; the whole file runs in a few seconds.
@@ -9,7 +10,7 @@ inputs; the whole file runs in a few seconds.
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from relembed.cli import main
@@ -38,8 +39,9 @@ TOKENS = [
 @pytest.fixture(scope="module")
 def desk_run(tmp_path_factory):
     """The directory of a desk world, a config that trains it for zero
-    epochs from ``fuzz.ds`` into ``fuzz.ckpt``, and that checkpoint's bytes
-    in ``good.ckpt``."""
+    epochs from ``fuzz.ds`` into ``fuzz.ckpt``, that checkpoint's bytes in
+    ``good.ckpt``, and ``query.cfg``, which evaluates ``good.ckpt`` on the
+    queries in ``fuzz.txt``."""
     root = tmp_path_factory.mktemp("fuzz")
     write_config(desk_config(stage1_epochs=0, stage2_epochs=0), str(root / "base.cfg"))
     assert main(["synth", "--config", str(root / "base.cfg"), "--out", str(root)]) == 0
@@ -49,6 +51,8 @@ def desk_run(tmp_path_factory):
     (root / "fuzz.ds").write_bytes((root / "train.ds").read_bytes())
     assert main(["train", "--config", str(root / "fuzz.cfg"), "--out", str(root / "train")]) == 0
     (root / "good.ckpt").write_bytes((root / "fuzz.ckpt").read_bytes())
+    cfg.checkpoint, cfg.queries = str(root / "good.ckpt"), str(root / "fuzz.txt")
+    write_config(cfg, str(root / "query.cfg"))
     return root
 
 
@@ -56,6 +60,15 @@ def assert_contract(argv, capsys):
     rc = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert rc == 0 or (rc == 1 and len(err) == 1 and ERROR_LINE.match(err[0])), (rc, err)
+
+
+def mutate_lines(data, text: bytes, first: int = 0) -> bytes:
+    """``text`` with 1-3 of its lines from ``first`` on mutated."""
+    lines = text.split(b"\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(first, len(lines) - 2))  # the last element is ""
+        lines[i] = mutate_line(data, lines[i])
+    return b"\n".join(lines)
 
 
 def mutate_line(data, line: bytes) -> bytes:
@@ -80,13 +93,42 @@ def mutate_line(data, line: bytes) -> bytes:
 @given(data=st.data())
 def test_train_on_mutated_pair_lines_keeps_the_error_contract(desk_run, capsys, data):
     root = desk_run
-    lines = (root / "train.ds").read_bytes().split(b"\n")
-    first_pair = next(i for i, line in enumerate(lines) if line.startswith(b"pair"))
-    for _ in range(data.draw(st.integers(1, 3))):
-        i = data.draw(st.integers(first_pair, len(lines) - 2))  # the last element is ""
-        lines[i] = mutate_line(data, lines[i])
-    (root / "fuzz.ds").write_bytes(b"\n".join(lines))
+    text = (root / "train.ds").read_bytes()
+    first_pair = text[: text.index(b"\npair")].count(b"\n") + 1
+    (root / "fuzz.ds").write_bytes(mutate_lines(data, text, first_pair))
     assert_contract(["train", "--config", str(root / "fuzz.cfg"), "--out", str(root / "train")], capsys)
+
+
+# keys whose values set the work and memory of a zero-epoch train run
+SIZE_KEYS = ("stage1_epochs", "stage2_epochs", "embed_dim", "branch_hidden", "app_out",
+             "spatial_hidden", "spatial_out", "gamma_hidden")
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_train_on_mutated_config_lines_keeps_the_error_contract(desk_run, capsys, monkeypatch, data):
+    root = desk_run
+    monkeypatch.chdir(root)  # a mutated relative path stays inside the world's directory
+    text = mutate_lines(data, (root / "fuzz.cfg").read_bytes())
+    (root / "mutated.cfg").write_bytes(text)
+    try:
+        cfg = load_config(str(root / "mutated.cfg"))
+    except Exception:  # main must report it; assert_contract checks how
+        cfg = None
+    # a config that parses but asks for training or a wide model would train
+    # or allocate for real; it is not a malformed input
+    assume(cfg is None or (cfg.stage1_epochs == cfg.stage2_epochs == 0
+                           and max(getattr(cfg, key) for key in SIZE_KEYS) <= 64))
+    assert_contract(["train", "--config", str(root / "mutated.cfg"), "--out", str(root / "train")], capsys)
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_eval_on_mutated_query_lines_keeps_the_error_contract(desk_run, capsys, data):
+    root = desk_run
+    (root / "fuzz.txt").write_bytes(mutate_lines(data, (root / "heldout.txt").read_bytes()))
+    argv = ["eval", "--config", str(root / "query.cfg"), "--mode", "direct", "--out", str(root / "eval")]
+    assert_contract(argv, capsys)
 
 
 @settings(FUZZ, max_examples=400)

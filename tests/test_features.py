@@ -60,7 +60,8 @@ def spatial_features_per_pair(sub, obj, norm="area"):
 def test_spatial_features_are_bit_equal_to_the_per_pair_oracle(small_bench, norm):
     _, (train, test, _, _) = small_bench
     for table in (train.pairs, test.pairs):
-        want = np.stack([spatial_features_per_pair(s, o, norm) for s, o in table.boxes])
+        boxes = [(BoundingBox(*xy[:4]), BoundingBox(*xy[4:])) for xy in table.coords.tolist()]
+        want = np.stack([spatial_features_per_pair(s, o, norm) for s, o in boxes])
         assert spatial_features(table.coords, norm).tobytes() == want.tobytes()
     # ties and signed zeros in the union box keep the subject's value
     pairs = [(box(-0.0, 0, 1, 1), box(0, -0.0, 1, 2)), (box(0, -0.0, 2, 1), box(-0.0, 0, 2, 1))]

@@ -3,9 +3,10 @@ and the results file round-trip."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relembed import retrieval
 from relembed.analogy import gamma_init, source_pool, train_stage2, transfer_embedding
 from relembed.data import (
     BoundingBox,
@@ -20,8 +21,6 @@ from relembed.model import build_model, label_matrix, score_pairs, train_stage1
 from relembed.numkit import rng_stream
 from relembed.retrieval import (
     APResult,
-    Detection,
-    GroundTruthPair,
     MatchPolicy,
     average_precision,
     evaluate_queries,
@@ -35,7 +34,7 @@ from relembed.retrieval import (
     write_results,
 )
 
-from conftest import desk_config, row_triplets
+from conftest import assert_tables_equal, box_table, desk_config, row_triplets
 
 
 def box(x0, y0, x1, y1):
@@ -43,11 +42,49 @@ def box(x0, y0, x1, y1):
 
 
 def det(pair_id, score, sub, obj, image_id=0):
-    return Detection(pair_id, image_id, score, sub, obj)
+    """One ranked pair: (pair_id, image_id, score, sub box, obj box)."""
+    return pair_id, image_id, score, sub, obj
 
 
 def gt(sub, obj, image_id=0):
-    return GroundTruthPair(image_id, sub, obj)
+    """One ground-truth pair: (image_id, sub box, obj box)."""
+    return image_id, sub, obj
+
+
+def ranking(dets) -> tuple[PairTable, np.ndarray]:
+    """The ranked table and scores of det() rows, in the given order."""
+    table = box_table([(img, sub, obj) for _, img, _, sub, obj in dets])
+    return table, np.array([score for _, _, score, _, _ in dets], dtype=np.float64)
+
+
+def box_rows(table: PairTable) -> list[tuple[int, BoundingBox, BoundingBox]]:
+    """(image_id, sub box, obj box) of every row, read one row at a time."""
+    rows = zip(table.image_id.tolist(), table.coords.tolist())
+    return [(img, BoundingBox(*xy[:4]), BoundingBox(*xy[4:])) for img, xy in rows]
+
+
+def match(dets, gts, tau):
+    return match_detections(ranking(dets)[0], box_table(gts), MatchPolicy(tau)).tolist()
+
+
+def ap_of(dets, gts, policy=None):
+    return average_precision(Triplet(0, 0, 0), *ranking(dets), box_table(gts), policy)
+
+
+def iou_scalar(a: BoundingBox, b: BoundingBox) -> float:
+    """Oracle: the IoU of two boxes, one float at a time."""
+    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+    if ix <= 0.0 or iy <= 0.0:
+        return 0.0
+    inter = ix * iy
+    area_a = (a.x_max - a.x_min) * (a.y_max - a.y_min)
+    area_b = (b.x_max - b.x_min) * (b.y_max - b.y_min)
+    return inter / (area_a + area_b - inter)
+
+
+def xy(b: BoundingBox) -> np.ndarray:
+    return np.array(b.coords())
 
 
 UNIT = box(0, 0, 10, 10)
@@ -60,24 +97,43 @@ FAR = box(500, 500, 510, 510)
 
 
 def test_iou_identical_boxes():
-    assert iou(UNIT, UNIT) == 1.0
+    assert iou(xy(UNIT), xy(UNIT)) == 1.0
 
 
 def test_iou_disjoint_boxes():
-    assert iou(UNIT, box(20, 20, 30, 30)) == 0.0
-    assert iou(UNIT, box(10, 0, 20, 10)) == 0.0  # shared edge only
+    assert iou(xy(UNIT), xy(box(20, 20, 30, 30))) == 0.0
+    assert iou(xy(UNIT), xy(box(10, 0, 20, 10))) == 0.0  # shared edge only
 
 
 def test_iou_half_overlap_hand_value():
     # intersection 5 * 10 = 50, union 100 + 100 - 50 = 150
-    a, b = box(0, 0, 10, 10), box(5, 0, 15, 10)
+    a, b = xy(box(0, 0, 10, 10)), xy(box(5, 0, 15, 10))
     assert abs(iou(a, b) - 1.0 / 3.0) < 1e-12
     assert iou(a, b) == iou(b, a)
 
 
 def test_iou_containment():
     inner = box(2, 2, 4, 4)  # area 4 inside area 100
-    assert abs(iou(UNIT, inner) - 0.04) < 1e-12
+    assert abs(iou(xy(UNIT), xy(inner)) - 0.04) < 1e-12
+
+
+def test_iou_broadcasts_and_is_bit_equal_to_the_scalar_oracle():
+    rng = np.random.default_rng(31)
+    # a grid of small integer boxes gives shared edges, containment,
+    # identical boxes and equal IoUs; real-valued boxes and signed zeros
+    # give the rest
+    boxes = [box(x, y, x + w, y + h) for x in range(3) for y in range(2) for w in (1, 2, 3) for h in (1, 2)]
+    for _ in range(40):
+        x0, y0 = rng.uniform(-5, 5, size=2)
+        boxes.append(box(x0, y0, x0 + rng.uniform(0.5, 6), y0 + rng.uniform(0.5, 6)))
+    boxes += [box(-0.0, -0.0, 1, 1), box(0, 0, 1, 1), box(-1, -1, -0.0, 0.0), box(-1, -1, 0.0, -0.0)]
+    coords = np.array([b.coords() for b in boxes])
+    got = iou(coords[:, None, :], coords[None, :, :])
+    want = np.array([[iou_scalar(a, b) for b in boxes] for a in boxes])
+    assert got.shape == (len(boxes), len(boxes))
+    assert got.tobytes() == want.tobytes()
+    assert (want == 0.0).any() and (want == 1.0).sum() > len(boxes)  # disjoint, and equal off the diagonal
+    assert iou(coords[0], coords[1:]).tobytes() == want[0, 1:].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +150,14 @@ def test_policy_threshold_range():
         MatchPolicy(1.5)
 
 
-def test_detection_score_must_be_open_unit():
-    det(0, 0.5, UNIT, UNIT)
+def test_detection_score_must_be_open_unit(monkeypatch):
+    model, ds = _identical_pairs_world([0, 1, 2])
+    rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
     for bad in (0.0, 1.0, -0.2, float("nan"), float("inf")):
-        with pytest.raises(DataError):
-            det(0, bad, UNIT, UNIT)
+        monkeypatch.setattr(retrieval, "score_pairs", lambda *a, **k: np.array([0.5, bad, 0.25]))
+        with pytest.raises(DataError) as info:
+            rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
+        assert str(info.value) == f"detection score must be finite in (0, 1), got {bad}"
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +178,15 @@ def _identical_pairs_world(order):
 
 def test_rank_equal_scores_orders_by_pair_id():
     model, ds = _identical_pairs_world([3, 0, 2, 1])
-    dets = rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
-    assert len({d.score for d in dets}) == 1
-    assert [d.pair_id for d in dets] == [0, 1, 2, 3]
+    ranked, scores = rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
+    assert len(set(scores.tolist())) == 1
+    assert ranked.pair_id.tolist() == [0, 1, 2, 3]
 
 
 def test_rank_single_pair_is_singleton():
     model, ds = _identical_pairs_world([7])
-    dets = rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
-    assert len(dets) == 1 and dets[0].pair_id == 7
+    ranked, scores = rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
+    assert len(ranked) == len(scores) == 1 and ranked.pair_id.tolist() == [7]
 
 
 def test_rank_matches_full_sort_oracle(small_bench):
@@ -135,11 +194,13 @@ def test_rank_matches_full_sort_oracle(small_bench):
     model = build_model(cfg, train, table, seed=0)
     pairs = train.pairs.take(range(20))
     query = model.observed[0]
-    dets = rank_candidates(model, query, pairs)
-    scores = score_pairs(model, query, pairs)
-    want = [i for i, _ in sorted(zip(pairs.pair_id.tolist(), scores), key=lambda ps: (-ps[1], ps[0]))]
-    assert [d.pair_id for d in dets] == want
-    assert all(a.score >= b.score for a, b in zip(dets, dets[1:]))
+    ranked, scores = rank_candidates(model, query, pairs)
+    want = sorted(zip(pairs.pair_id.tolist(), score_pairs(model, query, pairs).tolist(), range(20)),
+                  key=lambda ps: (-ps[1], ps[0]))
+    assert ranked.pair_id.tolist() == [i for i, _, _ in want]
+    assert scores.tolist() == [s for _, s, _ in want]
+    assert all(a >= b for a, b in zip(scores, scores[1:]))
+    assert_tables_equal(ranked, pairs.take([row for _, _, row in want]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +212,15 @@ def test_match_requires_both_boxes():
     g = [gt(UNIT, UNIT)]
     good = [det(0, 0.9, UNIT, UNIT)]
     half = [det(0, 0.9, UNIT, box(8, 8, 18, 18))]  # object overlap far below tau
-    assert match_detections(good, g, MatchPolicy(0.5)) == [True]
-    assert match_detections(half, g, MatchPolicy(0.5)) == [False]
-    assert match_detections(half, g, MatchPolicy(0.02)) == [True]
+    assert match(good, g, 0.5) == [True]
+    assert match(half, g, 0.5) == [False]
+    assert match(half, g, 0.02) == [True]
 
 
 def test_match_is_one_to_one_greedy():
     g = [gt(UNIT, UNIT)]
     dets = [det(0, 0.9, UNIT, UNIT), det(1, 0.8, UNIT, UNIT)]
-    assert match_detections(dets, g, MatchPolicy(0.5)) == [True, False]
+    assert match(dets, g, 0.5) == [True, False]
 
 
 def test_match_prefers_larger_min_overlap():
@@ -171,35 +232,43 @@ def test_match_prefers_larger_min_overlap():
     b = box(0.8, 0, 10.8, 10)
     g = [gt(a, a), gt(b, b)]
     dets = [det(0, 0.9, UNIT, UNIT), det(1, 0.8, b, b)]
-    assert match_detections(dets, g, MatchPolicy(0.5)) == [True, False]
+    assert match(dets, g, 0.5) == [True, False]
 
 
 def test_match_respects_image_boundaries():
     g = [gt(UNIT, UNIT, image_id=1)]
     dets = [det(0, 0.9, UNIT, UNIT, image_id=0)]
-    assert match_detections(dets, g, MatchPolicy(0.5)) == [False]
+    assert match(dets, g, 0.5) == [False]
 
 
 def test_match_tie_goes_to_earlier_ground_truth():
     g = [gt(UNIT, UNIT), gt(UNIT, UNIT)]  # identical candidates
     dets = [det(0, 0.9, UNIT, UNIT)]
-    flags = match_detections(dets, g, MatchPolicy(0.5))
-    assert flags == [True]
+    assert match(dets, g, 0.5) == [True]
     # the second detection must still find the (identical) leftover
-    flags = match_detections([det(0, 0.9, UNIT, UNIT), det(1, 0.8, UNIT, UNIT)], g, MatchPolicy(0.5))
-    assert flags == [True, True]
+    assert match([det(0, 0.9, UNIT, UNIT), det(1, 0.8, UNIT, UNIT)], g, 0.5) == [True, True]
+    # the first detection overlaps both at 0.6 and takes the earlier one,
+    # which leaves the second (0.6 with the first, 0.14 with the later) empty
+    b = [box(x, 0, x + 4, 4) for x in range(4)]
+    g = [gt(b[1], b[1]), gt(b[3], b[3])]
+    assert match([det(0, 0.9, b[2], b[2]), det(1, 0.8, b[0], b[0])], g, 0.5) == [True, False]
 
 
-def _brute_force_flags(dets, gts, tau):
-    """The matcher without the per-image grouping: every detection scans
-    all ground truth and skips other images' entries."""
+def test_match_on_empty_tables():
+    assert match([], [gt(UNIT, UNIT)], 0.5) == []
+    assert match([det(0, 0.9, UNIT, UNIT)], [], 0.5) == [False]
+
+
+def _brute_force_flags(ranked, gts, tau):
+    """The matcher one pair at a time: every ranked pair scans all ground
+    truth with the scalar IoU and skips other images' entries."""
     matched, flags = set(), []
-    for d in dets:
+    for img, sub, obj in box_rows(ranked):
         best, best_q = -1, 0.0
-        for j, g in enumerate(gts):
-            if j in matched or g.image_id != d.image_id:
+        for j, (g_img, g_sub, g_obj) in enumerate(box_rows(gts)):
+            if j in matched or g_img != img:
                 continue
-            q = min(iou(d.sub_box, g.sub_box), iou(d.obj_box, g.obj_box))
+            q = min(iou_scalar(sub, g_sub), iou_scalar(obj, g_obj))
             if q >= tau and q > best_q:
                 best, best_q = j, q
         if best >= 0:
@@ -216,15 +285,20 @@ _image = st.integers(0, 1)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(  # a tie whose rule decides the next match (see the tie test)
+    gts=[gt(box(1, 0, 5, 4), box(1, 0, 5, 4)), gt(box(3, 0, 7, 4), box(3, 0, 7, 4))],
+    dets=[(box(2, 0, 6, 4), box(2, 0, 6, 4), 0), (box(0, 0, 4, 4), box(0, 0, 4, 4), 0)],
+    tau=0.5,
+)
 @given(
     gts=st.lists(st.builds(gt, _shifted_box, _shifted_box, _image), max_size=8),
     dets=st.lists(st.tuples(_shifted_box, _shifted_box, _image), max_size=12),
     tau=st.sampled_from([0.1, 0.5, 1.0]),
 )
 def test_per_image_matcher_equals_brute_force(gts, dets, tau):
-    detections = [det(i, 0.5, s, o, img) for i, (s, o, img) in enumerate(dets)]
-    want = _brute_force_flags(detections, gts, tau)
-    assert match_detections(detections, gts, MatchPolicy(tau)) == want
+    ranked, _ = ranking([det(i, 0.5, s, o, img) for i, (s, o, img) in enumerate(dets)])
+    want = _brute_force_flags(ranked, box_table(gts), tau)
+    assert match_detections(ranked, box_table(gts), MatchPolicy(tau)).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +315,7 @@ def test_ap_perfect_prefix_is_one():
         det(3, 0.6, FAR, FAR),
         det(4, 0.5, FAR, FAR),
     ]
-    r = average_precision(Triplet(0, 0, 0), dets, g)
+    r = ap_of(dets, g)
     assert r.ap == 1.0 and r.npos == 3 and r.ndet == 5
 
 
@@ -252,7 +326,7 @@ def test_ap_tp_fp_tp_hand_value():
         det(1, 0.8, FAR, FAR),
         det(2, 0.7, box(20, 0, 30, 10), UNIT),
     ]
-    r = average_precision(Triplet(0, 0, 0), dets, g)
+    r = ap_of(dets, g)
     assert abs(r.ap - (1.0 / 1.0 + 2.0 / 3.0) / 2.0) < 1e-15
     assert abs(r.ap - 0.8333333333333333) < 1e-12
 
@@ -260,31 +334,28 @@ def test_ap_tp_fp_tp_hand_value():
 def test_ap_no_matches_is_zero():
     g = [gt(UNIT, UNIT)]
     dets = [det(0, 0.9, FAR, FAR)]
-    r = average_precision(Triplet(0, 0, 0), dets, g)
+    r = ap_of(dets, g)
     assert r.ap == 0.0 and not r.excluded
 
 
 def test_ap_zero_positives_is_excluded():
-    r = average_precision(Triplet(0, 0, 0), [det(0, 0.9, UNIT, UNIT)], [])
+    r = ap_of([det(0, 0.9, UNIT, UNIT)], [])
     assert r.excluded and r.ap == 0.0 and r.npos == 0 and r.ndet == 1
 
 
 def test_ap_rejects_unsorted_detections():
     dets = [det(0, 0.5, UNIT, UNIT), det(1, 0.9, UNIT, UNIT)]
     with pytest.raises(DataError, match="sorted"):
-        average_precision(Triplet(0, 0, 0), dets, [gt(UNIT, UNIT)])
+        ap_of(dets, [gt(UNIT, UNIT)])
 
 
 def test_ap_invariant_under_monotone_score_transform():
     rng = np.random.default_rng(5)
     for _ in range(25):
         dets, g = _random_instance(rng)
-        base = average_precision(Triplet(0, 0, 0), dets, g)
-        squeezed = [
-            Detection(d.pair_id, d.image_id, 0.25 + d.score / 2.0, d.sub_box, d.obj_box)
-            for d in dets
-        ]
-        again = average_precision(Triplet(0, 0, 0), squeezed, g)
+        ranked, scores = ranking(dets)
+        base = average_precision(Triplet(0, 0, 0), ranked, scores, box_table(g))
+        again = average_precision(Triplet(0, 0, 0), ranked, 0.25 + scores / 2.0, box_table(g))
         assert again.ap == base.ap
 
 
@@ -292,10 +363,10 @@ def test_ap_unchanged_by_trailing_false_positives():
     rng = np.random.default_rng(6)
     for _ in range(25):
         dets, g = _random_instance(rng)
-        base = average_precision(Triplet(0, 0, 0), dets, g)
-        floor = dets[-1].score if dets else 0.5
+        base = ap_of(dets, g)
+        floor = dets[-1][2] if dets else 0.5
         extra = dets + [det(999 + i, floor * 0.5**(i + 1), FAR, FAR) for i in range(3)]
-        again = average_precision(Triplet(0, 0, 0), extra, g)
+        again = ap_of(extra, g)
         assert again.ap == base.ap
         assert again.ndet == base.ndet + 3
 
@@ -323,35 +394,36 @@ def _random_instance(rng):
     gts = [gt(_random_box(rng), _random_box(rng), int(rng.integers(3))) for _ in range(rng.integers(0, 5))]
     dets = []
     next_id = 0
-    for g in gts:
+    for g_img, g_sub, g_obj in gts:
         for _ in range(int(rng.integers(0, 3))):
-            img = g.image_id if rng.random() < 0.8 else int(rng.integers(3))
-            dets.append(
-                det(next_id, float(rng.uniform(0.01, 0.99)), _jitter(rng, g.sub_box), _jitter(rng, g.obj_box), img)
-            )
+            img = g_img if rng.random() < 0.8 else int(rng.integers(3))
+            score = float(rng.uniform(0.01, 0.99))
+            dets.append(det(next_id, score, _jitter(rng, g_sub), _jitter(rng, g_obj), img))
             next_id += 1
     for _ in range(int(rng.integers(0, 6))):
         dets.append(
             det(next_id, float(rng.uniform(0.01, 0.99)), _random_box(rng), _random_box(rng), int(rng.integers(3)))
         )
         next_id += 1
-    dets.sort(key=lambda d: (-d.score, d.pair_id))
+    dets.sort(key=lambda d: (-d[2], d[0]))
     return dets, gts
 
 
-def _oracle_ap(dets, gts, tau):
-    """Independent reference: full min-IoU table, then greedy matching and a
-    quadratic prefix-recount of precision at every true-positive rank."""
+def _oracle_ap(ranked, gts, tau):
+    """Independent reference: full min-IoU table from the tables' rows, then
+    greedy matching and a quadratic prefix-recount of precision at every
+    true-positive rank."""
+    gt_rows = box_rows(gts)
     table = []
-    for d in dets:
+    for img, sub, obj in box_rows(ranked):
         row = []
-        for g in gts:
-            if g.image_id != d.image_id:
+        for g_img, g_sub, g_obj in gt_rows:
+            if g_img != img:
                 row.append(-1.0)
             else:
-                row.append(min(iou(d.sub_box, g.sub_box), iou(d.obj_box, g.obj_box)))
+                row.append(min(iou_scalar(sub, g_sub), iou_scalar(obj, g_obj)))
         table.append(row)
-    taken = [False] * len(gts)
+    taken = [False] * len(gt_rows)
     flags = []
     for row in table:
         pick, pick_q = -1, -1.0
@@ -361,13 +433,13 @@ def _oracle_ap(dets, gts, tau):
         if pick >= 0:
             taken[pick] = True
         flags.append(pick >= 0)
-    if not gts:
+    if not gt_rows:
         return None
     total = 0.0
     for r in range(1, len(flags) + 1):
         if flags[r - 1]:
             total += sum(flags[:r]) / r
-    return total / len(gts)
+    return total / len(gt_rows)
 
 
 def test_ap_matches_brute_force_on_200_instances():
@@ -376,8 +448,9 @@ def test_ap_matches_brute_force_on_200_instances():
     for tau in (0.5, 0.3):
         for _ in range(100):
             dets, gts = _random_instance(rng)
-            r = average_precision(Triplet(0, 0, 0), dets, gts, MatchPolicy(tau))
-            want = _oracle_ap(dets, gts, tau)
+            (ranked, scores), table = ranking(dets), box_table(gts)
+            r = average_precision(Triplet(0, 0, 0), ranked, scores, table, MatchPolicy(tau))
+            want = _oracle_ap(ranked, table, tau)
             if want is None:
                 assert r.excluded
             else:
@@ -488,8 +561,8 @@ def test_evaluate_query_counts_ground_truth(small_bench):
     model = build_model(cfg, train, table, seed=0)
     query = model.observed[0]
     want_npos = sum(1 for row in row_triplets(test.pairs) if query in row)
-    [(q, dets, r)] = evaluate_queries(model, test, [query], MatchPolicy(0.5))
-    assert q == query and len(dets) == len(test.pairs)
+    [(q, ranked, scores, r)] = evaluate_queries(model, test, [query], MatchPolicy(0.5))
+    assert q == query and len(ranked) == len(scores) == len(test.pairs)
     assert r.npos == want_npos > 0
     assert r.ndet == len(test.pairs)
     assert 0.0 <= r.ap <= 1.0
@@ -499,15 +572,14 @@ def test_evaluate_query_ground_truth_listing(small_bench):
     cfg, (train, test, table, heldout) = small_bench
     q = heldout[0]
     gts = ground_truth_for(test, q)
-    assert all(isinstance(g, GroundTruthPair) for g in gts)
+    assert isinstance(gts, PairTable)
     assert len(gts) == sum(1 for row in row_triplets(test.pairs) if q in row)
+    assert all(q in row for row in row_triplets(gts))
 
 
-def ground_truth_scan(dataset: Dataset, query: Triplet) -> list[GroundTruthPair]:
-    """Oracle: one query's ground truth, scanning the pairs one by one."""
-    images, boxes = dataset.pairs.image_id.tolist(), dataset.pairs.boxes.tolist()
-    rows = row_triplets(dataset.pairs)
-    return [GroundTruthPair(images[i], *boxes[i]) for i, row in enumerate(rows) if query in row]
+def ground_truth_scan(dataset: Dataset, query: Triplet) -> list[int]:
+    """Oracle: one query's ground-truth rows, scanning the pairs one by one."""
+    return [i for i, row in enumerate(row_triplets(dataset.pairs)) if query in row]
 
 
 def test_ground_truth_index_lists_what_ground_truth_for_returns(small_bench):
@@ -536,7 +608,8 @@ def test_ground_truth_index_lists_what_ground_truth_for_returns(small_bench):
         }
         assert index.keys() <= everything
         for t in sorted(everything):
-            assert index.get(t, []) == ground_truth_scan(ds, t) == ground_truth_for(ds, t)
+            assert index.get(t, []) == ground_truth_scan(ds, t)
+            assert_tables_equal(ground_truth_for(ds, t), ds.pairs.take(ground_truth_scan(ds, t)))
     assert len(ground_truth_index(multi)[Triplet(0, 0, 0)]) == 2
 
 
@@ -553,9 +626,10 @@ def test_a_predicate_listed_twice_counts_twice_is_labelled_once_and_is_one_truth
     assert ds.counts == {t: 3}
     assert label_matrix(ds.pairs, [Triplet(0, 0, 0), t], "full", "vp").tolist() == [[0, 1], [0, 1], [0, 0]]
     assert label_matrix(ds.pairs, [Triplet(0, 1, 0)], "p", "p").tolist() == [[1], [1], [0]]
-    truth = [GroundTruthPair(0, UNIT, near), GroundTruthPair(0, UNIT, UNIT)]
-    assert ground_truth_index(ds) == {t: truth}
-    assert ground_truth_for(ds, t) == ground_truth_scan(ds, t) == truth
+    assert ground_truth_index(ds) == {t: [0, 1]} and ground_truth_scan(ds, t) == [0, 1]
+    truth = ground_truth_for(ds, t)
+    assert box_rows(truth) == [(0, UNIT, near), (0, UNIT, UNIT)]
+    assert_tables_equal(truth, ds.pairs.take([0, 1]))
 
 
 @pytest.fixture(scope="module")
@@ -574,19 +648,21 @@ def _per_query_oracle(model, test, queries, gamma):
     and scans the dataset for its ground truth."""
     for q in queries:
         override = None if gamma is None else transfer_embedding(model, gamma, q, source_pool(model))
-        dets = rank_candidates(model, q, test.pairs, vp_override=override)
-        yield q, dets, average_precision(q, dets, ground_truth_scan(test, q), MatchPolicy(0.5))
+        ranked, scores = rank_candidates(model, q, test.pairs, vp_override=override)
+        truth = test.pairs.take(ground_truth_scan(test, q))
+        yield q, ranked, scores, average_precision(q, ranked, scores, truth, MatchPolicy(0.5))
 
 
 def _write_eval(out, test, rows):
-    """results.txt plus every detection of every query, as the CLI writes them."""
+    """results.txt plus every ranked pair of every query, as the CLI writes them."""
     out.mkdir()
     results = []
     with open(out / "top_detections.txt", "w") as fh:
-        for q, dets, r in rows:
+        for q, ranked, scores, r in rows:
             results.append(r)
-            for rank, d in enumerate(dets, 1):
-                fh.write(f"query {tuple(q)} rank {rank} pair {d.pair_id} image {d.image_id} score {d.score!r}\n")
+            ranks = zip(ranked.pair_id.tolist(), ranked.image_id.tolist(), scores.tolist())
+            for rank, (pair_id, image_id, score) in enumerate(ranks, 1):
+                fh.write(f"query {tuple(q)} rank {rank} pair {pair_id} image {image_id} score {score!r}\n")
     write_results(str(out / "results.txt"), results, test.subjects, test.predicates, test.objects)
     return [(out / name).read_bytes() for name in ("results.txt", "top_detections.txt")]
 
