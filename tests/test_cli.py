@@ -149,6 +149,26 @@ def test_train_with_no_transfer_sources_is_one_data_error(tmp_path, run_dir, cap
     assert not os.path.exists(tmp_path / "loss_trace.txt")
 
 
+def test_train_on_a_dataset_with_no_positive_pair_is_one_data_error(tmp_path, run_dir, capsys):
+    cfg = effective(run_dir)
+    for name in ("subjects.txt", "predicates.txt", "objects.txt"):
+        shutil.copy(os.path.join(run_dir, name), tmp_path / name)
+    unlabelled = str(tmp_path / "unlabelled.ds")
+    with open(cfg.train_data) as src, open(unlabelled, "w") as fh:
+        for line in src:
+            fh.write(line.split(" labels")[0] + " labels\n" if line.startswith("pair ") else line)
+    assert not load_dataset(unlabelled).counts
+    cfg.train_data = unlabelled
+    cfg.checkpoint = str(tmp_path / "none.ckpt")
+    cfg_path = str(tmp_path / "none.cfg")
+    write_config(cfg, cfg_path)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error:data: dataset has no positive pairs"]
+    assert captured.out == ""
+    assert not os.path.exists(cfg.checkpoint)
+
+
 @pytest.mark.parametrize("stage2_epochs", [0, 1])
 def test_train_without_slot_branches_needs_them_only_for_stage2(
     tmp_path, run_dir, capsys, stage2_epochs
