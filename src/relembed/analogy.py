@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, PairTable, Triplet
-from .features import mask_triplet
+from .data import LANGUAGE_MASKS, DataError, Dataset, PairTable, Triplet
 from .model import (
     JointModel,
     add_grads,
@@ -115,13 +114,14 @@ def gamma_input_matrix(model: JointModel, pairs_st: list[tuple[Triplet, Triplet]
     """
     if not pairs_st:
         return np.zeros((0, 3 * model.cfg.embed_dim))
+    st = np.asarray(pairs_st, dtype=np.int64).reshape(-1, 3)  # source, target, source, ...
     per_slot = []
     for slot in SLOTS:
-        words = sorted({mask_triplet(t, slot) for st in pairs_st for t in st})
-        at = dict(zip(words, embed_language_masked(model, "vp", words, slot)))
-        per_slot.append(
-            np.stack([at[mask_triplet(u, slot)] - at[mask_triplet(t, slot)] for t, u in pairs_st])
-        )
+        masked = st * np.array(LANGUAGE_MASKS[slot], dtype=np.int64)
+        words, at = np.unique(masked, axis=0, return_inverse=True)
+        emb = embed_language_masked(model, "vp", words, slot)
+        at = at.reshape(-1, 2)
+        per_slot.append(emb[at[:, 1]] - emb[at[:, 0]])
     return np.concatenate(per_slot, axis=1)
 
 

@@ -11,14 +11,16 @@ The header carries everything needed to rebuild the model without the
 training inputs: the effective config text and its hash, the seed, the
 three vocabularies, dims, observed triplet counts, and the parameter
 catalog (name plus shape). The catalog is ``model.named_parameters`` of
-the saved model. Loading rebuilds the layers from the stored config with the
-training constructors (``model.init_layers``, ``analogy.gamma_init``) and
+the saved model. Loading rebuilds the model from the stored config with the
+training constructors (``model.new_model``, ``analogy.gamma_init``) and
 requires the header catalog to equal that model's registry, (name, shape)
 for every entry in order, before it copies any block; any difference is one
 ``DataError``. So is a vocabulary that is not a list of non-empty strings,
 and an ``observed`` list that differs from what saving writes: [s, p, o,
 count] integer entries, indices inside the vocabularies, count >= 1,
-triplets strictly ascending. Word-vector matrices travel as ordinary
+triplets strictly ascending; and so is a model one of whose branches would
+have an empty label universe (an empty ``observed`` with vp active, say).
+Word-vector matrices travel as ordinary
 parameter blocks, so a loaded checkpoint scores queries with no word-table
 file on hand. Writing the same model twice yields byte-identical files.
 """
@@ -33,7 +35,7 @@ import numpy as np
 from .analogy import Gamma, gamma_init
 from .config import config_hash, emit_config, parse_config
 from .data import DataError, Triplet, Vocabulary
-from .model import JointModel, init_layers, named_parameters
+from .model import JointModel, named_parameters, new_model
 from .numkit import rng_stream
 
 MAGIC = b"relembd1"
@@ -127,25 +129,13 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
             vocabs.append(Vocabulary(tokens))
         except DataError as e:
             _fail(path, str(e))
-    subjects, predicates, objects = vocabs
     counts = _observed_counts(path, header["observed"], vocabs)
-    word_dim = header["word_dim"]
-    visual, branches = init_layers(cfg, word_dim, header["appearance_dim"], header["seed"])
-    model = JointModel(
-        cfg=cfg,
-        subjects=subjects,
-        predicates=predicates,
-        objects=objects,
-        word_dim=word_dim,
-        e_sub=np.zeros((len(subjects), word_dim)),
-        e_pre=np.zeros((len(predicates), word_dim)),
-        e_obj=np.zeros((len(objects), word_dim)),
-        visual=visual,
-        branches=branches,
-        observed=list(counts),
-        counts=counts,
-        appearance_dim=header["appearance_dim"],
-    )
+    try:
+        model = new_model(
+            cfg, tuple(vocabs), counts, header["word_dim"], header["appearance_dim"], header["seed"]
+        )
+    except DataError as e:
+        _fail(path, str(e))
     gamma = gamma_init(
         kind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(header["seed"], "gamma")
     )

@@ -30,7 +30,7 @@ from .data import (
     write_word_table,
 )
 from .features import BRANCH_MASK
-from .model import branch_universe, build_model, embed_language_batch, train_stage1
+from .model import build_model, embed_language_batch, train_stage1
 from .numkit import NonFiniteGradient, ShapeError, rng_stream
 from .retrieval import MatchPolicy, evaluate_queries, write_results
 
@@ -191,8 +191,8 @@ def cmd_inspect(args) -> int:
     out = sys.stdout
     if args.what == "embeddings":
         for kind in model.active_kinds:
-            labels = branch_universe(model, kind)
-            for t, row in zip(labels, embed_language_batch(model, kind, labels)):
+            labels = model.labels[kind]
+            for t, row in zip(labels.tolist(), embed_language_batch(model, kind, labels)):
                 out.write(f"{kind} {triplet_text(vocabs, t, BRANCH_MASK[kind])} {fmt_reals(row)}\n")
         return 0
     # sources

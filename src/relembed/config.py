@@ -16,6 +16,17 @@ from .features import BRANCH_KINDS, SPATIAL_NORMS
 
 GAMMA_KINDS = ("absent", "zero", "linear", "deep")
 
+# the smallest allowed value of every key bounded from below
+LEAST = {
+    "seed": 0, "embed_dim": 1, "branch_hidden": 1, "app_out": 1, "spatial_hidden": 1,
+    "spatial_out": 1, "batch_size": 1, "stage1_epochs": 0, "stage2_epochs": 0, "gamma_hidden": 0,
+    "k": 1, "analogy_weight": 0, "rare_threshold": 1, "synth_subjects": 1, "synth_predicates": 1,
+    "synth_objects": 1, "synth_cluster_size": 1, "synth_families": 1,
+    "synth_predicates_per_family": 1, "synth_train_pairs": 0, "synth_test_pairs": 0,
+    "synth_heldout": 0, "synth_heldout_test_pairs": 0, "synth_appearance_dim": 1,
+    "synth_noise": 0, "synth_word_noise": 0, "synth_negative_ratio": 0,
+}
+
 
 class ConfigError(ValueError):
     """Bad key, unparsable value, or inconsistent settings."""
@@ -129,8 +140,14 @@ def validate(cfg: RunConfig) -> RunConfig:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    for key, least in LEAST.items():
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
+    if cfg.synth_predicates_per_family > cfg.synth_predicates:
+        raise ConfigError(
+            f"synth_predicates_per_family must be <= synth_predicates = {cfg.synth_predicates},"
+            f" got {cfg.synth_predicates_per_family}"
+        )
     for key in ("train_data", "test_data", "word_table", "queries", "checkpoint"):
         if "\0" in getattr(cfg, key):
             raise ConfigError(f"{key}: a path cannot hold a NUL byte")
@@ -145,8 +162,6 @@ def validate(cfg: RunConfig) -> RunConfig:
     # canonical ordering so equal sets compare and serialize equal
     cfg.branches = ",".join(b for b in BRANCH_KINDS if b in active)
 
-    if cfg.embed_dim < 1 or cfg.branch_hidden < 1:
-        raise ConfigError("embed_dim and branch_hidden must be >= 1")
     if not 0.0 <= cfg.dropout < 1.0:
         raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
     if cfg.spatial_norm not in SPATIAL_NORMS:
@@ -159,30 +174,17 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError("similarity_input: choose branches or words")
     if cfg.lr <= 0.0:
         raise ConfigError(f"lr must be > 0, got {cfg.lr}")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
     if not 0.0 < cfg.positive_fraction <= 1.0:
         raise ConfigError("positive_fraction must be in (0, 1]")
     if cfg.positives_per_batch() < 1:
         raise ConfigError("batch_size * positive_fraction rounds to zero positives")
-    if cfg.stage1_epochs < 0 or cfg.stage2_epochs < 0:
-        raise ConfigError("epoch counts must be >= 0")
-    if cfg.k < 1:
-        raise ConfigError("k must be >= 1")
     alpha = cfg.alpha_s + cfg.alpha_p + cfg.alpha_o
     if abs(alpha - 1.0) > 1e-9:
         raise ConfigError(f"alpha_s + alpha_p + alpha_o must equal 1, got {alpha}")
-    if cfg.analogy_weight < 0.0:
-        raise ConfigError(f"analogy_weight must be >= 0, got {cfg.analogy_weight}")
-    if cfg.rare_threshold < 1:
-        raise ConfigError("rare_threshold must be >= 1")
     if not 0.0 < cfg.iou_threshold <= 1.0:
         raise ConfigError("iou_threshold must be in (0, 1]")
     if cfg.eval_mode not in ("direct", "transfer"):
         raise ConfigError("eval_mode: choose direct or transfer")
-    for key in ("synth_noise", "synth_word_noise", "synth_negative_ratio"):
-        if getattr(cfg, key) < 0.0:
-            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
     return cfg
 
 

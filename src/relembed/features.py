@@ -6,8 +6,9 @@ M is a two-layer net over the 8-dim box-geometry feature r, and a_s, a_o are
 also kept raw for the subject/object appearance branches.
 
 Language side: q_t = [e_s; e_p; e_o], the concatenated word vectors of the
-triplet, with unused slots zeroed for unigram/bigram variants. Every label a
-branch scores is a Triplet whose masked slots are 0 (``mask_triplet``).
+triplet, with unused slots zeroed for unigram/bigram variants. Masking a
+triplet is one rule on arrays: multiply its (s, p, o) row by the mask's slot
+flags, so a label keeps its slots and holds 0 in the masked ones.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import LANGUAGE_MASKS, PairTable, Triplet
+from .data import LANGUAGE_MASKS, PairTable
 from .numkit import (
     Array,
     Linear,
@@ -139,18 +140,11 @@ def visual_backward(vip: VisualInputParams, cache: tuple, grad_x: Array) -> dict
 # ---------------------------------------------------------------------------
 
 
-def mask_triplet(t: Triplet, mask: str) -> Triplet:
-    """The label of t under a language mask: masked slots set to 0."""
+def language_matrix(triplets, e_sub: Array, e_pre: Array, e_obj: Array, mask: str) -> Array:
+    """Stacked language inputs for many triplets, one row per (s, p, o) row
+    of ``triplets`` (a list of Triplets or an (n, 3) integer array)."""
     ms, mp, mo = LANGUAGE_MASKS[mask]
-    return Triplet(t.s if ms else 0, t.p if mp else 0, t.o if mo else 0)
-
-
-def language_matrix(
-    triplets: list[Triplet], e_sub: Array, e_pre: Array, e_obj: Array, mask: str
-) -> Array:
-    """Stacked language inputs for many triplets; rows follow the list."""
-    ms, mp, mo = LANGUAGE_MASKS[mask]
-    idx = np.array([tuple(t) for t in triplets], dtype=np.intp).reshape(-1, 3)
+    idx = np.asarray(triplets, np.intp).reshape(-1, 3)
     return np.concatenate(
         [e_sub[idx[:, 0]] * ms, e_pre[idx[:, 1]] * mp, e_obj[idx[:, 2]] * mo], axis=1
     )

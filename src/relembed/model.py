@@ -12,7 +12,6 @@ against a triplet query as the product of per-branch sigmoids.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,7 +24,6 @@ from .features import (
     LANGUAGE_MASKS,
     VisualInputParams,
     language_matrix,
-    mask_triplet,
     pair_arrays,
     visual_backward,
     visual_forward,
@@ -77,6 +75,7 @@ class JointModel:
     observed: list[Triplet]  # training triplets with >= 1 positive, sorted
     counts: dict[Triplet, int]
     appearance_dim: int
+    labels: dict[str, Array]  # active branch kind -> its ``branch_universe``
 
     @property
     def active_kinds(self) -> tuple[str, ...]:
@@ -89,10 +88,13 @@ class JointModel:
             raise DataError(f"branch {kind!r} not active (have {','.join(self.branches)})") from None
 
 
-def init_layers(
-    cfg: RunConfig, word_dim: int, appearance_dim: int, seed: int
-) -> tuple[VisualInputParams, dict[str, Branch]]:
-    """Seeded visual front end and active branches; layout is deterministic."""
+def new_model(
+    cfg: RunConfig, vocabs: tuple[Vocabulary, Vocabulary, Vocabulary], counts: dict[Triplet, int],
+    word_dim: int, appearance_dim: int, seed: int,
+) -> JointModel:
+    """The one model constructor: seeded visual front end and active
+    branches (a deterministic layout), zero word vectors, the observed
+    triplets and every active branch's label universe."""
     rng = rng_stream(seed, "init")
     visual = visual_init(rng, appearance_dim, cfg.app_out, cfg.spatial_hidden, cfg.spatial_out)
     branches = {}
@@ -103,27 +105,28 @@ def init_layers(
             f_v=mlp_init(rng, vis_in, cfg.branch_hidden, cfg.embed_dim, dropout=cfg.dropout),
             f_w=mlp_init(rng, 3 * word_dim, cfg.branch_hidden, cfg.embed_dim),
         )
-    return visual, branches
+    subjects, predicates, objects = vocabs
+    model = JointModel(
+        cfg=cfg, subjects=subjects, predicates=predicates, objects=objects, word_dim=word_dim,
+        e_sub=np.zeros((len(subjects), word_dim)),
+        e_pre=np.zeros((len(predicates), word_dim)),
+        e_obj=np.zeros((len(objects), word_dim)),
+        visual=visual, branches=branches, observed=sorted(counts), counts=dict(counts),
+        appearance_dim=appearance_dim, labels={},
+    )
+    model.labels = {kind: branch_universe(model, kind) for kind in model.active_kinds}
+    return model
 
 
 def build_model(cfg: RunConfig, dataset: Dataset, table: WordTable, seed: int) -> JointModel:
-    """Fresh model: word vectors from the table, layers from ``init_layers``."""
-    visual, branches = init_layers(cfg, table.dim, dataset.appearance_dim, seed)
-    return JointModel(
-        cfg=cfg,
-        subjects=dataset.subjects,
-        predicates=dataset.predicates,
-        objects=dataset.objects,
-        word_dim=table.dim,
-        e_sub=np.stack([table.lookup(t) for t in dataset.subjects.tokens]),
-        e_pre=np.stack([table.lookup(t) for t in dataset.predicates.tokens]),
-        e_obj=np.stack([table.lookup(t) for t in dataset.objects.tokens]),
-        visual=visual,
-        branches=branches,
-        observed=sorted(dataset.counts),
-        counts=dict(dataset.counts),
-        appearance_dim=dataset.appearance_dim,
-    )
+    """Fresh model: ``new_model`` with word vectors copied from the table."""
+    if not dataset.counts:
+        raise DataError("dataset has no positive pairs")
+    vocabs = (dataset.subjects, dataset.predicates, dataset.objects)
+    model = new_model(cfg, vocabs, dataset.counts, table.dim, dataset.appearance_dim, seed)
+    for words, vocab in zip((model.e_sub, model.e_pre, model.e_obj), vocabs):
+        words[...] = [table.lookup(t) for t in vocab.tokens]
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +190,10 @@ def adam_update(opt: AdamState, named: list[tuple[str, Array]], grads: dict[str,
 # ---------------------------------------------------------------------------
 
 
-def branch_universe(model: JointModel, kind: str) -> list[Triplet]:
-    """Every label a branch scores: masked triplets in ascending order.
+def branch_universe(model: JointModel, kind: str) -> Array:
+    """Every label a branch scores: an (U, 3) int64 array of masked
+    triplets, rows ascending. ``new_model`` builds each active branch's
+    universe once, into ``model.labels``.
 
     Unigram branches label against their whole vocabulary; phrase and bigram
     branches against the masked triplets observed in training, or against
@@ -197,36 +202,40 @@ def branch_universe(model: JointModel, kind: str) -> list[Triplet]:
     """
     if kind not in BRANCH_MASK:
         raise DataError(f"unknown branch kind {kind!r}")
-    mask = BRANCH_MASK[kind]
+    flags = LANGUAGE_MASKS[BRANCH_MASK[kind]]
     if kind in ("s", "p", "o") or (kind == "vp" and model.cfg.vp_negatives == "cartesian"):
         vocabs = (model.subjects, model.predicates, model.objects)
-        slots = [range(len(v)) if keep else (0,) for v, keep in zip(vocabs, LANGUAGE_MASKS[mask])]
-        labels = [Triplet(*t) for t in itertools.product(*slots)]
+        sizes = [len(v) if keep else 1 for v, keep in zip(vocabs, flags)]
+        labels = np.indices(sizes, dtype=np.int64).reshape(3, -1).T
     else:
-        labels = sorted({mask_triplet(t, mask) for t in model.observed})
-    if not labels:
+        observed = np.array(model.observed, dtype=np.int64).reshape(-1, 3)
+        labels = np.unique(observed * np.array(flags, dtype=np.int64), axis=0)
+    if not len(labels):
         raise DataError(f"empty label universe for branch {kind!r}")
     return labels
 
 
-def label_matrix(batch: PairTable, columns: list[Triplet], mask: str, branch: str | None = None) -> Array:
-    """1 where a pair's positive triplet, masked, equals the column label.
+def label_matrix(batch: PairTable, columns, mask: str, branch: str | None = None) -> Array:
+    """1 where a pair's positive triplet, masked, equals the column label;
+    ``columns`` holds (s, p, o) rows, and a repeated column is labelled in
+    every copy.
 
     With ``branch`` named, a positive that matches no column is an error;
     without, it stays unlabeled (the analogy columns hold only the targets
     that drew a source).
     """
-    first = {label: j for j, label in reversed(list(enumerate(columns)))}  # a label's first column
     rows, triplets = batch.positives()
-    labels = (triplets * np.array(LANGUAGE_MASKS[mask], dtype=np.int64)).tolist()
-    y = np.zeros((len(batch), len(columns)))
-    for i, label in zip(rows.tolist(), map(tuple, labels)):
-        if label in first:
-            y[i, first[label]] = 1.0
-        elif branch is not None:
+    labels = triplets * np.array(LANGUAGE_MASKS[mask], dtype=np.int64)
+    columns = np.asarray(columns, dtype=np.int64).reshape(-1, 3)
+    hits = np.all(labels[:, None, :] == columns[None, :, :], axis=2)  # (positives, columns)
+    if branch is not None:
+        missing = np.flatnonzero(~hits.any(axis=1))
+        if missing.size:
+            label = tuple(labels[missing[0]].tolist())
             raise DataError(f"positive label {label} outside the {branch!r} branch universe")
-    if len(first) < len(columns):  # a repeated label copies its first column
-        y = y[:, [first[label] for label in columns]]
+    e, u = np.nonzero(hits)
+    y = np.zeros((len(batch), len(columns)))
+    y[rows[e], u] = 1.0
     return y
 
 
@@ -235,17 +244,16 @@ def label_matrix(batch: PairTable, columns: list[Triplet], mask: str, branch: st
 # ---------------------------------------------------------------------------
 
 
-def embed_language_masked(
-    model: JointModel, kind: str, triplets: list[Triplet], mask: str
-) -> Array:
-    """Unit-norm language embeddings of a branch under an explicit slot mask."""
+def embed_language_masked(model: JointModel, kind: str, triplets, mask: str) -> Array:
+    """Unit-norm language embeddings of a branch under an explicit slot
+    mask, one row per (s, p, o) row of ``triplets``."""
     br = model.branch(kind)
     q = language_matrix(triplets, model.e_sub, model.e_pre, model.e_obj, mask)
     w, _ = mlp_forward(br.f_w, q)
     return normalize_rows(w)[0]
 
 
-def embed_language_batch(model: JointModel, kind: str, triplets: list[Triplet]) -> Array:
+def embed_language_batch(model: JointModel, kind: str, triplets) -> Array:
     """Unit-norm language embeddings, one row per triplet."""
     return embed_language_masked(model, kind, triplets, BRANCH_MASK[kind])
 
@@ -289,7 +297,7 @@ def branch_terms(model, kind, batch, inp, training, rng):
     """Loss of one branch on its visual input, its parameter gradients and
     the gradient wrt the input."""
     br = model.branch(kind)
-    labels = branch_universe(model, kind)
+    labels = model.labels[kind]
     y = label_matrix(batch, labels, BRANCH_MASK[kind], kind)
 
     v, v_cache = mlp_forward(br.f_v, inp, training=training, rng=rng)
@@ -313,7 +321,7 @@ def branch_terms(model, kind, batch, inp, training, rng):
 def _accumulate_word_grads(model, grads, rows, mask, g_q):
     ms, mp, mo = LANGUAGE_MASKS[mask]
     dw = model.word_dim
-    idx = np.array([tuple(t) for t in rows], dtype=np.intp).reshape(-1, 3)
+    idx = np.asarray(rows, np.intp).reshape(-1, 3)
     for name, arr, flag, sl, col in (
         ("words.sub", model.e_sub, ms, slice(0, dw), 0),
         ("words.pre", model.e_pre, mp, slice(dw, 2 * dw), 1),

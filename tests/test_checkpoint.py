@@ -229,6 +229,8 @@ HEADER_EDITS = {
     "observed_descending": ("observed", lambda h: h["observed"][1::-1], "ascending"),
     "observed_repeated": ("observed", lambda h: h["observed"][:1] * 2, "ascending"),
     "observed_bool_index": ("observed", lambda h: [[True, 0, 0, 1]], "four integers"),
+    # no train run writes it: the vp branch would have no label to score
+    "observed_empty": ("observed", lambda h: [], r"model\.ckpt: empty label universe for branch 'vp'"),
     "config_not_a_string": ("config", lambda h: 5, "header config must be a string, got int"),
     "subjects_duplicate": (
         "subjects", lambda h: h["subjects"][:1] * 2 + h["subjects"][2:],
@@ -251,6 +253,20 @@ def test_loader_rejects_malformed_vocabularies_and_observed(trained, tmp_path, c
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:data:"), err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("vp_negatives", ["observed", "cartesian"])
+def test_loader_rebuilds_the_label_universes_exactly(small_bench, tmp_path, vp_negatives):
+    _, (train, _, table, _) = small_bench
+    cfg = desk_config(branches="s,o,p,vp,sp,po", vp_negatives=vp_negatives, gamma="absent")
+    model = build_model(cfg, train, table, seed=0)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model, None, seed=0)
+    back, _, _ = load_checkpoint(path)
+    assert list(back.labels) == list(model.labels) == list(cfg.branch_list())
+    for kind, labels in model.labels.items():
+        got = back.labels[kind]
+        assert got.dtype == labels.dtype and np.array_equal(got, labels), kind
 
 
 def test_absent_gamma_none_argument(small_bench, tmp_path):

@@ -109,6 +109,41 @@ def test_non_finite_or_out_of_range_float_is_one_config_error(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "app_out", "-5"),
+        ("train", "spatial_hidden", "-1"),
+        ("train", "spatial_out", "0"),
+        ("train", "gamma_hidden", "-1"),
+        ("synth", "synth_subjects", "0"),
+        ("synth", "synth_objects", "-2"),
+        ("synth", "synth_families", "0"),
+        ("synth", "synth_appearance_dim", "0"),
+        ("synth", "synth_cluster_size", "0"),
+        ("synth", "synth_predicates", "0"),
+        ("synth", "synth_predicates_per_family", "0"),
+        ("synth", "synth_predicates_per_family", "-1"),
+        ("synth", "synth_predicates_per_family", "11"),
+        ("synth", "synth_train_pairs", "-1"),
+        ("synth", "synth_test_pairs", "-1"),
+        ("synth", "synth_heldout_test_pairs", "-1"),
+        ("synth", "synth_heldout", "-1"),
+    ],
+)
+def test_size_out_of_range_is_one_config_error(tmp_path, capsys, command, key, value):
+    """Each value once crashed synth or train with a traceback, or (a
+    negative ``synth_heldout``) quietly held out the wrong triplets."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        parse_config(path.read_text())
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error:config: {path}: {key} must be"), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["train_data", "test_data", "word_table", "queries", "checkpoint"])
 def test_path_with_a_nul_byte_is_one_config_error(tmp_path, capsys, key):
     path = tmp_path / "run.cfg"

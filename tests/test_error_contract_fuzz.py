@@ -1,13 +1,14 @@
 """Fuzz test of the CLI error contract: a mutated dataset, config file,
-checkpoint or query list makes ``train`` (zero epochs), ``inspect
-embeddings`` or ``eval --mode direct`` return 0, or return 1 with exactly
-one ``error:<category>:`` line on stderr, never a traceback.
+checkpoint or query list makes ``synth``, ``train`` (zero epochs),
+``inspect embeddings`` or ``eval --mode direct`` return 0, or return 1 with
+exactly one ``error:<category>:`` line on stderr, never a traceback.
 
 Derandomized and without an example database, so every run tries the same
 inputs; the whole file runs in a few seconds.
 """
 
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -34,6 +35,10 @@ TOKENS = [
     b"labels", b"pair", b"sub", b"#x", b"sub0", b"obj0", b"\xff", b"\xc3", "٣".encode(),
     b"\x00", b"1" * 5000,
 ]
+
+# values a hand-edited synth_* line might hold: they parse, some out of range
+SIZES = [b"0", b"-1", b"1", b"2", b"3", b"4", b"5", b"6", b"8", b"11", b"12", b"20", b"64", b"65",
+         b"0.0", b"-0.5", b"1e3"]
 
 
 @pytest.fixture(scope="module")
@@ -62,21 +67,22 @@ def assert_contract(argv, capsys):
     assert rc == 0 or (rc == 1 and len(err) == 1 and ERROR_LINE.match(err[0])), (rc, err)
 
 
-def mutate_lines(data, text: bytes, first: int = 0) -> bytes:
-    """``text`` with 1-3 of its lines from ``first`` on mutated."""
+def mutate_lines(data, text: bytes, first: int = 0, tokens=TOKENS) -> bytes:
+    """``text`` with 1-3 of its lines from ``first`` on mutated; a replaced
+    token is one of ``tokens`` or a few random bytes."""
     lines = text.split(b"\n")
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(first, len(lines) - 2))  # the last element is ""
-        lines[i] = mutate_line(data, lines[i])
+        lines[i] = mutate_line(data, lines[i], tokens)
     return b"\n".join(lines)
 
 
-def mutate_line(data, line: bytes) -> bytes:
+def mutate_line(data, line: bytes, tokens=TOKENS) -> bytes:
     parts = line.split(b" ")
     at = data.draw(st.integers(0, len(parts) - 1))
     op = data.draw(st.sampled_from(["replace", "delete", "duplicate", "bytes", "truncate"]))
     if op == "replace":
-        parts[at] = data.draw(st.sampled_from(TOKENS) | st.binary(max_size=4))
+        parts[at] = data.draw(st.sampled_from(tokens) | st.binary(max_size=4))
     elif op == "delete":
         del parts[at]
     elif op == "duplicate":
@@ -120,6 +126,28 @@ def test_train_on_mutated_config_lines_keeps_the_error_contract(desk_run, capsys
     assume(cfg is None or (cfg.stage1_epochs == cfg.stage2_epochs == 0
                            and max(getattr(cfg, key) for key in SIZE_KEYS) <= 64))
     assert_contract(["train", "--config", str(root / "mutated.cfg"), "--out", str(root / "train")], capsys)
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=st.data())
+def test_synth_on_mutated_config_lines_keeps_the_error_contract(desk_run, capsys, monkeypatch, data):
+    root = desk_run
+    monkeypatch.chdir(root)
+    # the values of 1-3 synth_* lines are mutated: key typos are the config
+    # fuzz's part, and a broken key never reaches the generator
+    lines = (root / "base.cfg").read_bytes().splitlines()
+    keys, values = zip(*(line.split(b" = ") for line in lines if line.startswith(b"synth_")))
+    values = mutate_lines(data, b"\n".join(values) + b"\n", tokens=SIZES).split(b"\n")
+    synth = [key + b" = " + value for key, value in zip(keys, values)]
+    kept = [line for line in lines if not line.startswith(b"synth_")]
+    (root / "synth.cfg").write_bytes(b"\n".join(kept + synth) + b"\n")
+    try:
+        cfg = load_config(str(root / "synth.cfg"))
+    except Exception:  # main must report it; assert_contract checks how
+        cfg = None
+    # every synth_* value bounded, so that no example generates a large world
+    assume(cfg is None or all(getattr(cfg, f.name) <= 64 for f in fields(cfg) if f.name.startswith("synth_")))
+    assert_contract(["synth", "--config", str(root / "synth.cfg"), "--out", str(root / "synth")], capsys)
 
 
 @settings(FUZZ, max_examples=200)

@@ -6,7 +6,6 @@ from relembed.features import (
     LANGUAGE_MASKS,
     VisualInputParams,
     language_matrix,
-    mask_triplet,
     spatial_features,
     visual_backward,
     visual_forward,
@@ -216,16 +215,16 @@ def test_language_matrix_rows_match_single_inputs():
 def test_masked_triplet_keeps_its_slots_and_its_language_rows():
     rng = np.random.default_rng(8)
     e_sub, e_pre, e_obj = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
-    triplets = [Triplet(2, 4, 1), Triplet(1, 3, 0)]
+    triplets = np.array([[2, 4, 1], [1, 3, 0]], dtype=np.int64)
     for mask, flags in LANGUAGE_MASKS.items():
-        masked = [mask_triplet(t, mask) for t in triplets]
-        for t, m in zip(triplets, masked):
-            assert tuple(m) == tuple(v if flag else 0 for v, flag in zip(t, flags))
-        assert np.array_equal(
-            language_matrix(masked, e_sub, e_pre, e_obj, mask),
-            language_matrix(triplets, e_sub, e_pre, e_obj, mask),
-        )
-    assert mask_triplet(Triplet(2, 4, 1), "sp") == Triplet(2, 4, 0)
+        masked = triplets * np.array(flags, dtype=np.int64)
+        for t, m in zip(triplets.tolist(), masked.tolist()):
+            assert m == [v if flag else 0 for v, flag in zip(t, flags)]
+        want = language_matrix(triplets, e_sub, e_pre, e_obj, mask)
+        assert np.array_equal(language_matrix(masked, e_sub, e_pre, e_obj, mask), want)
+        as_tuples = [Triplet(*t) for t in triplets.tolist()]
+        assert np.array_equal(language_matrix(as_tuples, e_sub, e_pre, e_obj, mask), want)
+    assert (np.array([2, 4, 1]) * np.array(LANGUAGE_MASKS["sp"])).tolist() == [2, 4, 0]
 
 
 def test_language_matrix_empty_list():

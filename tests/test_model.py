@@ -1,8 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from relembed import model as model_mod
+from relembed.analogy import gamma_init, train_stage2
 from relembed.data import (
     BoundingBox,
     DataError,
@@ -283,23 +286,48 @@ def test_score_without_predicate_branches_ignores_predicate(small_bench):
 
 def test_universe_shapes(small_bench):
     model, train, _, _ = bench_model(small_bench)
-    assert branch_universe(model, "s") == [Triplet(i, 0, 0) for i in range(4)]
-    assert branch_universe(model, "vp") == model.observed
+    assert list(model.labels) == list(model.active_kinds)
+    for kind, labels in model.labels.items():
+        assert labels.dtype == np.int64 and labels.shape[1:] == (3,), kind
+        assert np.array_equal(branch_universe(model, kind), labels), kind
+    assert model.labels["s"].tolist() == [[i, 0, 0] for i in range(4)]
+    assert model.labels["vp"].tolist() == [list(t) for t in model.observed]
     cart = bench_model(small_bench, vp_negatives="cartesian")[0]
-    labels = branch_universe(cart, "vp")
+    labels = cart.labels["vp"].tolist()
     assert len(labels) == 4 * 5 * 6
-    assert labels == sorted(set(labels))
+    assert labels == sorted(map(list, set(map(tuple, labels))))
 
 
 def test_bigram_universes_and_loss(small_bench):
     model, train, _, _ = bench_model(small_bench, branches="s,o,p,vp,sp,po")
-    assert branch_universe(model, "sp") == [
-        Triplet(s, p, 0) for s, p in sorted({(t.s, t.p) for t in model.observed})
+    assert model.labels["sp"].tolist() == [
+        [s, p, 0] for s, p in sorted({(t.s, t.p) for t in model.observed})
     ]
     loss, grads = joint_loss(model, train.pairs.take(range(8)))
     assert np.isfinite(loss)
     assert "branch.sp.f_w.first.w" in grads
     assert "branch.po.f_v.second.w" in grads
+
+
+def test_training_builds_no_label_universe(small_bench, monkeypatch):
+    """The constructor builds each active branch's universe once; neither
+    training stage builds one again."""
+    _, (train, _, table, _) = small_bench
+    built, universe = [], model_mod.branch_universe
+
+    def counted(model, kind):
+        built.append(kind)
+        return universe(model, kind)
+
+    monkeypatch.setattr(model_mod, "branch_universe", counted)
+    cfg = desk_config(branches="s,o,p,vp,sp,po", stage1_epochs=1, stage2_epochs=1)
+    model = build_model(cfg, train, table, seed=0)
+    assert built == list(cfg.branch_list())
+    built.clear()
+    train_stage1(model, train, seed=0)
+    gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    assert train_stage2(model, gamma, train, seed=0)[0]
+    assert built == []
 
 
 def positive_keys(pair: PairTable, kind: str) -> list:
@@ -334,8 +362,8 @@ def test_label_matrix_matches_positive_keys_oracle(small_bench):
         assert any(len(p.pos_preds) for p in batch)
         assert any(not len(p.pos_preds) for p in batch)
         for kind in BRANCH_KINDS:
-            labels = branch_universe(model, kind)
-            keys = [label_key(t, kind) for t in labels]
+            labels = model.labels[kind]
+            keys = [label_key(Triplet(*t), kind) for t in labels.tolist()]
             assert len(set(keys)) == len(keys)
             want = np.zeros((len(batch), len(keys)))
             for i, pair in enumerate(batch):
@@ -359,12 +387,15 @@ def test_label_outside_branch_universe_is_an_error(small_bench):
     model, train, _, _ = bench_model(small_bench)
     i, t = first_positive(train.pairs)
     pair = train.pairs.take([i])
-    model.observed = [u for u in model.observed if u != t]
-    with pytest.raises(DataError, match=r"positive label .* outside the 'vp' branch universe"):
+    kept = ~np.all(model.labels["vp"] == t, axis=1)
+    assert np.count_nonzero(~kept) == 1
+    model.labels["vp"] = model.labels["vp"][kept]
+    message = re.escape(f"positive label {tuple(t)} outside the 'vp' branch universe")
+    with pytest.raises(DataError, match=message):
         joint_loss(model, pair, kinds=("vp",))
     # without a branch named, the positive stays unlabeled
-    y = label_matrix(pair, model.observed, "full")
-    assert not y.any()
+    y = label_matrix(pair, model.labels["vp"], "full")
+    assert y.shape == (1, len(model.labels["vp"])) and not y.any()
 
 
 def test_batch_iter_composition(small_bench):
