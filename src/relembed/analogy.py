@@ -116,9 +116,10 @@ def gamma_input_matrix(model: JointModel, pairs_st: list[tuple[Triplet, Triplet]
         return np.zeros((0, 3 * model.cfg.embed_dim))
     st = np.asarray(pairs_st, dtype=np.int64).reshape(-1, 3)  # source, target, source, ...
     per_slot = []
-    for slot in SLOTS:
-        masked = st * np.array(LANGUAGE_MASKS[slot], dtype=np.int64)
-        words, at = np.unique(masked, axis=0, return_inverse=True)
+    for col, slot in enumerate(SLOTS):
+        # a slot's mask keeps one column, so its unique values are the unique words
+        _, first, at = np.unique(st[:, col], return_index=True, return_inverse=True)
+        words = st[first] * np.array(LANGUAGE_MASKS[slot], dtype=np.int64)
         emb = embed_language_masked(model, "vp", words, slot)
         at = at.reshape(-1, 2)
         per_slot.append(emb[at[:, 1]] - emb[at[:, 0]])
