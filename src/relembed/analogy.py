@@ -7,9 +7,10 @@ differences between source and target. Gamma has no bias terms anywhere,
 so a triplet transferred from itself is corrected by exactly zero.
 
 The second training stage finetunes the visual-phrase branch while
-learning Gamma from analogies among seen triplets. Gradients of the
-analogy term reach only Gamma and the visual-phrase visual projection;
-language projections receive none of it by construction.
+learning Gamma from analogies among seen triplets, with source sets taken
+from one G matrix. Gradients of the analogy term reach only Gamma and the
+visual-phrase visual projection; language projections receive none of it
+by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .model import (
     branch_inputs,
     branch_terms,
     embed_language_batch,
-    embed_language_masked,
     fit,
     label_matrix,
     logistic_terms,
@@ -37,6 +37,8 @@ from .numkit import (
     Mlp,
     glorot_uniform,
     layer_params,
+    linear_backward,
+    linear_forward,
     mlp_backward,
     mlp_forward,
     normalize_rows,
@@ -62,29 +64,31 @@ class Gamma:
     """
 
     kind: str
-    lin: Linear | None = None
-    net: Mlp | None = None
+    net: Linear | Mlp | None = None
+
+    @property
+    def prefix(self) -> str:  # registry name of ``net``
+        return "gamma.lin" if self.kind == "linear" else "gamma.net"
 
 
 def gamma_init(kind: str, embed_dim: int, hidden: int, rng: np.random.Generator) -> Gamma:
     if kind in ("absent", "zero"):
         return Gamma(kind)
     if kind == "linear":
-        return Gamma(kind, lin=Linear(glorot_uniform(rng, embed_dim, 3 * embed_dim)))
+        return Gamma(kind, Linear(glorot_uniform(rng, embed_dim, 3 * embed_dim)))
     if kind == "deep":
         first = Linear(glorot_uniform(rng, hidden, 3 * embed_dim))
         second = Linear(glorot_uniform(rng, embed_dim, hidden))
-        return Gamma(kind, net=Mlp(first, second))
+        return Gamma(kind, Mlp(first, second))
     raise DataError(f"unknown gamma kind {kind!r}")
 
 
 def gamma_forward(gamma: Gamma, diffs: Array) -> tuple[Array, tuple | None]:
     """Corrections for stacked difference vectors (n, 3d) -> (n, d)."""
     if gamma.kind == "zero":
-        d = diffs.shape[1] // 3
-        return np.zeros((diffs.shape[0], d)), None
+        return np.zeros((diffs.shape[0], diffs.shape[1] // 3)), None
     if gamma.kind == "linear":
-        return diffs @ gamma.lin.w.T, (diffs,)
+        return linear_forward(gamma.net, diffs)
     if gamma.kind == "deep":
         return mlp_forward(gamma.net, diffs)
     raise DataError(f"gamma kind {gamma.kind!r} computes no correction")
@@ -93,11 +97,9 @@ def gamma_forward(gamma: Gamma, diffs: Array) -> tuple[Array, tuple | None]:
 def gamma_backward(gamma: Gamma, cache, grad_out: Array) -> dict[str, Array]:
     if gamma.kind == "zero":
         return {}
-    if gamma.kind == "linear":
-        (diffs,) = cache
-        return {"gamma.lin.w": grad_out.T @ diffs}
-    g, _ = mlp_backward(gamma.net, cache, grad_out)
-    return dict(layer_params("gamma.net", g))
+    backward = linear_backward if gamma.kind == "linear" else mlp_backward
+    g, _ = backward(gamma.net, cache, grad_out)
+    return dict(layer_params(gamma.prefix, g))
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +114,13 @@ def gamma_input_matrix(model: JointModel, pairs_st: list[tuple[Triplet, Triplet]
     Each unique word is embedded once, so identical source and target
     produce an exactly zero row.
     """
-    if not pairs_st:
-        return np.zeros((0, 3 * model.cfg.embed_dim))
     st = np.asarray(pairs_st, dtype=np.int64).reshape(-1, 3)  # source, target, source, ...
     per_slot = []
     for col, slot in enumerate(SLOTS):
         # a slot's mask keeps one column, so its unique values are the unique words
         _, first, at = np.unique(st[:, col], return_index=True, return_inverse=True)
         words = st[first] * np.array(LANGUAGE_MASKS[slot], dtype=np.int64)
-        emb = embed_language_masked(model, "vp", words, slot)
+        emb = embed_language_batch(model, "vp", words, slot)
         at = at.reshape(-1, 2)
         per_slot.append(emb[at[:, 1]] - emb[at[:, 0]])
     return np.concatenate(per_slot, axis=1)
@@ -144,19 +144,13 @@ def corrected_embeddings(
 # ---------------------------------------------------------------------------
 
 
-def _slot_vectors(model: JointModel, triplets: list[Triplet]) -> dict[str, Array]:
-    """Per-slot unit vectors used by G, per configured input mode."""
-    cfg = model.cfg
-    out = {}
-    if cfg.similarity_input == "branches":
-        for slot in SLOTS:
-            out[slot] = embed_language_batch(model, slot, triplets)
-    else:
-        tables = {"s": model.e_sub, "p": model.e_pre, "o": model.e_obj}
-        for slot_pos, slot in enumerate(SLOTS):
-            rows = tables[slot][[t[slot_pos] for t in triplets]]
-            out[slot] = normalize_rows(rows)[0]
-    return out
+def _slot_vectors(model: JointModel, triplets: list[Triplet]) -> list[Array]:
+    """Per-slot unit vectors used by G, in SLOTS order, per configured input mode."""
+    if model.cfg.similarity_input == "branches":
+        return [embed_language_batch(model, slot, triplets) for slot in SLOTS]
+    rows = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
+    words = (model.e_sub, model.e_pre, model.e_obj)
+    return [normalize_rows(table[rows[:, i]])[0] for i, table in enumerate(words)]
 
 
 def similarity_many(model: JointModel, targets: list[Triplet], pool: list[Triplet]) -> Array:
@@ -169,10 +163,9 @@ def similarity_many(model: JointModel, targets: list[Triplet], pool: list[Triple
                 f"similarity over branch embeddings needs branches {','.join(SLOTS)};"
                 f" missing {','.join(missing)} (set similarity_input = words)"
             )
-    alphas = {"s": cfg.alpha_s, "p": cfg.alpha_p, "o": cfg.alpha_o}
-    vt = _slot_vectors(model, targets)
-    vp = _slot_vectors(model, pool)
-    g = sum(alphas[slot] * (vt[slot] @ vp[slot].T) for slot in SLOTS)
+    alphas = (cfg.alpha_s, cfg.alpha_p, cfg.alpha_o)
+    vt, vp = _slot_vectors(model, targets), _slot_vectors(model, pool)
+    g = sum(a * (t @ p.T) for a, t, p in zip(alphas, vt, vp))
     if cfg.clamp_similarity:
         g = np.clip(g, 0.0, 1.0)
     return g
@@ -194,9 +187,14 @@ def select_sources(
     """
     if not pool:
         raise DataError(f"empty source pool for target {tuple(u)}")
-    g = similarity_many(model, [u], pool)[0]
-    order = sorted(range(len(pool)), key=lambda j: (-g[j], pool[j]))
-    return [(pool[j], float(g[j])) for j in order[: model.cfg.k]]
+    return _top_k(similarity_many(model, [u], pool)[0], pool, model.cfg.k)
+
+
+def _top_k(g: Array, pool: list[Triplet], k: int, exclude=None) -> list[tuple[Triplet, float]]:
+    """The k pool triplets but ``exclude`` of largest G, descending; ties by ascending triplet."""
+    g = g.tolist()
+    order = sorted((j for j, t in enumerate(pool) if t != exclude), key=lambda j: (-g[j], pool[j]))
+    return [(pool[j], g[j]) for j in order[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +292,11 @@ def analogy_loss(
 def build_source_sets(
     model: JointModel, targets: list[Triplet], pool: list[Triplet]
 ) -> dict[Triplet, list[tuple[Triplet, float]]]:
-    """Source sets for every target, each excluding the target itself."""
-    sets = {}
-    for u in targets:
-        own = [t for t in pool if t != u]
-        sets[u] = select_sources(model, u, own) if own else []
-    return sets
+    """Source sets for every target, each excluding the target itself, by
+    ``select_sources``' rule from one G matrix, whose weights may differ in
+    the last bits from one-target calls (stage 2 reads only the winners)."""
+    g = similarity_many(model, targets, pool)
+    return {u: _top_k(row, pool, model.cfg.k, exclude=u) for u, row in zip(targets, g)}
 
 
 def train_stage2(

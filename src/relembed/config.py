@@ -26,6 +26,10 @@ LEAST = {
     "synth_heldout": 0, "synth_heldout_test_pairs": 0, "synth_appearance_dim": 1,
     "synth_noise": 0, "synth_word_noise": 0, "synth_negative_ratio": 0,
 }
+# the largest allowed value of every layer width, 10x the largest default
+MOST = dict.fromkeys(
+    ("embed_dim", "branch_hidden", "app_out", "spatial_hidden", "spatial_out", "gamma_hidden"), 4096
+)
 
 
 class ConfigError(ValueError):
@@ -143,6 +147,9 @@ def validate(cfg: RunConfig) -> RunConfig:
     for key, least in LEAST.items():
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
+    for key, most in MOST.items():
+        if getattr(cfg, key) > most:
+            raise ConfigError(f"{key} must be <= {most}, got {getattr(cfg, key)}")
     if cfg.synth_predicates_per_family > cfg.synth_predicates:
         raise ConfigError(
             f"synth_predicates_per_family must be <= synth_predicates = {cfg.synth_predicates},"

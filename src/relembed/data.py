@@ -547,22 +547,24 @@ class SynthConfig:
     appearance_dim: int = 20
     noise: float = 0.05
     word_noise: float = 0.06
-    offset_jitter: float = 0.25
-    size_jitter: float = 0.015
     negative_per_positive: float = 1.0
-    # planted signal scales; word vectors use cluster_code/identity_code,
-    # appearance object codes use the appearance_* pair so the language
-    # neighbourhood structure and the visual separability can differ
-    cluster_code: float = 0.8
-    identity_code: float = 0.6
-    appearance_cluster: float = 0.8
-    appearance_identity: float = 0.1
-    predicate_in_subject: float = 0.5
-    interaction_scale: float = 0.1
-    # shared appearance direction whose sign is a random function of the
-    # (predicate, object) combination; invisible to per-slot marginals but
-    # decodable by branches whose targets distinguish whole triplets
-    pair_style_scale: float = 1.5
+
+
+OFFSET_JITTER = 0.25
+SIZE_JITTER = 0.015
+# planted signal scales; word vectors use CLUSTER_CODE/IDENTITY_CODE,
+# appearance object codes use the APPEARANCE_* pair so the language
+# neighbourhood structure and the visual separability can differ
+CLUSTER_CODE = 0.8
+IDENTITY_CODE = 0.6
+APPEARANCE_CLUSTER = 0.8
+APPEARANCE_IDENTITY = 0.1
+PREDICATE_IN_SUBJECT = 0.5
+INTERACTION_SCALE = 0.1
+# shared appearance direction whose sign is a random function of the
+# (predicate, object) combination; invisible to per-slot marginals but
+# decodable by branches whose targets distinguish whole triplets
+PAIR_STYLE_SCALE = 1.5
 
 
 class _Planted:
@@ -583,7 +585,7 @@ class _Planted:
         self.map_sub = rng.normal(size=(d_a, sub_code_dim)) / np.sqrt(sub_code_dim)
         self.map_obj = rng.normal(size=(d_a, obj_code_dim)) / np.sqrt(obj_code_dim)
         self.interaction = (
-            rng.normal(size=(np_, no, d_a)) * cfg.interaction_scale / np.sqrt(d_a)
+            rng.normal(size=(np_, no, d_a)) * INTERACTION_SCALE / np.sqrt(d_a)
         )
         self.style_dir = rng.normal(size=d_a) / np.sqrt(d_a)
         self.style_sign = rng.choice([-1.0, 1.0], size=(np_, no))
@@ -601,14 +603,14 @@ class _Planted:
         code = np.zeros(cfg.n_subjects + cfg.n_predicates)
         code[s] = 1.0
         if p is not None:
-            code[cfg.n_subjects + p] = cfg.predicate_in_subject
+            code[cfg.n_subjects + p] = PREDICATE_IN_SUBJECT
         return code
 
     def obj_code(self, o: int) -> Array:
         cfg = self.cfg
         code = np.zeros(self.n_clusters + cfg.n_objects)
-        code[self.cluster_of(o)] = cfg.appearance_cluster
-        code[self.n_clusters + o] = cfg.appearance_identity
+        code[self.cluster_of(o)] = APPEARANCE_CLUSTER
+        code[self.n_clusters + o] = APPEARANCE_IDENTITY
         return code
 
     def appearance(self, t: Triplet | None, s: int, o: int, rng: np.random.Generator) -> tuple[Array, Array]:
@@ -619,7 +621,7 @@ class _Planted:
         a_o = self.map_obj @ self.obj_code(o)
         if t is not None:
             a_o = a_o + self.interaction[t.p, t.o]
-            a_o = a_o + cfg.pair_style_scale * self.style_sign[t.p, t.o] * self.style_dir
+            a_o = a_o + PAIR_STYLE_SCALE * self.style_sign[t.p, t.o] * self.style_dir
         a_s = a_s + cfg.noise * rng.normal(size=d_a)
         a_o = a_o + cfg.noise * rng.normal(size=d_a)
         return a_s, a_o
@@ -630,8 +632,8 @@ class _Planted:
         half = max(2.0, 10.0 * (1.0 + cfg.noise * 0.5 * rng.normal()))
         sub = BoundingBox(cx - half, cy - half, cx + half, cy + half)
         if p is not None:
-            ox, oy = (cx, cy) + self.pred_offset[p] + cfg.offset_jitter * rng.normal(size=2)
-            w, h = self.pred_obj_size[p] * (1.0 + cfg.size_jitter * rng.normal(size=2))
+            ox, oy = (cx, cy) + self.pred_offset[p] + OFFSET_JITTER * rng.normal(size=2)
+            w, h = self.pred_obj_size[p] * (1.0 + SIZE_JITTER * rng.normal(size=2))
         else:
             ox, oy = (cx, cy) + rng.uniform(-60.0, 60.0, size=2)
             w, h = rng.uniform(8.0, 30.0, size=2)
@@ -690,8 +692,8 @@ def synth_generate(
     base = cfg.n_subjects + cfg.n_predicates
     for i, tok in enumerate(objects.tokens):
         vec = np.zeros(d_w)
-        vec[base + planted.cluster_of(i)] = cfg.cluster_code
-        vec[base + planted.n_clusters + i] = cfg.identity_code
+        vec[base + planted.cluster_of(i)] = CLUSTER_CODE
+        vec[base + planted.n_clusters + i] = IDENTITY_CODE
         vectors[tok] = vec + cfg.word_noise * rng.normal(size=d_w)
     table = WordTable(d_w, vectors)
 

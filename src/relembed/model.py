@@ -147,10 +147,8 @@ def named_parameters(model: JointModel, gamma: Gamma | None = None) -> list[tupl
         br = model.branch(kind)
         named.extend(layer_params(f"branch.{kind}.f_v", br.f_v))
         named.extend(layer_params(f"branch.{kind}.f_w", br.f_w))
-    if gamma is not None and gamma.lin is not None:
-        named.extend(layer_params("gamma.lin", gamma.lin))
     if gamma is not None and gamma.net is not None:
-        named.extend(layer_params("gamma.net", gamma.net))
+        named.extend(layer_params(gamma.prefix, gamma.net))
     return named
 
 
@@ -244,18 +242,13 @@ def label_matrix(batch: PairTable, columns, mask: str, branch: str | None = None
 # ---------------------------------------------------------------------------
 
 
-def embed_language_masked(model: JointModel, kind: str, triplets, mask: str) -> Array:
-    """Unit-norm language embeddings of a branch under an explicit slot
-    mask, one row per (s, p, o) row of ``triplets``."""
+def embed_language_batch(model: JointModel, kind: str, triplets, mask: str | None = None) -> Array:
+    """Unit-norm language embeddings of a branch, one row per (s, p, o) row
+    of ``triplets``, under the branch's slot mask or an explicit ``mask``."""
     br = model.branch(kind)
-    q = language_matrix(triplets, model.e_sub, model.e_pre, model.e_obj, mask)
+    q = language_matrix(triplets, model.e_sub, model.e_pre, model.e_obj, mask or BRANCH_MASK[kind])
     w, _ = mlp_forward(br.f_w, q)
     return normalize_rows(w)[0]
-
-
-def embed_language_batch(model: JointModel, kind: str, triplets) -> Array:
-    """Unit-norm language embeddings, one row per triplet."""
-    return embed_language_masked(model, kind, triplets, BRANCH_MASK[kind])
 
 
 def branch_inputs(model: JointModel, pairs: PairTable, kinds) -> tuple[dict[str, Array], tuple | None]:

@@ -1,5 +1,5 @@
 """Dense neural-net kernel: linear layers and two-layer perceptrons with
-manual backward passes, Adam, and finite-difference gradient estimation.
+manual backward passes, and Adam.
 
 All arrays are float64. Forward functions accept a single vector ``(n_in,)``
 or a batch ``(N, n_in)`` and return matching shapes. Backward passes consume
@@ -10,7 +10,7 @@ after the parameters it was computed with have been mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -267,47 +267,3 @@ def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_grad(
-    loss_fn: Callable[[], float],
-    params: list[Array],
-    step: float = 1e-5,
-) -> list[Array]:
-    """Central-difference gradient of ``loss_fn`` w.r.t. every array entry.
-
-    ``loss_fn`` takes no arguments and must be deterministic; it is re-evaluated
-    with each parameter entry perturbed in place and restored afterwards.
-    """
-    grads = []
-    for p in params:
-        flat = p.reshape(-1)
-        g = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_fn()
-            flat[i] = orig - step
-            down = loss_fn()
-            flat[i] = orig
-            g[i] = (up - down) / (2.0 * step)
-        grads.append(g.reshape(p.shape))
-    return grads
-
-
-def max_relative_error(analytic: list[Array], numeric: list[Array], floor: float = 1e-4) -> float:
-    """max |a-n| / max(|a|, |n|, floor) over all entries of all arrays.
-
-    The floor turns the comparison absolute for near-zero components, where
-    finite-difference noise would otherwise dominate the quotient.
-    """
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst

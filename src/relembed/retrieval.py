@@ -102,13 +102,14 @@ def match_detections(ranked: PairTable, truth: PairTable, policy: MatchPolicy) -
 
     A ranked pair claims the unmatched same-image ground-truth pair with the
     largest min(subject IoU, object IoU) among those where both clear tau;
-    ties go to the earlier ground-truth entry. Only the rows that clear tau
-    against some ground truth are visited.
+    ties go to the earlier ground-truth entry. Only rows in an image with
+    ground truth get IoUs; only those clearing tau somewhere are visited.
     """
-    det, gt = ranked.coords[:, None, :], truth.coords[None, :, :]
+    keep = np.flatnonzero(np.isin(ranked.image_id, truth.image_id))
+    det, gt = ranked.coords[keep, None, :], truth.coords[None, :, :]
     sub, obj = iou(det[..., :4], gt[..., :4]), iou(det[..., 4:], gt[..., 4:])
     q = np.where(obj < sub, obj, sub)  # Python's min(sub, obj), also for a NaN IoU (infinite boxes)
-    claimable = (ranked.image_id[:, None] == truth.image_id[None, :]) & (q >= policy.tau)
+    claimable = (ranked.image_id[keep, None] == truth.image_id[None, :]) & (q >= policy.tau)
     q = np.where(claimable, q, -1.0)
     flags = np.zeros(len(ranked), dtype=bool)
     free = np.ones(len(truth), dtype=bool)
@@ -117,7 +118,7 @@ def match_detections(ranked: PairTable, truth: PairTable, policy: MatchPolicy) -
         best = int(row.argmax())  # the first of equal maxima
         if row[best] >= 0.0:
             free[best] = False
-            flags[r] = True
+            flags[keep[r]] = True
     assert flags.sum() == len(truth) - free.sum()  # one ground-truth pair per detection
     return flags
 

@@ -42,8 +42,6 @@ from relembed.model import (
 )
 from relembed.numkit import (
     adam_init,
-    finite_diff_grad,
-    max_relative_error,
     rng_stream,
 )
 from relembed.retrieval import (
@@ -55,6 +53,7 @@ from relembed.retrieval import (
 )
 
 from conftest import box_table, desk_config, row_triplets
+from gradcheck import finite_diff_grad, max_relative_error
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:

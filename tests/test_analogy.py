@@ -4,6 +4,7 @@ aggregation, the analogy loss, and stage-2 training."""
 import numpy as np
 import pytest
 
+from relembed import analogy
 from relembed.analogy import (
     Gamma,
     analogy_loss,
@@ -39,9 +40,10 @@ from relembed.model import (
     train_stage1,
     trainable,
 )
-from relembed.numkit import finite_diff_grad, max_relative_error, rng_stream
+from relembed.numkit import Linear, rng_stream
 
 from conftest import desk_config, row_triplets
+from gradcheck import finite_diff_grad, max_relative_error
 
 
 def bench_model(bench, seed=0, **overrides):
@@ -107,6 +109,7 @@ def test_gamma_linear_grad_matches_finite_differences(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     rng = np.random.default_rng(3)
     gamma = gamma_init("linear", cfg.embed_dim, 0, rng)
+    assert isinstance(gamma.net, Linear) and gamma.net.b is None
     x = rng.normal(size=(5, 3 * cfg.embed_dim))
     upstream = rng.normal(size=(5, cfg.embed_dim))
 
@@ -265,6 +268,32 @@ def test_build_source_sets_exclude_target(small_bench):
     sets = build_source_sets(model, model.observed, pool)
     for u, sources in sets.items():
         assert all(t != u for t, _ in sources)
+
+
+def test_build_source_sets_computes_g_once(small_bench, monkeypatch):
+    cfg, train, table, model = bench_model(small_bench)
+    calls = []
+
+    def counted(model, targets, pool):
+        calls.append(len(targets))
+        return similarity_many(model, targets, pool)
+
+    monkeypatch.setattr(analogy, "similarity_many", counted)
+    sets = build_source_sets(model, model.observed, source_pool(model))
+    assert calls == [len(model.observed)]
+    assert len(sets) == len(model.observed) > 1
+
+
+def test_build_source_sets_agree_with_select_sources(small_bench):
+    cfg, train, table, model = bench_model(small_bench)
+    pool = source_pool(model)
+    sets = build_source_sets(model, model.observed, pool)
+    assert sorted(sets) == model.observed
+    for u in model.observed:
+        want = select_sources(model, u, [t for t in pool if t != u])
+        got = sets[u]
+        assert [t for t, _ in got] == [t for t, _ in want], u
+        assert np.allclose([g for _, g in got], [g for _, g in want], rtol=0, atol=1e-12), u
 
 
 # ---------------------------------------------------------------------------

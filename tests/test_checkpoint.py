@@ -86,7 +86,7 @@ def test_gamma_kinds_round_trip(small_bench, tmp_path):
         back, gback, seed = load_checkpoint(path)
         assert seed == 7 and gback.kind == kind
         if kind == "linear":
-            assert np.array_equal(gback.lin.w, gamma.lin.w)
+            assert np.array_equal(gback.net.w, gamma.net.w)
         if kind == "deep":
             assert np.array_equal(gback.net.first.w, gamma.net.first.w)
             assert np.array_equal(gback.net.second.w, gamma.net.second.w)

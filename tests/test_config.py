@@ -10,7 +10,10 @@ from relembed.config import (
     emit_config,
     parse_config,
     validate,
+    write_config,
 )
+
+from conftest import desk_config
 
 
 def test_defaults_match_training_preset():
@@ -142,6 +145,37 @@ def test_size_out_of_range_is_one_config_error(tmp_path, capsys, command, key, v
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error:config: {path}: {key} must be"), err
     assert not (tmp_path / "out").exists()
+
+
+WIDTHS = ("app_out", "branch_hidden", "embed_dim", "gamma_hidden", "spatial_hidden", "spatial_out")
+
+
+@pytest.fixture(scope="module")
+def desk_world(tmp_path_factory):
+    """A synthesized desk world's effective config, trainable at 0 epochs."""
+    root = tmp_path_factory.mktemp("world")
+    base = str(root / "base.cfg")
+    write_config(desk_config(stage1_epochs=0, stage2_epochs=0, gamma_hidden=8), base)
+    assert main(["synth", "--config", base, "--out", str(root / "run")]) == 0
+    return (root / "run" / "effective.cfg").read_text()
+
+
+@pytest.mark.parametrize("value", ["100000000000000000000", "4097"])
+@pytest.mark.parametrize("key", WIDTHS)
+def test_width_above_the_ceiling_is_one_config_error(desk_world, tmp_path, capsys, key, value):
+    """A width of 10**20 once ended train in a numpy traceback while the
+    model was built."""
+    path = tmp_path / "run.cfg"
+    path.write_text(desk_world + f"{key} = {value}\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error:config: {path}: {key} must be <= 4096, got {value}"], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", WIDTHS)
+def test_width_at_the_ceiling_validates(key):
+    assert getattr(validate(RunConfig(**{key: 4096})), key) == 4096
 
 
 @pytest.mark.parametrize("key", ["train_data", "test_data", "word_table", "queries", "checkpoint"])

@@ -11,13 +11,9 @@ from relembed.features import (
     visual_forward,
     visual_init,
 )
-from relembed.numkit import (
-    Linear,
-    Mlp,
-    finite_diff_grad,
-    max_relative_error,
-    mlp_forward,
-)
+from relembed.numkit import Linear, Mlp, mlp_forward
+
+from gradcheck import finite_diff_grad, max_relative_error
 
 
 def box(x0, y0, x1, y1):

@@ -30,9 +30,10 @@ from relembed.model import (
     train_stage1,
     trainable,
 )
-from relembed.numkit import finite_diff_grad, max_relative_error, rng_stream, sigmoid
+from relembed.numkit import rng_stream, sigmoid
 
 from conftest import desk_config
+from gradcheck import finite_diff_grad, max_relative_error
 
 
 def bench_model(bench, seed=0, **overrides):

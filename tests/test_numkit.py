@@ -9,19 +9,19 @@ from relembed.numkit import (
     ShapeError,
     adam_init,
     adam_step,
-    finite_diff_grad,
     glorot_uniform,
     linear_backward,
     linear_forward,
     linear_init,
     log_sigmoid,
-    max_relative_error,
     mlp_backward,
     mlp_forward,
     mlp_init,
     rng_stream,
     sigmoid,
 )
+
+from gradcheck import finite_diff_grad, max_relative_error
 
 
 def flatten_mlp(g: Mlp) -> list:
