@@ -10,7 +10,9 @@ The second training stage finetunes the visual-phrase branch while
 learning Gamma from analogies among seen triplets, with source sets taken
 from one G matrix. Gradients of the analogy term reach only Gamma and the
 visual-phrase visual projection; language projections receive none of it
-by construction.
+by construction. Targets, pools and sources are triplet codes: a pool is an
+ascending code array, and ties in G go to the smaller code, which is the
+lexicographically smaller triplet.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LANGUAGE_MASKS, DataError, Dataset, PairTable, Triplet
+from .data import DataError, Dataset, PairTable, triplet_codes, triplet_of
 from .model import (
     JointModel,
     add_grads,
@@ -107,35 +109,34 @@ def gamma_backward(gamma: Gamma, cache, grad_out: Array) -> dict[str, Array]:
 # ---------------------------------------------------------------------------
 
 
-def gamma_input_matrix(model: JointModel, pairs_st: list[tuple[Triplet, Triplet]]) -> Array:
+def gamma_input_matrix(model: JointModel, sources, targets) -> Array:
     """Stacked [target - source] differences of the vp language embeddings
-    of single words (each slot's masked triplets), (n, 3d).
+    of single words (each slot's masked triplets), (n, 3d), for aligned
+    source and target codes.
 
     Each unique word is embedded once, so identical source and target
     produce an exactly zero row.
     """
-    st = np.asarray(pairs_st, dtype=np.int64).reshape(-1, 3)  # source, target, source, ...
+    n = len(sources)
+    slots = np.unravel_index(np.concatenate([sources, targets]), model.dims)
     per_slot = []
-    for col, slot in enumerate(SLOTS):
-        # a slot's mask keeps one column, so its unique values are the unique words
-        _, first, at = np.unique(st[:, col], return_index=True, return_inverse=True)
-        words = st[first] * np.array(LANGUAGE_MASKS[slot], dtype=np.int64)
-        emb = embed_language_batch(model, "vp", words, slot)
-        at = at.reshape(-1, 2)
-        per_slot.append(emb[at[:, 1]] - emb[at[:, 0]])
+    for slot, index in zip(SLOTS, slots):
+        words, at = np.unique(index, return_inverse=True)
+        # the slot's mask zeroes the other two slots of each word's code
+        emb = embed_language_batch(model, "vp", triplet_codes(model.dims, (words,) * 3, slot), slot)
+        per_slot.append(emb[at[n:]] - emb[at[:n]])
     return np.concatenate(per_slot, axis=1)
 
 
-def corrected_embeddings(
-    model: JointModel, gamma: Gamma, pairs_st: list[tuple[Triplet, Triplet]]
-) -> tuple[Array, tuple | None]:
-    """w_source + Gamma(source, target) for each (source, target) pair, and
-    Gamma's cache for its backward pass. Gamma 'absent' corrects nothing:
-    the source embeddings come back as they are, with no cache."""
-    w_src = embed_language_batch(model, "vp", [t for t, _ in pairs_st])
+def corrected_embeddings(model: JointModel, gamma: Gamma, sources, targets) -> tuple[Array, tuple | None]:
+    """w_source + Gamma(source, target) for each aligned (source, target)
+    code pair, and Gamma's cache for its backward pass. Gamma 'absent'
+    corrects nothing: the source embeddings come back as they are, with no
+    cache."""
+    w_src = embed_language_batch(model, "vp", sources)
     if gamma.kind == "absent":
         return w_src, None
-    corr, cache = gamma_forward(gamma, gamma_input_matrix(model, pairs_st))
+    corr, cache = gamma_forward(gamma, gamma_input_matrix(model, sources, targets))
     return w_src + corr, cache
 
 
@@ -144,17 +145,17 @@ def corrected_embeddings(
 # ---------------------------------------------------------------------------
 
 
-def _slot_vectors(model: JointModel, triplets: list[Triplet]) -> list[Array]:
+def _slot_vectors(model: JointModel, codes) -> list[Array]:
     """Per-slot unit vectors used by G, in SLOTS order, per configured input mode."""
     if model.cfg.similarity_input == "branches":
-        return [embed_language_batch(model, slot, triplets) for slot in SLOTS]
-    rows = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
+        return [embed_language_batch(model, slot, codes) for slot in SLOTS]
+    slots = np.unravel_index(np.asarray(codes, np.int64), model.dims)
     words = (model.e_sub, model.e_pre, model.e_obj)
-    return [normalize_rows(table[rows[:, i]])[0] for i, table in enumerate(words)]
+    return [normalize_rows(table[index])[0] for index, table in zip(slots, words)]
 
 
-def similarity_many(model: JointModel, targets: list[Triplet], pool: list[Triplet]) -> Array:
-    """G between every target (rows) and pool triplet (columns)."""
+def similarity_many(model: JointModel, targets, pool) -> Array:
+    """G between every target code (rows) and pool code (columns)."""
     cfg = model.cfg
     if cfg.similarity_input == "branches":
         missing = [b for b in SLOTS if b not in model.branches]
@@ -171,30 +172,33 @@ def similarity_many(model: JointModel, targets: list[Triplet], pool: list[Triple
     return g
 
 
-def source_pool(model: JointModel) -> list[Triplet]:
-    """Seen triplets frequent enough to donate embeddings, sorted."""
-    thr = model.cfg.rare_threshold
-    return sorted(t for t, c in model.counts.items() if c >= thr)
+def source_pool(model: JointModel) -> Array:
+    """Codes of the seen triplets frequent enough to donate embeddings, ascending."""
+    return model.observed[model.counts >= model.cfg.rare_threshold]
 
 
-def select_sources(
-    model: JointModel, u: Triplet, pool: list[Triplet]
-) -> list[tuple[Triplet, float]]:
-    """Top-k pool triplets by G, descending; ties by ascending triplet.
+def select_sources(model: JointModel, u: int, pool) -> tuple[Array, Array]:
+    """Codes and G weights of the top-k pool triplets for target code u, by
+    G descending; ties by ascending code.
 
-    The pool is taken as given: training passes the frequent seen triplets
-    minus the target itself, evaluation passes them all.
+    The pool is taken as given: evaluation passes the frequent seen
+    triplets, the target among them or not.
     """
-    if not pool:
-        raise DataError(f"empty source pool for target {tuple(u)}")
-    return _top_k(similarity_many(model, [u], pool)[0], pool, model.cfg.k)
+    if not len(pool):
+        raise DataError(f"empty source pool for target {triplet_of(model.dims, u)}")
+    sources, weights, _ = _top_k(similarity_many(model, [u], pool), pool, model.cfg.k)
+    return sources[0], weights[0]
 
 
-def _top_k(g: Array, pool: list[Triplet], k: int, exclude=None) -> list[tuple[Triplet, float]]:
-    """The k pool triplets but ``exclude`` of largest G, descending; ties by ascending triplet."""
-    g = g.tolist()
-    order = sorted((j for j, t in enumerate(pool) if t != exclude), key=lambda j: (-g[j], pool[j]))
-    return [(pool[j], g[j]) for j in order[:k]]
+def _top_k(g: Array, pool, k: int, exclude: Array | None = None) -> tuple[Array, Array, Array]:
+    """Per row of G, the k pool codes of largest G but the row's ``exclude``
+    code, descending, ties by ascending code: codes and weights, (rows,
+    min(k, pool)), and each row's count of sources, which come first."""
+    pool = np.broadcast_to(np.asarray(pool, np.int64), g.shape)
+    skip = np.zeros(g.shape, bool) if exclude is None else pool == exclude[:, None]
+    order = np.lexsort((pool, -g, skip), axis=-1)[:, :k]
+    count = np.minimum(k, g.shape[1] - skip.sum(axis=1))
+    return np.take_along_axis(pool, order, 1), np.take_along_axis(g, order, 1), count
 
 
 # ---------------------------------------------------------------------------
@@ -202,29 +206,27 @@ def _top_k(g: Array, pool: list[Triplet], k: int, exclude=None) -> list[tuple[Tr
 # ---------------------------------------------------------------------------
 
 
-def transfer_from_sources(
-    model: JointModel, gamma: Gamma, u: Triplet, sources: list[tuple[Triplet, float]]
-) -> Array:
-    """Weighted sum of (corrected) source embeddings: sum G * (w + Gamma).
+def transfer_from_sources(model: JointModel, gamma: Gamma, u: int, sources, weights) -> Array:
+    """Weighted sum of (corrected) source embeddings for target code u:
+    sum G * (w + Gamma), over source codes and their G weights.
 
     Unnormalized by default; set normalize_aggregation to divide by sum G.
     """
-    weights = np.array([g for _, g in sources])
+    weights = np.asarray(weights, np.float64)
     if not np.any(weights > 0.0):
-        raise DataError(f"no informative sources for target {tuple(u)}: all weights zero")
-    w, _ = corrected_embeddings(model, gamma, [(t, u) for t, _ in sources])
+        target = triplet_of(model.dims, u)
+        raise DataError(f"no informative sources for target {target}: all weights zero")
+    w, _ = corrected_embeddings(model, gamma, sources, np.full(len(sources), u, np.int64))
     out = weights @ w
     if model.cfg.normalize_aggregation:
         out = out / float(np.sum(weights))
     return out
 
 
-def transfer_embedding(
-    model: JointModel, gamma: Gamma, u: Triplet, pool: list[Triplet] | None = None
-) -> Array:
+def transfer_embedding(model: JointModel, gamma: Gamma, u: int, pool: Array | None = None) -> Array:
     if pool is None:
         pool = source_pool(model)
-    return transfer_from_sources(model, gamma, u, select_sources(model, u, pool))
+    return transfer_from_sources(model, gamma, u, *select_sources(model, u, pool))
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +234,20 @@ def transfer_embedding(
 # ---------------------------------------------------------------------------
 
 
-def sample_q_pairs(
-    batch: PairTable,
-    source_sets: dict[Triplet, list[tuple[Triplet, float]]],
-    rng: np.random.Generator,
-) -> tuple[list[tuple[Triplet, Triplet]], int]:
-    """One uniformly drawn source per target present in the batch.
+def sample_q_pairs(model: JointModel, batch: PairTable, source_sets, rng) -> tuple[Array, Array, int]:
+    """One uniformly drawn source per distinct positive triplet of the
+    batch, in ascending code order: (source codes, target codes, skipped).
 
-    Targets with an empty source set are skipped and counted.
+    ``source_sets`` is ``build_source_sets`` of the model; a target with no
+    source in it is skipped and counted.
     """
-    targets = np.unique(batch.positives()[1], axis=0).tolist()
-    q, skipped = [], 0
-    for u in map(Triplet._make, targets):
-        sources = source_sets.get(u, [])
-        if not sources:
-            skipped += 1
-            continue
-        pick = int(rng.integers(len(sources)))
-        q.append((sources[pick][0], u))
-    return q, skipped
+    sources, _, count = source_sets
+    targets = np.unique(batch.positives(model.dims)[1])
+    at = np.minimum(np.searchsorted(model.observed, targets), len(model.observed) - 1)
+    n = np.where(model.observed[at] == targets, count[at], 0)
+    drawn = n > 0
+    picks = np.array([rng.integers(m) for m in n[drawn].tolist()], np.intp)
+    return sources[at[drawn], picks], targets[drawn], int(np.sum(~drawn))
 
 
 def analogy_loss(
@@ -258,25 +255,26 @@ def analogy_loss(
     gamma: Gamma,
     batch: PairTable,
     x: Array,
-    q_pairs: list[tuple[Triplet, Triplet]],
+    sources: Array,
+    targets: Array,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, Array]]:
     """Mean binary log-likelihood of batch pairs against transferred
-    embeddings, one column per (source, target) analogy; ``x`` is the vp
-    branch input of the batch (``branch_inputs``).
+    embeddings, one column per aligned (source, target) code pair; ``x`` is
+    the vp branch input of the batch (``branch_inputs``).
 
     Gradients flow only to Gamma parameters and the vp visual projection;
     the language side and the shared descriptor front end get none.
     """
     if gamma.kind == "absent":
         raise DataError("gamma kind 'absent' has no analogy loss")
-    if not q_pairs:
+    if not len(targets):
         return 0.0, {}
     br = model.branch("vp")
     v, v_cache = mlp_forward(br.f_v, x, training=training, rng=rng)
-    w, g_cache = corrected_embeddings(model, gamma, q_pairs)  # constant in the source part
-    y = label_matrix(batch, [u for _, u in q_pairs], "full")
+    w, g_cache = corrected_embeddings(model, gamma, sources, targets)  # constant in the source part
+    y = label_matrix(batch, targets, "full", model.dims)
     loss, g_v, g_w = logistic_terms(v, w, y)
     grads = gamma_backward(gamma, g_cache, g_w)  # g_w reaches the correction only
     g_fv, _ = mlp_backward(br.f_v, v_cache, g_v)
@@ -289,14 +287,13 @@ def analogy_loss(
 # ---------------------------------------------------------------------------
 
 
-def build_source_sets(
-    model: JointModel, targets: list[Triplet], pool: list[Triplet]
-) -> dict[Triplet, list[tuple[Triplet, float]]]:
-    """Source sets for every target, each excluding the target itself, by
-    ``select_sources``' rule from one G matrix, whose weights may differ in
-    the last bits from one-target calls (stage 2 reads only the winners)."""
-    g = similarity_many(model, targets, pool)
-    return {u: _top_k(row, pool, model.cfg.k, exclude=u) for u, row in zip(targets, g)}
+def build_source_sets(model: JointModel, pool: Array) -> tuple[Array, Array, Array]:
+    """``_top_k`` source sets of every observed triplet, each excluding the
+    target itself, by ``select_sources``' rule from one G matrix, whose
+    weights may differ in the last bits from one-target calls (stage 2
+    reads only the winners)."""
+    g = similarity_many(model, model.observed, pool)
+    return _top_k(g, pool, model.cfg.k, exclude=model.observed)
 
 
 def train_stage2(
@@ -315,12 +312,12 @@ def train_stage2(
     if "vp" not in model.branches:
         raise DataError("stage-2 training requires an active vp branch")
     pool = source_pool(model)
-    if not pool:
+    if not pool.size:
         raise DataError("no transfer sources: every observed triplet is rare")
     if cfg.stage2_epochs == 0:
         return [], 0
     # G reads only nets stage 2 does not train, so the sets hold for every epoch
-    source_sets = build_source_sets(model, model.observed, pool)
+    source_sets = build_source_sets(model, pool)
     rng = rng_stream(seed, "stage2")
     skipped_total = 0
 
@@ -330,9 +327,9 @@ def train_stage2(
         # serves both terms
         x = branch_inputs(model, batch, ("vp",))[0]["vp"]
         loss_vp, grads, _ = branch_terms(model, "vp", batch, x, True, rng)
-        q_pairs, skipped = sample_q_pairs(batch, source_sets, rng)
+        sources, targets, skipped = sample_q_pairs(model, batch, source_sets, rng)
         skipped_total += skipped
-        loss_an, g_an = analogy_loss(model, gamma, batch, x, q_pairs, training=True, rng=rng)
+        loss_an, g_an = analogy_loss(model, gamma, batch, x, sources, targets, training=True, rng=rng)
         add_grads(grads, g_an, cfg.analogy_weight)
         return loss_vp + cfg.analogy_weight * loss_an, grads
 

@@ -17,9 +17,10 @@ requires the header catalog to equal that model's registry, (name, shape)
 for every entry in order, before it copies any block; any difference is one
 ``DataError``. So is a vocabulary that is not a list of non-empty strings,
 and an ``observed`` list that differs from what saving writes: [s, p, o,
-count] integer entries, indices inside the vocabularies, count >= 1,
-triplets strictly ascending; and so is a model one of whose branches would
-have an empty label universe (an empty ``observed`` with vp active, say).
+count] integer entries, indices inside the vocabularies, count from 1 to
+2**63 - 1, triplets strictly ascending; and so is a model one of whose
+branches would have an empty label universe (an empty ``observed`` with vp
+active, say), or whose vocabularies have more triplets than int64 codes.
 Word-vector matrices travel as ordinary
 parameter blocks, so a loaded checkpoint scores queries with no word-table
 file on hand. Writing the same model twice yields byte-identical files.
@@ -34,7 +35,7 @@ import numpy as np
 
 from .analogy import Gamma, gamma_init
 from .config import config_hash, emit_config, parse_config
-from .data import DataError, Triplet, Vocabulary
+from .data import DataError, Vocabulary, triplet_codes, triplet_dims
 from .model import JointModel, named_parameters, new_model
 from .numkit import rng_stream
 
@@ -68,7 +69,7 @@ def save_checkpoint(path: str, model: JointModel, gamma: Gamma | None, seed: int
         "objects": model.objects.tokens,
         "word_dim": model.word_dim,
         "appearance_dim": model.appearance_dim,
-        "observed": [[t.s, t.p, t.o, model.counts[t]] for t in model.observed],
+        "observed": np.column_stack(np.unravel_index(model.observed, model.dims) + (model.counts,)).tolist(),
         "gamma": gamma.kind if gamma is not None else "absent",
         "params": [[name, list(arr.shape)] for name, arr in named],
     }
@@ -120,19 +121,16 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
         if type(header[key]) is not int or header[key] < least:
             _fail(path, f"header {key} must be an integer >= {least}, got {header[key]!r}")
 
-    vocabs = []
-    for key in ("subjects", "predicates", "objects"):
-        tokens = header[key]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) and t for t in tokens):
-            _fail(path, f"header {key} must be a list of non-empty strings")
-        try:
+    try:  # every error from here to the model names the file once
+        vocabs = []
+        for key in ("subjects", "predicates", "objects"):
+            tokens = header[key]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) and t for t in tokens):
+                raise DataError(f"header {key} must be a list of non-empty strings")
             vocabs.append(Vocabulary(tokens))
-        except DataError as e:
-            _fail(path, str(e))
-    counts = _observed_counts(path, header["observed"], vocabs)
-    try:
+        observed, counts = _observed(header["observed"], triplet_dims(vocabs))
         model = new_model(
-            cfg, tuple(vocabs), counts, header["word_dim"], header["appearance_dim"], header["seed"]
+            cfg, tuple(vocabs), observed, counts, header["word_dim"], header["appearance_dim"], header["seed"]
         )
     except DataError as e:
         _fail(path, str(e))
@@ -159,24 +157,23 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
     return model, gamma, header["seed"]
 
 
-def _observed_counts(path: str, entries, vocabs: list[Vocabulary]) -> dict[Triplet, int]:
-    """Header ``observed`` as save writes it: [s, p, o, count] entries with
-    indices inside the vocabularies, count >= 1, triplets strictly ascending."""
+def _observed(entries, dims) -> tuple[np.ndarray, np.ndarray]:
+    """Codes and counts of header ``observed`` as save writes it: [s, p, o,
+    count] entries with indices inside ``dims``, count from 1 to 2**63 - 1,
+    triplets strictly ascending."""
     if not isinstance(entries, list):
-        _fail(path, f"header observed must be a list, got {type(entries).__name__}")
-    counts: dict[Triplet, int] = {}
+        raise DataError(f"header observed must be a list, got {type(entries).__name__}")
     for i, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 4 and all(type(v) is int for v in entry)):
-            _fail(path, f"observed entry {i} must be four integers, got {entry!r}")
-        t, count = Triplet(*entry[:3]), entry[3]
-        if not all(0 <= index < len(vocab) for index, vocab in zip(t, vocabs)):
-            _fail(path, f"observed entry {i} {entry} indexes outside the vocabularies")
-        if count < 1:
-            _fail(path, f"observed entry {i} {entry} has count {count} < 1")
-        if counts and t <= next(reversed(counts)):
-            _fail(path, f"observed entry {i} {entry} is out of ascending order")
-        counts[t] = count
-    return counts
+            raise DataError(f"observed entry {i} must be four integers, got {entry!r}")
+        if not all(0 <= index < n for index, n in zip(entry, dims)):
+            raise DataError(f"observed entry {i} {entry} indexes outside the vocabularies")
+        if not 1 <= entry[3] <= np.iinfo(np.int64).max:
+            raise DataError(f"observed entry {i} {entry} has count {entry[3]} outside 1 to 2**63 - 1")
+        if i and entry[:3] <= entries[i - 1][:3]:
+            raise DataError(f"observed entry {i} {entry} is out of ascending order")
+    table = np.array(entries, dtype=np.int64).reshape(-1, 4)
+    return triplet_codes(dims, table[:, :3].T), table[:, 3]
 
 
 def _first_difference(got, want: list) -> str:

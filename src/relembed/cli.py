@@ -24,6 +24,8 @@ from .data import (
     load_word_table,
     parse_triplet,
     synth_generate,
+    triplet_codes,
+    triplet_of,
     triplet_text,
     write_dataset,
     write_queries,
@@ -192,13 +194,14 @@ def cmd_inspect(args) -> int:
     if args.what == "embeddings":
         for kind in model.active_kinds:
             labels = model.labels[kind]
-            for t, row in zip(labels.tolist(), embed_language_batch(model, kind, labels)):
-                out.write(f"{kind} {triplet_text(vocabs, t, BRANCH_MASK[kind])} {fmt_reals(row)}\n")
+            for code, row in zip(labels.tolist(), embed_language_batch(model, kind, labels)):
+                label = triplet_text(vocabs, triplet_of(model.dims, code), BRANCH_MASK[kind])
+                out.write(f"{kind} {label} {fmt_reals(row)}\n")
         return 0
     # sources
-    u = parse_triplet(vocabs, args.args)
-    for t, g in select_sources(model, u, source_pool(model)):
-        out.write(f"source {triplet_text(vocabs, t)} g {fmt_reals([g])}\n")
+    u = triplet_codes(model.dims, parse_triplet(vocabs, args.args))
+    for code, g in zip(*(a.tolist() for a in select_sources(model, u, source_pool(model)))):
+        out.write(f"source {triplet_text(vocabs, triplet_of(model.dims, code))} g {fmt_reals([g])}\n")
     return 0
 
 

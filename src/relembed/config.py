@@ -150,6 +150,11 @@ def validate(cfg: RunConfig) -> RunConfig:
     for key, most in MOST.items():
         if getattr(cfg, key) > most:
             raise ConfigError(f"{key} must be <= {most}, got {getattr(cfg, key)}")
+    if cfg.gamma == "deep" and cfg.gamma_hidden_dim() > MOST["gamma_hidden"]:
+        raise ConfigError(
+            f"gamma_hidden = 0 gives the deep gamma width 3 * embed_dim = {cfg.gamma_hidden_dim()},"
+            f" which must be <= {MOST['gamma_hidden']}"
+        )
     if cfg.synth_predicates_per_family > cfg.synth_predicates:
         raise ConfigError(
             f"synth_predicates_per_family must be <= synth_predicates = {cfg.synth_predicates},"

@@ -37,13 +37,17 @@ in int64.
 Tokens containing spaces are written with underscores and restored on read.
 A triplet reads and prints through one codec, ``parse_triplet`` and
 ``triplet_text``; a label triplet with masked slots prints only the tokens
-of the slots its mask keeps.
+of the slots its mask keeps. In memory a triplet is one int64 code,
+(s·|P| + p)·|O| + o over the vocabulary sizes (``triplet_codes``), and a
+set of triplets is a sorted code array; code order is lexicographic
+(s, p, o) order, and codes are never written to a file.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -92,6 +96,29 @@ LANGUAGE_MASKS = {
 }
 
 _SLOT_NAMES = ("subject", "predicate", "object")
+
+_INT64 = np.iinfo(np.int64)
+
+
+def triplet_dims(vocabs) -> tuple[int, int, int]:
+    """(|S|, |P|, |O|), the sizes triplet codes are taken over; an error
+    when int64 codes cannot number every triplet."""
+    dims = tuple(len(v) for v in vocabs)
+    if math.prod(dims) > _INT64.max:
+        raise DataError(f"{' x '.join(map(str, dims))} triplets do not fit int64 codes")
+    return dims
+
+
+def triplet_codes(dims, slots, mask: str = "full") -> Array:
+    """The int64 code of each triplet of the (s, p, o) index arrays
+    ``slots``; a slot that ``mask`` zeroes is encoded as 0."""
+    kept = tuple(np.asarray(i, np.int64) * int(k) for i, k in zip(slots, LANGUAGE_MASKS[mask]))
+    return np.ravel_multi_index(kept, dims)
+
+
+def triplet_of(dims, code) -> tuple[int, int, int]:
+    """The (s, p, o) indices of one code, for printing."""
+    return tuple(int(i) for i in np.unravel_index(code, dims))
 
 
 class Vocabulary:
@@ -186,10 +213,11 @@ class PairTable:
         columns = (getattr(self, f.name)[rows] for f in fields(self)[:-2])  # all but the CSR pair
         return PairTable(*columns, offsets, self.pos_preds[entries])
 
-    def positives(self) -> tuple[Array, Array]:
-        """Row indices and (E, 3) (scat, predicate, ocat) of every positive entry."""
+    def positives(self, dims, mask: str = "full") -> tuple[Array, Array]:
+        """Row index and triplet code (scat, predicate, ocat), masked by
+        ``mask``, of every positive entry, in entry order."""
         rows = np.repeat(np.arange(len(self)), np.diff(self.pos_offsets))
-        return rows, np.stack([self.scat[rows], self.pos_preds, self.ocat[rows]], axis=1)
+        return rows, triplet_codes(dims, (self.scat[rows], self.pos_preds, self.ocat[rows]), mask)
 
 
 @dataclass(eq=False)
@@ -198,11 +226,10 @@ class Dataset:
     predicates: Vocabulary
     objects: Vocabulary
     pairs: PairTable
-    counts: dict[Triplet, int] = field(init=False)  # positives per observed triplet
 
-    def __post_init__(self):
-        triplets, n = np.unique(self.pairs.positives()[1], axis=0, return_counts=True)
-        self.counts = {Triplet(*t): c for t, c in zip(triplets.tolist(), n.tolist())}
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return triplet_dims((self.subjects, self.predicates, self.objects))
 
     @property
     def appearance_dim(self) -> int:
@@ -224,9 +251,6 @@ class WordTable:
 # ---------------------------------------------------------------------------
 # The line reader
 # ---------------------------------------------------------------------------
-
-
-_INT64 = np.iinfo(np.int64)
 
 
 class Line:

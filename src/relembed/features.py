@@ -6,9 +6,10 @@ M is a two-layer net over the 8-dim box-geometry feature r, and a_s, a_o are
 also kept raw for the subject/object appearance branches.
 
 Language side: q_t = [e_s; e_p; e_o], the concatenated word vectors of the
-triplet, with unused slots zeroed for unigram/bigram variants. Masking a
-triplet is one rule on arrays: multiply its (s, p, o) row by the mask's slot
-flags, so a label keeps its slots and holds 0 in the masked ones.
+triplet, with unused slots zeroed for unigram/bigram variants. Triplets
+arrive as int64 codes (``data.triplet_codes``), decoded here where the word
+tables are indexed. A masked label is the code of its triplet with 0 in
+every masked slot.
 """
 
 from __future__ import annotations
@@ -140,11 +141,9 @@ def visual_backward(vip: VisualInputParams, cache: tuple, grad_x: Array) -> dict
 # ---------------------------------------------------------------------------
 
 
-def language_matrix(triplets, e_sub: Array, e_pre: Array, e_obj: Array, mask: str) -> Array:
-    """Stacked language inputs for many triplets, one row per (s, p, o) row
-    of ``triplets`` (a list of Triplets or an (n, 3) integer array)."""
+def language_matrix(codes, e_sub: Array, e_pre: Array, e_obj: Array, mask: str) -> Array:
+    """Stacked language inputs for many triplets, one row per code; the
+    codes are taken over the sizes of the three word tables."""
     ms, mp, mo = LANGUAGE_MASKS[mask]
-    idx = np.asarray(triplets, np.intp).reshape(-1, 3)
-    return np.concatenate(
-        [e_sub[idx[:, 0]] * ms, e_pre[idx[:, 1]] * mp, e_obj[idx[:, 2]] * mo], axis=1
-    )
+    s, p, o = np.unravel_index(np.asarray(codes, np.int64), (len(e_sub), len(e_pre), len(e_obj)))
+    return np.concatenate([e_sub[s] * ms, e_pre[p] * mp, e_obj[o] * mo], axis=1)

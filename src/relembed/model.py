@@ -6,7 +6,10 @@ the full pair descriptor otherwise) and f_w maps the masked language input.
 Language outputs are L2-normalized; visual outputs are not. Training
 maximizes, over every (pair, label) combination in a batch, the
 log-likelihood of sigmoid(w . v) matching the binary label; a pair scores
-against a triplet query as the product of per-branch sigmoids.
+against a triplet query as the product of per-branch sigmoids. Every
+triplet is an int64 code over the vocabulary sizes ``dims``
+(``data.triplet_codes``); the observed triplets and each label universe are
+ascending code arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import RunConfig
-from .data import DataError, Dataset, PairTable, Triplet, Vocabulary, WordTable
+from .data import DataError, Dataset, PairTable, Vocabulary, WordTable, triplet_codes, triplet_dims, triplet_of
 from .features import (
     BRANCH_MASK,
     LANGUAGE_MASKS,
@@ -66,14 +69,15 @@ class JointModel:
     subjects: Vocabulary
     predicates: Vocabulary
     objects: Vocabulary
+    dims: tuple[int, int, int]  # (|S|, |P|, |O|), the sizes triplet codes are taken over
     word_dim: int
     e_sub: Array  # (|V_s|, d_w) word vectors, row per token
     e_pre: Array
     e_obj: Array
     visual: VisualInputParams
     branches: dict[str, Branch]
-    observed: list[Triplet]  # training triplets with >= 1 positive, sorted
-    counts: dict[Triplet, int]
+    observed: Array  # codes of the training triplets with >= 1 positive, ascending
+    counts: Array  # positives per observed triplet, aligned with ``observed``
     appearance_dim: int
     labels: dict[str, Array]  # active branch kind -> its ``branch_universe``
 
@@ -89,12 +93,14 @@ class JointModel:
 
 
 def new_model(
-    cfg: RunConfig, vocabs: tuple[Vocabulary, Vocabulary, Vocabulary], counts: dict[Triplet, int],
-    word_dim: int, appearance_dim: int, seed: int,
+    cfg: RunConfig, vocabs: tuple[Vocabulary, Vocabulary, Vocabulary], observed: Array,
+    counts: Array, word_dim: int, appearance_dim: int, seed: int,
 ) -> JointModel:
     """The one model constructor: seeded visual front end and active
     branches (a deterministic layout), zero word vectors, the observed
-    triplets and every active branch's label universe."""
+    triplets (ascending codes) with their positive counts, and every active
+    branch's label universe."""
+    dims = triplet_dims(vocabs)  # every triplet has a code before anything is allocated
     rng = rng_stream(seed, "init")
     visual = visual_init(rng, appearance_dim, cfg.app_out, cfg.spatial_hidden, cfg.spatial_out)
     branches = {}
@@ -107,11 +113,11 @@ def new_model(
         )
     subjects, predicates, objects = vocabs
     model = JointModel(
-        cfg=cfg, subjects=subjects, predicates=predicates, objects=objects, word_dim=word_dim,
+        cfg=cfg, subjects=subjects, predicates=predicates, objects=objects, dims=dims, word_dim=word_dim,
         e_sub=np.zeros((len(subjects), word_dim)),
         e_pre=np.zeros((len(predicates), word_dim)),
         e_obj=np.zeros((len(objects), word_dim)),
-        visual=visual, branches=branches, observed=sorted(counts), counts=dict(counts),
+        visual=visual, branches=branches, observed=observed, counts=counts,
         appearance_dim=appearance_dim, labels={},
     )
     model.labels = {kind: branch_universe(model, kind) for kind in model.active_kinds}
@@ -120,10 +126,11 @@ def new_model(
 
 def build_model(cfg: RunConfig, dataset: Dataset, table: WordTable, seed: int) -> JointModel:
     """Fresh model: ``new_model`` with word vectors copied from the table."""
-    if not dataset.counts:
+    observed, counts = np.unique(dataset.pairs.positives(dataset.dims)[1], return_counts=True)
+    if not observed.size:
         raise DataError("dataset has no positive pairs")
     vocabs = (dataset.subjects, dataset.predicates, dataset.objects)
-    model = new_model(cfg, vocabs, dataset.counts, table.dim, dataset.appearance_dim, seed)
+    model = new_model(cfg, vocabs, observed, counts, table.dim, dataset.appearance_dim, seed)
     for words, vocab in zip((model.e_sub, model.e_pre, model.e_obj), vocabs):
         words[...] = [table.lookup(t) for t in vocab.tokens]
     return model
@@ -189,9 +196,9 @@ def adam_update(opt: AdamState, named: list[tuple[str, Array]], grads: dict[str,
 
 
 def branch_universe(model: JointModel, kind: str) -> Array:
-    """Every label a branch scores: an (U, 3) int64 array of masked
-    triplets, rows ascending. ``new_model`` builds each active branch's
-    universe once, into ``model.labels``.
+    """Every label a branch scores: the codes of its masked triplets,
+    ascending. ``new_model`` builds each active branch's universe once, into
+    ``model.labels``.
 
     Unigram branches label against their whole vocabulary; phrase and bigram
     branches against the masked triplets observed in training, or against
@@ -200,36 +207,32 @@ def branch_universe(model: JointModel, kind: str) -> Array:
     """
     if kind not in BRANCH_MASK:
         raise DataError(f"unknown branch kind {kind!r}")
-    flags = LANGUAGE_MASKS[BRANCH_MASK[kind]]
+    mask = BRANCH_MASK[kind]
     if kind in ("s", "p", "o") or (kind == "vp" and model.cfg.vp_negatives == "cartesian"):
-        vocabs = (model.subjects, model.predicates, model.objects)
-        sizes = [len(v) if keep else 1 for v, keep in zip(vocabs, flags)]
-        labels = np.indices(sizes, dtype=np.int64).reshape(3, -1).T
+        sizes = [n if keep else 1 for n, keep in zip(model.dims, LANGUAGE_MASKS[mask])]
+        labels = triplet_codes(model.dims, np.indices(sizes).reshape(3, -1))
     else:
-        observed = np.array(model.observed, dtype=np.int64).reshape(-1, 3)
-        labels = np.unique(observed * np.array(flags, dtype=np.int64), axis=0)
+        labels = np.unique(triplet_codes(model.dims, np.unravel_index(model.observed, model.dims), mask))
     if not len(labels):
         raise DataError(f"empty label universe for branch {kind!r}")
     return labels
 
 
-def label_matrix(batch: PairTable, columns, mask: str, branch: str | None = None) -> Array:
+def label_matrix(batch: PairTable, columns, mask: str, dims, branch: str | None = None) -> Array:
     """1 where a pair's positive triplet, masked, equals the column label;
-    ``columns`` holds (s, p, o) rows, and a repeated column is labelled in
-    every copy.
+    ``columns`` holds codes over ``dims``, and a repeated column is labelled
+    in every copy.
 
     With ``branch`` named, a positive that matches no column is an error;
     without, it stays unlabeled (the analogy columns hold only the targets
     that drew a source).
     """
-    rows, triplets = batch.positives()
-    labels = triplets * np.array(LANGUAGE_MASKS[mask], dtype=np.int64)
-    columns = np.asarray(columns, dtype=np.int64).reshape(-1, 3)
-    hits = np.all(labels[:, None, :] == columns[None, :, :], axis=2)  # (positives, columns)
+    rows, labels = batch.positives(dims, mask)
+    hits = labels[:, None] == np.asarray(columns, np.int64)[None, :]  # (positives, columns)
     if branch is not None:
         missing = np.flatnonzero(~hits.any(axis=1))
         if missing.size:
-            label = tuple(labels[missing[0]].tolist())
+            label = triplet_of(dims, labels[missing[0]])
             raise DataError(f"positive label {label} outside the {branch!r} branch universe")
     e, u = np.nonzero(hits)
     y = np.zeros((len(batch), len(columns)))
@@ -242,11 +245,11 @@ def label_matrix(batch: PairTable, columns, mask: str, branch: str | None = None
 # ---------------------------------------------------------------------------
 
 
-def embed_language_batch(model: JointModel, kind: str, triplets, mask: str | None = None) -> Array:
-    """Unit-norm language embeddings of a branch, one row per (s, p, o) row
-    of ``triplets``, under the branch's slot mask or an explicit ``mask``."""
+def embed_language_batch(model: JointModel, kind: str, codes, mask: str | None = None) -> Array:
+    """Unit-norm language embeddings of a branch, one row per triplet code,
+    under the branch's slot mask or an explicit ``mask``."""
     br = model.branch(kind)
-    q = language_matrix(triplets, model.e_sub, model.e_pre, model.e_obj, mask or BRANCH_MASK[kind])
+    q = language_matrix(codes, model.e_sub, model.e_pre, model.e_obj, mask or BRANCH_MASK[kind])
     w, _ = mlp_forward(br.f_w, q)
     return normalize_rows(w)[0]
 
@@ -291,7 +294,7 @@ def branch_terms(model, kind, batch, inp, training, rng):
     the gradient wrt the input."""
     br = model.branch(kind)
     labels = model.labels[kind]
-    y = label_matrix(batch, labels, BRANCH_MASK[kind], kind)
+    y = label_matrix(batch, labels, BRANCH_MASK[kind], model.dims, kind)
 
     v, v_cache = mlp_forward(br.f_v, inp, training=training, rng=rng)
     q = language_matrix(labels, model.e_sub, model.e_pre, model.e_obj, BRANCH_MASK[kind])
@@ -311,22 +314,14 @@ def branch_terms(model, kind, batch, inp, training, rng):
     return loss, grads, g_inp
 
 
-def _accumulate_word_grads(model, grads, rows, mask, g_q):
-    ms, mp, mo = LANGUAGE_MASKS[mask]
+def _accumulate_word_grads(model, grads, codes, mask, g_q):
     dw = model.word_dim
-    idx = np.asarray(rows, np.intp).reshape(-1, 3)
-    for name, arr, flag, sl, col in (
-        ("words.sub", model.e_sub, ms, slice(0, dw), 0),
-        ("words.pre", model.e_pre, mp, slice(dw, 2 * dw), 1),
-        ("words.obj", model.e_obj, mo, slice(2 * dw, 3 * dw), 2),
-    ):
-        if not flag:
-            continue
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(arr)
-            grads[name] = g
-        np.add.at(g, idx[:, col], g_q[:, sl] * flag)
+    words = (("words.sub", model.e_sub), ("words.pre", model.e_pre), ("words.obj", model.e_obj))
+    slots = np.unravel_index(codes, model.dims)
+    for i, ((name, arr), flag, index) in enumerate(zip(words, LANGUAGE_MASKS[mask], slots)):
+        if flag:  # a masked slot's block of g_q belongs to no word
+            g = grads.setdefault(name, np.zeros_like(arr))
+            np.add.at(g, index, g_q[:, i * dw : (i + 1) * dw] * flag)
 
 
 def joint_loss(
@@ -419,13 +414,13 @@ def score_from_embeddings(
     return score
 
 
-def score_pairs(model: JointModel, t: Triplet, pairs: PairTable, vp_override: Array | None = None) -> Array:
-    """Scores of every pair against query t (eval mode).
+def score_pairs(model: JointModel, query: int, pairs: PairTable, vp_override: Array | None = None) -> Array:
+    """Scores of every pair against the triplet of code ``query`` (eval mode).
 
     ``vp_override`` substitutes a transferred embedding for the vp factor,
-    used when t was never observed in training.
+    used when the query was never observed in training.
     """
-    language = {kind: embed_language_batch(model, kind, [t])[0] for kind in model.active_kinds}
+    language = {kind: embed_language_batch(model, kind, [query])[0] for kind in model.active_kinds}
     if vp_override is not None:
         language["vp"] = vp_override
     return score_from_embeddings(pair_embeddings(model, pairs), language)

@@ -16,7 +16,8 @@ divided by the number of ground-truth positives.
 
 ``evaluate_queries`` is the eval loop: it embeds the candidate pairs and
 indexes the ground truth once, then scores, ranks and matches each query.
-``ground_truth_for`` is one query's ground truth.
+``ground_truth_for`` is one query's ground truth. A query is scored and
+looked up by its triplet code, in an index of positive codes sorted once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Array, DataError, Dataset, PairTable, Triplet, fmt_reals, read_lines, triplet_text
+from .data import triplet_codes
 from .analogy import Gamma, source_pool, transfer_embedding
 from .model import JointModel, reuse_pair_embeddings, score_pairs
 
@@ -72,22 +74,31 @@ class APResult:
 
 def ground_truth_for(dataset: Dataset, query: Triplet) -> PairTable:
     """The query's ground truth: every pair that lists it, in pair order."""
-    return dataset.pairs.take(ground_truth_index(dataset).get(query, []))
+    index = ground_truth_index(dataset.pairs, dataset.dims)
+    return dataset.pairs.take(truth_rows(index, triplet_codes(dataset.dims, query)))
 
 
-def ground_truth_index(dataset: Dataset) -> dict[Triplet, list[int]]:
-    """Each triplet's ground-truth rows in pair order, one per pair listing it."""
-    rows, triplets = dataset.pairs.positives()
-    index: dict[Triplet, list[int]] = {}
-    for s, p, o, i in np.unique(np.column_stack([triplets, rows]), axis=0).tolist():
-        index.setdefault(Triplet(s, p, o), []).append(i)
-    return index
+def ground_truth_index(pairs: PairTable, dims) -> tuple[Array, Array]:
+    """The code over ``dims`` of every positive entry, ascending, and its
+    row, ascending within a code: one entry per pair listing a triplet."""
+    rows, codes = pairs.positives(dims)
+    order = np.argsort(codes, kind="stable")  # entries come in row order
+    codes, rows = codes[order], rows[order]
+    first = np.r_[True, (np.diff(codes) != 0) | (np.diff(rows) != 0)]  # a repeat is one entry
+    return codes[first], rows[first]
+
+
+def truth_rows(index: tuple[Array, Array], code: int) -> Array:
+    """The rows of one triplet code in a ``ground_truth_index``."""
+    codes, rows = index
+    return rows[np.searchsorted(codes, code) : np.searchsorted(codes, code, side="right")]
 
 
 def rank_candidates(
-    model: JointModel, query: Triplet, pairs: PairTable, vp_override=None
+    model: JointModel, query: int, pairs: PairTable, vp_override=None
 ) -> tuple[PairTable, Array]:
-    """The candidate pairs best score first, ties by pair id, and their scores."""
+    """The candidate pairs best score first, ties by pair id, and their
+    scores, for the triplet of code ``query``."""
     scores = score_pairs(model, query, pairs, vp_override=vp_override)
     order = np.lexsort((pairs.pair_id, -scores))
     scores = scores[order]
@@ -163,14 +174,15 @@ def evaluate_queries(
     pool = None
     if gamma is not None:
         pool = source_pool(model)
-        if not pool:
+        if not pool.size:
             raise DataError("no transfer sources: every observed triplet is rare")
-    index = ground_truth_index(dataset)
+    codes = triplet_codes(model.dims, np.array(queries, np.int64).reshape(-1, 3).T)
+    index = ground_truth_index(dataset.pairs, model.dims)
     with reuse_pair_embeddings(model, dataset.pairs):
-        for query in queries:
-            override = None if pool is None else transfer_embedding(model, gamma, query, pool)
-            ranked, scores = rank_candidates(model, query, dataset.pairs, vp_override=override)
-            truth = dataset.pairs.take(index.get(query, []))
+        for query, code in zip(queries, codes.tolist()):
+            override = None if pool is None else transfer_embedding(model, gamma, code, pool)
+            ranked, scores = rank_candidates(model, code, dataset.pairs, vp_override=override)
+            truth = dataset.pairs.take(truth_rows(index, code))
             yield query, ranked, scores, average_precision(query, ranked, scores, truth, policy)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relembed.config import RunConfig, validate
-from relembed.data import PairTable, Triplet, synth_generate
+from relembed.data import PairTable, Triplet, synth_generate, triplet_codes
 
 
 def desk_config(**overrides) -> RunConfig:
@@ -37,6 +37,32 @@ def row_triplets(table: PairTable) -> list[list[Triplet]]:
         [Triplet(s, p, o) for p in preds[offsets[i] : offsets[i + 1]]]
         for i, (s, o) in enumerate(zip(table.scat.tolist(), table.ocat.tolist()))
     ]
+
+
+def encode(dims, triplets) -> np.ndarray:
+    """The codes over ``dims`` of a list of (s, p, o) triplets."""
+    return triplet_codes(dims, np.array(triplets, np.int64).reshape(-1, 3).T)
+
+
+def code(model, t) -> int:
+    """The code of one triplet over the model's vocabulary sizes."""
+    return int(encode(model.dims, [t])[0])
+
+
+def decode(dims, codes) -> list[Triplet]:
+    """The triplets of an array of codes over ``dims``."""
+    return [Triplet(*t) for t in np.column_stack(np.unravel_index(codes, dims)).tolist()]
+
+
+def triplet_counts(dataset) -> dict[Triplet, int]:
+    """Positives per triplet of a dataset, from the codes of its positive entries."""
+    codes, n = np.unique(dataset.pairs.positives(dataset.dims)[1], return_counts=True)
+    return dict(zip(decode(dataset.dims, codes), n.tolist()))
+
+
+def model_counts(model) -> dict[Triplet, int]:
+    """A model's observed triplets and their positive counts."""
+    return dict(zip(decode(model.dims, model.observed), model.counts.tolist()))
 
 
 def box_table(rows) -> PairTable:

@@ -52,7 +52,7 @@ from relembed.retrieval import (
     iou,
 )
 
-from conftest import box_table, desk_config, row_triplets
+from conftest import box_table, decode, desk_config, encode, row_triplets
 from gradcheck import finite_diff_grad, max_relative_error
 
 
@@ -121,14 +121,14 @@ def test_criterion_1_gradient_correctness():
         cfg_vp = _fd_config(branches="vp")
         model_vp = build_model(cfg_vp, train, table, seed)
         gamma = gamma_init(gkind, cfg_vp.embed_dim, cfg_vp.gamma_hidden_dim(), rng_stream(seed, "gamma"))
-        observed = sorted(train.counts)
-        targets = sorted({t for row in row_triplets(batch) for t in row})
-        q = [(observed[int(rng.integers(len(observed)))], u) for u in targets[:5]]
+        observed = model_vp.observed
+        targets = encode(model_vp.dims, sorted({t for row in row_triplets(batch) for t in row}))[:5]
+        q = ([observed[int(rng.integers(len(observed)))] for _ in targets], targets)
         x = branch_inputs(model_vp, batch, ("vp",))[0]["vp"]
-        _, agrads = analogy_loss(model_vp, gamma, batch, x, q)
+        _, agrads = analogy_loss(model_vp, gamma, batch, x, *q)
         named_a = [(n, a) for n, a in trainable(model_vp, 2, gamma) if ".f_w." not in n]
         numeric_a = finite_diff_grad(
-            lambda: analogy_loss(model_vp, gamma, batch, x, q)[0], [a for _, a in named_a]
+            lambda: analogy_loss(model_vp, gamma, batch, x, *q)[0], [a for _, a in named_a]
         )
         analytic_a = [agrads.get(n, np.zeros_like(a)) for n, a in named_a]
         worst_analogy = max(worst_analogy, max_relative_error(analytic_a, numeric_a))
@@ -151,12 +151,12 @@ def test_criterion_2_analogy_identity():
     cfg = desk_config(k=1, dropout=0.0)
     train, _, table, _ = synth_generate(cfg.synth_config(), seed=0)
     model = build_model(cfg, train, table, seed=0)
-    probes = sorted(train.counts)[:6]
+    probes = model.observed[:6]
 
     bitwise = True
     for gkind in ("linear", "deep"):
         gamma = gamma_init(gkind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(1, "gamma"))
-        corr, _ = gamma_forward(gamma, gamma_input_matrix(model, [(t, t) for t in probes]))
+        corr, _ = gamma_forward(gamma, gamma_input_matrix(model, probes, probes))
         bitwise = bitwise and bool(np.all(corr == 0.0))
 
     worst = 0.0
@@ -187,11 +187,11 @@ def test_criterion_3_gradient_flow_restriction():
 
     rng = np.random.default_rng(7)
     batch = train.pairs.take(rng.choice(len(train.pairs), size=16, replace=False))
-    observed = sorted(train.counts)
-    targets = sorted({t for row in row_triplets(batch) for t in row})
-    q = [(observed[int(rng.integers(len(observed)))], u) for u in targets]
+    observed = model.observed
+    targets = encode(model.dims, sorted({t for row in row_triplets(batch) for t in row}))
+    q = ([observed[int(rng.integers(len(observed)))] for _ in targets], targets)
     x = branch_inputs(model, batch, ("vp",))[0]["vp"]
-    _, grads = analogy_loss(model, gamma, batch, x, q)
+    _, grads = analogy_loss(model, gamma, batch, x, *q)
 
     named_only = all(n.startswith(("gamma.", "branch.vp.f_v.")) for n in grads)
 
@@ -357,7 +357,7 @@ def _seen_map(branches: str, seed: int) -> float:
     train, test, table, _ = synth_generate(cfg.synth_config(), seed)
     model = build_model(cfg, train, table, seed)
     train_stage1(model, train, seed)
-    evaluated = evaluate_queries(model, test, sorted(train.counts), MatchPolicy(0.5))
+    evaluated = evaluate_queries(model, test, decode(model.dims, model.observed), MatchPolicy(0.5))
     return mean_ap([r for _, _, _, r in evaluated])
 
 
@@ -409,7 +409,7 @@ def test_criterion_8_normalization_and_range():
     train, test, table, _ = synth_generate(cfg.synth_config(), seed=0)
     model = build_model(cfg, train, table, seed=0)
     train_stage1(model, train, seed=0)
-    observed = sorted(train.counts)
+    observed = model.observed
 
     worst_norm = 0.0
     for kind in model.active_kinds:

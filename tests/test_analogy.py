@@ -42,7 +42,7 @@ from relembed.model import (
 )
 from relembed.numkit import Linear, rng_stream
 
-from conftest import desk_config, row_triplets
+from conftest import decode, desk_config, encode, model_counts, row_triplets
 from gradcheck import finite_diff_grad, max_relative_error
 
 
@@ -67,7 +67,7 @@ def test_gamma_self_correction_is_bitwise_zero(small_bench):
     for kind in ("zero", "linear", "deep"):
         gamma = make_gamma(model, kind)
         t = model.observed[0]
-        diffs = gamma_input_matrix(model, [(t, t)])
+        diffs = gamma_input_matrix(model, [t], [t])
         assert np.all(diffs == 0.0)
         corr, _ = gamma_forward(gamma, diffs)
         assert np.all(corr == 0.0), kind
@@ -78,7 +78,7 @@ def test_gamma_input_isolates_changed_slot(small_bench):
     d = cfg.embed_dim
     t = Triplet(0, 1, 2)
     u = Triplet(0, 1, 3)  # object differs, subject and predicate identical
-    diffs = gamma_input_matrix(model, [(t, u)])
+    diffs = gamma_input_matrix(model, encode(model.dims, [t]), encode(model.dims, [u]))
     assert diffs.shape == (1, 3 * d)
     assert np.all(diffs[0, : 2 * d] == 0.0)
     assert np.any(diffs[0, 2 * d :] != 0.0)
@@ -170,8 +170,9 @@ def test_similarity_words_mode_hand_value():
     t = Triplet(0, 0, 0)  # (a, p, x)
     u = Triplet(1, 0, 0)  # (b, p, x): only the subject differs
     # 0.1 * 0.5 + 0.8 * 1 + 0.1 * 1 = 0.95
+    t, u, v = encode(model.dims, [t, u, Triplet(1, 1, 1)])  # v: everything differs
     assert abs(similarity_many(model, [t], [u])[0, 0] - 0.95) < 1e-12
-    v = Triplet(1, 1, 1)  # everything differs: 0.1*0.5 + 0 + 0 = 0.05
+    # 0.1*0.5 + 0 + 0 = 0.05
     assert abs(similarity_many(model, [t], [v])[0, 0] - 0.05) < 1e-12
 
 
@@ -192,7 +193,7 @@ def test_similarity_unclamped_can_leave_interval():
     model.cfg.clamp_similarity = False
     t = Triplet(0, 0, 0)
     u = Triplet(0, 1, 1)  # cos by slot: 1, 0, 0 -> 0.1 exactly
-    assert abs(similarity_many(model, [t], [u])[0, 0] - 0.1) < 1e-12
+    assert abs(similarity_many(model, encode(model.dims, [t]), encode(model.dims, [u]))[0, 0] - 0.1) < 1e-12
 
 
 def test_similarity_branch_mode_needs_unigram_branches(small_bench):
@@ -210,9 +211,10 @@ def test_select_sources_matches_full_sort(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = model.observed
     u = pool[len(pool) // 2]
-    got = select_sources(model, u, pool)
+    sources, weights = select_sources(model, u, pool)
+    got = list(zip(decode(model.dims, sources), weights.tolist()))
     g = similarity_many(model, [u], pool)[0]
-    ranked = sorted(zip(pool, g), key=lambda tg: (-tg[1], tg[0]))
+    ranked = sorted(zip(decode(model.dims, pool), g.tolist()), key=lambda tg: (-tg[1], tg[0]))
     want = [(t, float(gv)) for t, gv in ranked[: cfg.k]]
     assert got == want
     assert len(got) == cfg.k
@@ -221,8 +223,8 @@ def test_select_sources_matches_full_sort(small_bench):
 def test_select_sources_small_pool_returns_all(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = model.observed[:3]
-    got = select_sources(model, model.observed[0], pool)
-    assert len(got) == 3
+    sources, weights = select_sources(model, model.observed[0], pool)
+    assert len(sources) == len(weights) == 3
 
 
 def test_select_sources_empty_pool_rejected(small_bench):
@@ -234,9 +236,9 @@ def test_select_sources_empty_pool_rejected(small_bench):
 def test_source_pool_applies_rare_threshold(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = source_pool(model)
-    assert pool == sorted(t for t, c in model.counts.items() if c >= cfg.rare_threshold)
+    assert decode(model.dims, pool) == sorted(t for t, c in model_counts(model).items() if c >= cfg.rare_threshold)
     model.cfg.rare_threshold = 10**9
-    assert source_pool(model) == []
+    assert source_pool(model).tolist() == []
 
 
 def test_source_pool_threshold_boundary():
@@ -256,18 +258,17 @@ def test_source_pool_threshold_boundary():
     ds = Dataset(subjects, predicates, objects, PairTable.from_rows(rows, 2))
     table = WordTable(2, {tok: rng.normal(size=2) for tok in ("s", "p0", "p1", "p2", "o")})
     model = build_model(desk_config(rare_threshold=10), ds, table, seed=0)
-    assert model.counts == {Triplet(0, 0, 0): 5, Triplet(0, 1, 0): 10, Triplet(0, 2, 0): 11}
-    assert source_pool(model) == [Triplet(0, 1, 0), Triplet(0, 2, 0)]
+    assert model_counts(model) == {Triplet(0, 0, 0): 5, Triplet(0, 1, 0): 10, Triplet(0, 2, 0): 11}
+    assert decode(model.dims, source_pool(model)) == [Triplet(0, 1, 0), Triplet(0, 2, 0)]
     model.cfg.rare_threshold = 12
-    assert source_pool(model) == []
+    assert source_pool(model).tolist() == []
 
 
 def test_build_source_sets_exclude_target(small_bench):
     cfg, train, table, model = bench_model(small_bench)
-    pool = source_pool(model)
-    sets = build_source_sets(model, model.observed, pool)
-    for u, sources in sets.items():
-        assert all(t != u for t, _ in sources)
+    sources, _, count = build_source_sets(model, source_pool(model))
+    for u, row, n in zip(model.observed.tolist(), sources, count):
+        assert u not in row[:n]
 
 
 def test_build_source_sets_computes_g_once(small_bench, monkeypatch):
@@ -279,21 +280,20 @@ def test_build_source_sets_computes_g_once(small_bench, monkeypatch):
         return similarity_many(model, targets, pool)
 
     monkeypatch.setattr(analogy, "similarity_many", counted)
-    sets = build_source_sets(model, model.observed, source_pool(model))
+    sources, _, _ = build_source_sets(model, source_pool(model))
     assert calls == [len(model.observed)]
-    assert len(sets) == len(model.observed) > 1
+    assert len(sources) == len(model.observed) > 1
 
 
 def test_build_source_sets_agree_with_select_sources(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = source_pool(model)
-    sets = build_source_sets(model, model.observed, pool)
-    assert sorted(sets) == model.observed
-    for u in model.observed:
-        want = select_sources(model, u, [t for t in pool if t != u])
-        got = sets[u]
-        assert [t for t, _ in got] == [t for t, _ in want], u
-        assert np.allclose([g for _, g in got], [g for _, g in want], rtol=0, atol=1e-12), u
+    sources, weights, count = build_source_sets(model, pool)
+    assert len(sources) == len(weights) == len(count) == len(model.observed)
+    for u, row, w, n in zip(model.observed, sources, weights, count):
+        want_sources, want_weights = select_sources(model, u, pool[pool != u])
+        assert row[:n].tolist() == want_sources.tolist(), u
+        assert np.allclose(w[:n], want_weights, rtol=0, atol=1e-12), u
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_transfer_weighted_sum_by_hand(small_bench):
     t1, t2 = model.observed[1], model.observed[2]
     w1 = embed_language_batch(model, "vp", [t1])[0]
     w2 = embed_language_batch(model, "vp", [t2])[0]
-    got = transfer_from_sources(model, gamma, u, [(t1, 0.6), (t2, 0.3)])
+    got = transfer_from_sources(model, gamma, u, [t1, t2], [0.6, 0.3])
     assert np.allclose(got, 0.6 * w1 + 0.3 * w2, rtol=0.0, atol=1e-15)
 
 
@@ -320,7 +320,7 @@ def test_transfer_normalized_aggregation(small_bench):
     t1, t2 = model.observed[1], model.observed[2]
     w1 = embed_language_batch(model, "vp", [t1])[0]
     w2 = embed_language_batch(model, "vp", [t2])[0]
-    got = transfer_from_sources(model, gamma, u, [(t1, 0.6), (t2, 0.3)])
+    got = transfer_from_sources(model, gamma, u, [t1, t2], [0.6, 0.3])
     assert np.allclose(got, (0.6 * w1 + 0.3 * w2) / 0.9, rtol=0.0, atol=1e-15)
 
 
@@ -329,7 +329,7 @@ def test_transfer_all_zero_weights_rejected(small_bench):
     gamma = make_gamma(model, "zero")
     u, t1 = model.observed[0], model.observed[1]
     with pytest.raises(DataError, match="no informative sources"):
-        transfer_from_sources(model, gamma, u, [(t1, 0.0)])
+        transfer_from_sources(model, gamma, u, [t1], [0.0])
 
 
 def test_self_transfer_equals_direct_embedding(small_bench):
@@ -348,9 +348,9 @@ def test_transfer_absent_gamma_skips_correction(small_bench):
     absent = Gamma("absent")
     zero = make_gamma(model, "zero")
     u = model.observed[0]
-    sources = select_sources(model, u, [t for t in model.observed if t != u])
-    a = transfer_from_sources(model, absent, u, sources)
-    b = transfer_from_sources(model, zero, u, sources)
+    sources = select_sources(model, u, model.observed[model.observed != u])
+    a = transfer_from_sources(model, absent, u, *sources)
+    b = transfer_from_sources(model, zero, u, *sources)
     assert np.array_equal(a, b)
 
 
@@ -358,7 +358,7 @@ def test_corrected_embeddings_absent_gamma_is_uncorrected(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     sources = model.observed[1:4]
     u = model.observed[0]
-    got, cache = corrected_embeddings(model, Gamma("absent"), [(t, u) for t in sources])
+    got, cache = corrected_embeddings(model, Gamma("absent"), sources, [u] * len(sources))
     assert np.array_equal(got, embed_language_batch(model, "vp", sources))
     assert cache is None
 
@@ -368,8 +368,8 @@ def test_corrected_embeddings_shift_by_gamma(small_bench):
     gamma = make_gamma(model, "linear")
     t, u = model.observed[1], model.observed[0]
     base = embed_language_batch(model, "vp", [t])
-    corr, _ = gamma_forward(gamma, gamma_input_matrix(model, [(t, u)]))
-    got, _ = corrected_embeddings(model, gamma, [(t, u)])
+    corr, _ = gamma_forward(gamma, gamma_input_matrix(model, [t], [u]))
+    got, _ = corrected_embeddings(model, gamma, [t], [u])
     assert np.array_equal(got, base + corr)
 
 
@@ -391,8 +391,8 @@ def test_analogy_loss_grads_touch_only_gamma_and_vp_visual(small_bench):
     gamma = make_gamma(model, "deep")
     batch = _batch(train)
     u = model.observed[0]
-    q = [(model.observed[1], u), (model.observed[2], u)]
-    loss, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), q)
+    q = ([model.observed[1], model.observed[2]], [u, u])  # (sources, targets)
+    loss, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), *q)
     assert loss > 0.0
     for name in grads:
         assert name.startswith("gamma.") or name.startswith("branch.vp.f_v."), name
@@ -404,37 +404,37 @@ def test_analogy_loss_grads_touch_only_gamma_and_vp_visual(small_bench):
 def test_analogy_loss_zero_gamma_has_no_gamma_grads(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "zero")
-    q = [(model.observed[1], model.observed[0])]
-    _, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), q)
+    q = ([model.observed[1]], [model.observed[0]])
+    _, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), *q)
     assert all(name.startswith("branch.vp.f_v.") for name in grads)
 
 
 def test_analogy_loss_empty_q_is_zero(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "deep")
-    loss, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), [])
+    loss, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), [], [])
     assert loss == 0.0 and grads == {}
 
 
 def test_analogy_loss_absent_gamma_rejected(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     with pytest.raises(DataError, match="absent"):
-        analogy_loss(model, Gamma("absent"), _batch(train), _vp_input(model, _batch(train)), [])
+        analogy_loss(model, Gamma("absent"), _batch(train), _vp_input(model, _batch(train)), [], [])
 
 
 def test_analogy_loss_matches_finite_differences(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     batch = _batch(train, 6)
     u0, u1 = model.observed[0], model.observed[1]
-    q = [(model.observed[2], u0), (model.observed[3], u1), (u0, u0)]
+    q = ([model.observed[2], model.observed[3], u0], [u0, u1, u0])
     for kind in ("linear", "deep"):
         gamma = make_gamma(model, kind)
         named = trainable(model, 2, gamma)
         named = [(n, a) for n, a in named if not n.startswith("branch.vp.f_w")]
-        _, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), q)
+        _, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), *q)
 
         def loss_fn():
-            return analogy_loss(model, gamma, batch, _vp_input(model, batch), q)[0]
+            return analogy_loss(model, gamma, batch, _vp_input(model, batch), *q)[0]
 
         numeric = finite_diff_grad(loss_fn, [a for _, a in named])
         for (name, arr), num in zip(named, numeric):
@@ -449,8 +449,8 @@ def test_analogy_loss_language_side_sees_zero_gradient(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "deep")
     batch = _batch(train, 6)
-    q = [(model.observed[1], model.observed[0])]
-    _, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), q)
+    q = ([model.observed[1]], [model.observed[0]])
+    _, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), *q)
     fw = [(n, a) for n, a in trainable(model, 2, gamma) if n.startswith("branch.vp.f_w")]
     assert fw
     for name, _ in fw:
@@ -463,8 +463,8 @@ def test_analogy_loss_uninformative_prediction_is_log2(small_bench):
     br = model.branch("vp")
     br.f_v.second.w[:] = 0.0
     br.f_v.second.b[:] = 0.0
-    q = [(model.observed[1], model.observed[0])]
-    loss, _ = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), q)
+    q = ([model.observed[1]], [model.observed[0]])
+    loss, _ = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), *q)
     assert abs(loss - np.log(2.0)) < 1e-12
 
 
@@ -475,25 +475,46 @@ def test_analogy_loss_uninformative_prediction_is_log2(small_bench):
 
 def test_sample_q_pairs_one_per_target(small_bench):
     cfg, train, table, model = bench_model(small_bench)
-    pool = source_pool(model)
-    sets = build_source_sets(model, model.observed, pool)
+    sets = build_source_sets(model, source_pool(model))
     batch = train.pairs.take(range(16))
     targets = sorted({t for row in row_triplets(batch) for t in row})
-    q, skipped = sample_q_pairs(batch, sets, rng_stream(0, "stage2"))
+    sources, got, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
     assert skipped == 0
-    assert [u for _, u in q] == targets
-    for src, u in q:
-        assert src in [t for t, _ in sets[u]]
+    assert decode(model.dims, got) == targets
+    for src, u in zip(sources.tolist(), got.tolist()):
+        i = model.observed.tolist().index(u)
+        assert src in sets[0][i, : sets[2][i]]
 
 
 def test_sample_q_pairs_counts_missing_targets(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     batch = train.pairs.take(range(16))
     targets = sorted({t for row in row_triplets(batch) for t in row})
-    sets = {targets[0]: []}
-    q, skipped = sample_q_pairs(batch, sets, rng_stream(0, "stage2"))
-    assert q == []
+    n = len(model.observed)
+    sets = (np.zeros((n, 0), np.int64), np.zeros((n, 0)), np.zeros(n, np.int64))  # no sources anywhere
+    sources, got, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
+    assert sources.tolist() == got.tolist() == []
     assert skipped == len(targets)
+
+
+def test_one_triplet_pool_gives_ragged_source_sets(small_bench):
+    """The lone pool triplet has no source but itself, which is excluded;
+    every other target gets it, and sampling skips only the lone one."""
+    cfg, train, table, model = bench_model(small_bench)
+    batch = train.pairs.take(range(0, len(train.pairs), 7))
+    targets = np.unique(batch.positives(model.dims)[1])
+    assert len(targets) > 1
+    lone = targets[0]
+    sets = build_source_sets(model, np.array([lone]))
+    sources, weights, count = sets
+    assert sources.shape == weights.shape == (len(model.observed), 1)
+    alone = model.observed == lone
+    assert count[alone].tolist() == [0] and (count[~alone] == 1).all()
+    assert (sources[~alone, 0] == lone).all()
+    got_sources, got_targets, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
+    assert skipped == 1
+    assert got_targets.tolist() == targets[1:].tolist()
+    assert (got_sources == lone).all()
 
 
 # ---------------------------------------------------------------------------

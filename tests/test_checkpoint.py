@@ -40,8 +40,8 @@ def test_round_trip_is_bitwise(trained, tmp_path):
     for name in want:
         assert np.array_equal(want[name], got[name]), name
     assert back.subjects.tokens == model.subjects.tokens
-    assert back.observed == model.observed
-    assert back.counts == model.counts
+    assert back.observed.tolist() == model.observed.tolist()
+    assert back.counts.tolist() == model.counts.tolist()
     assert back.cfg == model.cfg
 
 
@@ -226,6 +226,10 @@ HEADER_EDITS = {
     ),
     "subjects_a_string": ("subjects", lambda h: "abcdef", "subjects must be a list"),
     "observed_zero_count": ("observed", lambda h: [h["observed"][0][:3] + [0]], "count 0"),
+    # JSON reads any integer, but a count is held in int64
+    "observed_count_above_int64": (
+        "observed", lambda h: [h["observed"][0][:3] + [2**63]], "count 9223372036854775808 outside"
+    ),
     "observed_descending": ("observed", lambda h: h["observed"][1::-1], "ascending"),
     "observed_repeated": ("observed", lambda h: h["observed"][:1] * 2, "ascending"),
     "observed_bool_index": ("observed", lambda h: [[True, 0, 0, 1]], "four integers"),

@@ -18,7 +18,7 @@ from relembed.data import Triplet, load_dataset, load_queries, write_queries
 from relembed.model import build_model, named_parameters, pair_embeddings, score_pairs
 from relembed.retrieval import load_results
 
-from conftest import desk_config, row_triplets
+from conftest import code, decode, desk_config, row_triplets, triplet_counts
 
 
 def read_bytes(path):
@@ -57,8 +57,9 @@ def test_synth_outputs_reload_and_match_config(run_dir):
     assert len(queries) == cfg.synth_heldout
     assert train.appearance_dim == cfg.synth_appearance_dim
     assert test.subjects.tokens == train.subjects.tokens
+    seen = triplet_counts(train)
     for q in queries:
-        assert q not in train.counts  # heldout means unseen in training
+        assert q not in seen  # heldout means unseen in training
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):
@@ -157,7 +158,7 @@ def test_train_on_a_dataset_with_no_positive_pair_is_one_data_error(tmp_path, ru
     with open(cfg.train_data) as src, open(unlabelled, "w") as fh:
         for line in src:
             fh.write(line.split(" labels")[0] + " labels\n" if line.startswith("pair ") else line)
-    assert not load_dataset(unlabelled).counts
+    assert not triplet_counts(load_dataset(unlabelled))
     cfg.train_data = unlabelled
     cfg.checkpoint = str(tmp_path / "none.ckpt")
     cfg_path = str(tmp_path / "none.cfg")
@@ -233,7 +234,7 @@ def test_eval_transfer_equals_direct_for_seen_query(run_dir, tmp_path):
     cfg = effective(run_dir)
     train = load_dataset(cfg.train_data)
     model, _, _ = load_checkpoint(cfg.checkpoint)
-    seen = model.observed[0]
+    [seen] = decode(model.dims, model.observed[:1])
     qpath = str(tmp_path / "seen.txt")
     write_queries([seen], train, qpath)
     cfg.queries = qpath
@@ -414,7 +415,7 @@ def test_inspect_embeddings_unit_norm_and_score_round_trip(run_dir, capsys):
     # the dumped language vectors reproduce score() against the live model
     test = load_dataset(cfg.test_data)
     pair = test.pairs.take([0])
-    t = model.observed[0]
+    [t] = decode(model.dims, model.observed[:1])
     toks = (
         model.subjects[t.s].replace(" ", "_"),
         model.predicates[t.p].replace(" ", "_"),
@@ -433,7 +434,7 @@ def test_inspect_embeddings_unit_norm_and_score_round_trip(run_dir, capsys):
     for kind in model.active_kinds:
         dot = np.clip(float(v[kind][0] @ w[kind]), -DOT_CLAMP, DOT_CLAMP)
         score *= 1.0 / (1.0 + np.exp(-dot))
-    want = score_pairs(model, t, pair)[0]
+    want = score_pairs(model, code(model, t), pair)[0]
     assert abs(score - want) < 1e-12
 
 
@@ -468,7 +469,7 @@ def test_inspect_embeddings_lists_each_branch_universe(small_bench, tmp_path, ca
 def test_inspect_sources_lists_self_first(run_dir, capsys):
     cfg = effective(run_dir)
     model, _, _ = load_checkpoint(cfg.checkpoint)
-    t = model.observed[0]
+    [t] = decode(model.dims, model.observed[:1])
     toks = [
         model.subjects[t.s].replace(" ", "_"),
         model.predicates[t.p].replace(" ", "_"),

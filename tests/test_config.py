@@ -160,22 +160,42 @@ def desk_world(tmp_path_factory):
     return (root / "run" / "effective.cfg").read_text()
 
 
-@pytest.mark.parametrize("value", ["100000000000000000000", "4097"])
-@pytest.mark.parametrize("key", WIDTHS)
-def test_width_above_the_ceiling_is_one_config_error(desk_world, tmp_path, capsys, key, value):
+# test id -> (lines appended to the desk world's config, the config error they give)
+WIDTH_ERRORS = {
+    f"{key}-{value}": (f"{key} = {value}\n", f"{key} must be <= 4096, got {value}")
+    for value in ("100000000000000000000", "4097")
+    for key in WIDTHS
+}
+# a deep gamma with gamma_hidden = 0 is 3 * embed_dim wide
+WIDTH_ERRORS.update(
+    (
+        f"derived-embed_dim-{dim}",
+        (
+            f"gamma_hidden = 0\nembed_dim = {dim}\n",
+            f"gamma_hidden = 0 gives the deep gamma width 3 * embed_dim = {3 * dim}, which must be <= 4096",
+        ),
+    )
+    for dim in (1366, 4096)
+)
+
+
+@pytest.mark.parametrize("case", list(WIDTH_ERRORS))
+def test_width_above_the_ceiling_is_one_config_error(desk_world, tmp_path, capsys, case):
     """A width of 10**20 once ended train in a numpy traceback while the
-    model was built."""
+    model was built; embed_dim = 4096 once asked for a 12,288-wide gamma."""
+    lines, message = WIDTH_ERRORS[case]
     path = tmp_path / "run.cfg"
-    path.write_text(desk_world + f"{key} = {value}\n")
+    path.write_text(desk_world + lines)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error:config: {path}: {key} must be <= 4096, got {value}"], err
+    assert err == [f"error:config: {path}: {message}"], err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", WIDTHS)
 def test_width_at_the_ceiling_validates(key):
-    assert getattr(validate(RunConfig(**{key: 4096})), key) == 4096
+    # gamma_hidden is set: left at 0, embed_dim = 4096 derives a 12,288-wide gamma
+    assert getattr(validate(RunConfig(**{"gamma_hidden": 4096, key: 4096})), key) == 4096
 
 
 @pytest.mark.parametrize("key", ["train_data", "test_data", "word_table", "queries", "checkpoint"])
@@ -190,6 +210,7 @@ def test_path_with_a_nul_byte_is_one_config_error(tmp_path, capsys, key):
 def test_gamma_hidden_defaults_to_three_embed_dims():
     cfg = RunConfig(embed_dim=20)
     assert cfg.gamma_hidden_dim() == 60
+    assert validate(RunConfig(embed_dim=1365)).gamma_hidden_dim() == 4095  # the widest derived
     cfg.gamma_hidden = 7
     assert cfg.gamma_hidden_dim() == 7
 

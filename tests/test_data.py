@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relembed.analogy import source_pool
 from relembed.data import (
+    LANGUAGE_MASKS,
     BoundingBox,
     DataError,
     Dataset,
@@ -17,6 +20,7 @@ from relembed.data import (
     load_word_table,
     parse_triplet,
     synth_generate,
+    triplet_codes,
     triplet_text,
     write_dataset,
     write_queries,
@@ -25,7 +29,7 @@ from relembed.data import (
 )
 from relembed.model import build_model
 
-from conftest import assert_tables_equal, desk_config
+from conftest import assert_tables_equal, decode, desk_config, encode, model_counts, triplet_counts
 
 
 def tiny_dataset() -> Dataset:
@@ -58,7 +62,7 @@ def assert_datasets_equal(a: Dataset, b: Dataset):
     assert a.predicates.tokens == b.predicates.tokens
     assert a.objects.tokens == b.objects.tokens
     assert a.appearance_dim == b.appearance_dim
-    assert a.counts == b.counts
+    assert triplet_counts(a) == triplet_counts(b)
     assert len(a.pairs) == len(b.pairs)
     assert_tables_equal(a.pairs, b.pairs)
 
@@ -88,11 +92,11 @@ def test_bounding_box_rejects_degenerate():
 
 
 def test_dataset_counts_single_positive():
-    ds = tiny_dataset()
-    assert ds.counts[Triplet(0, 0, 0)] == 1
-    assert ds.counts[Triplet(0, 0, 1)] == 1
-    assert ds.counts[Triplet(0, 1, 1)] == 1
-    assert Triplet(1, 0, 0) not in ds.counts  # all-negative pair
+    counts = triplet_counts(tiny_dataset())
+    assert counts[Triplet(0, 0, 0)] == 1
+    assert counts[Triplet(0, 0, 1)] == 1
+    assert counts[Triplet(0, 1, 1)] == 1
+    assert Triplet(1, 0, 0) not in counts  # all-negative pair
 
 
 def test_dataset_file_round_trip(tmp_path):
@@ -110,7 +114,7 @@ def test_empty_dataset_round_trip(tmp_path):
     write_dataset(ds, str(path))
     back = load_dataset(str(path))
     assert len(back.pairs) == 0 and back.pairs.a_s.shape == (0, 3)
-    assert back.counts == {}
+    assert triplet_counts(back) == {}
     assert_datasets_equal(ds, back)
 
 
@@ -297,6 +301,24 @@ def test_word_table_rejects_wrong_dim(tmp_path):
         load_word_table(str(path), [vocab])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_triplet_codes_keep_triplet_order_round_trip_and_commute_with_masks(data):
+    """Code order is lexicographic (s, p, o) order, so tie rules, label
+    universe order and stage-2 target order read the same on codes."""
+    dims = tuple(data.draw(st.integers(1, 2**20)) for _ in range(3))
+    rows = data.draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in dims)), max_size=30))
+    slots = np.array(rows, np.int64).reshape(-1, 3).T
+    codes = triplet_codes(dims, slots)
+    assert codes.dtype == np.int64
+    assert np.argsort(codes, kind="stable").tolist() == sorted(range(len(rows)), key=rows.__getitem__)
+    assert decode(dims, codes) == rows
+    for mask, flags in LANGUAGE_MASKS.items():
+        masked = [tuple(v * int(keep) for v, keep in zip(row, flags)) for row in rows]
+        assert np.array_equal(triplet_codes(dims, slots, mask), encode(dims, masked))
+        assert np.array_equal(triplet_codes(dims, np.unravel_index(codes, dims), mask), encode(dims, masked))
+
+
 def test_query_file_round_trip(tmp_path):
     ds = tiny_dataset()
     queries = [Triplet(0, 0, 0), Triplet(1, 1, 1)]
@@ -349,8 +371,8 @@ def test_synth_zero_noise_features_equal_planted_prototypes():
     train, _, _, heldout = synth_generate(cfg, seed=1)
     assert heldout == []
     by_triplet = {}
-    for i, t in zip(*train.pairs.positives()):
-        t = Triplet(*t.tolist())
+    rows, codes = train.pairs.positives(train.dims)
+    for i, t in zip(rows.tolist(), decode(train.dims, codes)):
         if t in by_triplet:
             ref = by_triplet[t]
             assert np.array_equal(train.pairs.a_s[i], train.pairs.a_s[ref])
@@ -364,23 +386,24 @@ def test_synth_heldout_absent_from_train_present_in_test():
     cfg = small_cfg()
     train, test, table, heldout = synth_generate(cfg, seed=2)
     assert len(heldout) == cfg.heldout_count
+    train_counts, test_counts = triplet_counts(train), triplet_counts(test)
     for t in heldout:
-        assert train.counts.get(t, 0) == 0
-        assert test.counts[t] >= 20
+        assert train_counts.get(t, 0) == 0
+        assert test_counts[t] >= 20
     # every non-heldout triplet is frequent enough to act as a source
-    frequent = source_pool(build_model(desk_config(rare_threshold=10), train, table, seed=0))
-    assert set(frequent) == set(train.counts)
-    assert not set(heldout) & set(train.counts)
+    model = build_model(desk_config(rare_threshold=10), train, table, seed=0)
+    assert set(decode(model.dims, source_pool(model))) == set(train_counts)
+    assert not set(heldout) & set(train_counts)
 
 
 def test_synth_counts_match_independent_recount():
-    train, _, _, _ = synth_generate(small_cfg(), seed=5)
+    train, _, table, _ = synth_generate(small_cfg(), seed=5)
     recount = {}
     for pair in train.pairs:
         for p in pair.pos_preds.tolist():
             t = Triplet(int(pair.scat[0]), p, int(pair.ocat[0]))
             recount[t] = recount.get(t, 0) + 1
-    assert recount == train.counts
+    assert recount == triplet_counts(train) == model_counts(build_model(desk_config(), train, table, 0))
     assert sum(len(p.pos_preds) > 0 for p in train.pairs) >= 50
 
 
@@ -432,8 +455,9 @@ def test_synth_predicate_changes_object_appearance():
     cfg = small_cfg(noise=0.0, heldout_count=0, train_pairs_per_triplet=2)
     _, test, _, _ = synth_generate(cfg, seed=3)
     proto = {}
-    for i, t in zip(*test.pairs.positives()):
-        proto[Triplet(*t.tolist())] = test.pairs.a_o[i]
+    rows, codes = test.pairs.positives(test.dims)
+    for i, t in zip(rows.tolist(), decode(test.dims, codes)):
+        proto[t] = test.pairs.a_o[i]
     checked = 0
     for a in proto:
         for b in proto:

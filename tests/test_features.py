@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relembed.data import BoundingBox, Triplet
+from relembed.data import BoundingBox, Triplet, triplet_codes
 from relembed.features import (
     LANGUAGE_MASKS,
     VisualInputParams,
@@ -13,6 +13,7 @@ from relembed.features import (
 )
 from relembed.numkit import Linear, Mlp, mlp_forward
 
+from conftest import decode, encode
 from gradcheck import finite_diff_grad, max_relative_error
 
 
@@ -201,7 +202,7 @@ def test_language_matrix_rows_match_single_inputs():
     e_sub, e_pre, e_obj = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
     triplets = [Triplet(0, 4, 1), Triplet(2, 0, 0), Triplet(1, 1, 1)]
     for mask in LANGUAGE_MASKS:
-        mat = language_matrix(triplets, e_sub, e_pre, e_obj, mask)
+        mat = language_matrix(encode((3, 5, 2), triplets), e_sub, e_pre, e_obj, mask)
         assert mat.shape == (3, 12)
         for i, t in enumerate(triplets):
             row = language_input(e_sub[t.s], e_pre[t.p], e_obj[t.o], mask)
@@ -211,16 +212,18 @@ def test_language_matrix_rows_match_single_inputs():
 def test_masked_triplet_keeps_its_slots_and_its_language_rows():
     rng = np.random.default_rng(8)
     e_sub, e_pre, e_obj = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(2, 4))
+    dims = (3, 5, 2)
     triplets = np.array([[2, 4, 1], [1, 3, 0]], dtype=np.int64)
+    codes = triplet_codes(dims, triplets.T)
     for mask, flags in LANGUAGE_MASKS.items():
-        masked = triplets * np.array(flags, dtype=np.int64)
-        for t, m in zip(triplets.tolist(), masked.tolist()):
-            assert m == [v if flag else 0 for v, flag in zip(t, flags)]
-        want = language_matrix(triplets, e_sub, e_pre, e_obj, mask)
+        masked = triplet_codes(dims, triplets.T, mask)
+        for t, m in zip(triplets.tolist(), decode(dims, masked)):
+            assert list(m) == [v if flag else 0 for v, flag in zip(t, flags)]
+        want = language_matrix(codes, e_sub, e_pre, e_obj, mask)
         assert np.array_equal(language_matrix(masked, e_sub, e_pre, e_obj, mask), want)
         as_tuples = [Triplet(*t) for t in triplets.tolist()]
-        assert np.array_equal(language_matrix(as_tuples, e_sub, e_pre, e_obj, mask), want)
-    assert (np.array([2, 4, 1]) * np.array(LANGUAGE_MASKS["sp"])).tolist() == [2, 4, 0]
+        assert np.array_equal(language_matrix(encode(dims, as_tuples), e_sub, e_pre, e_obj, mask), want)
+    assert decode(dims, triplet_codes(dims, ([2], [4], [1]), "sp")) == [(2, 4, 0)]
 
 
 def test_language_matrix_empty_list():

@@ -14,6 +14,7 @@ from relembed.data import (
     Triplet,
     Vocabulary,
     WordTable,
+    triplet_dims,
 )
 from relembed.features import BRANCH_KINDS, BRANCH_MASK
 from relembed.model import (
@@ -23,6 +24,7 @@ from relembed.model import (
     embed_language_batch,
     joint_loss,
     label_matrix,
+    new_model,
     pair_embeddings,
     reuse_pair_embeddings,
     score_from_embeddings,
@@ -32,7 +34,7 @@ from relembed.model import (
 )
 from relembed.numkit import rng_stream, sigmoid
 
-from conftest import desk_config
+from conftest import code, decode, desk_config
 from gradcheck import finite_diff_grad, max_relative_error
 
 
@@ -78,11 +80,11 @@ def test_language_embeddings_are_unit_norm(small_bench):
 
 def test_language_masking_ignores_masked_slots(small_bench):
     model, _, _, _ = bench_model(small_bench)
-    a = embed_language_batch(model, "p", [Triplet(0, 2, 1)])[0]
-    b = embed_language_batch(model, "p", [Triplet(3, 2, 5)])[0]
+    a = embed_language_batch(model, "p", [code(model, Triplet(0, 2, 1))])[0]
+    b = embed_language_batch(model, "p", [code(model, Triplet(3, 2, 5))])[0]
     assert np.array_equal(a, b)
-    c = embed_language_batch(model, "vp", [Triplet(0, 2, 1)])[0]
-    d = embed_language_batch(model, "vp", [Triplet(3, 2, 1)])[0]
+    c = embed_language_batch(model, "vp", [code(model, Triplet(0, 2, 1))])[0]
+    d = embed_language_batch(model, "vp", [code(model, Triplet(3, 2, 1))])[0]
     assert not np.array_equal(c, d)
 
 
@@ -94,14 +96,14 @@ def test_language_embedding_matches_by_hand(small_bench):
     h = np.maximum(br.f_w.first.w @ q + br.f_w.first.b, 0.0)
     raw = br.f_w.second.w @ h + br.f_w.second.b
     expect = raw / np.linalg.norm(raw)
-    assert np.allclose(embed_language_batch(model, "vp", [t])[0], expect, rtol=0, atol=1e-12)
+    assert np.allclose(embed_language_batch(model, "vp", [code(model, t)])[0], expect, rtol=0, atol=1e-12)
 
 
 def test_language_zero_vector_is_an_error(small_bench):
     model, _, _, _ = bench_model(small_bench)
     zero_out(model.branches["p"].f_w)
     with pytest.raises(FloatingPointError):
-        embed_language_batch(model, "p", [Triplet(0, 0, 0)])[0]
+        embed_language_batch(model, "p", [code(model, Triplet(0, 0, 0))])[0]
 
 
 def test_visual_subject_branch_ignores_object_appearance(small_bench):
@@ -149,7 +151,7 @@ def test_saturated_positive_loss_vanishes():
     ds, table, pair = one_label_world()
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=16)
     model = build_model(cfg, ds, table, seed=0)
-    w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
+    w = embed_language_batch(model, "s", [code(model, Triplet(0, 0, 0))])[0]
     zero_out(model.branches["s"].f_v)
     model.branches["s"].f_v.second.b[:] = 50.0 * w  # dot = 50
     loss, _ = joint_loss(model, pair, kinds=("s",))
@@ -207,7 +209,7 @@ def test_positive_gains_from_moving_along_language_direction():
     ds, table, pair = one_label_world()
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=4)
     model = build_model(cfg, ds, table, seed=1)
-    w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
+    w = embed_language_batch(model, "s", [code(model, Triplet(0, 0, 0))])[0]
     base, _ = joint_loss(model, pair, kinds=("s",))
     model.branches["s"].f_v.second.b[:] += 0.05 * w
     moved, _ = joint_loss(model, pair, kinds=("s",))
@@ -218,7 +220,7 @@ def test_score_four_zero_dots_gives_sixteenth(small_bench):
     model, train, _, _ = bench_model(small_bench)
     for kind in model.active_kinds:
         zero_out(model.branches[kind].f_v)
-    s = score_pairs(model, Triplet(0, 0, 0), train.pairs.take(range(3)))
+    s = score_pairs(model, code(model, Triplet(0, 0, 0)), train.pairs.take(range(3)))
     assert np.allclose(s, 0.0625, rtol=0, atol=1e-15)
 
 
@@ -226,10 +228,10 @@ def test_score_single_branch_log_three_dot():
     ds, table, pair = one_label_world()
     cfg = desk_config(branches="s", dropout=0.0, embed_dim=4, branch_hidden=16)
     model = build_model(cfg, ds, table, seed=0)
-    w = embed_language_batch(model, "s", [Triplet(0, 0, 0)])[0]
+    w = embed_language_batch(model, "s", [code(model, Triplet(0, 0, 0))])[0]
     zero_out(model.branches["s"].f_v)
     model.branches["s"].f_v.second.b[:] = np.log(3.0) * w
-    s = score_pairs(model, Triplet(0, 0, 0), pair)
+    s = score_pairs(model, code(model, Triplet(0, 0, 0)), pair)
     assert s[0] == pytest.approx(0.75, abs=1e-12)
 
 
@@ -238,7 +240,7 @@ def test_score_extra_zero_dot_branch_halves(small_bench):
     t = Triplet(0, 0, 0)
     pairs = train.pairs.take(range(5))
     visual = pair_embeddings(model, pairs)
-    language = {k: embed_language_batch(model, k, [t])[0] for k in model.active_kinds}
+    language = {k: embed_language_batch(model, k, [code(model, t)])[0] for k in model.active_kinds}
     without_o = {k: v for k, v in visual.items() if k != "o"}
     base = score_from_embeddings(without_o, language)
     zero_out(model.branches["o"].f_v)  # o-branch dot becomes 0 for every pair
@@ -266,22 +268,22 @@ def test_reused_pair_embeddings_are_the_same_only_inside_the_block(small_bench):
 def test_scores_strictly_inside_unit_interval(small_bench):
     model, train, test, _ = bench_model(small_bench)
     for t in [Triplet(0, 0, 0), Triplet(3, 4, 5)]:
-        s = score_pairs(model, t, test.pairs.take(range(50)))
+        s = score_pairs(model, code(model, t), test.pairs.take(range(50)))
         assert np.all(s > 0.0)
         assert np.all(s < 1.0)
     # even with an absurdly saturated branch
     model.branches["s"].f_v.second.b[:] += 1e6
-    s = score_pairs(model, Triplet(0, 0, 0), test.pairs.take(range(5)))
+    s = score_pairs(model, code(model, Triplet(0, 0, 0)), test.pairs.take(range(5)))
     assert np.all(s < 1.0)
     model.branches["s"].f_v.second.b[:] -= 2e6
-    s = score_pairs(model, Triplet(0, 0, 0), test.pairs.take(range(5)))
+    s = score_pairs(model, code(model, Triplet(0, 0, 0)), test.pairs.take(range(5)))
     assert np.all(s > 0.0)
 
 
 def test_score_without_predicate_branches_ignores_predicate(small_bench):
     model, _, test, _ = bench_model(small_bench, branches="s,o")
-    a = score_pairs(model, Triplet(1, 0, 2), test.pairs.take(range(20)))
-    b = score_pairs(model, Triplet(1, 4, 2), test.pairs.take(range(20)))
+    a = score_pairs(model, code(model, Triplet(1, 0, 2)), test.pairs.take(range(20)))
+    b = score_pairs(model, code(model, Triplet(1, 4, 2)), test.pairs.take(range(20)))
     assert np.allclose(a, b, rtol=0, atol=0)
 
 
@@ -289,20 +291,20 @@ def test_universe_shapes(small_bench):
     model, train, _, _ = bench_model(small_bench)
     assert list(model.labels) == list(model.active_kinds)
     for kind, labels in model.labels.items():
-        assert labels.dtype == np.int64 and labels.shape[1:] == (3,), kind
+        assert labels.dtype == np.int64 and labels.ndim == 1, kind
         assert np.array_equal(branch_universe(model, kind), labels), kind
-    assert model.labels["s"].tolist() == [[i, 0, 0] for i in range(4)]
-    assert model.labels["vp"].tolist() == [list(t) for t in model.observed]
+    assert decode(model.dims, model.labels["s"]) == [(i, 0, 0) for i in range(4)]
+    assert model.labels["vp"].tolist() == model.observed.tolist()
     cart = bench_model(small_bench, vp_negatives="cartesian")[0]
-    labels = cart.labels["vp"].tolist()
+    labels = decode(cart.dims, cart.labels["vp"])
     assert len(labels) == 4 * 5 * 6
-    assert labels == sorted(map(list, set(map(tuple, labels))))
+    assert labels == sorted(set(labels))
 
 
 def test_bigram_universes_and_loss(small_bench):
     model, train, _, _ = bench_model(small_bench, branches="s,o,p,vp,sp,po")
-    assert model.labels["sp"].tolist() == [
-        [s, p, 0] for s, p in sorted({(t.s, t.p) for t in model.observed})
+    assert decode(model.dims, model.labels["sp"]) == [
+        (s, p, 0) for s, p in sorted({(t.s, t.p) for t in decode(model.dims, model.observed)})
     ]
     loss, grads = joint_loss(model, train.pairs.take(range(8)))
     assert np.isfinite(loss)
@@ -364,13 +366,13 @@ def test_label_matrix_matches_positive_keys_oracle(small_bench):
         assert any(not len(p.pos_preds) for p in batch)
         for kind in BRANCH_KINDS:
             labels = model.labels[kind]
-            keys = [label_key(Triplet(*t), kind) for t in labels.tolist()]
+            keys = [label_key(t, kind) for t in decode(model.dims, labels)]
             assert len(set(keys)) == len(keys)
             want = np.zeros((len(batch), len(keys)))
             for i, pair in enumerate(batch):
                 for key in positive_keys(pair, kind):
                     want[i, keys.index(key)] = 1.0
-            got = label_matrix(batch, labels, BRANCH_MASK[kind], kind)
+            got = label_matrix(batch, labels, BRANCH_MASK[kind], model.dims, kind)
             assert np.array_equal(got, want), kind
 
 
@@ -379,8 +381,9 @@ def test_label_matrix_labels_every_copy_of_a_repeated_column(small_bench):
     labeled, as the analogy loss's per-column loop did."""
     model, train, _, _ = bench_model(small_bench)
     i, t = first_positive(train.pairs)
-    other = next(u for u in model.observed if u != t)
-    y = label_matrix(train.pairs.take([i, len(train.pairs) - 1]), [t, other, t], "full")
+    t = code(model, t)
+    other = next(u for u in model.observed.tolist() if u != t)
+    y = label_matrix(train.pairs.take([i, len(train.pairs) - 1]), [t, other, t], "full", model.dims)
     assert y.tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
 
 
@@ -388,14 +391,14 @@ def test_label_outside_branch_universe_is_an_error(small_bench):
     model, train, _, _ = bench_model(small_bench)
     i, t = first_positive(train.pairs)
     pair = train.pairs.take([i])
-    kept = ~np.all(model.labels["vp"] == t, axis=1)
+    kept = model.labels["vp"] != code(model, t)
     assert np.count_nonzero(~kept) == 1
     model.labels["vp"] = model.labels["vp"][kept]
     message = re.escape(f"positive label {tuple(t)} outside the 'vp' branch universe")
     with pytest.raises(DataError, match=message):
         joint_loss(model, pair, kinds=("vp",))
     # without a branch named, the positive stays unlabeled
-    y = label_matrix(pair, model.labels["vp"], "full")
+    y = label_matrix(pair, model.labels["vp"], "full", model.dims)
     assert y.shape == (1, len(model.labels["vp"])) and not y.any()
 
 
@@ -510,3 +513,25 @@ def test_training_is_bit_reproducible(small_bench):
 
     for pa, pb in zip(run(), run()):
         assert np.array_equal(pa, pb)
+
+
+class Sized:
+    """A stand-in vocabulary that only reports its length."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+
+def test_vocabularies_past_int64_codes_are_one_data_error():
+    """2**63 triplets once reached numpy's 'invalid dims' ValueError."""
+    none = np.zeros(0, np.int64)
+    message = r"^2097152 x 2097152 x 2097152 triplets do not fit int64 codes$"
+    with pytest.raises(DataError, match=message):
+        new_model(desk_config(), (Sized(2**21),) * 3, none, none, 3, 4, seed=0)
+    with pytest.raises(DataError, match="do not fit int64 codes"):
+        triplet_dims((Sized(2**62), Sized(2), Sized(1)))
+    assert triplet_dims((Sized(2**21 - 1),) * 3) == (2**21 - 1,) * 3
+    assert triplet_dims((Sized(2**62), Sized(1), Sized(1))) == (2**62, 1, 1)

@@ -31,10 +31,20 @@ from relembed.retrieval import (
     match_detections,
     mean_ap,
     rank_candidates,
+    truth_rows,
     write_results,
 )
 
-from conftest import assert_tables_equal, box_table, desk_config, row_triplets
+from conftest import (
+    assert_tables_equal,
+    box_table,
+    code,
+    decode,
+    desk_config,
+    encode,
+    row_triplets,
+    triplet_counts,
+)
 
 
 def box(x0, y0, x1, y1):
@@ -152,11 +162,11 @@ def test_policy_threshold_range():
 
 def test_detection_score_must_be_open_unit(monkeypatch):
     model, ds = _identical_pairs_world([0, 1, 2])
-    rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
+    rank_candidates(model, code(model, Triplet(0, 0, 0)), ds.pairs)
     for bad in (0.0, 1.0, -0.2, float("nan"), float("inf")):
         monkeypatch.setattr(retrieval, "score_pairs", lambda *a, **k: np.array([0.5, bad, 0.25]))
         with pytest.raises(DataError) as info:
-            rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
+            rank_candidates(model, code(model, Triplet(0, 0, 0)), ds.pairs)
         assert str(info.value) == f"detection score must be finite in (0, 1), got {bad}"
 
 
@@ -178,14 +188,14 @@ def _identical_pairs_world(order):
 
 def test_rank_equal_scores_orders_by_pair_id():
     model, ds = _identical_pairs_world([3, 0, 2, 1])
-    ranked, scores = rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
+    ranked, scores = rank_candidates(model, code(model, Triplet(0, 0, 0)), ds.pairs)
     assert len(set(scores.tolist())) == 1
     assert ranked.pair_id.tolist() == [0, 1, 2, 3]
 
 
 def test_rank_single_pair_is_singleton():
     model, ds = _identical_pairs_world([7])
-    ranked, scores = rank_candidates(model, Triplet(0, 0, 0), ds.pairs)
+    ranked, scores = rank_candidates(model, code(model, Triplet(0, 0, 0)), ds.pairs)
     assert len(ranked) == len(scores) == 1 and ranked.pair_id.tolist() == [7]
 
 
@@ -559,7 +569,7 @@ def test_results_loader_rejects_garbage(tmp_path):
 def test_evaluate_query_counts_ground_truth(small_bench):
     cfg, (train, test, table, heldout) = small_bench
     model = build_model(cfg, train, table, seed=0)
-    query = model.observed[0]
+    [query] = decode(model.dims, model.observed[:1])
     want_npos = sum(1 for row in row_triplets(test.pairs) if query in row)
     [(q, ranked, scores, r)] = evaluate_queries(model, test, [query], MatchPolicy(0.5))
     assert q == query and len(ranked) == len(scores) == len(test.pairs)
@@ -599,18 +609,18 @@ def test_ground_truth_index_lists_what_ground_truth_for_returns(small_bench):
         ),
     )
     for ds in (test, multi):
-        index = ground_truth_index(ds)
+        index = ground_truth_index(ds.pairs, ds.dims)
         everything = {
             Triplet(s, p, o)
             for s in range(len(ds.subjects))
             for p in range(len(ds.predicates))
             for o in range(len(ds.objects))
         }
-        assert index.keys() <= everything
+        assert set(decode(ds.dims, index[0])) <= everything
         for t in sorted(everything):
-            assert index.get(t, []) == ground_truth_scan(ds, t)
+            assert truth_rows(index, encode(ds.dims, [t])[0]).tolist() == ground_truth_scan(ds, t)
             assert_tables_equal(ground_truth_for(ds, t), ds.pairs.take(ground_truth_scan(ds, t)))
-    assert len(ground_truth_index(multi)[Triplet(0, 0, 0)]) == 2
+    assert len(truth_rows(ground_truth_index(multi.pairs, multi.dims), encode(multi.dims, [(0, 0, 0)])[0])) == 2
 
 
 def test_a_predicate_listed_twice_counts_twice_is_labelled_once_and_is_one_truth():
@@ -623,10 +633,12 @@ def test_a_predicate_listed_twice_counts_twice_is_labelled_once_and_is_one_truth
     ]
     ds = Dataset(Vocabulary(["s"]), Vocabulary(["p0", "p1"]), Vocabulary(["o"]), PairTable.from_rows(rows, 2))
     t = Triplet(0, 1, 0)
-    assert ds.counts == {t: 3}
-    assert label_matrix(ds.pairs, [Triplet(0, 0, 0), t], "full", "vp").tolist() == [[0, 1], [0, 1], [0, 0]]
-    assert label_matrix(ds.pairs, [Triplet(0, 1, 0)], "p", "p").tolist() == [[1], [1], [0]]
-    assert ground_truth_index(ds) == {t: [0, 1]} and ground_truth_scan(ds, t) == [0, 1]
+    assert triplet_counts(ds) == {t: 3}
+    columns = encode(ds.dims, [Triplet(0, 0, 0), t])
+    assert label_matrix(ds.pairs, columns, "full", ds.dims, "vp").tolist() == [[0, 1], [0, 1], [0, 0]]
+    assert label_matrix(ds.pairs, encode(ds.dims, [t]), "p", ds.dims, "p").tolist() == [[1], [1], [0]]
+    codes, rows = ground_truth_index(ds.pairs, ds.dims)
+    assert decode(ds.dims, codes) == [t, t] and rows.tolist() == [0, 1] and ground_truth_scan(ds, t) == [0, 1]
     truth = ground_truth_for(ds, t)
     assert box_rows(truth) == [(0, UNIT, near), (0, UNIT, UNIT)]
     assert_tables_equal(truth, ds.pairs.take([0, 1]))
@@ -640,15 +652,16 @@ def trained_bench(small_bench):
     train_stage1(model, train, seed=0)
     gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
     train_stage2(model, gamma, train, seed=0)
-    return model, gamma, test, list(heldout) + model.observed[:3]
+    return model, gamma, test, list(heldout) + decode(model.dims, model.observed[:3])
 
 
 def _per_query_oracle(model, test, queries, gamma):
     """The eval loop written per query: every query embeds the pairs again
     and scans the dataset for its ground truth."""
     for q in queries:
-        override = None if gamma is None else transfer_embedding(model, gamma, q, source_pool(model))
-        ranked, scores = rank_candidates(model, q, test.pairs, vp_override=override)
+        u = code(model, q)
+        override = None if gamma is None else transfer_embedding(model, gamma, u, source_pool(model))
+        ranked, scores = rank_candidates(model, u, test.pairs, vp_override=override)
         truth = test.pairs.take(ground_truth_scan(test, q))
         yield q, ranked, scores, average_precision(q, ranked, scores, truth, MatchPolicy(0.5))
 
