@@ -495,6 +495,13 @@ def test_sample_q_pairs_counts_missing_targets(small_bench):
     sources, got, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
     assert sources.tolist() == got.tolist() == []
     assert skipped == len(targets)
+    # a triplet the model never observed has no row in the source sets
+    _, (_, test, _, heldout) = small_bench
+    listed = [[t in row for t in (heldout[0], targets[0])] for row in row_triplets(test.pairs)]
+    batch = test.pairs.take([listed.index([True, False]), listed.index([False, True])])
+    sets = build_source_sets(model, source_pool(model))
+    sources, got, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
+    assert skipped == 1 and decode(model.dims, got) == targets[:1] and len(sources) == 1
 
 
 def test_one_triplet_pool_gives_ragged_source_sets(small_bench):

@@ -526,7 +526,8 @@ class Sized:
 
 
 def test_vocabularies_past_int64_codes_are_one_data_error():
-    """2**63 triplets once reached numpy's 'invalid dims' ValueError."""
+    """Without the check, coding 2**63 triplets ends in numpy's 'invalid
+    dims' ValueError."""
     none = np.zeros(0, np.int64)
     message = r"^2097152 x 2097152 x 2097152 triplets do not fit int64 codes$"
     with pytest.raises(DataError, match=message):
