@@ -30,6 +30,7 @@ from .model import (
     embed_language_batch,
     fit,
     label_matrix,
+    language_input,
     logistic_terms,
     trainable,
 )
@@ -39,8 +40,8 @@ from .numkit import (
     Mlp,
     glorot_uniform,
     layer_params,
-    linear_backward,
     linear_forward,
+    linear_param_grads,
     mlp_backward,
     mlp_forward,
     normalize_rows,
@@ -99,8 +100,10 @@ def gamma_forward(gamma: Gamma, diffs: Array) -> tuple[Array, tuple | None]:
 def gamma_backward(gamma: Gamma, cache, grad_out: Array) -> dict[str, Array]:
     if gamma.kind == "zero":
         return {}
-    backward = linear_backward if gamma.kind == "linear" else mlp_backward
-    g, _ = backward(gamma.net, cache, grad_out)
+    if gamma.kind == "linear":
+        g = linear_param_grads(gamma.net, cache, grad_out)
+    else:
+        g, _ = mlp_backward(gamma.net, cache, grad_out, need_input=False)
     return dict(layer_params(gamma.prefix, g))
 
 
@@ -277,7 +280,7 @@ def analogy_loss(
     y = label_matrix(batch, targets, "full", model.dims)
     loss, g_v, g_w = logistic_terms(v, w, y)
     grads = gamma_backward(gamma, g_cache, g_w)  # g_w reaches the correction only
-    g_fv, _ = mlp_backward(br.f_v, v_cache, g_v)
+    g_fv, _ = mlp_backward(br.f_v, v_cache, g_v, need_input=False)
     grads.update(layer_params("branch.vp.f_v", g_fv))
     return loss, grads
 
@@ -320,13 +323,14 @@ def train_stage2(
     source_sets = build_source_sets(model, pool)
     rng = rng_stream(seed, "stage2")
     skipped_total = 0
+    q = language_input(model, "vp")  # stage 2 trains no word vectors
 
     def step(batch):
         nonlocal skipped_total
         # the descriptor front end is frozen and has no dropout: one input
-        # serves both terms
+        # serves both terms, and nothing trained reads its gradient
         x = branch_inputs(model, batch, ("vp",))[0]["vp"]
-        loss_vp, grads, _ = branch_terms(model, "vp", batch, x, True, rng)
+        loss_vp, grads, _ = branch_terms(model, "vp", batch, x, True, rng, need_input=False, q=q)
         sources, targets, skipped = sample_q_pairs(model, batch, source_sets, rng)
         skipped_total += skipped
         loss_an, g_an = analogy_loss(model, gamma, batch, x, sources, targets, training=True, rng=rng)

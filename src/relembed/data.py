@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -213,11 +214,19 @@ class PairTable:
         columns = (getattr(self, f.name)[rows] for f in fields(self)[:-2])  # all but the CSR pair
         return PairTable(*columns, offsets, self.pos_preds[entries])
 
+    @cached_property
+    def _positive_slots(self) -> tuple[Array, tuple[Array, Array, Array]]:
+        # taken once per table: a table's columns never change after it is built
+        rows = np.repeat(np.arange(len(self)), np.diff(self.pos_offsets))
+        rows.flags.writeable = False  # every call returns this array
+        return rows, (self.scat[rows], self.pos_preds, self.ocat[rows])
+
     def positives(self, dims, mask: str = "full") -> tuple[Array, Array]:
         """Row index and triplet code (scat, predicate, ocat), masked by
-        ``mask``, of every positive entry, in entry order."""
-        rows = np.repeat(np.arange(len(self)), np.diff(self.pos_offsets))
-        return rows, triplet_codes(dims, (self.scat[rows], self.pos_preds, self.ocat[rows]), mask)
+        ``mask``, of every positive entry, in entry order. The row and
+        slot columns are gathered on the first call; each call masks them."""
+        rows, slots = self._positive_slots
+        return rows, triplet_codes(dims, slots, mask)
 
 
 @dataclass(eq=False)

@@ -26,9 +26,9 @@ from .numkit import (
     Mlp,
     ShapeError,
     layer_params,
-    linear_backward,
     linear_forward,
     linear_init,
+    linear_param_grads,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -123,15 +123,16 @@ def visual_forward(
 
 
 def visual_backward(vip: VisualInputParams, cache: tuple, grad_x: Array) -> dict[str, Array]:
-    """Parameter gradients of visual_forward; named like ``params()``."""
+    """Parameter gradients of visual_forward; named like ``params()``. Its
+    inputs are data, so no input gradient is computed."""
     c1, c2, c3 = cache
     n1, n2 = vip.sub_proj.n_out, vip.obj_proj.n_out
     gs = grad_x[..., :n1]
     go = grad_x[..., n1 : n1 + n2]
     gr = grad_x[..., n1 + n2 :]
-    g_sub, _ = linear_backward(vip.sub_proj, c1, gs)
-    g_obj, _ = linear_backward(vip.obj_proj, c2, go)
-    g_spa, _ = mlp_backward(vip.spatial, c3, gr)
+    g_sub = linear_param_grads(vip.sub_proj, c1, gs)
+    g_obj = linear_param_grads(vip.obj_proj, c2, go)
+    g_spa, _ = mlp_backward(vip.spatial, c3, gr, need_input=False)
     grads = VisualInputParams(g_sub, g_obj, g_spa)
     return dict(grads.params())
 

@@ -245,6 +245,11 @@ def label_matrix(batch: PairTable, columns, mask: str, dims, branch: str | None 
 # ---------------------------------------------------------------------------
 
 
+def language_input(model: JointModel, kind: str) -> Array:
+    """A branch's language input, one row per label of its universe."""
+    return language_matrix(model.labels[kind], model.e_sub, model.e_pre, model.e_obj, BRANCH_MASK[kind])
+
+
 def embed_language_batch(model: JointModel, kind: str, codes, mask: str | None = None) -> Array:
     """Unit-norm language embeddings of a branch, one row per triplet code,
     under the branch's slot mask or an explicit ``mask``."""
@@ -277,7 +282,9 @@ def logistic_terms(v: Array, w: Array, y: Array) -> tuple[float, Array, Array]:
     gradients wrt v and w."""
     d = v @ w.T  # (N, U)
     m = d.size
-    loss = -float(np.sum(y * log_sigmoid(d) + (1.0 - y) * log_sigmoid(-d))) / m
+    # y is 0 or 1, so the log-sigmoid of the signed dot equals
+    # y*log_sigmoid(d) + (1-y)*log_sigmoid(-d) entry for entry
+    loss = -float(np.sum(log_sigmoid(np.where(y == 1.0, d, -d)))) / m
     dd = (sigmoid(d) - y) / m
     return loss, dd @ w, dd.T @ v
 
@@ -289,15 +296,17 @@ def add_grads(total: dict[str, Array], grads: dict[str, Array], scale: float = 1
         total[name] = total[name] + term if name in total else term
 
 
-def branch_terms(model, kind, batch, inp, training, rng):
-    """Loss of one branch on its visual input, its parameter gradients and
-    the gradient wrt the input."""
+def branch_terms(model, kind, batch, inp, training, rng, need_input, q=None):
+    """Loss of one branch on its visual input ``inp``, its parameter
+    gradients and, when ``need_input``, the gradient wrt ``inp`` (else
+    None). ``q`` is the branch's ``language_input``, built here if not given."""
     br = model.branch(kind)
     labels = model.labels[kind]
+    if q is None:
+        q = language_input(model, kind)
     y = label_matrix(batch, labels, BRANCH_MASK[kind], model.dims, kind)
 
     v, v_cache = mlp_forward(br.f_v, inp, training=training, rng=rng)
-    q = language_matrix(labels, model.e_sub, model.e_pre, model.e_obj, BRANCH_MASK[kind])
     w_raw, w_cache = mlp_forward(br.f_w, q)
     w, norms = normalize_rows(w_raw)
 
@@ -305,8 +314,8 @@ def branch_terms(model, kind, batch, inp, training, rng):
     # back through row normalization
     g_w_raw = (g_w - np.sum(g_w * w, axis=1, keepdims=True) * w) / norms
 
-    g_fv, g_inp = mlp_backward(br.f_v, v_cache, g_v)
-    g_fw, g_q = mlp_backward(br.f_w, w_cache, g_w_raw)
+    g_fv, g_inp = mlp_backward(br.f_v, v_cache, g_v, need_input)
+    g_fw, g_q = mlp_backward(br.f_w, w_cache, g_w_raw, model.cfg.finetune_words)
     grads = dict(layer_params(f"branch.{kind}.f_v", g_fv))
     grads.update(layer_params(f"branch.{kind}.f_w", g_fw))
     if model.cfg.finetune_words:
@@ -330,11 +339,13 @@ def joint_loss(
     kinds: tuple[str, ...] | None = None,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    language: dict[str, Array] | None = None,
 ) -> tuple[float, dict[str, Array]]:
     """Sum of branch losses over ``kinds`` (default: all active branches).
 
     The shared pair descriptor is computed once; its parameter gradients
-    accumulate over branches.
+    accumulate over branches. ``language`` maps each kind to its
+    ``language_input`` when the caller holds them.
     """
     if not batch:
         raise DataError("empty batch")
@@ -345,7 +356,8 @@ def joint_loss(
     total = 0.0
     grads: dict[str, Array] = {}
     for kind in kinds:
-        loss, g, g_inp = branch_terms(model, kind, batch, inputs[kind], training, rng)
+        q = None if language is None else language[kind]
+        loss, g, g_inp = branch_terms(model, kind, batch, inputs[kind], training, rng, kind not in ("s", "o"), q)
         total += loss
         add_grads(grads, g)
         if kind not in ("s", "o"):
@@ -489,7 +501,9 @@ def train_stage1(model: JointModel, dataset: Dataset, seed: int) -> list[float]:
     if not dataset.pairs.pos_preds.size:
         raise DataError("dataset has no positive pairs")
     rng = rng_stream(seed, "stage1")
+    # unless the word vectors train, each language input holds for the whole fit
+    language = None if model.cfg.finetune_words else {k: language_input(model, k) for k in model.active_kinds}
     return fit(
         model, dataset, trainable(model, 1), model.cfg.stage1_epochs, rng,
-        lambda batch: joint_loss(model, batch, training=True, rng=rng),
+        lambda batch: joint_loss(model, batch, training=True, rng=rng, language=language),
     )

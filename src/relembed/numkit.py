@@ -4,12 +4,21 @@ manual backward passes, and Adam.
 All arrays are float64. Forward functions accept a single vector ``(n_in,)``
 or a batch ``(N, n_in)`` and return matching shapes. Backward passes consume
 the cache produced by the matching forward call; a cache must not be reused
-after the parameters it was computed with have been mutated.
+after the parameters it was computed with have been mutated. A caller that
+has no use for the gradient wrt a layer's input asks for the parameter
+gradients alone (``linear_param_grads``, ``mlp_backward(need_input=False)``)
+and that product is never computed.
+
+Adam keeps its moments as flat arrays in parameter order and updates them
+in fixed-size blocks with in-place ufuncs, so a step allocates nothing the
+size of a parameter. It checks every gradient's shape and finiteness before
+it changes anything: a rejected step leaves parameters, moments and the
+step count as they were.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -124,15 +133,19 @@ def linear_forward(lin: Linear, x: Array) -> tuple[Array, tuple]:
     return y, (x,)
 
 
-def linear_backward(lin: Linear, cache: tuple, grad_out: Array) -> tuple[Linear, Array]:
-    """Gradients of the forward map: returns (parameter grads, input grad)."""
+def linear_param_grads(lin: Linear, cache: tuple, grad_out: Array) -> Linear:
+    """Parameter gradients of the forward map, without the input gradient."""
     (x,) = cache
     g2 = np.atleast_2d(grad_out)
     x2 = np.atleast_2d(x)
     gw = g2.T @ x2
     gb = None if lin.b is None else g2.sum(axis=0)
-    gx = grad_out @ lin.w
-    return Linear(gw, gb), gx
+    return Linear(gw, gb)
+
+
+def linear_backward(lin: Linear, cache: tuple, grad_out: Array) -> tuple[Linear, Array]:
+    """Gradients of the forward map: returns (parameter grads, input grad)."""
+    return linear_param_grads(lin, cache, grad_out), grad_out @ lin.w
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +208,17 @@ def mlp_forward(
     return y, (c1, z1, mask, c2)
 
 
-def mlp_backward(mlp: Mlp, cache: tuple, grad_out: Array) -> tuple[Mlp, Array]:
+def mlp_backward(mlp: Mlp, cache: tuple, grad_out: Array, need_input: bool = True) -> tuple[Mlp, Array | None]:
+    """(parameter grads, input grad); the input grad is None, and not
+    computed, unless ``need_input``."""
     c1, z1, mask, c2 = cache
     g2, ghd = linear_backward(mlp.second, c2, grad_out)
     gh = ghd if mask is None else ghd * mask
     gz1 = gh * (z1 > 0.0)
-    g1, gx = linear_backward(mlp.first, c1, gz1)
+    if need_input:
+        g1, gx = linear_backward(mlp.first, c1, gz1)
+    else:
+        g1, gx = linear_param_grads(mlp.first, c1, gz1), None
     return Mlp(g1, g2, mlp.dropout), gx
 
 
@@ -222,17 +240,25 @@ def layer_params(prefix: str, obj: Linear | Mlp) -> Iterator[tuple[str, Array]]:
 # ---------------------------------------------------------------------------
 
 
+# entries per in-place update block: the scratch size of one Adam state
+ADAM_BLOCK = 16384
+
+
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators for one fixed list of parameters."""
+    """Moment accumulators for one fixed list of parameters, flat in
+    parameter order: parameter i owns ``offsets[i]:offsets[i + 1]``."""
 
     lr: float
     beta1: float
     beta2: float
     eps: float
+    offsets: Array
+    m: Array
+    v: Array
+    g: Array  # the step's gradients, then its updates
+    scratch: tuple[Array, Array]
     step: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
 
 
 def adam_init(
@@ -242,28 +268,54 @@ def adam_init(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    state.m = [np.zeros_like(p) for p in params]
-    state.v = [np.zeros_like(p) for p in params]
-    return state
+    offsets = np.cumsum([0, *(p.size for p in params)])
+    total = int(offsets[-1])
+    return AdamState(
+        lr=lr, beta1=beta1, beta2=beta2, eps=eps, offsets=offsets,
+        m=np.zeros(total), v=np.zeros(total), g=np.empty(total),
+        scratch=(np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)),
+    )
 
 
 def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None:
-    """One bias-corrected Adam update, in place on ``params``."""
-    if len(params) != len(state.m) or len(grads) != len(state.m):
+    """One bias-corrected Adam update, in place on ``params``.
+
+    Every gradient is checked before anything changes. The update runs in
+    blocks of ``ADAM_BLOCK`` entries over the flat moments, with the same
+    float operations in the same order as the per-array form
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
+    ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``.
+    """
+    sizes = np.diff(state.offsets)
+    if len(params) != len(sizes) or len(grads) != len(sizes):
         raise ShapeError("parameter/gradient list length does not match Adam state")
+    for p, g, size in zip(params, grads, sizes):
+        if g.shape != p.shape or p.size != size:
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} (state holds {size})")
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradient(f"non-finite gradient entries: {np.argwhere(~np.isfinite(g))[:4]}")
+    if params:
+        np.concatenate([g.reshape(-1) for g in grads], out=state.g)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient entries: {np.argwhere(~np.isfinite(g))[:4]}")
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for start in range(0, state.g.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        m, v, g = state.m[block], state.v[block], state.g[block]
+        s1, s2 = (a[: g.size] for a in state.scratch)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=s1)
+        m += s1
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - b2
+        v += s1
+        np.divide(m, c1, out=s1)
+        s1 *= state.lr
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        np.divide(s1, s2, out=g)  # the block's update replaces its gradient
+    for p, start, stop in zip(params, state.offsets[:-1], state.offsets[1:]):
+        p -= state.g[start:stop].reshape(p.shape)

@@ -24,6 +24,7 @@ from relembed.model import (
     embed_language_batch,
     joint_loss,
     label_matrix,
+    logistic_terms,
     new_model,
     pair_embeddings,
     reuse_pair_embeddings,
@@ -32,7 +33,7 @@ from relembed.model import (
     train_stage1,
     trainable,
 )
-from relembed.numkit import rng_stream, sigmoid
+from relembed.numkit import log_sigmoid, rng_stream, sigmoid
 
 from conftest import code, decode, desk_config
 from gradcheck import finite_diff_grad, max_relative_error
@@ -156,6 +157,49 @@ def test_saturated_positive_loss_vanishes():
     model.branches["s"].f_v.second.b[:] = 50.0 * w  # dot = 50
     loss, _ = joint_loss(model, pair, kinds=("s",))
     assert 0.0 < loss < 1e-9
+
+
+def test_one_pass_loss_equals_two_pass_formula_bit_for_bit():
+    """log_sigmoid of the label-signed dot equals y*ls(d) + (1-y)*ls(-d)
+    entry for entry, so the loss sum keeps its bits, also where
+    log_sigmoid saturates."""
+    rng = np.random.default_rng(6)
+    v = rng.normal(size=(40, 5)) * rng.choice([1e-3, 1.0, 30.0, 160.0], size=(40, 1))
+    w = rng.normal(size=(6, 5))
+    w = np.vstack([w, w[[0, 3]]]) / np.linalg.norm(w, axis=1).max()  # columns 6, 7 repeat 0, 3
+    d = v @ w.T
+    assert np.abs(d).max() > 300.0 and np.abs(d).max() <= 800.0
+    y = (rng.random(d.shape) < 0.4).astype(np.float64)
+    y[:, 6:] = y[:, [0, 3]]
+    two_pass = y * log_sigmoid(d) + (1.0 - y) * log_sigmoid(-d)
+    assert np.array_equal(log_sigmoid(np.where(y == 1.0, d, -d)), two_pass)
+    loss, _, _ = logistic_terms(v, w, y)
+    assert loss == -float(np.sum(two_pass)) / d.size
+
+
+def test_language_inputs_are_built_once_per_stage_unless_words_train(small_bench, monkeypatch):
+    """With the word vectors frozen, each branch's language input is built
+    once per training stage; with finetune_words, once per branch per batch."""
+    _, (train, _, table, _) = small_bench
+    built, build = [], model_mod.language_matrix
+
+    def counted(codes, *args):
+        built.append(codes)
+        return build(codes, *args)
+
+    monkeypatch.setattr(model_mod, "language_matrix", counted)
+    for finetune in (False, True):
+        cfg = desk_config(branches="s,o,p,vp", stage1_epochs=2, stage2_epochs=1, finetune_words=finetune)
+        model = build_model(cfg, train, table, seed=0)
+        built.clear()
+        train_stage1(model, train, seed=0)
+        labelled = int(np.count_nonzero(np.diff(train.pairs.pos_offsets)))
+        batches = cfg.stage1_epochs * -(-labelled // cfg.positives_per_batch())
+        assert len(built) == 4 * (batches if finetune else 1)
+        built.clear()
+        gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+        train_stage2(model, gamma, train, seed=0)
+        assert sum(codes is model.labels["vp"] for codes in built) == 1
 
 
 def test_branch_loss_gradients_match_finite_differences(small_bench):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relembed.numkit import (
+    ADAM_BLOCK,
     AdamState,
     Linear,
     Mlp,
@@ -13,6 +14,7 @@ from relembed.numkit import (
     linear_backward,
     linear_forward,
     linear_init,
+    linear_param_grads,
     log_sigmoid,
     mlp_backward,
     mlp_forward,
@@ -21,6 +23,7 @@ from relembed.numkit import (
     sigmoid,
 )
 
+from adam_reference import reference_adam_step
 from gradcheck import finite_diff_grad, max_relative_error
 
 
@@ -93,6 +96,36 @@ def test_linear_backward_scalar_case():
     g, gx = linear_backward(lin, cache, np.array([1.0]))
     assert g.w[0, 0] == 3.5
     assert gx[0] == 2.0
+
+
+def test_linear_param_grads_equal_linear_backward_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for bias in (True, False):
+        lin = linear_init(rng, 7, 5)
+        if not bias:
+            lin = Linear(lin.w, None)
+        for x in (rng.normal(size=7), rng.normal(size=(9, 7))):
+            y, cache = linear_forward(lin, x)
+            grad_out = rng.normal(size=y.shape)
+            want, _ = linear_backward(lin, cache, grad_out)
+            got = linear_param_grads(lin, cache, grad_out)
+            assert np.array_equal(got.w, want.w)
+            assert (got.b is None) == (not bias)
+            if bias:
+                assert np.array_equal(got.b, want.b)
+
+
+def test_mlp_backward_without_input_gradient():
+    rng = np.random.default_rng(8)
+    net = mlp_init(rng, 6, 5, 3, dropout=0.4)
+    for x in (rng.normal(size=6), rng.normal(size=(4, 6))):
+        y, cache = mlp_forward(net, x, training=True, rng=np.random.default_rng(1))
+        grad_out = rng.normal(size=y.shape)
+        want, gx = mlp_backward(net, cache, grad_out)
+        got, none = mlp_backward(net, cache, grad_out, need_input=False)
+        assert gx.shape == x.shape and none is None
+        for a, b in zip(flatten_mlp(got), flatten_mlp(want)):
+            assert np.array_equal(a, b)
 
 
 def test_finite_diff_on_square():
@@ -251,6 +284,55 @@ def test_adam_rejects_shape_mismatch():
     state = adam_init([p])
     with pytest.raises(ShapeError):
         adam_step(state, [p], [np.zeros(3)])
+
+
+def test_blocked_adam_matches_per_array_reference_bit_for_bit():
+    # ragged shapes: a single entry, one array spanning two blocks, and
+    # arrays straddling block boundaries in the flat layout
+    shapes = [(1,), (3, 4), (ADAM_BLOCK + 517,), (7,), (130, 131), (1,)]
+    assert any(int(np.prod(s)) > ADAM_BLOCK for s in shapes)
+    rng = np.random.default_rng(12)
+    params = [rng.normal(size=s) for s in shapes]
+    ref = [p.copy() for p in params]
+    ref_m = [np.zeros(s) for s in shapes]
+    ref_v = [np.zeros(s) for s in shapes]
+    state = adam_init(params, lr=0.003)
+    for t in range(1, 6):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
+        grads[1][0, 0] = 0.0
+        adam_step(state, params, [g.copy() for g in grads])
+        reference_adam_step(ref, grads, ref_m, ref_v, t, lr=0.003)
+        for p, r in zip(params, ref):
+            assert np.array_equal(p, r)
+        assert np.array_equal(state.m, np.concatenate([a.ravel() for a in ref_m]))
+        assert np.array_equal(state.v, np.concatenate([a.ravel() for a in ref_v]))
+    assert state.step == 5
+
+
+def test_adam_non_finite_last_gradient_changes_nothing():
+    rng = np.random.default_rng(13)
+    shapes = [(4,), (ADAM_BLOCK + 3,), (2, 3)]
+    params = [rng.normal(size=s) for s in shapes]
+    state = adam_init(params, lr=0.01)
+    adam_step(state, params, [rng.normal(size=s) for s in shapes])
+    before = [p.copy() for p in params], state.m.copy(), state.v.copy()
+    grads = [rng.normal(size=s) for s in shapes]
+    grads[-1][1, 2] = np.nan
+    with pytest.raises(NonFiniteGradient):
+        adam_step(state, params, grads)
+    for p, b in zip(params, before[0]):
+        assert np.array_equal(p, b)
+    assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+    assert state.step == 1
+
+
+def test_adam_rejects_parameters_unlike_its_state():
+    state = adam_init([np.zeros(2), np.zeros(3)])
+    with pytest.raises(ShapeError):
+        adam_step(state, [np.zeros(2)], [np.zeros(2)])
+    with pytest.raises(ShapeError):
+        adam_step(state, [np.zeros(3), np.zeros(2)], [np.zeros(3), np.zeros(2)])
+    assert state.step == 0
 
 
 def test_training_trajectory_is_bit_identical_across_runs():
