@@ -356,11 +356,12 @@ def joint_loss(
     total = 0.0
     grads: dict[str, Array] = {}
     for kind in kinds:
+        descriptor = kind not in ("s", "o")  # s and o read raw appearance, which takes no gradient
         q = None if language is None else language[kind]
-        loss, g, g_inp = branch_terms(model, kind, batch, inputs[kind], training, rng, kind not in ("s", "o"), q)
+        loss, g, g_inp = branch_terms(model, kind, batch, inputs[kind], training, rng, descriptor, q)
         total += loss
         add_grads(grads, g)
-        if kind not in ("s", "o"):
+        if descriptor:
             grad_x += g_inp
     if x_cache is not None:
         grads.update(visual_backward(model.visual, x_cache, grad_x))
