@@ -149,8 +149,9 @@ def corrected_embeddings(model: JointModel, gamma: Gamma, sources, targets) -> t
 
 
 def _slot_vectors(model: JointModel, codes) -> list[Array]:
-    """Per-slot unit vectors used by G, in SLOTS order, per configured input mode."""
-    if model.cfg.similarity_input == "branches":
+    """Per-slot unit vectors used by G, in SLOTS order: the s, p and o branch
+    embeddings when all three branches are active, the word vectors otherwise."""
+    if all(slot in model.branches for slot in SLOTS):
         return [embed_language_batch(model, slot, codes) for slot in SLOTS]
     slots = np.unravel_index(np.asarray(codes, np.int64), model.dims)
     words = (model.e_sub, model.e_pre, model.e_obj)
@@ -158,21 +159,13 @@ def _slot_vectors(model: JointModel, codes) -> list[Array]:
 
 
 def similarity_many(model: JointModel, targets, pool) -> Array:
-    """G between every target code (rows) and pool code (columns)."""
+    """G between every target code (rows) and pool code (columns), clipped
+    to [0, 1]."""
     cfg = model.cfg
-    if cfg.similarity_input == "branches":
-        missing = [b for b in SLOTS if b not in model.branches]
-        if missing:
-            raise DataError(
-                f"similarity over branch embeddings needs branches {','.join(SLOTS)};"
-                f" missing {','.join(missing)} (set similarity_input = words)"
-            )
     alphas = (cfg.alpha_s, cfg.alpha_p, cfg.alpha_o)
     vt, vp = _slot_vectors(model, targets), _slot_vectors(model, pool)
     g = sum(a * (t @ p.T) for a, t, p in zip(alphas, vt, vp))
-    if cfg.clamp_similarity:
-        g = np.clip(g, 0.0, 1.0)
-    return g
+    return np.clip(g, 0.0, 1.0)
 
 
 def source_pool(model: JointModel) -> Array:

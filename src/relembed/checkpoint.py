@@ -1,6 +1,6 @@
 """Versioned binary container for a trained model.
 
-Layout:
+Layout (format 2):
   bytes 0..7    magic ``relembd1``
   bytes 8..11   header length H, little-endian uint32
   bytes 12..    UTF-8 JSON header of exactly H bytes, keys sorted
@@ -15,15 +15,17 @@ the saved model. Loading rebuilds the model from the stored config with the
 training constructors (``model.new_model``, ``analogy.gamma_init``) and
 requires the header catalog to equal that model's registry, (name, shape)
 for every entry in order, before it copies any block; any difference is one
-``DataError``. So is a vocabulary that is not a list of non-empty strings,
-and an ``observed`` list that differs from what saving writes: [s, p, o,
-count] integer entries, indices inside the vocabularies, count from 1 to
-2**63 - 1, triplets strictly ascending; and so is a model one of whose
-branches would have an empty label universe (an empty ``observed`` with vp
-active, say), or whose vocabularies have more triplets than int64 codes.
-Word-vector matrices travel as ordinary
-parameter blocks, so a loaded checkpoint scores queries with no word-table
-file on hand. Writing the same model twice yields byte-identical files.
+``DataError``. So is a header ``format`` other than 2 (format-1 files
+store config keys this version no longer has), a ``word_dim`` or
+``appearance_dim`` outside 1 to ``data.MOST_SIZE``, a vocabulary that is
+not a list of non-empty strings, and an ``observed`` list that differs
+from what saving writes: [s, p, o, count] integer entries, indices inside
+the vocabularies, count from 1 to 2**63 - 1, triplets strictly ascending;
+and so is a model one of whose branches would have an empty label
+universe (an empty ``observed`` with vp active, say), or whose
+vocabularies have more triplets than int64 codes. Word-vector matrices
+travel as ordinary parameter blocks, so a loaded checkpoint scores queries
+with no word-table file on hand. Writing the same model twice yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ import numpy as np
 
 from .analogy import Gamma, gamma_init
 from .config import config_hash, emit_config, parse_config
-from .data import DataError, Vocabulary, triplet_codes, triplet_dims
+from .data import MOST_SIZE, DataError, Vocabulary, triplet_codes, triplet_dims
 from .model import JointModel, named_parameters, new_model
 from .numkit import rng_stream
 
 MAGIC = b"relembd1"
-FORMAT = 1
+FORMAT = 2
 HEADER_KEYS = (
     "appearance_dim",
     "config",
@@ -117,9 +119,11 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
     kind = header["gamma"]
     if kind != cfg.gamma:
         _fail(path, f"gamma kind {kind!r} disagrees with config {cfg.gamma!r}")
-    for key, least in (("seed", 0), ("word_dim", 1), ("appearance_dim", 1)):
-        if type(header[key]) is not int or header[key] < least:
-            _fail(path, f"header {key} must be an integer >= {least}, got {header[key]!r}")
+    if type(header["seed"]) is not int or header["seed"] < 0:
+        _fail(path, f"header seed must be an integer >= 0, got {header['seed']!r}")
+    for key in ("word_dim", "appearance_dim"):
+        if type(header[key]) is not int or not 1 <= header[key] <= MOST_SIZE:
+            _fail(path, f"header {key} must be an integer from 1 to {MOST_SIZE}, got {header[key]!r}")
 
     try:  # every error from here to the model names the file once
         vocabs = []

@@ -11,24 +11,27 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .data import SynthConfig
-from .features import BRANCH_KINDS, SPATIAL_NORMS
+from .data import MOST_SIZE, SynthConfig
+from .features import BRANCH_KINDS
 
 GAMMA_KINDS = ("absent", "zero", "linear", "deep")
 
 # the smallest allowed value of every key bounded from below
 LEAST = {
     "seed": 0, "embed_dim": 1, "branch_hidden": 1, "app_out": 1, "spatial_hidden": 1,
-    "spatial_out": 1, "batch_size": 1, "stage1_epochs": 0, "stage2_epochs": 0, "gamma_hidden": 0,
+    "spatial_out": 1, "batch_size": 1, "stage1_epochs": 0, "stage2_epochs": 0,
     "k": 1, "analogy_weight": 0, "rare_threshold": 1, "synth_subjects": 1, "synth_predicates": 1,
     "synth_objects": 1, "synth_cluster_size": 1, "synth_families": 1,
     "synth_predicates_per_family": 1, "synth_train_pairs": 0, "synth_test_pairs": 0,
     "synth_heldout": 0, "synth_heldout_test_pairs": 0, "synth_appearance_dim": 1,
     "synth_noise": 0, "synth_word_noise": 0, "synth_negative_ratio": 0,
 }
-# the largest allowed value of every layer width, 10x the largest default
+# the largest allowed value of every layer width, the batch size and the
+# synthetic appearance width: MOST_SIZE (4096)
 MOST = dict.fromkeys(
-    ("embed_dim", "branch_hidden", "app_out", "spatial_hidden", "spatial_out", "gamma_hidden"), 4096
+    ("embed_dim", "branch_hidden", "app_out", "spatial_hidden", "spatial_out", "batch_size",
+     "synth_appearance_dim"),
+    MOST_SIZE,
 )
 
 
@@ -55,8 +58,6 @@ class RunConfig:
     app_out: int = 300
     spatial_hidden: int = 400
     spatial_out: int = 400
-    spatial_norm: str = "area"
-    finetune_words: bool = False
 
     # optimization
     lr: float = 0.001
@@ -68,15 +69,12 @@ class RunConfig:
 
     # analogy transfer
     gamma: str = "deep"
-    gamma_hidden: int = 0  # 0 means 3 * embed_dim
     k: int = 5
     alpha_s: float = 0.1
     alpha_p: float = 0.8
     alpha_o: float = 0.1
     analogy_weight: float = 1.0
-    clamp_similarity: bool = True
     normalize_aggregation: bool = False
-    similarity_input: str = "branches"
     rare_threshold: int = 10
 
     # evaluation
@@ -106,7 +104,8 @@ class RunConfig:
         return round(self.batch_size * self.positive_fraction)
 
     def gamma_hidden_dim(self) -> int:
-        return self.gamma_hidden if self.gamma_hidden > 0 else 3 * self.embed_dim
+        """The hidden width of the deep Gamma."""
+        return 3 * self.embed_dim
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
@@ -150,10 +149,9 @@ def validate(cfg: RunConfig) -> RunConfig:
     for key, most in MOST.items():
         if getattr(cfg, key) > most:
             raise ConfigError(f"{key} must be <= {most}, got {getattr(cfg, key)}")
-    if cfg.gamma == "deep" and cfg.gamma_hidden_dim() > MOST["gamma_hidden"]:
+    if cfg.gamma == "deep" and cfg.gamma_hidden_dim() > MOST_SIZE:
         raise ConfigError(
-            f"gamma_hidden = 0 gives the deep gamma width 3 * embed_dim = {cfg.gamma_hidden_dim()},"
-            f" which must be <= {MOST['gamma_hidden']}"
+            f"the deep gamma width 3 * embed_dim = {cfg.gamma_hidden_dim()} must be <= {MOST_SIZE}"
         )
     if cfg.synth_predicates_per_family > cfg.synth_predicates:
         raise ConfigError(
@@ -176,14 +174,10 @@ def validate(cfg: RunConfig) -> RunConfig:
 
     if not 0.0 <= cfg.dropout < 1.0:
         raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
-    if cfg.spatial_norm not in SPATIAL_NORMS:
-        raise ConfigError(f"spatial_norm: choose from {','.join(SPATIAL_NORMS)}")
     if cfg.gamma not in GAMMA_KINDS:
         raise ConfigError(f"gamma: choose from {','.join(GAMMA_KINDS)}")
     if cfg.vp_negatives not in ("observed", "cartesian"):
         raise ConfigError("vp_negatives: choose observed or cartesian")
-    if cfg.similarity_input not in ("branches", "words"):
-        raise ConfigError("similarity_input: choose branches or words")
     if cfg.lr <= 0.0:
         raise ConfigError(f"lr must be > 0, got {cfg.lr}")
     if not 0.0 < cfg.positive_fraction <= 1.0:
@@ -202,7 +196,7 @@ def validate(cfg: RunConfig) -> RunConfig:
 
 def parse_config(text: str, base: RunConfig | None = None, source: str = "<config>") -> RunConfig:
     cfg = RunConfig(**vars(base)) if base is not None else RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
+    known = {f.name: f.type for f in fields(RunConfig)}  # type names: annotations are strings
     types = {"int": int, "float": float, "str": str, "bool": bool}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -214,9 +208,8 @@ def parse_config(text: str, base: RunConfig | None = None, source: str = "<confi
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        kind = known[key] if isinstance(known[key], type) else types[known[key]]
         try:
-            setattr(cfg, key, _parse_value(key, kind, value))
+            setattr(cfg, key, _parse_value(key, types[known[key]], value))
         except ConfigError as e:
             raise ConfigError(f"{source}:{lineno}: {e}") from None
     try:

@@ -98,6 +98,10 @@ LANGUAGE_MASKS = {
 
 _SLOT_NAMES = ("subject", "predicate", "object")
 
+# the largest layer width, batch size or vector width that a config, a word
+# table, a dataset or a checkpoint header may ask for
+MOST_SIZE = 4096
+
 _INT64 = np.iinfo(np.int64)
 
 
@@ -380,8 +384,8 @@ def load_word_table(path: str, vocabularies: Iterable[Vocabulary]) -> WordTable:
             if parts[0] != "dim" or len(parts) != 2:
                 line.fail("expected header 'dim <d_w>'")
             dim = line.integer(1, "dimension")
-            if dim <= 0:
-                line.fail(f"dimension must be positive, got {dim}")
+            if not 1 <= dim <= MOST_SIZE:
+                line.fail(f"dimension must be from 1 to {MOST_SIZE}, got {dim}")
             continue
         tok = token_from_file(parts[0])
         if tok not in wanted:
@@ -483,8 +487,8 @@ def load_dataset(path: str) -> Dataset:
                 if len(header.parts) != 2:
                     line.fail("expected '#appearance_dim <d_a>'")
                 appearance_dim = header.integer(1, "appearance dim")
-                if appearance_dim < 1:
-                    line.fail(f"appearance dim must be >= 1, got {appearance_dim}")
+                if not 1 <= appearance_dim <= MOST_SIZE:
+                    line.fail(f"appearance dim must be from 1 to {MOST_SIZE}, got {appearance_dim}")
             elif key in _VOCAB_KEYS:
                 if len(header.parts) != 2:
                     line.fail(f"expected '#{key} <path>'")

@@ -34,8 +34,6 @@ from .numkit import (
     mlp_init,
 )
 
-SPATIAL_NORMS = ("area", "extent")
-
 # canonical branch order; also the parameter-block order in checkpoints
 BRANCH_KINDS = ("s", "o", "p", "vp", "sp", "po")
 
@@ -48,29 +46,26 @@ BRANCH_MASK = {"s": "s", "o": "o", "p": "p", "vp": "full", "sp": "sp", "po": "po
 # ---------------------------------------------------------------------------
 
 
-def spatial_features(coords: Array, norm: str = "area") -> Array:
+def spatial_features(coords: Array) -> Array:
     """Union-normalized box coordinates, one 8-vector per row of ``coords``
     (subject then object box, each (x_min, y_min, x_max, y_max)); each
     output row is subject then object (x_min, x_max, y_min, y_max).
 
     Coordinates are shifted to the union-box origin, then divided by the
-    union area (norm='area', the default) or by the union width/height per
-    axis (norm='extent'). Ties in the union keep the subject's value.
+    union area. Ties in the union keep the subject's value.
     """
-    if norm not in SPATIAL_NORMS:
-        raise ValueError(f"unknown spatial norm {norm!r}")
     box = coords.reshape(-1, 2, 2, 2)  # row, subject/object, min/max corner, x/y
     sub, obj = box[:, 0], box[:, 1]
     origin = np.where(obj[:, 0] < sub[:, 0], obj[:, 0], sub[:, 0])
     size = np.where(obj[:, 1] > sub[:, 1], obj[:, 1], sub[:, 1]) - origin
-    scale = size[:, :1] * size[:, 1:] if norm == "area" else size
-    out = (box - origin[:, None, None, :]) / scale[:, None, None, :]
+    area = size[:, 0] * size[:, 1]
+    out = (box - origin[:, None, None, :]) / area[:, None, None, None]
     return out.transpose(0, 1, 3, 2).reshape(-1, 8)
 
 
-def pair_arrays(pairs: PairTable, spatial_norm: str = "area") -> tuple[Array, Array, Array]:
+def pair_arrays(pairs: PairTable) -> tuple[Array, Array, Array]:
     """The appearance blocks and the geometry features of a pair table."""
-    return pairs.a_s, pairs.a_o, spatial_features(pairs.coords, spatial_norm)
+    return pairs.a_s, pairs.a_o, spatial_features(pairs.coords)
 
 
 # ---------------------------------------------------------------------------

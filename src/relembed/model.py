@@ -162,16 +162,14 @@ def named_parameters(model: JointModel, gamma: Gamma | None = None) -> list[tupl
 def trainable(model: JointModel, stage: int, gamma: Gamma | None = None) -> list[tuple[str, Array]]:
     """The registry entries a training stage updates, in registry order.
 
-    Stage 1: every branch, the visual front end when a branch reads the pair
-    descriptor, and the word vectors when ``finetune_words`` is set.
-    Stage 2: both nets of the vp branch plus Gamma.
+    Stage 1: every branch, and the visual front end when a branch reads the
+    pair descriptor. Stage 2: both nets of the vp branch plus Gamma. No
+    stage trains the word vectors.
     """
     if stage == 1:
         prefixes = ("branch.",)
         if any(k not in ("s", "o") for k in model.active_kinds):
             prefixes += ("visual.",)
-        if model.cfg.finetune_words:
-            prefixes += ("words.",)
     elif stage == 2:
         prefixes = ("branch.vp.", "gamma.")
     else:
@@ -264,7 +262,7 @@ def branch_inputs(model: JointModel, pairs: PairTable, kinds) -> tuple[dict[str,
     subject or object appearance for s and o, the shared pair descriptor
     (computed once) for every other kind. Also returns the descriptor's
     cache, None when no kind reads it."""
-    a_s, a_o, r = pair_arrays(pairs, model.cfg.spatial_norm)
+    a_s, a_o, r = pair_arrays(pairs)
     x, x_cache = None, None
     if any(k not in ("s", "o") for k in kinds):
         x, x_cache = visual_forward(model.visual, a_s, a_o, r)
@@ -315,22 +313,10 @@ def branch_terms(model, kind, batch, inp, training, rng, need_input, q=None):
     g_w_raw = (g_w - np.sum(g_w * w, axis=1, keepdims=True) * w) / norms
 
     g_fv, g_inp = mlp_backward(br.f_v, v_cache, g_v, need_input)
-    g_fw, g_q = mlp_backward(br.f_w, w_cache, g_w_raw, model.cfg.finetune_words)
+    g_fw, _ = mlp_backward(br.f_w, w_cache, g_w_raw, need_input=False)  # word vectors stay fixed
     grads = dict(layer_params(f"branch.{kind}.f_v", g_fv))
     grads.update(layer_params(f"branch.{kind}.f_w", g_fw))
-    if model.cfg.finetune_words:
-        _accumulate_word_grads(model, grads, labels, BRANCH_MASK[kind], g_q)
     return loss, grads, g_inp
-
-
-def _accumulate_word_grads(model, grads, codes, mask, g_q):
-    dw = model.word_dim
-    words = (("words.sub", model.e_sub), ("words.pre", model.e_pre), ("words.obj", model.e_obj))
-    slots = np.unravel_index(codes, model.dims)
-    for i, ((name, arr), flag, index) in enumerate(zip(words, LANGUAGE_MASKS[mask], slots)):
-        if flag:  # a masked slot's block of g_q belongs to no word
-            g = grads.setdefault(name, np.zeros_like(arr))
-            np.add.at(g, index, g_q[:, i * dw : (i + 1) * dw] * flag)
 
 
 def joint_loss(
@@ -502,8 +488,8 @@ def train_stage1(model: JointModel, dataset: Dataset, seed: int) -> list[float]:
     if not dataset.pairs.pos_preds.size:
         raise DataError("dataset has no positive pairs")
     rng = rng_stream(seed, "stage1")
-    # unless the word vectors train, each language input holds for the whole fit
-    language = None if model.cfg.finetune_words else {k: language_input(model, k) for k in model.active_kinds}
+    # the word vectors do not train, so each language input holds for the whole fit
+    language = {k: language_input(model, k) for k in model.active_kinds}
     return fit(
         model, dataset, trainable(model, 1), model.cfg.stage1_epochs, rng,
         lambda batch: joint_loss(model, batch, training=True, rng=rng, language=language),

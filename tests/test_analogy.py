@@ -40,7 +40,7 @@ from relembed.model import (
     train_stage1,
     trainable,
 )
-from relembed.numkit import Linear, rng_stream
+from relembed.numkit import Linear, normalize_rows, rng_stream
 
 from conftest import decode, desk_config, encode, model_counts, row_triplets
 from gradcheck import finite_diff_grad, max_relative_error
@@ -137,7 +137,8 @@ def test_gamma_unknown_kind_rejected():
 
 
 def _word_mode_world():
-    """Tiny model in word-similarity mode with hand-picked word vectors."""
+    """Tiny model with hand-picked word vectors and no s branch, so G
+    compares word vectors."""
     subs = Vocabulary(["a", "b"])
     pres = Vocabulary(["p", "q"])
     objs = Vocabulary(["x", "y"])
@@ -160,7 +161,7 @@ def _word_mode_world():
         4,
     )
     ds = Dataset(subs, pres, objs, pairs)
-    cfg = desk_config(similarity_input="words", synth_appearance_dim=4)
+    cfg = desk_config(branches="o,p,vp", synth_appearance_dim=4)
     model = build_model(cfg, ds, table, seed=0)
     return model
 
@@ -188,18 +189,19 @@ def test_similarity_clamped_to_unit_interval(small_bench):
     assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
 
-def test_similarity_unclamped_can_leave_interval():
-    model = _word_mode_world()
-    model.cfg.clamp_similarity = False
-    t = Triplet(0, 0, 0)
-    u = Triplet(0, 1, 1)  # cos by slot: 1, 0, 0 -> 0.1 exactly
-    assert abs(similarity_many(model, encode(model.dims, [t]), encode(model.dims, [u]))[0, 0] - 0.1) < 1e-12
-
-
 def test_similarity_branch_mode_needs_unigram_branches(small_bench):
+    """G compares branch embeddings only when s, p and o are all active;
+    without p it compares the word vectors, slot by slot."""
     cfg, train, table, model = bench_model(small_bench, branches="s,o,vp")
-    with pytest.raises(DataError, match="missing p"):
-        similarity_many(model, [model.observed[0]], model.observed)
+    codes = model.observed
+    words = [
+        normalize_rows(arr[index])[0]
+        for arr, index in zip((model.e_sub, model.e_pre, model.e_obj), np.unravel_index(codes, model.dims))
+    ]
+    want = sum(a * (w @ w.T) for a, w in zip((cfg.alpha_s, cfg.alpha_p, cfg.alpha_o), words))
+    assert np.allclose(similarity_many(model, codes, codes), np.clip(want, 0.0, 1.0), rtol=0, atol=1e-12)
+    full = bench_model(small_bench)[3]
+    assert not np.array_equal(similarity_many(full, codes, codes), similarity_many(model, codes, codes))
 
 
 # ---------------------------------------------------------------------------

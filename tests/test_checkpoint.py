@@ -69,12 +69,11 @@ def test_same_model_saves_identical_bytes(trained, tmp_path):
 
 def test_gamma_kinds_round_trip(small_bench, tmp_path):
     """Every catalog shape loads back and saves to the same bytes: each Gamma
-    kind, the fewest and the most branches, and finetuned word vectors."""
+    kind, and the fewest and the most branches."""
     cfg, (train, test, table, heldout) = small_bench
     cases = [dict(gamma=kind) for kind in ("absent", "zero", "linear", "deep")] + [
         dict(branches="s,o"),
         dict(branches="s,o,p,vp,sp,po"),
-        dict(finetune_words=True),
     ]
     for i, overrides in enumerate(cases):
         cfg = desk_config(**overrides)
@@ -205,7 +204,12 @@ def test_loader_rejects_catalog_unlike_the_model(trained, tmp_path, capsys, edit
 
 
 @pytest.mark.parametrize(
-    "key, value", [("seed", -1), ("seed", "0"), ("word_dim", 0), ("appearance_dim", 2.5)]
+    "key, value",
+    [
+        ("seed", -1), ("seed", "0"), ("word_dim", 0), ("appearance_dim", 2.5),
+        # each once ended inspect in "ValueError: array is too big"
+        ("word_dim", 10**18), ("appearance_dim", 10**18),
+    ],
 )
 def test_loader_rejects_header_sizes_it_cannot_build(trained, tmp_path, key, value):
     model, gamma, _, _ = trained
@@ -214,6 +218,21 @@ def test_loader_rejects_header_sizes_it_cannot_build(trained, tmp_path, key, val
     _edit_header(path, lambda header: header.update({key: value}))
     with pytest.raises(DataError, match=f"header {key} must be an integer"):
         load_checkpoint(path)
+
+
+def test_format_1_checkpoint_is_one_data_error(trained, tmp_path, capsys):
+    """Format-1 files store config keys that were since removed; loading
+    refuses them by their format, before it reads the config."""
+    model, gamma, _, _ = trained
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model, gamma, seed=0)
+    removed = "spatial_norm = area\nfinetune_words = false\ngamma_hidden = 0\n"
+    removed += "clamp_similarity = true\nsimilarity_input = branches\n"
+    _edit_header(path, lambda header: header.update(format=1, config=header["config"] + removed))
+    assert main(["inspect", "--checkpoint", path, "embeddings"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error:data: {path}: unsupported format 1"]
+    assert captured.out == ""
 
 
 # header edits save_checkpoint never writes, each one DataError with no output

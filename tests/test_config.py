@@ -46,16 +46,24 @@ def test_branch_list_is_canonicalized():
     assert cfg.branch_list() == ("s", "o", "vp")
 
 
-def test_unknown_key_rejected_with_line():
-    with pytest.raises(ConfigError, match=r"<config>:2: unknown key 'frobnicate'"):
-        parse_config("seed = 1\nfrobnicate = 9\n")
+def test_unknown_key_rejected_with_line(tmp_path, capsys):
+    # frobnicate never was a key; the other five were removed with the code paths they chose
+    for key in ("frobnicate", "finetune_words", "spatial_norm", "clamp_similarity", "gamma_hidden",
+                "similarity_input"):
+        with pytest.raises(ConfigError, match=rf"<config>:2: unknown key '{key}'"):
+            parse_config(f"seed = 1\n{key} = 9\n")
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n{key} = 9\n")
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error:config: {path}:2: unknown key {key!r}"]
+        assert not (tmp_path / "out").exists()
 
 
 def test_bad_value_type_rejected():
     with pytest.raises(ConfigError, match="embed_dim"):
         parse_config("embed_dim = many\n")
     with pytest.raises(ConfigError, match="true or false"):
-        parse_config("finetune_words = yes\n")
+        parse_config("normalize_aggregation = yes\n")
 
 
 def test_comments_and_blanks_ignored():
@@ -66,9 +74,7 @@ def test_comments_and_blanks_ignored():
 def test_enum_fields_validated():
     for line in (
         "gamma = cubic",
-        "spatial_norm = diagonal",
         "vp_negatives = all",
-        "similarity_input = pixels",
         "eval_mode = both",
         "branches = s,q",
     ):
@@ -118,7 +124,6 @@ def test_non_finite_or_out_of_range_float_is_one_config_error(tmp_path, capsys, 
         ("train", "app_out", "-5"),
         ("train", "spatial_hidden", "-1"),
         ("train", "spatial_out", "0"),
-        ("train", "gamma_hidden", "-1"),
         ("synth", "synth_subjects", "0"),
         ("synth", "synth_objects", "-2"),
         ("synth", "synth_families", "0"),
@@ -147,7 +152,10 @@ def test_size_out_of_range_is_one_config_error(tmp_path, capsys, command, key, v
     assert not (tmp_path / "out").exists()
 
 
-WIDTHS = ("app_out", "branch_hidden", "embed_dim", "gamma_hidden", "spatial_hidden", "spatial_out")
+# the layer widths, and two sizes that once ended train (batch_size) and
+# synth (synth_appearance_dim) in a numpy traceback
+WIDTHS = ("app_out", "branch_hidden", "embed_dim", "spatial_hidden", "spatial_out",
+          "batch_size", "synth_appearance_dim")
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +163,7 @@ def desk_world(tmp_path_factory):
     """A synthesized desk world's effective config, trainable at 0 epochs."""
     root = tmp_path_factory.mktemp("world")
     base = str(root / "base.cfg")
-    write_config(desk_config(stage1_epochs=0, stage2_epochs=0, gamma_hidden=8), base)
+    write_config(desk_config(stage1_epochs=0, stage2_epochs=0), base)
     assert main(["synth", "--config", base, "--out", str(root / "run")]) == 0
     return (root / "run" / "effective.cfg").read_text()
 
@@ -166,14 +174,11 @@ WIDTH_ERRORS = {
     for value in ("100000000000000000000", "4097")
     for key in WIDTHS
 }
-# a deep gamma with gamma_hidden = 0 is 3 * embed_dim wide
+# a deep gamma is 3 * embed_dim wide
 WIDTH_ERRORS.update(
     (
         f"derived-embed_dim-{dim}",
-        (
-            f"gamma_hidden = 0\nembed_dim = {dim}\n",
-            f"gamma_hidden = 0 gives the deep gamma width 3 * embed_dim = {3 * dim}, which must be <= 4096",
-        ),
+        (f"embed_dim = {dim}\n", f"the deep gamma width 3 * embed_dim = {3 * dim} must be <= 4096"),
     )
     for dim in (1366, 4096)
 )
@@ -194,8 +199,8 @@ def test_width_above_the_ceiling_is_one_config_error(desk_world, tmp_path, capsy
 
 @pytest.mark.parametrize("key", WIDTHS)
 def test_width_at_the_ceiling_validates(key):
-    # gamma_hidden is set: left at 0, embed_dim = 4096 derives a 12,288-wide gamma
-    assert getattr(validate(RunConfig(**{"gamma_hidden": 4096, key: 4096})), key) == 4096
+    # a linear gamma: a deep one at embed_dim = 4096 would be 12,288 wide
+    assert getattr(validate(RunConfig(**{"gamma": "linear", key: 4096})), key) == 4096
 
 
 @pytest.mark.parametrize("key", ["train_data", "test_data", "word_table", "queries", "checkpoint"])
@@ -210,9 +215,7 @@ def test_path_with_a_nul_byte_is_one_config_error(tmp_path, capsys, key):
 def test_gamma_hidden_defaults_to_three_embed_dims():
     cfg = RunConfig(embed_dim=20)
     assert cfg.gamma_hidden_dim() == 60
-    assert validate(RunConfig(embed_dim=1365)).gamma_hidden_dim() == 4095  # the widest derived
-    cfg.gamma_hidden = 7
-    assert cfg.gamma_hidden_dim() == 7
+    assert validate(RunConfig(embed_dim=1365)).gamma_hidden_dim() == 4095  # the widest allowed
 
 
 def test_config_hash_tracks_content():

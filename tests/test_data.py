@@ -263,6 +263,23 @@ def test_loader_requires_headers_before_pairs(tmp_path):
         load_dataset(path)
 
 
+def test_loader_rejects_an_appearance_dim_above_the_ceiling(tmp_path):
+    """A checkpoint cannot hold a wider appearance vector, so no dataset may ask for one."""
+    path = write_then_edit(tmp_path, lambda lines: [f"#appearance_dim {10**18}"] + lines[1:])
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}:1: appearance dim must be from 1 to 4096, got {10**18}"
+
+
+def test_word_table_rejects_a_dim_above_the_ceiling(tmp_path):
+    """A checkpoint cannot hold wider word vectors, so no word table may ask for them."""
+    path = tmp_path / "w.txt"
+    path.write_text(f"dim {10**18}\na 1 2\n")
+    with pytest.raises(DataError) as info:
+        load_word_table(str(path), [Vocabulary(["a"])])
+    assert str(info.value) == f"{path}:1: dimension must be from 1 to 4096, got {10**18}"
+
+
 def test_word_table_round_trip_and_extras(tmp_path):
     vocab = Vocabulary(["person", "sports ball"])
     path = tmp_path / "w.txt"

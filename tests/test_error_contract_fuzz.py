@@ -107,7 +107,7 @@ def test_train_on_mutated_pair_lines_keeps_the_error_contract(desk_run, capsys, 
 
 # keys whose values set the work and memory of a zero-epoch train run
 SIZE_KEYS = ("stage1_epochs", "stage2_epochs", "embed_dim", "branch_hidden", "app_out",
-             "spatial_hidden", "spatial_out", "gamma_hidden")
+             "spatial_hidden", "spatial_out")
 
 
 @settings(FUZZ, max_examples=200)

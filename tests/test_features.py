@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from relembed.data import BoundingBox, Triplet, triplet_codes
 from relembed.features import (
@@ -21,49 +20,41 @@ def box(x0, y0, x1, y1):
     return BoundingBox(float(x0), float(y0), float(x1), float(y1))
 
 
-def spatial_row(sub, obj, norm="area"):
+def spatial_row(sub, obj):
     """``spatial_features`` of one box pair."""
-    return spatial_features(np.array([sub.coords() + obj.coords()]), norm)[0]
+    return spatial_features(np.array([sub.coords() + obj.coords()]))[0]
 
 
-def spatial_features_per_pair(sub, obj, norm="area"):
+def spatial_features_per_pair(sub, obj):
     """Oracle: the per-pair geometry that ``spatial_features`` vectorizes."""
     ux = min(sub.x_min, obj.x_min)
     uy = min(sub.y_min, obj.y_min)
-    uw = max(sub.x_max, obj.x_max) - ux
-    uh = max(sub.y_max, obj.y_max) - uy
-    if norm == "area":
-        ax = ay = uw * uh
-    elif norm == "extent":
-        ax, ay = uw, uh
-    else:
-        raise ValueError(f"unknown spatial norm {norm!r}")
+    area = (max(sub.x_max, obj.x_max) - ux) * (max(sub.y_max, obj.y_max) - uy)
     return np.array(
         [
-            (sub.x_min - ux) / ax,
-            (sub.x_max - ux) / ax,
-            (sub.y_min - uy) / ay,
-            (sub.y_max - uy) / ay,
-            (obj.x_min - ux) / ax,
-            (obj.x_max - ux) / ax,
-            (obj.y_min - uy) / ay,
-            (obj.y_max - uy) / ay,
+            (sub.x_min - ux) / area,
+            (sub.x_max - ux) / area,
+            (sub.y_min - uy) / area,
+            (sub.y_max - uy) / area,
+            (obj.x_min - ux) / area,
+            (obj.x_max - ux) / area,
+            (obj.y_min - uy) / area,
+            (obj.y_max - uy) / area,
         ]
     )
 
 
-@pytest.mark.parametrize("norm", ["area", "extent"])
-def test_spatial_features_are_bit_equal_to_the_per_pair_oracle(small_bench, norm):
+def test_spatial_features_are_bit_equal_to_the_per_pair_oracle(small_bench):
     _, (train, test, _, _) = small_bench
     for table in (train.pairs, test.pairs):
         boxes = [(BoundingBox(*xy[:4]), BoundingBox(*xy[4:])) for xy in table.coords.tolist()]
-        want = np.stack([spatial_features_per_pair(s, o, norm) for s, o in boxes])
-        assert spatial_features(table.coords, norm).tobytes() == want.tobytes()
+        want = np.stack([spatial_features_per_pair(s, o) for s, o in boxes])
+        assert spatial_features(table.coords).tobytes() == want.tobytes()
     # ties and signed zeros in the union box keep the subject's value
     pairs = [(box(-0.0, 0, 1, 1), box(0, -0.0, 1, 2)), (box(0, -0.0, 2, 1), box(-0.0, 0, 2, 1))]
     coords = np.array([s.coords() + o.coords() for s, o in pairs])
-    want = np.stack([spatial_features_per_pair(s, o, norm) for s, o in pairs])
-    assert spatial_features(coords, norm).tobytes() == want.tobytes()
+    want = np.stack([spatial_features_per_pair(s, o) for s, o in pairs])
+    assert spatial_features(coords).tobytes() == want.tobytes()
 
 
 def test_spatial_unit_union_box():
@@ -75,15 +66,6 @@ def test_spatial_hand_computed_side_by_side_case():
     got = spatial_row(box(0, 0, 10, 10), box(10, 0, 20, 10))
     expect = [0, 0.05, 0, 0.05, 0.05, 0.1, 0, 0.05]
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
-
-
-def test_spatial_extent_normalization_divides_per_axis():
-    got = spatial_row(box(0, 0, 10, 10), box(10, 0, 20, 10), norm="extent")
-    # union 20 x 10: x coords / 20, y coords / 10
-    expect = [0, 0.5, 0, 1.0, 0.5, 1.0, 0, 1.0]
-    assert np.allclose(got, expect, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        spatial_row(box(0, 0, 1, 1), box(0, 0, 1, 1), norm="volume")
 
 
 def test_spatial_translation_invariance():
