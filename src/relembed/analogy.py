@@ -3,16 +3,17 @@
 A target triplet u borrows the embeddings of its k most similar seen
 triplets (weighting G: convex combination of per-slot language cosine
 similarities), each corrected by a learned map Gamma of the word-level
-differences between source and target. Gamma has no bias terms anywhere,
-so a triplet transferred from itself is corrected by exactly zero.
+differences between source and target, and sums them with their G weights
+(``transferred_embeddings``). Gamma has no bias terms anywhere, so a
+triplet transferred from itself is corrected by exactly zero.
 
 The second training stage finetunes the visual-phrase branch while
-learning Gamma from analogies among seen triplets, with source sets taken
-from one G matrix. Gradients of the analogy term reach only Gamma and the
-visual-phrase visual projection; language projections receive none of it
-by construction. Targets, pools and sources are triplet codes: a pool is an
-ascending code array, and ties in G go to the smaller code, which is the
-lexicographically smaller triplet.
+learning Gamma from analogies among seen triplets: each target is scored
+against that same k-source sum over the other seen triplets, with source
+sets taken from one G matrix. Gradients of the analogy term reach only
+Gamma and the visual-phrase visual projection. Targets, pools and sources
+are triplet codes: a pool is an ascending code array, and ties in G go to
+the smaller code, which is the lexicographically smaller triplet.
 """
 
 from __future__ import annotations
@@ -115,10 +116,8 @@ def gamma_backward(gamma: Gamma, cache, grad_out: Array) -> dict[str, Array]:
 def gamma_input_matrix(model: JointModel, sources, targets) -> Array:
     """Stacked [target - source] differences of the vp language embeddings
     of single words (each slot's masked triplets), (n, 3d), for aligned
-    source and target codes.
-
-    Each unique word is embedded once, so identical source and target
-    produce an exactly zero row.
+    source and target codes. Each unique word is embedded once, so identical
+    source and target produce an exactly zero row.
     """
     n = len(sources)
     slots = np.unravel_index(np.concatenate([sources, targets]), model.dims)
@@ -129,18 +128,6 @@ def gamma_input_matrix(model: JointModel, sources, targets) -> Array:
         emb = embed_language_batch(model, "vp", triplet_codes(model.dims, (words,) * 3, slot), slot)
         per_slot.append(emb[at[n:]] - emb[at[:n]])
     return np.concatenate(per_slot, axis=1)
-
-
-def corrected_embeddings(model: JointModel, gamma: Gamma, sources, targets) -> tuple[Array, tuple | None]:
-    """w_source + Gamma(source, target) for each aligned (source, target)
-    code pair, and Gamma's cache for its backward pass. Gamma 'absent'
-    corrects nothing: the source embeddings come back as they are, with no
-    cache."""
-    w_src = embed_language_batch(model, "vp", sources)
-    if gamma.kind == "absent":
-        return w_src, None
-    corr, cache = gamma_forward(gamma, gamma_input_matrix(model, sources, targets))
-    return w_src + corr, cache
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +162,8 @@ def source_pool(model: JointModel) -> Array:
 
 def select_sources(model: JointModel, u: int, pool) -> tuple[Array, Array]:
     """Codes and G weights of the top-k pool triplets for target code u, by
-    G descending; ties by ascending code.
-
-    The pool is taken as given: evaluation passes the frequent seen
-    triplets, the target among them or not.
-    """
+    G descending, ties by ascending code. The pool is taken as given:
+    evaluation passes the frequent seen triplets, the target among them or not."""
     if not len(pool):
         raise DataError(f"empty source pool for target {triplet_of(model.dims, u)}")
     sources, weights, _ = _top_k(similarity_many(model, [u], pool), pool, model.cfg.k)
@@ -189,12 +173,14 @@ def select_sources(model: JointModel, u: int, pool) -> tuple[Array, Array]:
 def _top_k(g: Array, pool, k: int, exclude: Array | None = None) -> tuple[Array, Array, Array]:
     """Per row of G, the k pool codes of largest G but the row's ``exclude``
     code, descending, ties by ascending code: codes and weights, (rows,
-    min(k, pool)), and each row's count of sources, which come first."""
+    min(k, pool)), and each row's count of sources, which come first; the
+    weights past a row's count are 0."""
     pool = np.broadcast_to(np.asarray(pool, np.int64), g.shape)
     skip = np.zeros(g.shape, bool) if exclude is None else pool == exclude[:, None]
     order = np.lexsort((pool, -g, skip), axis=-1)[:, :k]
     count = np.minimum(k, g.shape[1] - skip.sum(axis=1))
-    return np.take_along_axis(pool, order, 1), np.take_along_axis(g, order, 1), count
+    weights = np.where(np.arange(order.shape[1]) < count[:, None], np.take_along_axis(g, order, 1), 0.0)
+    return np.take_along_axis(pool, order, 1), weights, count
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +188,31 @@ def _top_k(g: Array, pool, k: int, exclude: Array | None = None) -> tuple[Array,
 # ---------------------------------------------------------------------------
 
 
-def transfer_from_sources(model: JointModel, gamma: Gamma, u: int, sources, weights) -> Array:
-    """Weighted sum of (corrected) source embeddings for target code u:
-    sum G * (w + Gamma), over source codes and their G weights.
-
-    Unnormalized by default; set normalize_aggregation to divide by sum G.
-    """
+def transferred_embeddings(model: JointModel, gamma: Gamma, targets, sources, weights) -> tuple[Array, tuple]:
+    """A @ (w_source + Gamma(source, target)), (targets, d), and the backward
+    cache (A, Gamma's cache), from each target code's (targets, k) source
+    codes and G weights, 0 past its count: row t of A is target t's weights,
+    divided by their sum under normalize_aggregation. Weights summing to 0
+    are an error."""
     weights = np.asarray(weights, np.float64)
-    if not np.any(weights > 0.0):
-        target = triplet_of(model.dims, u)
+    total = weights.sum(axis=1)
+    if np.any(total == 0.0):
+        target = triplet_of(model.dims, np.asarray(targets)[np.argmin(total)])
         raise DataError(f"no informative sources for target {target}: all weights zero")
-    w, _ = corrected_embeddings(model, gamma, sources, np.full(len(sources), u, np.int64))
-    out = weights @ w
-    if model.cfg.normalize_aggregation:
-        out = out / float(np.sum(weights))
-    return out
+    a = weights / total[:, None] if model.cfg.normalize_aggregation else weights
+    n, k = weights.shape
+    sources = np.ravel(sources)
+    w, cache = embed_language_batch(model, "vp", sources), None  # constant: no gradient
+    if gamma.kind != "absent":  # absent corrects nothing
+        corr, cache = gamma_forward(gamma, gamma_input_matrix(model, sources, np.repeat(targets, k)))
+        w = w + corr
+    return (a[:, None, :] @ w.reshape(n, k, -1))[:, 0], (a, cache)
 
 
 def transfer_embedding(model: JointModel, gamma: Gamma, u: int, pool: Array | None = None) -> Array:
-    if pool is None:
-        pool = source_pool(model)
-    return transfer_from_sources(model, gamma, u, *select_sources(model, u, pool))
+    """Target code u's embedding from its ``select_sources`` in ``pool``."""
+    sources, weights = select_sources(model, u, source_pool(model) if pool is None else pool)
+    return transferred_embeddings(model, gamma, [u], sources[None], weights[None])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +220,15 @@ def transfer_embedding(model: JointModel, gamma: Gamma, u: int, pool: Array | No
 # ---------------------------------------------------------------------------
 
 
-def sample_q_pairs(model: JointModel, batch: PairTable, source_sets, rng) -> tuple[Array, Array, int]:
-    """One uniformly drawn source per distinct positive triplet of the
-    batch, in ascending code order: (source codes, target codes, skipped).
-
-    ``source_sets`` is ``build_source_sets`` of the model; a target with no
-    source in it is skipped and counted.
-    """
-    sources, _, count = source_sets
+def sample_q_pairs(model: JointModel, batch: PairTable, source_sets) -> tuple[Array, Array, Array, int]:
+    """The batch's distinct positive triplet codes, ascending, their rows of
+    ``build_source_sets``' codes and weights, and the count skipped: those
+    with no source, or whose weights sum to 0."""
+    sources, weights, _ = source_sets
     targets = np.unique(batch.positives(model.dims)[1])
     at = np.minimum(np.searchsorted(model.observed, targets), len(model.observed) - 1)
-    n = np.where(model.observed[at] == targets, count[at], 0)
-    drawn = n > 0
-    picks = np.array([rng.integers(m) for m in n[drawn].tolist()], np.intp)
-    return sources[at[drawn], picks], targets[drawn], int(np.sum(~drawn))
+    kept = (model.observed[at] == targets) & (weights[at].sum(axis=1) > 0.0)
+    return targets[kept], sources[at[kept]], weights[at[kept]], int(np.sum(~kept))
 
 
 def analogy_loss(
@@ -251,14 +236,15 @@ def analogy_loss(
     gamma: Gamma,
     batch: PairTable,
     x: Array,
-    sources: Array,
     targets: Array,
+    sources: Array,
+    weights: Array,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, Array]]:
-    """Mean binary log-likelihood of batch pairs against transferred
-    embeddings, one column per aligned (source, target) code pair; ``x`` is
-    the vp branch input of the batch (``branch_inputs``).
+    """Mean binary log-likelihood of batch pairs against the targets'
+    ``transferred_embeddings`` from their source sets, one column per
+    target; ``x`` is the vp branch input of the batch (``branch_inputs``).
 
     Gradients flow only to Gamma parameters and the vp visual projection;
     the language side and the shared descriptor front end get none.
@@ -269,10 +255,11 @@ def analogy_loss(
         return 0.0, {}
     br = model.branch("vp")
     v, v_cache = mlp_forward(br.f_v, x, training=training, rng=rng)
-    w, g_cache = corrected_embeddings(model, gamma, sources, targets)  # constant in the source part
+    w, (a, g_cache) = transferred_embeddings(model, gamma, targets, sources, weights)
     y = label_matrix(batch, targets, "full", model.dims)
     loss, g_v, g_w = logistic_terms(v, w, y)
-    grads = gamma_backward(gamma, g_cache, g_w)  # g_w reaches the correction only
+    # A.T @ g_w, one row per (target, source); it reaches the correction only
+    grads = gamma_backward(gamma, g_cache, (a[:, :, None] * g_w[:, None, :]).reshape(-1, g_w.shape[1]))
     g_fv, _ = mlp_backward(br.f_v, v_cache, g_v, need_input=False)
     grads.update(layer_params("branch.vp.f_v", g_fv))
     return loss, grads
@@ -284,10 +271,8 @@ def analogy_loss(
 
 
 def build_source_sets(model: JointModel, pool: Array) -> tuple[Array, Array, Array]:
-    """``_top_k`` source sets of every observed triplet, each excluding the
-    target itself, by ``select_sources``' rule from one G matrix, whose
-    weights may differ in the last bits from one-target calls (stage 2
-    reads only the winners)."""
+    """``_top_k`` source sets of every observed triplet but itself, by
+    ``select_sources``' rule from one G matrix (last bits may differ)."""
     g = similarity_many(model, model.observed, pool)
     return _top_k(g, pool, model.cfg.k, exclude=model.observed)
 
@@ -297,10 +282,10 @@ def train_stage2(
 ) -> tuple[list[float], int]:
     """Optimize vp-branch loss plus weighted analogy loss.
 
-    Returns (per-epoch mean combined loss, count of skipped empty-source
-    targets). With gamma 'absent' there is nothing to train: no-op. With no
-    frequent triplet to draw sources from, every target would be skipped
-    and Gamma would learn nothing: an error.
+    Returns (per-epoch mean combined loss, count of skipped targets, those
+    without an informative source). With gamma 'absent' there is nothing to
+    train: no-op. With no frequent triplet to draw sources from, every
+    target would be skipped and Gamma would learn nothing: an error.
     """
     cfg = model.cfg
     if gamma.kind == "absent":
@@ -310,8 +295,6 @@ def train_stage2(
     pool = source_pool(model)
     if not pool.size:
         raise DataError("no transfer sources: every observed triplet is rare")
-    if cfg.stage2_epochs == 0:
-        return [], 0
     # G reads only nets stage 2 does not train, so the sets hold for every epoch
     source_sets = build_source_sets(model, pool)
     rng = rng_stream(seed, "stage2")
@@ -324,9 +307,9 @@ def train_stage2(
         # serves both terms, and nothing trained reads its gradient
         x = branch_inputs(model, batch, ("vp",))[0]["vp"]
         loss_vp, grads, _ = branch_terms(model, "vp", batch, x, True, rng, need_input=False, q=q)
-        sources, targets, skipped = sample_q_pairs(model, batch, source_sets, rng)
+        *analogies, skipped = sample_q_pairs(model, batch, source_sets)
         skipped_total += skipped
-        loss_an, g_an = analogy_loss(model, gamma, batch, x, sources, targets, training=True, rng=rng)
+        loss_an, g_an = analogy_loss(model, gamma, batch, x, *analogies, training=True, rng=rng)
         add_grads(grads, g_an, cfg.analogy_weight)
         return loss_vp + cfg.analogy_weight * loss_an, grads
 

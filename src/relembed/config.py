@@ -34,6 +34,12 @@ MOST = dict.fromkeys(
     MOST_SIZE,
 )
 
+# the most rows a synthetic split may hold: synth_generate builds one Python
+# row at a time, about 29,000 rows a second and 2 KB a row at the default
+# appearance width, so a split at the ceiling takes about 10 s and 0.5 GB.
+# validate bounds the default world's splits at 3,456 rows, wide's at 13,824
+MOST_SPLIT_ROWS = 2**18
+
 
 class ConfigError(ValueError):
     """Bad key, unparsable value, or inconsistent settings."""
@@ -158,6 +164,15 @@ def validate(cfg: RunConfig) -> RunConfig:
             f"synth_predicates_per_family must be <= synth_predicates = {cfg.synth_predicates},"
             f" got {cfg.synth_predicates_per_family}"
         )
+    # one bound per key: the test split mixes the last two and stays below the larger
+    triplets = cfg.synth_families * cfg.synth_predicates_per_family * cfg.synth_cluster_size
+    for key in ("synth_train_pairs", "synth_test_pairs", "synth_heldout_test_pairs"):
+        rows, ratio = triplets * getattr(cfg, key), cfg.synth_negative_ratio
+        if rows > MOST_SPLIT_ROWS or rows * (1.0 + ratio) > MOST_SPLIT_ROWS:
+            raise ConfigError(
+                f"a synthetic split of {triplets} triplets x {key} = {getattr(cfg, key)}"
+                f" x (1 + synth_negative_ratio = {ratio}) rows must be <= {MOST_SPLIT_ROWS}"
+            )
     for key in ("train_data", "test_data", "word_table", "queries", "checkpoint"):
         if "\0" in getattr(cfg, key):
             raise ConfigError(f"{key}: a path cannot hold a NUL byte")

@@ -223,7 +223,7 @@ def label_matrix(batch: PairTable, columns, mask: str, dims, branch: str | None 
 
     With ``branch`` named, a positive that matches no column is an error;
     without, it stays unlabeled (the analogy columns hold only the targets
-    that drew a source).
+    with an informative source).
     """
     rows, labels = batch.positives(dims, mask)
     hits = labels[:, None] == np.asarray(columns, np.int64)[None, :]  # (positives, columns)

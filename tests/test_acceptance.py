@@ -123,7 +123,9 @@ def test_criterion_1_gradient_correctness():
         gamma = gamma_init(gkind, cfg_vp.embed_dim, cfg_vp.gamma_hidden_dim(), rng_stream(seed, "gamma"))
         observed = model_vp.observed
         targets = encode(model_vp.dims, sorted({t for row in row_triplets(batch) for t in row}))[:5]
-        q = ([observed[int(rng.integers(len(observed)))] for _ in targets], targets)
+        # three sources per target with unequal weights, so the check covers A.T
+        shape = (len(targets), 3)
+        q = (targets, observed[rng.integers(len(observed), size=shape)], rng.uniform(0.1, 1.0, shape))
         x = branch_inputs(model_vp, batch, ("vp",))[0]["vp"]
         _, agrads = analogy_loss(model_vp, gamma, batch, x, *q)
         named_a = [(n, a) for n, a in trainable(model_vp, 2, gamma) if ".f_w." not in n]
@@ -189,7 +191,8 @@ def test_criterion_3_gradient_flow_restriction():
     batch = train.pairs.take(rng.choice(len(train.pairs), size=16, replace=False))
     observed = model.observed
     targets = encode(model.dims, sorted({t for row in row_triplets(batch) for t in row}))
-    q = ([observed[int(rng.integers(len(observed)))] for _ in targets], targets)
+    shape = (len(targets), cfg.k)
+    q = (targets, observed[rng.integers(len(observed), size=shape)], rng.uniform(0.1, 1.0, shape))
     x = branch_inputs(model, batch, ("vp",))[0]["vp"]
     _, grads = analogy_loss(model, gamma, batch, x, *q)
 

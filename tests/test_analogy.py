@@ -9,7 +9,6 @@ from relembed.analogy import (
     Gamma,
     analogy_loss,
     build_source_sets,
-    corrected_embeddings,
     gamma_backward,
     gamma_forward,
     gamma_init,
@@ -20,7 +19,7 @@ from relembed.analogy import (
     source_pool,
     train_stage2,
     transfer_embedding,
-    transfer_from_sources,
+    transferred_embeddings,
 )
 from relembed.data import (
     BoundingBox,
@@ -303,27 +302,25 @@ def test_build_source_sets_agree_with_select_sources(small_bench):
 # ---------------------------------------------------------------------------
 
 
+def _two_sources(model, normalize=False):
+    model.cfg.normalize_aggregation = normalize
+    u, t1, t2 = model.observed[:3]
+    w1, w2 = embed_language_batch(model, "vp", [t1, t2])
+    return u, np.array([[t1, t2]]), np.array([[0.6, 0.3]]), w1, w2
+
+
 def test_transfer_weighted_sum_by_hand(small_bench):
     cfg, train, table, model = bench_model(small_bench)
-    gamma = make_gamma(model, "zero")
-    u = model.observed[0]
-    t1, t2 = model.observed[1], model.observed[2]
-    w1 = embed_language_batch(model, "vp", [t1])[0]
-    w2 = embed_language_batch(model, "vp", [t2])[0]
-    got = transfer_from_sources(model, gamma, u, [t1, t2], [0.6, 0.3])
-    assert np.allclose(got, 0.6 * w1 + 0.3 * w2, rtol=0.0, atol=1e-15)
+    u, sources, weights, w1, w2 = _two_sources(model)
+    got, _ = transferred_embeddings(model, make_gamma(model, "zero"), [u], sources, weights)
+    assert np.allclose(got[0], 0.6 * w1 + 0.3 * w2, rtol=0.0, atol=1e-15)
 
 
 def test_transfer_normalized_aggregation(small_bench):
     cfg, train, table, model = bench_model(small_bench)
-    model.cfg.normalize_aggregation = True
-    gamma = make_gamma(model, "zero")
-    u = model.observed[0]
-    t1, t2 = model.observed[1], model.observed[2]
-    w1 = embed_language_batch(model, "vp", [t1])[0]
-    w2 = embed_language_batch(model, "vp", [t2])[0]
-    got = transfer_from_sources(model, gamma, u, [t1, t2], [0.6, 0.3])
-    assert np.allclose(got, (0.6 * w1 + 0.3 * w2) / 0.9, rtol=0.0, atol=1e-15)
+    u, sources, weights, w1, w2 = _two_sources(model, normalize=True)
+    got, _ = transferred_embeddings(model, make_gamma(model, "zero"), [u], sources, weights)
+    assert np.allclose(got[0], (0.6 * w1 + 0.3 * w2) / 0.9, rtol=0.0, atol=1e-15)
 
 
 def test_transfer_all_zero_weights_rejected(small_bench):
@@ -331,7 +328,7 @@ def test_transfer_all_zero_weights_rejected(small_bench):
     gamma = make_gamma(model, "zero")
     u, t1 = model.observed[0], model.observed[1]
     with pytest.raises(DataError, match="no informative sources"):
-        transfer_from_sources(model, gamma, u, [t1], [0.0])
+        transferred_embeddings(model, gamma, [t1, u], [[u], [t1]], [[0.5], [0.0]])
 
 
 def test_self_transfer_equals_direct_embedding(small_bench):
@@ -350,17 +347,18 @@ def test_transfer_absent_gamma_skips_correction(small_bench):
     absent = Gamma("absent")
     zero = make_gamma(model, "zero")
     u = model.observed[0]
-    sources = select_sources(model, u, model.observed[model.observed != u])
-    a = transfer_from_sources(model, absent, u, *sources)
-    b = transfer_from_sources(model, zero, u, *sources)
+    sources, weights = select_sources(model, u, model.observed[model.observed != u])
+    a, _ = transferred_embeddings(model, absent, [u], sources[None], weights[None])
+    b, _ = transferred_embeddings(model, zero, [u], sources[None], weights[None])
     assert np.array_equal(a, b)
 
 
 def test_corrected_embeddings_absent_gamma_is_uncorrected(small_bench):
+    """One source at weight 1 transfers its own embedding under Gamma absent."""
     cfg, train, table, model = bench_model(small_bench)
     sources = model.observed[1:4]
     u = model.observed[0]
-    got, cache = corrected_embeddings(model, Gamma("absent"), sources, [u] * len(sources))
+    got, (_, cache) = transferred_embeddings(model, Gamma("absent"), [u] * 3, sources[:, None], np.ones((3, 1)))
     assert np.array_equal(got, embed_language_batch(model, "vp", sources))
     assert cache is None
 
@@ -371,7 +369,7 @@ def test_corrected_embeddings_shift_by_gamma(small_bench):
     t, u = model.observed[1], model.observed[0]
     base = embed_language_batch(model, "vp", [t])
     corr, _ = gamma_forward(gamma, gamma_input_matrix(model, [t], [u]))
-    got, _ = corrected_embeddings(model, gamma, [t], [u])
+    got, _ = transferred_embeddings(model, gamma, [u], [[t]], [[1.0]])
     assert np.array_equal(got, base + corr)
 
 
@@ -392,8 +390,8 @@ def test_analogy_loss_grads_touch_only_gamma_and_vp_visual(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "deep")
     batch = _batch(train)
-    u = model.observed[0]
-    q = ([model.observed[1], model.observed[2]], [u, u])  # (sources, targets)
+    u, t1, t2 = model.observed[:3]
+    q = ([u], [[t1, t2]], [[0.7, 0.2]])  # (targets, sources, weights)
     loss, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), *q)
     assert loss > 0.0
     for name in grads:
@@ -406,7 +404,7 @@ def test_analogy_loss_grads_touch_only_gamma_and_vp_visual(small_bench):
 def test_analogy_loss_zero_gamma_has_no_gamma_grads(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "zero")
-    q = ([model.observed[1]], [model.observed[0]])
+    q = ([model.observed[0]], [[model.observed[1]]], [[0.5]])
     _, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), *q)
     assert all(name.startswith("branch.vp.f_v.") for name in grads)
 
@@ -414,34 +412,60 @@ def test_analogy_loss_zero_gamma_has_no_gamma_grads(small_bench):
 def test_analogy_loss_empty_q_is_zero(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "deep")
-    loss, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), [], [])
+    loss, grads = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), [], [], [])
     assert loss == 0.0 and grads == {}
 
 
 def test_analogy_loss_absent_gamma_rejected(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     with pytest.raises(DataError, match="absent"):
-        analogy_loss(model, Gamma("absent"), _batch(train), _vp_input(model, _batch(train)), [], [])
+        analogy_loss(model, Gamma("absent"), _batch(train), _vp_input(model, _batch(train)), [], [], [])
 
 
 def test_analogy_loss_matches_finite_differences(small_bench):
-    cfg, train, table, model = bench_model(small_bench)
+    """The loss of k-source sums, one ragged set among them, with unequal
+    weights: gradients in Gamma and vp f_v under raw and normalized
+    aggregation."""
+    cfg, train, table, model = bench_model(small_bench, embed_dim=8)
     batch = _batch(train, 6)
-    u0, u1 = model.observed[0], model.observed[1]
-    q = ([model.observed[2], model.observed[3], u0], [u0, u1, u0])
-    for kind in ("linear", "deep"):
-        gamma = make_gamma(model, kind)
-        named = trainable(model, 2, gamma)
-        named = [(n, a) for n, a in named if not n.startswith("branch.vp.f_w")]
-        _, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), *q)
+    x = _vp_input(model, batch)
+    u0 = batch.positives(model.dims)[1][0]  # labelled in the batch
+    u1, *others = model.observed[model.observed != u0]
+    # the second set is ragged: its count is 2 of k = 3, as _top_k pads it
+    q = ([u0, u1], [others[:3], [others[3], others[4], u1]], [[0.9, 0.5, 0.2], [0.7, 0.3, 0.0]])
+    for normalize in (False, True):
+        model.cfg.normalize_aggregation = normalize
+        for kind in ("linear", "deep"):
+            gamma = make_gamma(model, kind)
+            named = [(n, a) for n, a in trainable(model, 2, gamma) if not n.startswith("branch.vp.f_w")]
+            assert any(n.startswith("gamma.") for n, _ in named)
+            _, grads = analogy_loss(model, gamma, batch, x, *q)
+            numeric = finite_diff_grad(lambda: analogy_loss(model, gamma, batch, x, *q)[0], [a for _, a in named])
+            for (name, arr), num in zip(named, numeric):
+                analytic = grads.get(name, np.zeros_like(arr))
+                assert max_relative_error([analytic], [num]) < 1e-5, (normalize, kind, name)
 
-        def loss_fn():
-            return analogy_loss(model, gamma, batch, _vp_input(model, batch), *q)[0]
 
-        numeric = finite_diff_grad(loss_fn, [a for _, a in named])
-        for (name, arr), num in zip(named, numeric):
-            analytic = grads.get(name, np.zeros_like(arr))
-            assert max_relative_error(analytic, num) < 1e-5, (kind, name)
+def test_analogy_loss_scores_the_embedding_eval_transfers(small_bench, monkeypatch):
+    """For every observed target, the column the analogy loss scores is the
+    embedding eval transfers to it from the pool without it."""
+    scored = []
+    real = analogy.logistic_terms
+
+    def spy(v, w, y):
+        scored.append(w)
+        return real(v, w, y)
+
+    monkeypatch.setattr(analogy, "logistic_terms", spy)
+    for normalize in (False, True):
+        cfg, train, table, model = bench_model(small_bench, normalize_aggregation=normalize)
+        gamma = make_gamma(model, "deep")
+        pool = source_pool(model)
+        *q, skipped = sample_q_pairs(model, train.pairs, build_source_sets(model, pool))
+        assert skipped == 0 and np.array_equal(q[0], model.observed)
+        analogy_loss(model, gamma, train.pairs, _vp_input(model, train.pairs), *q)
+        for u, w in zip(model.observed, scored.pop()):
+            assert np.max(np.abs(w - transfer_embedding(model, gamma, u, pool[pool != u]))) <= 1e-12, u
 
 
 def test_analogy_loss_language_side_sees_zero_gradient(small_bench):
@@ -451,7 +475,7 @@ def test_analogy_loss_language_side_sees_zero_gradient(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     gamma = make_gamma(model, "deep")
     batch = _batch(train, 6)
-    q = ([model.observed[1]], [model.observed[0]])
+    q = ([model.observed[0]], [[model.observed[1]]], [[0.5]])
     _, grads = analogy_loss(model, gamma, batch, _vp_input(model, batch), *q)
     fw = [(n, a) for n, a in trainable(model, 2, gamma) if n.startswith("branch.vp.f_w")]
     assert fw
@@ -465,7 +489,7 @@ def test_analogy_loss_uninformative_prediction_is_log2(small_bench):
     br = model.branch("vp")
     br.f_v.second.w[:] = 0.0
     br.f_v.second.b[:] = 0.0
-    q = ([model.observed[1]], [model.observed[0]])
+    q = ([model.observed[0]], [[model.observed[1]]], [[0.5]])
     loss, _ = analogy_loss(model, gamma, _batch(train), _vp_input(model, _batch(train)), *q)
     assert abs(loss - np.log(2.0)) < 1e-12
 
@@ -476,16 +500,18 @@ def test_analogy_loss_uninformative_prediction_is_log2(small_bench):
 
 
 def test_sample_q_pairs_one_per_target(small_bench):
+    """Each distinct positive triplet of the batch, with its whole row of
+    the source sets."""
     cfg, train, table, model = bench_model(small_bench)
     sets = build_source_sets(model, source_pool(model))
     batch = train.pairs.take(range(16))
     targets = sorted({t for row in row_triplets(batch) for t in row})
-    sources, got, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
+    got, sources, weights, skipped = sample_q_pairs(model, batch, sets)
     assert skipped == 0
     assert decode(model.dims, got) == targets
-    for src, u in zip(sources.tolist(), got.tolist()):
-        i = model.observed.tolist().index(u)
-        assert src in sets[0][i, : sets[2][i]]
+    rows = np.searchsorted(model.observed, got)
+    assert np.array_equal(sources, sets[0][rows]) and np.array_equal(weights, sets[1][rows])
+    assert sources.shape == (len(targets), cfg.k)
 
 
 def test_sample_q_pairs_counts_missing_targets(small_bench):
@@ -494,21 +520,22 @@ def test_sample_q_pairs_counts_missing_targets(small_bench):
     targets = sorted({t for row in row_triplets(batch) for t in row})
     n = len(model.observed)
     sets = (np.zeros((n, 0), np.int64), np.zeros((n, 0)), np.zeros(n, np.int64))  # no sources anywhere
-    sources, got, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
-    assert sources.tolist() == got.tolist() == []
+    got, sources, weights, skipped = sample_q_pairs(model, batch, sets)
+    assert got.tolist() == [] and sources.shape == weights.shape == (0, 0)
     assert skipped == len(targets)
     # a triplet the model never observed has no row in the source sets
     _, (_, test, _, heldout) = small_bench
     listed = [[t in row for t in (heldout[0], targets[0])] for row in row_triplets(test.pairs)]
     batch = test.pairs.take([listed.index([True, False]), listed.index([False, True])])
     sets = build_source_sets(model, source_pool(model))
-    sources, got, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
+    got, sources, _, skipped = sample_q_pairs(model, batch, sets)
     assert skipped == 1 and decode(model.dims, got) == targets[:1] and len(sources) == 1
 
 
 def test_one_triplet_pool_gives_ragged_source_sets(small_bench):
-    """The lone pool triplet has no source but itself, which is excluded;
-    every other target gets it, and sampling skips only the lone one."""
+    """The lone pool triplet has no source but itself, which is excluded
+    and weighs 0; every other target gets it, and sampling skips only the
+    lone one."""
     cfg, train, table, model = bench_model(small_bench)
     batch = train.pairs.take(range(0, len(train.pairs), 7))
     targets = np.unique(batch.positives(model.dims)[1])
@@ -519,11 +546,52 @@ def test_one_triplet_pool_gives_ragged_source_sets(small_bench):
     assert sources.shape == weights.shape == (len(model.observed), 1)
     alone = model.observed == lone
     assert count[alone].tolist() == [0] and (count[~alone] == 1).all()
+    assert weights[alone].tolist() == [[0.0]]
     assert (sources[~alone, 0] == lone).all()
-    got_sources, got_targets, skipped = sample_q_pairs(model, batch, sets, rng_stream(0, "stage2"))
+    got_targets, got_sources, _, skipped = sample_q_pairs(model, batch, sets)
     assert skipped == 1
     assert got_targets.tolist() == targets[1:].tolist()
     assert (got_sources == lone).all()
+
+
+def test_zero_weight_target_is_skipped_in_stage2_and_refused_in_eval(small_bench, monkeypatch):
+    """A target whose G row is all 0 is skipped and counted in every stage-2
+    batch that holds it, raw or normalized, with every loss finite; its
+    transfer in eval is the data error."""
+    dead = bench_model(small_bench)[3].observed[0]
+    real_g, real_sample, real_loss = similarity_many, sample_q_pairs, analogy_loss
+
+    def g(model, targets, pool):
+        out = real_g(model, targets, pool)
+        out[np.asarray(targets) == dead] = 0.0
+        return out
+
+    seen, losses = [], []
+
+    def sample(model, batch, sets):
+        out = real_sample(model, batch, sets)
+        seen.append((dead in batch.positives(model.dims)[1], dead in out[0], out[3]))
+        return out
+
+    def loss(*args, **kwargs):
+        out = real_loss(*args, **kwargs)
+        losses.append(out[0])
+        return out
+
+    monkeypatch.setattr(analogy, "similarity_many", g)
+    monkeypatch.setattr(analogy, "sample_q_pairs", sample)
+    monkeypatch.setattr(analogy, "analogy_loss", loss)
+    for normalize in (False, True):
+        seen.clear()
+        cfg, train, table, model = bench_model(small_bench, stage2_epochs=1, normalize_aggregation=normalize)
+        gamma = make_gamma(model, "deep")
+        trace, skipped = train_stage2(model, gamma, train, seed=0)
+        assert skipped == sum(held for held, _, _ in seen) > 0
+        assert [n for _, _, n in seen] == [int(held) for held, _, _ in seen]
+        assert not any(kept for _, kept, _ in seen)
+        assert np.all(np.isfinite(trace)) and np.all(np.isfinite(losses))
+        with pytest.raises(DataError, match="no informative sources"):
+            transfer_embedding(model, gamma, dead)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from relembed.cli import main
 from relembed.config import (
+    MOST_SPLIT_ROWS,
     ConfigError,
     RunConfig,
     config_hash,
@@ -150,6 +151,33 @@ def test_size_out_of_range_is_one_config_error(tmp_path, capsys, command, key, v
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error:config: {path}: {key} must be"), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("synth_train_pairs", "1000000000000000000"),
+        ("synth_negative_ratio", "1e18"),
+        ("synth_test_pairs", "1000000000000000000"),
+        ("synth_heldout_test_pairs", "1000000000000000000"),
+    ],
+)
+def test_synthetic_split_above_the_row_ceiling_is_one_config_error(tmp_path, capsys, key, value):
+    """The first two once ran synth until a timeout killed it."""
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error:config: {path}: a synthetic split of 72 triplets"), err
+    assert f"rows must be <= {MOST_SPLIT_ROWS}" in err[0] and (key in err[0] or "ratio = 1e+18" in err[0])
+    assert not (tmp_path / "out").exists()
+
+
+def test_synthetic_split_at_the_row_ceiling_validates():
+    # 72 triplets x 1820 pairs x 2 = 262,080 rows
+    assert validate(RunConfig(synth_train_pairs=1820)).synth_train_pairs == 1820
+    with pytest.raises(ConfigError, match="synth_train_pairs = 1821 x"):
+        validate(RunConfig(synth_train_pairs=1821))
 
 
 # the layer widths, and two sizes that once ended train (batch_size) and
