@@ -77,7 +77,7 @@ def _emit_effective(cfg: RunConfig, out: str):
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     out = _outdir(args)
-    train, test, table, heldout = synth_generate(cfg.synth_config(), cfg.seed)
+    train, test, table, heldout = synth_generate(cfg, cfg.seed)
     cfg.train_data = os.path.join(out, "train.ds")
     cfg.test_data = os.path.join(out, "test.ds")
     cfg.word_table = os.path.join(out, "words.tbl")

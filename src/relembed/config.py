@@ -11,7 +11,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .data import MOST_SIZE, SynthConfig
+from .data import MOST_SIZE
 from .features import BRANCH_KINDS
 
 GAMMA_KINDS = ("absent", "zero", "linear", "deep")
@@ -113,23 +113,10 @@ class RunConfig:
         """The hidden width of the deep Gamma."""
         return 3 * self.embed_dim
 
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            n_subjects=self.synth_subjects,
-            n_predicates=self.synth_predicates,
-            n_objects=self.synth_objects,
-            cluster_size=self.synth_cluster_size,
-            n_families=self.synth_families,
-            predicates_per_family=self.synth_predicates_per_family,
-            train_pairs_per_triplet=self.synth_train_pairs,
-            test_pairs_per_triplet=self.synth_test_pairs,
-            heldout_count=self.synth_heldout,
-            heldout_test_pairs=self.synth_heldout_test_pairs,
-            appearance_dim=self.synth_appearance_dim,
-            noise=self.synth_noise,
-            word_noise=self.synth_word_noise,
-            negative_per_positive=self.synth_negative_ratio,
-        )
+    def synth_config(self) -> RunConfig:
+        """The config itself, which ``synth_generate`` reads; kept only
+        because ``perfbench/test_perfbench.py`` still calls it."""
+        return self
 
 
 def _parse_value(name: str, kind: type, raw: str):

@@ -18,14 +18,16 @@ File formats (all line-oriented text, floats written with full precision):
                the dataset file), then one line per pair:
                ``pair <id> <image_id> sub <4 reals> obj <4 reals> scat <tok>
                ocat <tok> afeat_s <d_a reals> afeat_o <d_a reals> labels
-               p1:<tok> p2:<tok> ...`` (label list may be empty). Every
-               header precedes the first pair line. With d = d_a, a pair
-               line's fields sit at fixed positions: the keywords at 0, 3,
-               8, 13, 15, 17, 18+d and 19+2d; id 1, image_id 2, sub 4-7, obj
-               9-12, scat 14, ocat 16, afeat_s 18 to 17+d, afeat_o 19+d to
-               18+2d, and the label entries from 20+2d on.
+               p1:<tok> p2:<tok> ...`` (label list may be empty). Each
+               header appears once, before the first pair line. With
+               d = d_a, a pair line's fields sit at fixed positions: the
+               keywords at 0, 3, 8, 13, 15, 17, 18+d and 19+2d; id 1,
+               image_id 2, sub 4-7, obj 9-12, scat 14, ocat 16, afeat_s 18
+               to 17+d, afeat_o 19+d to 18+2d, and the label entries from
+               20+2d on.
   vocabulary:  one token per line, line order defines the index.
-  word table:  first line ``dim <d_w>``, then ``<tok> v1 ... v_dw``.
+  word table:  first line ``dim <d_w>``, then ``<tok> v1 ... v_dw``, one
+               line per token.
   query list:  one triplet per line, ``<subject> <predicate> <object>``.
 
 Every reader, ``retrieval.load_results`` included, goes through one line
@@ -49,11 +51,14 @@ import math
 import os
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .numkit import rng_stream
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 Array = np.ndarray
 
@@ -205,7 +210,8 @@ class PairTable:
     def __len__(self) -> int:
         return len(self.pair_id)
 
-    def __iter__(self) -> Iterator["PairTable"]:  # one-row tables, in row order
+    # one-row tables, in row order; only perfbench/test_perfbench.py iterates a table
+    def __iter__(self) -> Iterator["PairTable"]:
         return (self.take([i]) for i in range(len(self)))
 
     def take(self, rows) -> "PairTable":
@@ -370,13 +376,15 @@ def write_word_table(table: WordTable, path: str):
 def load_word_table(path: str, vocabularies: Iterable[Vocabulary]) -> WordTable:
     """Read a word-vector table, keeping only vocabulary tokens.
 
-    Extra tokens in the file are dropped silently; missing vocabulary tokens
-    are an error listing every absent token at once.
+    Extra tokens in the file are dropped silently; a token listed twice is
+    an error, and missing vocabulary tokens are an error listing every
+    absent token at once.
     """
     wanted: set[str] = set()
     for vocab in vocabularies:
         wanted.update(vocab.tokens)
     vectors: dict[str, Array] = {}
+    listed: set[str] = set()
     dim = None
     for line in read_lines(path):
         parts = line.parts
@@ -388,6 +396,9 @@ def load_word_table(path: str, vocabularies: Iterable[Vocabulary]) -> WordTable:
                 line.fail(f"dimension must be from 1 to {MOST_SIZE}, got {dim}")
             continue
         tok = token_from_file(parts[0])
+        if tok in listed:
+            line.fail(f"duplicate token {parts[0]!r}")
+        listed.add(tok)
         if tok not in wanted:
             continue
         if len(parts) - 1 != dim:
@@ -483,6 +494,8 @@ def load_dataset(path: str) -> Dataset:
             if not header.parts:
                 line.fail("empty header line")
             key = header.parts[0]
+            if key in vocab_paths or (key == "appearance_dim" and appearance_dim is not None):
+                line.fail(f"duplicate header key {key!r}")
             if key == "appearance_dim":
                 if len(header.parts) != 2:
                     line.fail("expected '#appearance_dim <d_a>'")
@@ -560,33 +573,6 @@ def load_queries(path: str, dataset: Dataset) -> list[Triplet]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SynthConfig:
-    """Knobs of the planted benchmark.
-
-    Objects come in clusters of near-synonyms (shared word-code component),
-    and triplets come in families: one subject, one object cluster, a few
-    predicates, fully crossed. Families guarantee that (a) each
-    subject-object pairing occurs under several predicates, and (b) every
-    triplet has close neighbours differing in exactly one slot.
-    """
-
-    n_subjects: int = 6
-    n_predicates: int = 10
-    n_objects: int = 12
-    cluster_size: int = 3
-    n_families: int = 12
-    predicates_per_family: int = 2
-    train_pairs_per_triplet: int = 18
-    test_pairs_per_triplet: int = 4
-    heldout_count: int = 10
-    heldout_test_pairs: int = 24
-    appearance_dim: int = 20
-    noise: float = 0.05
-    word_noise: float = 0.06
-    negative_per_positive: float = 1.0
-
-
 OFFSET_JITTER = 0.25
 SIZE_JITTER = 0.015
 # planted signal scales; word vectors use CLUSTER_CODE/IDENTITY_CODE,
@@ -607,17 +593,18 @@ PAIR_STYLE_SCALE = 1.5
 class _Planted:
     """Prototype tables shared by train and test emission."""
 
-    def __init__(self, cfg: SynthConfig, rng: np.random.Generator):
-        ns, np_, no = cfg.n_subjects, cfg.n_predicates, cfg.n_objects
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+        ns, np_, no = cfg.synth_subjects, cfg.synth_predicates, cfg.synth_objects
         self.cfg = cfg
-        self.n_clusters = (no + cfg.cluster_size - 1) // cfg.cluster_size
-        d_a = cfg.appearance_dim
+        self.n_clusters = (no + cfg.synth_cluster_size - 1) // cfg.synth_cluster_size
+        d_a = cfg.synth_appearance_dim
         sub_code_dim = ns + np_
         obj_code_dim = self.n_clusters + no
         if d_a < max(sub_code_dim, obj_code_dim):
             raise DataError(
-                f"appearance_dim {d_a} too small for code dims "
-                f"({sub_code_dim} subject, {obj_code_dim} object)"
+                f"synth_appearance_dim {d_a} must be at least the subject code width"
+                f" {sub_code_dim} (synth_subjects + synth_predicates) and the object code"
+                f" width {obj_code_dim} (object clusters + synth_objects)"
             )
         self.map_sub = rng.normal(size=(d_a, sub_code_dim)) / np.sqrt(sub_code_dim)
         self.map_obj = rng.normal(size=(d_a, obj_code_dim)) / np.sqrt(obj_code_dim)
@@ -633,19 +620,19 @@ class _Planted:
         self.pred_obj_size = rng.uniform(12.0, 28.0, size=(np_, 2))
 
     def cluster_of(self, o: int) -> int:
-        return o // self.cfg.cluster_size
+        return o // self.cfg.synth_cluster_size
 
     def sub_code(self, s: int, p: int | None) -> Array:
         cfg = self.cfg
-        code = np.zeros(cfg.n_subjects + cfg.n_predicates)
+        code = np.zeros(cfg.synth_subjects + cfg.synth_predicates)
         code[s] = 1.0
         if p is not None:
-            code[cfg.n_subjects + p] = PREDICATE_IN_SUBJECT
+            code[cfg.synth_subjects + p] = PREDICATE_IN_SUBJECT
         return code
 
     def obj_code(self, o: int) -> Array:
         cfg = self.cfg
-        code = np.zeros(self.n_clusters + cfg.n_objects)
+        code = np.zeros(self.n_clusters + cfg.synth_objects)
         code[self.cluster_of(o)] = APPEARANCE_CLUSTER
         code[self.n_clusters + o] = APPEARANCE_IDENTITY
         return code
@@ -653,20 +640,20 @@ class _Planted:
     def appearance(self, t: Triplet | None, s: int, o: int, rng: np.random.Generator) -> tuple[Array, Array]:
         """Appearance features for one pair; t=None means non-interacting."""
         cfg = self.cfg
-        d_a = cfg.appearance_dim
+        d_a = cfg.synth_appearance_dim
         a_s = self.map_sub @ self.sub_code(s, t.p if t else None)
         a_o = self.map_obj @ self.obj_code(o)
         if t is not None:
             a_o = a_o + self.interaction[t.p, t.o]
             a_o = a_o + PAIR_STYLE_SCALE * self.style_sign[t.p, t.o] * self.style_dir
-        a_s = a_s + cfg.noise * rng.normal(size=d_a)
-        a_o = a_o + cfg.noise * rng.normal(size=d_a)
+        a_s = a_s + cfg.synth_noise * rng.normal(size=d_a)
+        a_o = a_o + cfg.synth_noise * rng.normal(size=d_a)
         return a_s, a_o
 
     def boxes(self, p: int | None, rng: np.random.Generator) -> tuple[BoundingBox, BoundingBox]:
         cfg = self.cfg
-        cx, cy = 50.0 + cfg.noise * 10.0 * rng.normal(size=2)
-        half = max(2.0, 10.0 * (1.0 + cfg.noise * 0.5 * rng.normal()))
+        cx, cy = 50.0 + cfg.synth_noise * 10.0 * rng.normal(size=2)
+        half = max(2.0, 10.0 * (1.0 + cfg.synth_noise * 0.5 * rng.normal()))
         sub = BoundingBox(cx - half, cy - half, cx + half, cy + half)
         if p is not None:
             ox, oy = (cx, cy) + self.pred_offset[p] + OFFSET_JITTER * rng.normal(size=2)
@@ -679,69 +666,84 @@ class _Planted:
         return sub, obj
 
 
-def _family_triplets(cfg: SynthConfig, rng: np.random.Generator, n_clusters: int):
+def _family_triplets(cfg: RunConfig, rng: np.random.Generator, n_clusters: int):
     """Pick (subject, cluster) families and their predicate pairs."""
-    combos = [(s, c) for s in range(cfg.n_subjects) for c in range(n_clusters)]
-    if cfg.n_families > len(combos):
+    combos = [(s, c) for s in range(cfg.synth_subjects) for c in range(n_clusters)]
+    if cfg.synth_families > len(combos):
         raise DataError(
-            f"n_families {cfg.n_families} exceeds subject x cluster combinations {len(combos)}"
+            f"synth_families {cfg.synth_families} exceeds the {len(combos)} (subject, object"
+            " cluster) combinations, synth_subjects x ceil(synth_objects / synth_cluster_size)"
         )
     order = rng.permutation(len(combos))
     families = []
-    for idx in order[: cfg.n_families]:
+    for idx in order[: cfg.synth_families]:
         s, c = combos[idx]
-        preds = sorted(rng.choice(cfg.n_predicates, size=cfg.predicates_per_family, replace=False))
-        members = [o for o in range(cfg.n_objects) if o // cfg.cluster_size == c]
+        preds = sorted(rng.choice(cfg.synth_predicates, size=cfg.synth_predicates_per_family, replace=False))
+        members = [o for o in range(cfg.synth_objects) if o // cfg.synth_cluster_size == c]
         triplets = [Triplet(s, int(p), o) for p in preds for o in members]
         families.append(triplets)
     return families
 
 
-def synth_generate(
-    cfg: SynthConfig, seed: int
-) -> tuple[Dataset, Dataset, WordTable, list[Triplet]]:
-    """Generate (train, test, word_table, heldout) with planted structure.
+def synth_generate(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset, WordTable, list[Triplet]]:
+    """Generate (train, test, word_table, heldout) with planted structure
+    from the config's ``synth_*`` keys.
+
+    Objects come in clusters of ``synth_cluster_size`` near-synonyms (shared
+    word-code component), and triplets come in families: one subject, one
+    object cluster, ``synth_predicates_per_family`` predicates, fully
+    crossed. Families guarantee that (a) each subject-object pairing occurs
+    under several predicates, and (b) every triplet has close neighbours
+    differing in exactly one slot.
 
     Appearance features are noisy linear images of identity codes plus a
     per-(predicate, object) interaction component; boxes follow
     predicate-specific relative geometry; word vectors are the identity
     codes plus small noise, so same-cluster objects have nearby vectors.
-    Heldout triplets get no train pairs and ``heldout_test_pairs`` test
+    One triplet of each of the first ``synth_heldout`` families is held
+    out: it gets no train pairs and ``synth_heldout_test_pairs`` test
     positives each.
+
+    Three rules tie the keys together, each a DataError naming its key.
+    With C = ceil(synth_objects / synth_cluster_size) clusters:
+    ``synth_appearance_dim`` >= synth_subjects + synth_predicates and
+    >= C + synth_objects (the subject and object code widths);
+    ``synth_families`` <= synth_subjects * C; ``synth_heldout`` <=
+    ``synth_families``.
     """
     rng = rng_stream(seed, "synth")
     planted = _Planted(cfg, rng)
 
-    subjects = Vocabulary([f"sub{i}" for i in range(cfg.n_subjects)])
-    predicates = Vocabulary([f"pre{i}" for i in range(cfg.n_predicates)])
-    objects = Vocabulary([f"obj{i}" for i in range(cfg.n_objects)])
+    subjects = Vocabulary([f"sub{i}" for i in range(cfg.synth_subjects)])
+    predicates = Vocabulary([f"pre{i}" for i in range(cfg.synth_predicates)])
+    objects = Vocabulary([f"obj{i}" for i in range(cfg.synth_objects)])
 
-    d_w = cfg.n_subjects + cfg.n_predicates + planted.n_clusters + cfg.n_objects
+    d_w = cfg.synth_subjects + cfg.synth_predicates + planted.n_clusters + cfg.synth_objects
     vectors: dict[str, Array] = {}
     for i, tok in enumerate(subjects.tokens):
         vec = np.zeros(d_w)
         vec[i] = 1.0
-        vectors[tok] = vec + cfg.word_noise * rng.normal(size=d_w)
+        vectors[tok] = vec + cfg.synth_word_noise * rng.normal(size=d_w)
     for i, tok in enumerate(predicates.tokens):
         vec = np.zeros(d_w)
-        vec[cfg.n_subjects + i] = 1.0
-        vectors[tok] = vec + cfg.word_noise * rng.normal(size=d_w)
-    base = cfg.n_subjects + cfg.n_predicates
+        vec[cfg.synth_subjects + i] = 1.0
+        vectors[tok] = vec + cfg.synth_word_noise * rng.normal(size=d_w)
+    base = cfg.synth_subjects + cfg.synth_predicates
     for i, tok in enumerate(objects.tokens):
         vec = np.zeros(d_w)
         vec[base + planted.cluster_of(i)] = CLUSTER_CODE
         vec[base + planted.n_clusters + i] = IDENTITY_CODE
-        vectors[tok] = vec + cfg.word_noise * rng.normal(size=d_w)
+        vectors[tok] = vec + cfg.synth_word_noise * rng.normal(size=d_w)
     table = WordTable(d_w, vectors)
 
     families = _family_triplets(cfg, rng, planted.n_clusters)
-    if cfg.heldout_count > cfg.n_families:
+    if cfg.synth_heldout > cfg.synth_families:
         raise DataError(
-            f"cannot hold out {cfg.heldout_count} triplets from {cfg.n_families} families"
-            " (at most one per family)"
+            f"synth_heldout {cfg.synth_heldout} exceeds synth_families {cfg.synth_families}:"
+            " a family holds out at most one triplet"
         )
     heldout: list[Triplet] = []
-    for fam in families[: cfg.heldout_count]:
+    for fam in families[: cfg.synth_heldout]:
         heldout.append(fam[int(rng.integers(len(fam)))])
     heldout_set = set(heldout)
 
@@ -750,7 +752,7 @@ def synth_generate(
         for fam in families:
             for t in fam:
                 n_pos = heldout_pairs if t in heldout_set else pairs_per_triplet
-                n_neg = round(cfg.negative_per_positive * n_pos)
+                n_neg = round(cfg.synth_negative_ratio * n_pos)
                 for _ in range(n_pos):
                     a_s, a_o = planted.appearance(t, t.s, t.o, rng)
                     sub, obj = planted.boxes(t.p, rng)
@@ -759,8 +761,8 @@ def synth_generate(
                     a_s, a_o = planted.appearance(None, t.s, t.o, rng)
                     sub, obj = planted.boxes(None, rng)
                     rows.append((len(rows), len(rows), sub, obj, t.s, t.o, a_s, a_o, ()))
-        return Dataset(subjects, predicates, objects, PairTable.from_rows(rows, cfg.appearance_dim))
+        return Dataset(subjects, predicates, objects, PairTable.from_rows(rows, cfg.synth_appearance_dim))
 
-    train = emit(cfg.train_pairs_per_triplet, heldout_pairs=0)
-    test = emit(cfg.test_pairs_per_triplet, heldout_pairs=cfg.heldout_test_pairs)
+    train = emit(cfg.synth_train_pairs, heldout_pairs=0)
+    test = emit(cfg.synth_test_pairs, heldout_pairs=cfg.synth_heldout_test_pairs)
     return train, test, table, heldout

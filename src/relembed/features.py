@@ -92,11 +92,7 @@ class VisualInputParams:
 
 
 def visual_init(
-    rng: np.random.Generator,
-    appearance_dim: int,
-    app_out: int = 300,
-    spatial_hidden: int = 400,
-    spatial_out: int = 400,
+    rng: np.random.Generator, appearance_dim: int, app_out: int, spatial_hidden: int, spatial_out: int
 ) -> VisualInputParams:
     return VisualInputParams(
         linear_init(rng, appearance_dim, app_out),

@@ -58,7 +58,6 @@ DOT_CLAMP = 30.0
 
 @dataclass(eq=False)
 class Branch:
-    kind: str
     f_v: Mlp
     f_w: Mlp
 
@@ -107,7 +106,6 @@ def new_model(
     for kind in cfg.branch_list():
         vis_in = appearance_dim if kind in ("s", "o") else visual.d_v
         branches[kind] = Branch(
-            kind,
             f_v=mlp_init(rng, vis_in, cfg.branch_hidden, cfg.embed_dim, dropout=cfg.dropout),
             f_w=mlp_init(rng, 3 * word_dim, cfg.branch_hidden, cfg.embed_dim),
         )

@@ -52,7 +52,7 @@ def iou(a: Array, b: Array) -> Array:
 class MatchPolicy:
     """Both boxes of a detection must overlap ground truth by at least tau."""
 
-    tau: float = 0.5
+    tau: float
 
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
@@ -139,11 +139,10 @@ def average_precision(
     ranked: PairTable,
     scores: Array,
     truth: PairTable,
-    policy: MatchPolicy | None = None,
+    policy: MatchPolicy,
 ) -> APResult:
     """Interpolation-free AP of a ranking (descending ``scores``) against
     ground truth."""
-    policy = policy or MatchPolicy()
     if (scores[1:] > scores[:-1]).any():
         raise DataError("detections must be sorted by descending score")
     npos = len(truth)
@@ -160,7 +159,7 @@ def evaluate_queries(
     model: JointModel,
     dataset: Dataset,
     queries: list[Triplet],
-    policy: MatchPolicy | None = None,
+    policy: MatchPolicy,
     gamma: Gamma | None = None,
 ) -> Iterator[tuple[Triplet, PairTable, Array, APResult]]:
     """Rank every candidate pair of the dataset for each query, in order.

@@ -85,4 +85,4 @@ def assert_tables_equal(a: PairTable, b: PairTable):
 def small_bench():
     """Shared read-only synthetic benchmark (train, test, words, heldout)."""
     cfg = desk_config()
-    return cfg, synth_generate(cfg.synth_config(), seed=0)
+    return cfg, synth_generate(cfg, seed=0)

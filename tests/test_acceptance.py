@@ -104,7 +104,7 @@ def test_criterion_1_gradient_correctness():
     for seed in range(20):
         kind = _BRANCH_CYCLE[seed % len(_BRANCH_CYCLE)]
         cfg = _fd_config(branches=kind)
-        train, _, table, _ = synth_generate(cfg.synth_config(), seed)
+        train, _, table, _ = synth_generate(cfg, seed)
         rng = np.random.default_rng(100 + seed)
         batch = train.pairs.take(rng.choice(len(train.pairs), size=10, replace=False))
 
@@ -151,7 +151,7 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_analogy_identity():
     cfg = desk_config(k=1, dropout=0.0)
-    train, _, table, _ = synth_generate(cfg.synth_config(), seed=0)
+    train, _, table, _ = synth_generate(cfg, seed=0)
     model = build_model(cfg, train, table, seed=0)
     probes = model.observed[:6]
 
@@ -183,7 +183,7 @@ def test_criterion_2_analogy_identity():
 
 def test_criterion_3_gradient_flow_restriction():
     cfg = desk_config(dropout=0.0)
-    train, _, table, _ = synth_generate(cfg.synth_config(), seed=1)
+    train, _, table, _ = synth_generate(cfg, seed=1)
     model = build_model(cfg, train, table, seed=1)
     gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(1, "gamma"))
 
@@ -320,7 +320,7 @@ def test_criterion_5_transfer_variant_ordering():
     per = {k: [] for k in ("absent", "zero", "linear", "deep")}
     for seed in (0, 1, 2):
         cfg = validate(RunConfig())
-        train, test, table, heldout = synth_generate(cfg.synth_config(), seed)
+        train, test, table, heldout = synth_generate(cfg, seed)
         model = build_model(cfg, train, table, seed)
         train_stage1(model, train, seed)
         per["absent"].append(
@@ -357,7 +357,7 @@ def test_criterion_5_transfer_variant_ordering():
 
 def _seen_map(branches: str, seed: int) -> float:
     cfg = validate(RunConfig(branches=branches))
-    train, test, table, _ = synth_generate(cfg.synth_config(), seed)
+    train, test, table, _ = synth_generate(cfg, seed)
     model = build_model(cfg, train, table, seed)
     train_stage1(model, train, seed)
     evaluated = evaluate_queries(model, test, decode(model.dims, model.observed), MatchPolicy(0.5))
@@ -384,7 +384,7 @@ def test_criterion_6_branch_ablation_ordering():
 
 def test_criterion_7_batch_composition():
     cfg = validate(RunConfig())
-    train, _, _, _ = synth_generate(cfg.synth_config(), seed=0)
+    train, _, _, _ = synth_generate(cfg, seed=0)
     rng = rng_stream(0, "stage1")
     n_batches = 0
     counts_ok = True
@@ -409,7 +409,7 @@ def test_criterion_7_batch_composition():
 
 def test_criterion_8_normalization_and_range():
     cfg = desk_config(branches="s,o,p,vp,sp,po", stage1_epochs=2)
-    train, test, table, _ = synth_generate(cfg.synth_config(), seed=0)
+    train, test, table, _ = synth_generate(cfg, seed=0)
     model = build_model(cfg, train, table, seed=0)
     train_stage1(model, train, seed=0)
     observed = model.observed

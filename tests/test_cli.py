@@ -84,6 +84,35 @@ def test_synth_seed_flag_changes_data(tmp_path):
     assert read_bytes(os.path.join(out, "train.ds")) != first
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (
+            "synth_appearance_dim", 5,
+            "synth_appearance_dim 5 must be at least the subject code width 9 (synth_subjects"
+            " + synth_predicates) and the object code width 8 (object clusters + synth_objects)",
+        ),
+        (
+            "synth_families", 30,
+            "synth_families 30 exceeds the 8 (subject, object cluster) combinations,"
+            " synth_subjects x ceil(synth_objects / synth_cluster_size)",
+        ),
+        (
+            "synth_heldout", 6,
+            "synth_heldout 6 exceeds synth_families 5: a family holds out at most one triplet",
+        ),
+    ],
+    ids=("synth_appearance_dim", "synth_families", "synth_heldout"),
+)
+def test_synth_world_rule_is_one_error_naming_its_key(tmp_path, capsys, key, value, message):
+    cfg_path = str(tmp_path / "world.cfg")
+    write_config(desk_config(**{key: value}), cfg_path)
+    out = tmp_path / "run"
+    assert main(["synth", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error:data: {message}"]
+    assert os.listdir(out) == []
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -264,6 +293,31 @@ def test_eval_reports_excluded_query(run_dir, tmp_path):
     assert len(results) == 2
     assert results[1].excluded
     assert overall == results[0].ap  # the excluded one does not count
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("word_table", "duplicate token 'sub0'"), ("train_data", "duplicate header key 'subjects'")],
+    ids=("word_table", "train_data"),
+)
+def test_train_refuses_an_input_line_given_twice(run_dir, tmp_path, capsys, key, message):
+    """A word-table token or a dataset header repeated on line 3 is one
+    error line, even though the repeat carries the same value."""
+    cfg = effective(run_dir)
+    for name in ("train.ds", "subjects.txt", "predicates.txt", "objects.txt", "words.tbl"):
+        shutil.copy(os.path.join(run_dir, name), tmp_path / name)
+    cfg.train_data, cfg.word_table = str(tmp_path / "train.ds"), str(tmp_path / "words.tbl")
+    cfg.checkpoint = str(tmp_path / "model.ckpt")
+    path = getattr(cfg, key)
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(lines[:2] + lines[1:])
+    cfg_path = str(tmp_path / "twice.cfg")
+    write_config(cfg, cfg_path)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error:data: {path}:3: {message}"]
+    assert not os.path.exists(cfg.checkpoint)
 
 
 def test_eval_empty_query_list_fails(run_dir, tmp_path, capsys):

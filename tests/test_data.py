@@ -1,16 +1,19 @@
+from collections import Counter
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relembed.analogy import source_pool
+from relembed.config import RunConfig
 from relembed.data import (
     LANGUAGE_MASKS,
     BoundingBox,
     DataError,
     Dataset,
     PairTable,
-    SynthConfig,
     Triplet,
     Vocabulary,
     WordTable,
@@ -29,7 +32,15 @@ from relembed.data import (
 )
 from relembed.model import build_model
 
-from conftest import assert_tables_equal, decode, desk_config, encode, model_counts, triplet_counts
+from conftest import (
+    assert_tables_equal,
+    decode,
+    desk_config,
+    encode,
+    model_counts,
+    row_triplets,
+    triplet_counts,
+)
 
 
 def tiny_dataset() -> Dataset:
@@ -254,6 +265,20 @@ def test_loader_rejects_a_header_after_the_pair_lines(tmp_path):
     assert str(info.value) == f"{path}:8: header line after the first pair line"
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["#subjects subjects.txt", "#appearance_dim 3", "# objects objects.txt"],
+    ids=("subjects", "appearance_dim", "objects"),
+)
+def test_loader_rejects_a_header_key_given_twice(tmp_path, header):
+    """A repeated header is an error even when it repeats the same value."""
+    path = write_then_edit(tmp_path, lambda lines: lines[:4] + [header] + lines[4:])
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    key = header.lstrip("# ").split()[0]
+    assert str(info.value) == f"{path}:5: duplicate header key {key!r}"
+
+
 def test_loader_requires_headers_before_pairs(tmp_path):
     def mangle(lines):
         return lines[1:]  # drop #appearance_dim
@@ -297,6 +322,23 @@ def test_word_table_round_trip_and_extras(tmp_path):
     write_word_table(table, str(out))
     back = load_word_table(str(out), [vocab])
     assert np.array_equal(back.lookup("person"), table.lookup("person"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim 2\na 1 2\na 3 4\n", "3: duplicate token 'a'"),
+        ("dim 2\nb_c 1 2\na 1 2\nb_c 1 2\n", "4: duplicate token 'b_c'"),
+    ],
+    ids=("wanted", "unwanted"),
+)
+def test_word_table_rejects_a_token_listed_twice(tmp_path, text, message):
+    """Also when both lines agree, and also for a token no vocabulary asks for."""
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_word_table(str(path), [Vocabulary(["a"])])
+    assert str(info.value) == f"{path}:{message}"
 
 
 def test_word_table_lists_all_missing_tokens(tmp_path):
@@ -366,25 +408,8 @@ def test_query_file_reports_the_bad_line(tmp_path):
         load_queries(str(path), ds)
 
 
-def small_cfg(**kw) -> SynthConfig:
-    base = dict(
-        n_subjects=4,
-        n_predicates=5,
-        n_objects=6,
-        cluster_size=3,
-        n_families=5,
-        train_pairs_per_triplet=11,
-        test_pairs_per_triplet=2,
-        heldout_count=3,
-        heldout_test_pairs=21,
-        appearance_dim=12,
-    )
-    base.update(kw)
-    return SynthConfig(**base)
-
-
 def test_synth_zero_noise_features_equal_planted_prototypes():
-    cfg = small_cfg(noise=0.0, heldout_count=0, train_pairs_per_triplet=3)
+    cfg = desk_config(synth_noise=0.0, synth_heldout=0, synth_train_pairs=3)
     train, _, _, heldout = synth_generate(cfg, seed=1)
     assert heldout == []
     by_triplet = {}
@@ -400,9 +425,9 @@ def test_synth_zero_noise_features_equal_planted_prototypes():
 
 
 def test_synth_heldout_absent_from_train_present_in_test():
-    cfg = small_cfg()
+    cfg = desk_config()
     train, test, table, heldout = synth_generate(cfg, seed=2)
-    assert len(heldout) == cfg.heldout_count
+    assert len(heldout) == cfg.synth_heldout
     train_counts, test_counts = triplet_counts(train), triplet_counts(test)
     for t in heldout:
         assert train_counts.get(t, 0) == 0
@@ -414,30 +439,27 @@ def test_synth_heldout_absent_from_train_present_in_test():
 
 
 def test_synth_counts_match_independent_recount():
-    train, _, table, _ = synth_generate(small_cfg(), seed=5)
-    recount = {}
-    for pair in train.pairs:
-        for p in pair.pos_preds.tolist():
-            t = Triplet(int(pair.scat[0]), p, int(pair.ocat[0]))
-            recount[t] = recount.get(t, 0) + 1
+    train, _, table, _ = synth_generate(desk_config(), seed=5)
+    rows = row_triplets(train.pairs)
+    recount = Counter(t for row in rows for t in row)
     assert recount == triplet_counts(train) == model_counts(build_model(desk_config(), train, table, 0))
-    assert sum(len(p.pos_preds) > 0 for p in train.pairs) >= 50
+    assert sum(bool(row) for row in rows) >= 50
 
 
 def test_synth_same_seed_is_bit_identical_different_seed_not():
-    a_train, a_test, a_table, a_held = synth_generate(small_cfg(), seed=9)
-    b_train, b_test, b_table, b_held = synth_generate(small_cfg(), seed=9)
+    a_train, a_test, a_table, a_held = synth_generate(desk_config(), seed=9)
+    b_train, b_test, b_table, b_held = synth_generate(desk_config(), seed=9)
     assert_datasets_equal(a_train, b_train)
     assert_datasets_equal(a_test, b_test)
     assert a_held == b_held
     for tok in a_table.vectors:
         assert np.array_equal(a_table.vectors[tok], b_table.vectors[tok])
-    c_train, _, _, _ = synth_generate(small_cfg(), seed=10)
+    c_train, _, _, _ = synth_generate(desk_config(), seed=10)
     assert not np.array_equal(a_train.pairs.a_s[0], c_train.pairs.a_s[0])
 
 
 def test_synth_word_vectors_cluster_structure():
-    cfg = small_cfg()
+    cfg = desk_config()
     _, _, table, _ = synth_generate(cfg, seed=0)
     same = table.lookup("obj0") @ table.lookup("obj1")  # same cluster of 3
     other = table.lookup("obj0") @ table.lookup("obj3")  # different cluster
@@ -453,23 +475,23 @@ def _linear_argmax_accuracy(feats, labels, n_classes):
 
 
 def test_synth_object_structure_linearly_recoverable():
-    cfg = SynthConfig()
+    cfg = RunConfig()
     train, _, _, _ = synth_generate(cfg, seed=0)
     labelled = np.diff(train.pairs.pos_offsets) > 0
     feats = train.pairs.a_o[labelled]
     idents = train.pairs.ocat[labelled]
-    clusters = idents // cfg.cluster_size
-    n_clusters = (cfg.n_objects + cfg.cluster_size - 1) // cfg.cluster_size
+    clusters = idents // cfg.synth_cluster_size
+    n_clusters = (cfg.synth_objects + cfg.synth_cluster_size - 1) // cfg.synth_cluster_size
     # the cluster is cleanly decodable; exact identity is deliberately
     # ambiguous so that telling near-synonyms apart needs the pair-level
     # style component, not the object appearance alone
     assert _linear_argmax_accuracy(feats, clusters, n_clusters) >= 0.95
-    ident_acc = _linear_argmax_accuracy(feats, idents, cfg.n_objects)
-    assert 1.0 / cfg.cluster_size < ident_acc < 0.95
+    ident_acc = _linear_argmax_accuracy(feats, idents, cfg.synth_objects)
+    assert 1.0 / cfg.synth_cluster_size < ident_acc < 0.95
 
 
 def test_synth_predicate_changes_object_appearance():
-    cfg = small_cfg(noise=0.0, heldout_count=0, train_pairs_per_triplet=2)
+    cfg = desk_config(synth_noise=0.0, synth_heldout=0, synth_train_pairs=2)
     _, test, _, _ = synth_generate(cfg, seed=3)
     proto = {}
     rows, codes = test.pairs.positives(test.dims)
@@ -485,7 +507,7 @@ def test_synth_predicate_changes_object_appearance():
 
 
 def test_synth_generated_files_reload_cleanly(tmp_path):
-    train, test, table, heldout = synth_generate(small_cfg(), seed=4)
+    train, test, table, heldout = synth_generate(desk_config(), seed=4)
     write_dataset(train, str(tmp_path / "train.ds"))
     write_dataset(test, str(tmp_path / "test.ds"), write_vocabularies=False)
     write_word_table(table, str(tmp_path / "words.txt"))
@@ -502,6 +524,30 @@ def test_synth_generated_files_reload_cleanly(tmp_path):
     assert load_queries(str(tmp_path / "heldout.txt"), test2) == heldout
 
 
+SYNTH_KEYS = [f.name for f in fields(RunConfig) if f.name.startswith("synth_")]
+
+
+def synth_files(cfg, out) -> dict[str, bytes]:
+    """The bytes of every file ``relembed synth`` writes for ``cfg`` at seed 0."""
+    train, test, table, heldout = synth_generate(cfg, seed=0)
+    out.mkdir()
+    write_dataset(train, str(out / "train.ds"))
+    write_dataset(test, str(out / "test.ds"), write_vocabularies=False)
+    write_word_table(table, str(out / "words.tbl"))
+    write_queries(heldout, train, str(out / "heldout.txt"))
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("key", SYNTH_KEYS)
+def test_every_synth_key_reaches_the_generator(tmp_path, key):
+    """Moving any one synth_* key of the desk world changes the train set,
+    the test set, the word table or the held-out list."""
+    base = desk_config()
+    value = getattr(base, key)
+    changed = desk_config(**{key: value + (1 if isinstance(value, int) else 0.5)})
+    assert synth_files(changed, tmp_path / "changed") != synth_files(base, tmp_path / "base")
+
+
 def test_synth_rejects_excessive_heldout():
-    with pytest.raises(DataError, match="hold out"):
-        synth_generate(small_cfg(heldout_count=6), seed=0)
+    with pytest.raises(DataError, match="synth_heldout 6 exceeds synth_families 5"):
+        synth_generate(desk_config(synth_heldout=6), seed=0)

@@ -77,8 +77,8 @@ def match(dets, gts, tau):
     return match_detections(ranking(dets)[0], box_table(gts), MatchPolicy(tau)).tolist()
 
 
-def ap_of(dets, gts, policy=None):
-    return average_precision(Triplet(0, 0, 0), *ranking(dets), box_table(gts), policy)
+def ap_of(dets, gts):
+    return average_precision(Triplet(0, 0, 0), *ranking(dets), box_table(gts), MatchPolicy(0.5))
 
 
 def iou_scalar(a: BoundingBox, b: BoundingBox) -> float:
@@ -360,12 +360,12 @@ def test_ap_rejects_unsorted_detections():
 
 
 def test_ap_invariant_under_monotone_score_transform():
-    rng = np.random.default_rng(5)
+    rng, policy = np.random.default_rng(5), MatchPolicy(0.5)
     for _ in range(25):
         dets, g = _random_instance(rng)
         ranked, scores = ranking(dets)
-        base = average_precision(Triplet(0, 0, 0), ranked, scores, box_table(g))
-        again = average_precision(Triplet(0, 0, 0), ranked, 0.25 + scores / 2.0, box_table(g))
+        base = average_precision(Triplet(0, 0, 0), ranked, scores, box_table(g), policy)
+        again = average_precision(Triplet(0, 0, 0), ranked, 0.25 + scores / 2.0, box_table(g), policy)
         assert again.ap == base.ap
 
 

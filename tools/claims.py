@@ -69,7 +69,7 @@ def measure(seed: int) -> dict[str, float]:
     from relembed.retrieval import MatchPolicy, evaluate_queries, mean_ap
 
     cfg = validate(RunConfig())
-    train, test, table, heldout = synth_generate(cfg.synth_config(), seed)
+    train, test, table, heldout = synth_generate(cfg, seed)
 
     def score(model, queries, gamma=None):
         return mean_ap([r for *_, r in evaluate_queries(model, test, queries, MatchPolicy(0.5), gamma)])
