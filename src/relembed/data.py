@@ -355,15 +355,15 @@ def write_vocabulary(vocab: Vocabulary, path: str):
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    tokens = []
+    tokens: dict[str, None] = {}
     for line in read_lines(path):
         if len(line.parts) != 1:
             line.fail("vocabulary lines hold exactly one token")
-        tokens.append(token_from_file(line.parts[0]))
-    try:
-        return Vocabulary(tokens)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
+        token = token_from_file(line.parts[0])
+        if token in tokens:
+            line.fail(f"duplicate token {line.parts[0]!r}")
+        tokens[token] = None
+    return Vocabulary(tokens)
 
 
 def write_word_table(table: WordTable, path: str):

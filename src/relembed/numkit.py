@@ -280,9 +280,10 @@ def adam_init(
 def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None:
     """One bias-corrected Adam update, in place on ``params``.
 
-    Every gradient is checked before anything changes. The update runs in
-    blocks of ``ADAM_BLOCK`` entries over the flat moments, with the same
-    float operations in the same order as the per-array form
+    Every gradient is checked before anything changes: each shape, then
+    the finiteness of all entries at once in the flat gradient buffer. The
+    update runs in blocks of ``ADAM_BLOCK`` entries over the flat moments,
+    with the same float operations in the same order as the per-array form
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
     ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``.
     """
@@ -292,10 +293,14 @@ def adam_step(state: AdamState, params: list[Array], grads: list[Array]) -> None
     for p, g, size in zip(params, grads, sizes):
         if g.shape != p.shape or p.size != size:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} (state holds {size})")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient entries: {np.argwhere(~np.isfinite(g))[:4]}")
     if params:
         np.concatenate([g.reshape(-1) for g in grads], out=state.g)
+    finite = np.isfinite(state.g)
+    if not finite.all():
+        flat = np.flatnonzero(~finite)[:4]
+        which = np.searchsorted(state.offsets, flat, side="right") - 1
+        entries = [(int(i), int(f - state.offsets[i])) for i, f in zip(which, flat)]
+        raise NonFiniteGradient(f"non-finite gradient entries (parameter, flat index): {entries}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2

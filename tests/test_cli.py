@@ -110,7 +110,7 @@ def test_synth_world_rule_is_one_error_naming_its_key(tmp_path, capsys, key, val
     out = tmp_path / "run"
     assert main(["synth", "--config", cfg_path, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error:data: {message}"]
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

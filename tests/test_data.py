@@ -95,6 +95,14 @@ def test_vocabulary_file_round_trip_with_spaces(tmp_path):
     assert back.lookup("sports ball") == 1
 
 
+def test_vocabulary_file_names_the_line_of_a_repeated_token(tmp_path):
+    path = tmp_path / "v.txt"
+    path.write_text("a\nsports_ball\n\na\n")
+    with pytest.raises(DataError) as info:
+        load_vocabulary(str(path))
+    assert str(info.value) == f"{path}:4: duplicate token 'a'"
+
+
 def test_bounding_box_rejects_degenerate():
     with pytest.raises(DataError):
         BoundingBox(0.0, 0.0, 0.0, 1.0)

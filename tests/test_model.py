@@ -6,6 +6,7 @@ import pytest
 
 from relembed import model as model_mod
 from relembed.analogy import gamma_init, train_stage2
+from relembed.config import RunConfig, validate
 from relembed.data import (
     BoundingBox,
     DataError,
@@ -14,6 +15,7 @@ from relembed.data import (
     Triplet,
     Vocabulary,
     WordTable,
+    synth_generate,
     triplet_dims,
 )
 from relembed.features import BRANCH_KINDS, BRANCH_MASK
@@ -579,3 +581,14 @@ def test_vocabularies_past_int64_codes_are_one_data_error():
         triplet_dims((Sized(2**62), Sized(2), Sized(1)))
     assert triplet_dims((Sized(2**21 - 1),) * 3) == (2**21 - 1,) * 3
     assert triplet_dims((Sized(2**62), Sized(1), Sized(1))) == (2**62, 1, 1)
+
+
+def test_default_model_trains_the_entry_counts_readme_states():
+    """README's "Model size": a width default that regrows fails here."""
+    cfg = validate(RunConfig())
+    train, _, table, _ = synth_generate(cfg, 0)
+    model = build_model(cfg, train, table, 0)
+    gamma = gamma_init(cfg.gamma, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    assert model.visual.d_v == 800
+    assert sum(a.size for _, a in trainable(model, 1)) == 217_928
+    assert sum(a.size for _, a in trainable(model, 2, gamma)) == 114_944

@@ -326,6 +326,15 @@ def test_adam_non_finite_last_gradient_changes_nothing():
     assert state.step == 1
 
 
+def test_adam_non_finite_error_names_the_parameter_and_entry():
+    params = [np.zeros(3), np.zeros((2, 3))]
+    state = adam_init(params)
+    grads = [np.zeros(3), np.zeros((2, 3))]
+    grads[1][1, 2] = np.inf
+    with pytest.raises(NonFiniteGradient, match=r"\(parameter, flat index\): \[\(1, 5\)\]$"):
+        adam_step(state, params, grads)
+
+
 def test_adam_rejects_parameters_unlike_its_state():
     state = adam_init([np.zeros(2), np.zeros(3)])
     with pytest.raises(ShapeError):

@@ -1,11 +1,16 @@
 """Measure the retrieval claims of the paper on the default synthetic world
 of one source tree, per seed, and print them as a table.
 
-    python tools/claims.py SRC [--seeds 0-5]
+    python tools/claims.py SRC [--seeds 0-9] [--record N]
 
 SRC is the ``src`` directory of the tree to measure. ``--seeds`` takes a
-range (``0-5``) or a list (``0,3,7``); the default is 0-5. The measurement
-runs in one subprocess, ``python tools/claims.py --measure ...``, with
+range (``0-9``) or a list (``0,3,7``); the default is 0-9. ``--record N``
+also writes ``CLAIMS_<N>.json`` into the current directory: the environment
+(with the commit of the git checkout holding SRC), every seed's rows and
+their medians. It refuses to run when a tracked file of that checkout
+differs from its HEAD, so the commit it names is the code measured.
+
+The measurement runs in one subprocess, ``python tools/claims.py --measure ...``, with
 ``PYTHONPATH=SRC`` and BLAS pinned to one thread, so its numbers are the
 same on every run. For each seed it generates the default world, then:
 
@@ -55,6 +60,33 @@ def parse_seeds(text: str) -> list[int]:
         first, _, last = text.partition("-")
         return list(range(int(first), int(last) + 1))
     return [int(s) for s in text.split(",")]
+
+
+def environment() -> dict:
+    """Python, numpy, BLAS and thread settings of the measuring process."""
+    import platform
+
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "machine": platform.machine(),
+    }
+
+
+def git(src: str, *args: str) -> str | None:
+    """The stdout of one git command in the checkout holding ``src``; None
+    when git fails."""
+    done = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+    return done.stdout if done.returncode == 0 else None
 
 
 def measure(seed: int) -> dict[str, float]:
@@ -113,26 +145,50 @@ def table(per_seed: dict[int, dict[str, float]]) -> str:
 def main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src", nargs="?", help="the src directory of the tree to measure")
-    p.add_argument("--seeds", default="0-5", type=parse_seeds)
+    p.add_argument("--seeds", default="0-9", type=parse_seeds)
+    p.add_argument("--record", type=int, metavar="N", help="also write CLAIMS_<N>.json")
     p.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.measure:
+        print(json.dumps({"env": environment()}), flush=True)
         for seed in args.seeds:
             print(json.dumps({"seed": seed, **measure(seed)}), flush=True)
         return 0
     if not args.src:
         p.error("SRC is required")
+    commit = None
+    if args.record is not None:
+        # the record names HEAD as the measured commit, so measure only HEAD
+        status = git(args.src, "status", "--porcelain", "--untracked-files=no")
+        commit = git(args.src, "rev-parse", "HEAD")
+        if status is None or status.strip() or not commit:
+            sys.exit("claims: tracked files differ from HEAD (or SRC is not in a git checkout); commit first")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src), **{var: "1" for var in THREAD_VARS})
     seeds = ",".join(map(str, args.seeds))
     argv = [sys.executable, os.path.abspath(__file__), "--measure", "--seeds", seeds]
     done = subprocess.run(argv, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"claims: the measuring process exited {done.returncode}\n{done.stderr}")
+    first, *rows = done.stdout.splitlines()
     per_seed = {}
-    for line in done.stdout.splitlines():
+    for line in rows:
         row = json.loads(line)
         per_seed[row.pop("seed")] = row
     print(table(per_seed))
+    if args.record is not None:
+        medians = {key: statistics.median(m[key] for m in per_seed.values()) for key, _ in ROWS + SEEN}
+        record = {
+            "claims": args.record,
+            "env": {**json.loads(first)["env"], "commit": commit.strip()},
+            "seeds": sorted(per_seed),
+            "per_seed": {str(seed): row for seed, row in sorted(per_seed.items())},
+            "median": medians,
+        }
+        path = f"CLAIMS_{args.record}.json"
+        with open(path, "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(path, file=sys.stderr)
     return 0
 
 
