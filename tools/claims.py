@@ -83,10 +83,10 @@ def environment() -> dict:
 
 
 def git(src: str, *args: str) -> str | None:
-    """The stdout of one git command in the checkout holding ``src``; None
-    when git fails."""
+    """The stripped stdout of one git command in the checkout holding
+    ``src``; None when git fails."""
     done = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
-    return done.stdout if done.returncode == 0 else None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def measure(seed: int) -> dict[str, float]:
@@ -161,7 +161,7 @@ def main(argv: list[str]) -> int:
         # the record names HEAD as the measured commit, so measure only HEAD
         status = git(args.src, "status", "--porcelain", "--untracked-files=no")
         commit = git(args.src, "rev-parse", "HEAD")
-        if status is None or status.strip() or not commit:
+        if status is None or status or not commit:
             sys.exit("claims: tracked files differ from HEAD (or SRC is not in a git checkout); commit first")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src), **{var: "1" for var in THREAD_VARS})
     seeds = ",".join(map(str, args.seeds))
@@ -179,7 +179,7 @@ def main(argv: list[str]) -> int:
         medians = {key: statistics.median(m[key] for m in per_seed.values()) for key, _ in ROWS + SEEN}
         record = {
             "claims": args.record,
-            "env": {**json.loads(first)["env"], "commit": commit.strip()},
+            "env": {**json.loads(first)["env"], "commit": commit},
             "seeds": sorted(per_seed),
             "per_seed": {str(seed): row for seed, row in sorted(per_seed.items())},
             "median": medians,
