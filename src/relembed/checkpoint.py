@@ -1,6 +1,6 @@
 """Versioned binary container for a trained model.
 
-Layout (format 2):
+Layout (format 3):
   bytes 0..7    magic ``relembd1``
   bytes 8..11   header length H, little-endian uint32
   bytes 12..    UTF-8 JSON header of exactly H bytes, keys sorted
@@ -8,41 +8,44 @@ Layout (format 2):
                 header["params"], concatenated in listed order
 
 The header carries everything needed to rebuild the model without the
-training inputs: the effective config text and its hash, the seed, the
-three vocabularies, dims, observed triplet counts, and the parameter
-catalog (name plus shape). The catalog is ``model.named_parameters`` of
-the saved model. Loading rebuilds the model from the stored config with the
-training constructors (``model.new_model``, ``analogy.gamma_init``) and
-requires the header catalog to equal that model's registry, (name, shape)
-for every entry in order, before it copies any block; any difference is one
-``DataError``. So is a header ``format`` other than 2 (format-1 files
-store config keys this version no longer has), a ``word_dim`` or
-``appearance_dim`` outside 1 to ``data.MOST_SIZE``, a vocabulary that is
-not a list of non-empty strings, and an ``observed`` list that differs
-from what saving writes: [s, p, o, count] integer entries, indices inside
-the vocabularies, count from 1 to 2**63 - 1, triplets strictly ascending;
-and so is a model one of whose branches would have an empty label
-universe (an empty ``observed`` with vp active, say), or whose
-vocabularies have more triplets than int64 codes. Word-vector matrices
-travel as ordinary parameter blocks, so a loaded checkpoint scores queries
-with no word-table file on hand. Writing the same model twice yields byte-identical files.
+training inputs: the effective config text, with its file-location keys
+empty so that one model trained from two directories saves the same bytes,
+and its hash, the seed, the three vocabularies, dims, observed triplet
+counts, and the parameter catalog (name plus shape). The catalog is
+``model.named_parameters`` of the saved model. Loading rebuilds the model
+from the stored config with the training constructors
+(``model.new_model``, ``analogy.gamma_init``) and requires the header
+catalog to equal that model's registry, (name, shape) for every entry in
+order, before it copies any block; any difference is one ``DataError``. So
+is a header ``format`` other than 3 (format-1 and -2 files store config
+keys this version no longer has), a ``word_dim`` or ``appearance_dim``
+outside 1 to ``data.MOST_SIZE``, a vocabulary that is not a list of
+non-empty strings, and an ``observed`` list that differs from what saving
+writes: [s, p, o, count] integer entries, indices inside the vocabularies,
+count from 1 to 2**63 - 1, triplets strictly ascending; and so is a model
+one of whose branches would have an empty label universe (an empty
+``observed`` with vp active, say), or whose vocabularies have more
+triplets than int64 codes. Word-vector matrices travel as ordinary
+parameter blocks, so a loaded checkpoint scores queries with no word-table
+file on hand. Writing the same model twice yields byte-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
 import numpy as np
 
 from .analogy import Gamma, gamma_init
-from .config import config_hash, emit_config, parse_config
+from .config import PATH_KEYS, config_hash, emit_config, parse_config
 from .data import MOST_SIZE, DataError, Vocabulary, triplet_codes, triplet_dims
 from .model import JointModel, named_parameters, new_model
 from .numkit import rng_stream
 
 MAGIC = b"relembd1"
-FORMAT = 2
+FORMAT = 3
 HEADER_KEYS = (
     "appearance_dim",
     "config",
@@ -61,10 +64,11 @@ HEADER_KEYS = (
 
 def save_checkpoint(path: str, model: JointModel, gamma: Gamma | None, seed: int):
     named = named_parameters(model, gamma)
+    cfg = dataclasses.replace(model.cfg, **dict.fromkeys(PATH_KEYS, ""))
     header = {
         "format": FORMAT,
-        "config": emit_config(model.cfg),
-        "config_hash": config_hash(model.cfg),
+        "config": emit_config(cfg),
+        "config_hash": config_hash(cfg),
         "seed": seed,
         "subjects": model.subjects.tokens,
         "predicates": model.predicates.tokens,

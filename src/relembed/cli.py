@@ -15,7 +15,7 @@ import sys
 
 from .analogy import gamma_init, select_sources, source_pool, train_stage2
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, RunConfig, load_config, validate, write_config
+from .config import ConfigError, RunConfig, load_config, write_config
 from .data import (
     DataError,
     fmt_reals,
@@ -52,11 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_run_config(args) -> RunConfig:
     if not args.config:
         raise ConfigError("--config is required for this command")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        validate(cfg)
-    return cfg
+    return load_config(args.config)
 
 
 def _outdir(args) -> str:
@@ -135,13 +131,9 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--top must be >= 0, got {args.top}")
     cfg = _load_run_config(args)
     out = _outdir(args)
-    if args.mode:
-        cfg.eval_mode = args.mode
     if not cfg.checkpoint or not cfg.test_data or not cfg.queries:
         raise ConfigError("checkpoint, test_data and queries paths must be set")
     model, gamma, _ = load_checkpoint(cfg.checkpoint)
-    # an eval-time switch: the config file decides, not the checkpoint's copy
-    model.cfg.normalize_aggregation = cfg.normalize_aggregation
     dataset = load_dataset(cfg.test_data)
     for key in ("subjects", "predicates", "objects"):
         if getattr(dataset, key).tokens != getattr(model, key).tokens:
@@ -150,7 +142,7 @@ def cmd_eval(args) -> int:
     if not queries:
         raise DataError(f"{cfg.queries}: empty query list")
     policy = MatchPolicy(cfg.iou_threshold)
-    transfer = gamma if cfg.eval_mode == "transfer" else None
+    transfer = gamma if args.mode == "transfer" else None
     vocabs = (dataset.subjects, dataset.predicates, dataset.objects)
     results, top_lines = [], []
     for query, ranked, scores, result in evaluate_queries(model, dataset, queries, policy, transfer):
@@ -216,7 +208,6 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="key=value run configuration file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", help="output directory (default: current)")
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
@@ -229,12 +220,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="rank, match and score retrieval queries")
     common(p)
-    p.add_argument("--mode", choices=("direct", "transfer"), help="override eval_mode")
+    p.add_argument("--mode", choices=("direct", "transfer"), default="direct", help="direct (default) or transfer")
     p.add_argument("--top", type=int, default=0, help="also dump the top N detections per query")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect", help="dump embeddings or transfer sources as text")
-    common(p)
+    p.add_argument("--config", help="key=value run configuration file (for its checkpoint path)")
     p.add_argument("--checkpoint", help="checkpoint to read (default: config's path)")
     p.add_argument("what", choices=("embeddings", "sources"))
     p.add_argument("args", nargs="*", help="for sources: subject predicate object")

@@ -40,6 +40,9 @@ MOST = dict.fromkeys(
 # validate bounds the default world's splits at 3,456 rows, wide's at 13,824
 MOST_SPLIT_ROWS = 2**18
 
+# the file-location keys: where a run reads and writes, not what it computes
+PATH_KEYS = ("train_data", "test_data", "word_table", "queries", "checkpoint")
+
 
 class ConfigError(ValueError):
     """Bad key, unparsable value, or inconsistent settings."""
@@ -87,7 +90,6 @@ class RunConfig:
 
     # evaluation
     iou_threshold: float = 0.5
-    eval_mode: str = "direct"
 
     # synthetic benchmark
     synth_subjects: int = 6
@@ -162,7 +164,7 @@ def validate(cfg: RunConfig) -> RunConfig:
                 f"a synthetic split of {triplets} triplets x {key} = {getattr(cfg, key)}"
                 f" x (1 + synth_negative_ratio = {ratio}) rows must be <= {MOST_SPLIT_ROWS}"
             )
-    for key in ("train_data", "test_data", "word_table", "queries", "checkpoint"):
+    for key in PATH_KEYS:
         if "\0" in getattr(cfg, key):
             raise ConfigError(f"{key}: a path cannot hold a NUL byte")
     active = cfg.branch_list()
@@ -193,8 +195,6 @@ def validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"alpha_s + alpha_p + alpha_o must equal 1, got {alpha}")
     if not 0.0 < cfg.iou_threshold <= 1.0:
         raise ConfigError("iou_threshold must be in (0, 1]")
-    if cfg.eval_mode not in ("direct", "transfer"):
-        raise ConfigError("eval_mode: choose direct or transfer")
     return cfg
 
 

@@ -221,18 +221,23 @@ def test_loader_rejects_header_sizes_it_cannot_build(trained, tmp_path, key, val
 
 
 def test_format_1_checkpoint_is_one_data_error(trained, tmp_path, capsys):
-    """Format-1 files store config keys that were since removed; loading
-    refuses them by their format, before it reads the config."""
+    """Format-1 and format-2 files store config keys that were since
+    removed; loading refuses them by their format, before it reads the
+    config."""
     model, gamma, _, _ = trained
-    path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, model, gamma, seed=0)
-    removed = "spatial_norm = area\nfinetune_words = false\ngamma_hidden = 0\n"
-    removed += "clamp_similarity = true\nsimilarity_input = branches\n"
-    _edit_header(path, lambda header: header.update(format=1, config=header["config"] + removed))
-    assert main(["inspect", "--checkpoint", path, "embeddings"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"error:data: {path}: unsupported format 1"]
-    assert captured.out == ""
+    removed_by_format = {
+        1: "spatial_norm = area\nfinetune_words = false\ngamma_hidden = 0\n"
+        "clamp_similarity = true\nsimilarity_input = branches\neval_mode = direct\n",
+        2: "eval_mode = direct\n",
+    }
+    for fmt, removed in removed_by_format.items():
+        path = str(tmp_path / f"format{fmt}.ckpt")
+        save_checkpoint(path, model, gamma, seed=0)
+        _edit_header(path, lambda header: header.update(format=fmt, config=header["config"] + removed))
+        assert main(["inspect", "--checkpoint", path, "embeddings"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error:data: {path}: unsupported format {fmt}"]
+        assert captured.out == ""
 
 
 # header edits save_checkpoint never writes, each one DataError with no output

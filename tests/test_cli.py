@@ -74,14 +74,15 @@ def test_synth_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
-def test_synth_seed_flag_changes_data(tmp_path):
-    cfg_path = str(tmp_path / "base.cfg")
-    write_config(desk_config(), cfg_path)
-    out = str(tmp_path / "run")
-    assert main(["synth", "--config", cfg_path, "--out", out]) == 0
-    first = read_bytes(os.path.join(out, "train.ds"))
-    assert main(["synth", "--config", cfg_path, "--seed", "9", "--out", out]) == 0
-    assert read_bytes(os.path.join(out, "train.ds")) != first
+def test_synth_seed_key_changes_data(tmp_path):
+    data = []
+    for seed in (0, 9):
+        cfg_path = str(tmp_path / f"seed{seed}.cfg")
+        write_config(desk_config(seed=seed), cfg_path)
+        out = str(tmp_path / f"run{seed}")
+        assert main(["synth", "--config", cfg_path, "--out", out]) == 0
+        data.append(read_bytes(os.path.join(out, "train.ds")))
+    assert data[0] != data[1]
 
 
 @pytest.mark.parametrize(
@@ -407,10 +408,10 @@ def test_eval_with_a_nan_vp_weight_is_one_data_error(run_dir, tmp_path, capsys, 
     assert not (out / "results.txt").exists()
 
 
-def test_eval_normalize_aggregation_comes_from_config(run_dir, tmp_path):
-    """The config file's flag decides, whatever the checkpoint's copy says:
-    either flag with either checkpoint writes what a checkpoint holding that
-    flag does."""
+def test_eval_normalize_aggregation_comes_from_the_checkpoint(run_dir, tmp_path):
+    """The checkpoint's copy decides, whatever the config file says: the
+    flipped checkpoint scores normalized sums under either flag, the
+    original raw sums under either."""
     cfg = effective(run_dir)
     model, gamma, seed = load_checkpoint(cfg.checkpoint)
     assert not model.cfg.normalize_aggregation
@@ -432,8 +433,8 @@ def test_eval_normalize_aggregation_comes_from_config(run_dir, tmp_path):
     normalized = run(True, flipped)
     plain = run(False, original)
     assert normalized != plain
-    assert run(True, original) == normalized
-    assert run(False, flipped) == plain
+    assert run(False, flipped) == normalized
+    assert run(True, original) == plain
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +594,24 @@ def test_corrupt_dataset_is_data_error(run_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["eval", "--top", "abc"], ["bogus"], []], ids=["bad_int", "unknown_command", "no_command"]
+    "argv",
+    [
+        ["eval", "--top", "abc"],
+        ["bogus"],
+        [],
+        # the config's seed is the only seed, and inspect writes only to stdout
+        ["synth", "--config", "run.cfg", "--seed", "3", "--out", "out"],
+        ["inspect", "--config", "run.cfg", "--out", "out", "embeddings"],
+    ],
+    ids=["bad_int", "unknown_command", "no_command", "synth_seed", "inspect_out"],
 )
-def test_bad_command_line_is_one_usage_error(argv, capsys):
+def test_bad_command_line_is_one_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("seed = 0\n")
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:usage: relembed"), err
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_help_exits_zero(capsys):
@@ -608,23 +621,17 @@ def test_help_exits_zero(capsys):
     assert "synth" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("where", ["config", "flag"])
-def test_negative_seed_is_one_config_error(tmp_path, capsys, where):
+def test_negative_seed_is_one_config_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text("seed = -3\n" if where == "config" else "seed = 0\n")
-    argv = ["synth", "--config", str(path), "--out", str(tmp_path / "out")]
-    if where == "flag":
-        argv += ["--seed", "-3"]
-    assert main(argv) == 1
-    source = f"{path}: " if where == "config" else ""
-    assert capsys.readouterr().err.splitlines() == [f"error:config: {source}seed must be >= 0, got -3"]
+    path.write_text("seed = -3\n")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error:config: {path}: seed must be >= 0, got -3"]
     assert not (tmp_path / "out").exists()
 
 
 def test_training_is_byte_identical_across_blas_thread_counts(tmp_path):
     """The package pins BLAS to one thread, so a train process started with
-    two writes the same bytes as one started with one. Both runs use the
-    same relative paths: the checkpoint header stores them."""
+    two writes the same bytes as one started with one."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(relembed.__file__)))
 
     def relembed_cli(cwd, *args, threads="1"):
@@ -644,3 +651,20 @@ def test_training_is_byte_identical_across_blas_thread_counts(tmp_path):
     relembed_cli(two, "train", "--config", "data/effective.cfg", "--out", "train", threads="2")
     for name in ("data/model.ckpt", "train/loss_trace.txt"):
         assert read_bytes(one / name) == read_bytes(two / name), name
+
+
+def test_one_model_trained_from_two_directories_saves_the_same_checkpoint(tmp_path, monkeypatch):
+    """The checkpoint stores its config without the file locations, so the
+    path strings a run was given (relative in one, absolute in the other)
+    do not reach its bytes."""
+    write_config(desk_config(stage1_epochs=1, stage2_epochs=1), str(tmp_path / "run.cfg"))
+    (tmp_path / "a").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    assert main(["synth", "--config", "../run.cfg", "--out", "data"]) == 0
+    assert main(["train", "--config", "data/effective.cfg", "--out", "train"]) == 0
+    monkeypatch.chdir(tmp_path)
+    b = str(tmp_path / "b")
+    assert main(["synth", "--config", "run.cfg", "--out", b]) == 0
+    assert main(["train", "--config", os.path.join(b, "effective.cfg"), "--out", b]) == 0
+    assert load_config(os.path.join(b, "effective.cfg")).train_data != "data/train.ds"
+    assert read_bytes(tmp_path / "a" / "data" / "model.ckpt") == read_bytes(os.path.join(b, "model.ckpt"))

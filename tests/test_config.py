@@ -48,9 +48,10 @@ def test_branch_list_is_canonicalized():
 
 
 def test_unknown_key_rejected_with_line(tmp_path, capsys):
-    # frobnicate never was a key; the other five were removed with the code paths they chose
+    # frobnicate never was a key; the other six were removed with the code paths they chose
+    # or, eval_mode, as a second setter of eval's --mode
     for key in ("frobnicate", "finetune_words", "spatial_norm", "clamp_similarity", "gamma_hidden",
-                "similarity_input"):
+                "similarity_input", "eval_mode"):
         with pytest.raises(ConfigError, match=rf"<config>:2: unknown key '{key}'"):
             parse_config(f"seed = 1\n{key} = 9\n")
         path = tmp_path / "run.cfg"
@@ -76,7 +77,6 @@ def test_enum_fields_validated():
     for line in (
         "gamma = cubic",
         "vp_negatives = all",
-        "eval_mode = both",
         "branches = s,q",
     ):
         with pytest.raises(ConfigError):

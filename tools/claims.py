@@ -15,7 +15,9 @@ The measurement runs in one subprocess, ``python tools/claims.py --measure ...``
 same on every run. For each seed it generates the default world, then:
 
 - trains an ``s,o,p`` model (stage 1 only) and scores the held-out triplets
-  directly: the baseline with no visual-phrase factor;
+  directly: the baseline with no visual-phrase factor; it and an ``s,o``
+  model (stage 1 only) also score the seen triplets, acceptance criterion
+  6's ablation;
 - trains the default model's stage 1, scores the seen (training) triplets
   directly, and scores the held-out triplets by transfer with Gamma
   ``absent``, which has no stage 2;
@@ -26,8 +28,9 @@ same on every run. For each seed it generates the default world, then:
 
 The ``normalized`` row sets ``normalize_aggregation`` before stage 2, so it
 holds wherever the tree reads the key: in eval only, or in stage 2 as well.
-The last line gives acceptance criterion 5's ordering, deep >= linear >=
-zero > absent, per seed, as information. Standard library only in this
+The last two lines give, per seed and as information, acceptance criterion
+5's ordering, deep >= linear >= zero > absent, and criterion 6's, seen mAP
+after stage 1 of s,o,p,vp >= s,o,p > s,o. Standard library only in this
 process; the measuring process needs numpy.
 """
 
@@ -52,7 +55,12 @@ ROWS = (
     ("zero", "held-out, transfer, Γ zero, raw"),
     ("absent", "held-out, transfer, Γ absent, raw"),
 )
-SEEN = (("seen1", "seen triplets, direct, after stage 1"), ("seen2", "seen triplets, direct, after stage 2"))
+SEEN = (
+    ("seen_so", "seen triplets, s+o only, after stage 1"),
+    ("seen_spo", "seen triplets, s+o+p only, after stage 1"),
+    ("seen1", "seen triplets, direct, after stage 1"),
+    ("seen2", "seen triplets, direct, after stage 2"),
+)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -106,12 +114,13 @@ def measure(seed: int) -> dict[str, float]:
     def score(model, queries, gamma=None):
         return mean_ap([r for *_, r in evaluate_queries(model, test, queries, MatchPolicy(0.5), gamma)])
 
-    spo = build_model(validate(RunConfig(branches="s,o,p")), train, table, seed)
-    train_stage1(spo, train, seed)
+    spo, so = (build_model(validate(RunConfig(branches=b)), train, table, seed) for b in ("s,o,p", "s,o"))
     model = build_model(cfg, train, table, seed)
-    train_stage1(model, train, seed)
+    for stage1 in (spo, so, model):
+        train_stage1(stage1, train, seed)
     seen = [triplet_of(model.dims, code) for code in model.observed.tolist()]
-    out = {"spo": score(spo, heldout), "seen1": score(model, seen), "absent": score(model, heldout, Gamma("absent"))}
+    out = {"spo": score(spo, heldout), "seen_so": score(so, seen), "seen_spo": score(spo, seen),
+           "seen1": score(model, seen), "absent": score(model, heldout, Gamma("absent"))}
     for key, kind, normalize in (("deep", "deep", False), ("deep_norm", "deep", True),
                                  ("linear", "linear", False), ("zero", "zero", False)):
         trained = copy.deepcopy(model)
@@ -132,13 +141,15 @@ def table(per_seed: dict[int, dict[str, float]]) -> str:
         vals = [per_seed[s][key] for s in seeds]
         cells = " | ".join(f"{v:.3f}" for v in vals)
         lines.append(f"| {label} | {cells} | {statistics.median(vals):.3f} |")
-    order = []
-    for s in seeds:
-        m = per_seed[s]
-        holds = m["deep"] >= m["linear"] >= m["zero"] > m["absent"]
-        order.append(f"s{s} {'holds' if holds else 'fails'}")
     lines.append("")
-    lines.append("criterion 5 ordering (deep >= linear >= zero > absent): " + ", ".join(order))
+    for name, holds in (
+        ("criterion 5 ordering (deep >= linear >= zero > absent)",
+         lambda m: m["deep"] >= m["linear"] >= m["zero"] > m["absent"]),
+        ("criterion 6 ordering (s,o,p,vp >= s,o,p > s,o, seen, stage 1)",
+         lambda m: m["seen1"] >= m["seen_spo"] > m["seen_so"]),
+    ):
+        order = ", ".join(f"s{s} {'holds' if holds(per_seed[s]) else 'fails'}" for s in seeds)
+        lines.append(f"{name}: {order}")
     return "\n".join(lines)
 
 

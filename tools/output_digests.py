@@ -8,16 +8,22 @@ directory. The key=value arguments become the run's config file
 (``OUT/base.cfg``); with none, every key keeps its default. Each command
 runs as ``python -m relembed.cli`` in its own subprocess, with
 ``PYTHONPATH=SRC``, BLAS pinned to one thread and OUT as the working
-directory. Every path is relative to OUT, so the checkpoint header and the
-effective configs do not depend on where OUT is:
+directory. Every path is relative to OUT, so the effective configs do not
+depend on where OUT is:
 
     synth                                         -> data/
     train                                         -> train/ (checkpoint in data/)
     eval --mode direct --top 20                   -> eval-direct/
     eval --mode transfer --top 20                 -> eval-transfer/
-    eval --mode transfer --top 20, normalized     -> eval-transfer-normalized/
+    a copy of the checkpoint, normalized          -> data/model-norm.ckpt
+    eval --mode transfer --top 20 of that copy    -> eval-transfer-normalized/
     inspect embeddings                            -> inspect/embeddings.txt
     inspect sources <first held-out query>        -> inspect/sources.txt
+
+Eval reads ``normalize_aggregation`` from the checkpoint, so the copy is
+the trained checkpoint loaded and saved again by SRC's relembed (in a
+subprocess like the commands) with only that key set to true; the
+normalized eval's config sets the key too.
 
 Then it writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per file
 it produced, sorted by relative path (the format ``sha256sum -c`` reads).
@@ -34,12 +40,24 @@ import sys
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run(src: str, out: str, args: list[str], stdout_path: str | None = None):
+# the trained checkpoint with normalize_aggregation set: argv[1] -> argv[2]
+NORMALIZE = """\
+import sys
+from relembed.checkpoint import load_checkpoint, save_checkpoint
+model, gamma, seed = load_checkpoint(sys.argv[1])
+model.cfg.normalize_aggregation = True
+save_checkpoint(sys.argv[2], model, gamma, seed)
+"""
+
+
+def run(src: str, out: str, args: list[str], stdout_path: str | None = None, script: str | None = None):
+    """``relembed ARGS``, or the Python source ``script`` with ARGS, importing SRC's relembed."""
     env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
-    argv = [sys.executable, "-m", "relembed.cli", *args]
+    argv = [sys.executable, *(("-c", script) if script else ("-m", "relembed.cli")), *args]
     done = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"output_digests: relembed {' '.join(args)} exited {done.returncode}\n{done.stderr}")
+        name = "script" if script else "relembed"
+        sys.exit(f"output_digests: {name} {' '.join(args)} exited {done.returncode}\n{done.stderr}")
     if stdout_path is not None:
         os.makedirs(os.path.dirname(os.path.join(out, stdout_path)), exist_ok=True)
         with open(os.path.join(out, stdout_path), "w") as fh:
@@ -78,8 +96,10 @@ def main(argv: list[str]) -> int:
     run(src, out, ["synth", "--config", "base.cfg", "--out", "data"])
     run(src, out, ["train", "--config", "data/effective.cfg", "--out", "train"])
     trained = "train/effective.cfg"
+    run(src, out, ["data/model.ckpt", "data/model-norm.ckpt"], script=NORMALIZE)
     with open(os.path.join(out, trained)) as fh:
         normalized = with_key(fh.read(), "normalize_aggregation", "true")
+        normalized = with_key(normalized, "checkpoint", "data/model-norm.ckpt")
     with open(os.path.join(out, "normalized.cfg"), "w") as fh:
         fh.write(normalized)
     for mode, cfg, name in (
