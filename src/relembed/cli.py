@@ -220,7 +220,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="rank, match and score retrieval queries")
     common(p)
-    p.add_argument("--mode", choices=("direct", "transfer"), default="direct", help="direct (default) or transfer")
+    p.add_argument("--mode", choices=("direct", "transfer"), default="direct", help="default: direct")
     p.add_argument("--top", type=int, default=0, help="also dump the top N detections per query")
     p.set_defaults(func=cmd_eval)
 

@@ -48,8 +48,8 @@ def test_branch_list_is_canonicalized():
 
 
 def test_unknown_key_rejected_with_line(tmp_path, capsys):
-    # frobnicate never was a key; the other six were removed with the code paths they chose
-    # or, eval_mode, as a second setter of eval's --mode
+    # frobnicate never was a key; eval_mode was a second setter of eval's --mode;
+    # the other five were removed with the code paths they chose
     for key in ("frobnicate", "finetune_words", "spatial_norm", "clamp_similarity", "gamma_hidden",
                 "similarity_input", "eval_mode"):
         with pytest.raises(ConfigError, match=rf"<config>:2: unknown key '{key}'"):
