@@ -151,14 +151,13 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
     if header["params"] != catalog:
         diff = _first_difference(header["params"], catalog)
         _fail(path, f"parameter catalog disagrees with the model: {diff}")
-    body = raw[start + hlen :]
+    body = memoryview(raw)[start + hlen :]  # a view: the blocks are copied once, into the model
     offset = 0
     for name, arr in named:
         end = offset + 8 * arr.size
         if end > len(body):
             _fail(path, f"truncated parameter block {name!r}")
-        block = np.frombuffer(body, dtype="<f8", count=arr.size, offset=offset)
-        arr[...] = block.reshape(arr.shape)
+        arr[...] = np.frombuffer(body, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
         offset = end
     if offset != len(body):
         _fail(path, f"{len(body) - offset} trailing bytes after parameter blocks")

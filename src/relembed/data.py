@@ -7,9 +7,9 @@ list of predicate labels, each annotating the triplet (subject_category,
 predicate, object_category). Candidate pairs live in one ``PairTable`` of
 columns, one row per pair; a dataset's pairs, every training batch, every
 eval candidate set, a query's ranking and its ground truth are tables, and
-``PairTable.take`` selects rows. Boxes enter a table as validated
-``BoundingBox`` rows (``PairTable.from_rows``) and are kept only as the
-``coords`` block.
+``PairTable.take`` selects rows. Every table of rows, read or generated, is
+built by ``PairTable.from_rows`` one row at a time into growable typed
+columns; boxes enter as validated ``BoundingBox`` values.
 
 File formats (all line-oriented text, floats written with full precision):
 
@@ -47,8 +47,10 @@ set of triplets is a sorted code array; code order is lexicographic
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -194,17 +196,24 @@ class PairTable:
     pos_preds: Array  # int64 predicate indices
 
     @classmethod
-    def from_rows(cls, rows: list[tuple], appearance_dim: int) -> "PairTable":
-        """A table from (pair_id, image_id, sub_box, obj_box, scat, ocat,
-        a_s, a_o, predicates) rows."""
-        n = len(rows)
-        ids, images, subs, objs, scat, ocat, a_s, a_o, preds = zip(*rows) if rows else [()] * 9
+    def from_rows(cls, rows: Iterable[tuple], appearance_dim: int) -> "PairTable":
+        """A table from (pair_id, image_id, sub_box, obj_box, scat, ocat, a_s, a_o,
+        predicates) rows, each appended to typed columns that the arrays view."""
+        ints, reals = [array("q") for _ in range(4)], [array("d") for _ in range(3)]
+        offsets, preds = array("q", [0]), array("q")
+        for pair_id, image_id, sub, obj, scat, ocat, a_s, a_o, row_preds in rows:
+            for column, value in zip(ints, (pair_id, image_id, scat, ocat)):
+                column.append(value)
+            reals[0].frombytes(np.asarray(a_s, np.float64).tobytes())
+            reals[1].frombytes(np.asarray(a_o, np.float64).tobytes())
+            reals[2].extend(sub.coords() + obj.coords())
+            preds.extend(row_preds)
+            offsets.append(len(preds))
+        n = len(offsets) - 1  # a row of the wrong width fails the reshape
         return cls(
-            *(np.array(column, dtype=np.int64) for column in (ids, images, scat, ocat)),
-            *(np.array(a, dtype=np.float64).reshape(n, appearance_dim) for a in (a_s, a_o)),
-            np.array([s.coords() + o.coords() for s, o in zip(subs, objs)], np.float64).reshape(n, 8),
-            np.cumsum([0, *map(len, preds)], dtype=np.int64),
-            np.array([p for ps in preds for p in ps], dtype=np.int64),
+            *(np.frombuffer(column, np.int64) for column in ints),
+            *(np.frombuffer(c).reshape(n, w) for c, w in zip(reals, (appearance_dim, appearance_dim, 8))),
+            *(np.frombuffer(column, np.int64) for column in (offsets, preds)),
         )
 
     def __len__(self) -> int:
@@ -274,7 +283,8 @@ class WordTable:
 
 class Line:
     """One numbered, split, non-blank line of an input file. The accessors
-    take field positions; every failure names the file and the line."""
+    take field positions (``token`` a field's text); every failure names the
+    file and the line."""
 
     __slots__ = ("path", "lineno", "parts")
 
@@ -317,8 +327,8 @@ class Line:
                     self.fail(f"bad real in {what}: {tok!r}")
             raise
 
-    def token(self, at: int, vocab: Vocabulary, what: str) -> int:
-        tok = token_from_file(self.parts[at])
+    def token(self, text: str, vocab: Vocabulary, what: str) -> int:
+        tok = token_from_file(text)
         if tok not in vocab:
             self.fail(f"unknown {what} token {tok!r}")
         return vocab.index[tok]
@@ -447,87 +457,80 @@ def write_dataset(dataset: Dataset, path: str, write_vocabularies: bool = True):
             )
 
 
-def _read_pair(line: Line, d: int, vocabs: dict[str, Vocabulary]) -> tuple:
+def _read_pairs(lines: Iterable[Line], d: int, vocabs: dict[str, Vocabulary]) -> Iterator[tuple]:
+    """The ``PairTable.from_rows`` row of each pair line, one at a time."""
     keywords = (  # (position, keyword) of every keyword of a pair line
         (0, "pair"), (3, "sub"), (8, "obj"), (13, "scat"), (15, "ocat"),
         (17, "afeat_s"), (18 + d, "afeat_o"), (19 + 2 * d, "labels"),
     )
-    line.expect(20 + 2 * d, keywords)
-    pair_id = line.integer(1, "pair id")
-    image_id = line.integer(2, "image id")
-    sub = line.reals(4, 8, "sub box")
-    obj = line.reals(9, 13, "obj box")
-    scat = line.token(14, vocabs["subjects"], "subject category")
-    ocat = line.token(16, vocabs["objects"], "object category")
-    a_s = line.reals(18, 18 + d, "afeat_s")
-    a_o = line.reals(19 + d, 19 + 2 * d, "afeat_o")
-    predicates = vocabs["predicates"]
-    preds = []
-    for entry in line.parts[20 + 2 * d :]:
-        tag, sep, tok = entry.partition(":")
-        if not sep or not tag.startswith("p") or not tag[1:].isdigit():
-            line.fail(f"bad label entry {entry!r}, expected p<n>:<token>")
-        tok = token_from_file(tok)
-        if tok not in predicates:
-            line.fail(f"unknown predicate token {tok!r}")
-        preds.append(predicates.index[tok])
-    try:
-        boxes = BoundingBox(*sub), BoundingBox(*obj)
-    except DataError as e:
-        line.fail(str(e))
-    return pair_id, image_id, *boxes, scat, ocat, a_s, a_o, preds
+    seen_ids: set[int] = set()
+    for line in lines:
+        if line.parts[0].startswith("#"):
+            line.fail("header line after the first pair line")
+        line.expect(20 + 2 * d, keywords)
+        pair_id = line.integer(1, "pair id")
+        image_id = line.integer(2, "image id")
+        sub = line.reals(4, 8, "sub box")
+        obj = line.reals(9, 13, "obj box")
+        scat = line.token(line.parts[14], vocabs["subjects"], "subject category")
+        ocat = line.token(line.parts[16], vocabs["objects"], "object category")
+        a_s = line.reals(18, 18 + d, "afeat_s")
+        a_o = line.reals(19 + d, 19 + 2 * d, "afeat_o")
+        preds = []
+        for entry in line.parts[20 + 2 * d :]:
+            tag, sep, tok = entry.partition(":")
+            if not sep or not tag.startswith("p") or not tag[1:].isdigit():
+                line.fail(f"bad label entry {entry!r}, expected p<n>:<token>")
+            preds.append(line.token(tok, vocabs["predicates"], "predicate"))
+        try:
+            boxes = BoundingBox(*sub), BoundingBox(*obj)
+        except DataError as e:
+            line.fail(str(e))
+        if pair_id in seen_ids:
+            line.fail(f"duplicate pair id {pair_id}")
+        seen_ids.add(pair_id)
+        yield pair_id, image_id, *boxes, scat, ocat, a_s, a_o, preds
 
 
 def load_dataset(path: str) -> Dataset:
     base = os.path.dirname(os.path.abspath(path))
     appearance_dim = None
     vocab_paths: dict[str, str] = {}
-    vocabs: dict[str, Vocabulary] | None = None
-    rows: list[tuple] = []
-    seen_ids: set[int] = set()
-    for line in read_lines(path):
-        if line.parts[0].startswith("#"):
-            if vocabs is not None:
-                line.fail("header line after the first pair line")
-            # '#key value' and '# key value' are the same header
-            header = Line(path, line.lineno, " ".join(line.parts)[1:].split())
-            if not header.parts:
-                line.fail("empty header line")
-            key = header.parts[0]
-            if key in vocab_paths or (key == "appearance_dim" and appearance_dim is not None):
-                line.fail(f"duplicate header key {key!r}")
-            if key == "appearance_dim":
-                if len(header.parts) != 2:
-                    line.fail("expected '#appearance_dim <d_a>'")
-                appearance_dim = header.integer(1, "appearance dim")
-                if not 1 <= appearance_dim <= MOST_SIZE:
-                    line.fail(f"appearance dim must be from 1 to {MOST_SIZE}, got {appearance_dim}")
-            elif key in _VOCAB_KEYS:
-                if len(header.parts) != 2:
-                    line.fail(f"expected '#{key} <path>'")
-                vocab_paths[key] = header.parts[1]
-            else:
-                line.fail(f"unknown header key {key!r}")
-            continue
-        if vocabs is None:
-            missing = [k for k in _VOCAB_KEYS if k not in vocab_paths]
-            if appearance_dim is None:
-                line.fail("pair line before '#appearance_dim' header")
-            if missing:
-                line.fail(f"pair line before vocabulary headers: {', '.join(missing)}")
-            vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
-        row = _read_pair(line, appearance_dim, vocabs)
-        if row[0] in seen_ids:
-            line.fail(f"duplicate pair id {row[0]}")
-        seen_ids.add(row[0])
-        rows.append(row)
-    if vocabs is None:
-        missing = [k for k in _VOCAB_KEYS if k not in vocab_paths]
-        if appearance_dim is None or missing:
-            raise DataError(f"{path}: incomplete header (no pairs and missing declarations)")
-        vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
-    pairs = PairTable.from_rows(rows, appearance_dim)
-    return Dataset(vocabs["subjects"], vocabs["predicates"], vocabs["objects"], pairs)
+    lines = read_lines(path)
+    first = []  # the first pair line, once the headers end
+    for line in lines:
+        if not line.parts[0].startswith("#"):
+            first = [line]
+            break
+        # '#key value' and '# key value' are the same header
+        header = Line(path, line.lineno, " ".join(line.parts)[1:].split())
+        if not header.parts:
+            line.fail("empty header line")
+        key = header.parts[0]
+        if key in vocab_paths or (key == "appearance_dim" and appearance_dim is not None):
+            line.fail(f"duplicate header key {key!r}")
+        if key == "appearance_dim":
+            if len(header.parts) != 2:
+                line.fail("expected '#appearance_dim <d_a>'")
+            appearance_dim = header.integer(1, "appearance dim")
+            if not 1 <= appearance_dim <= MOST_SIZE:
+                line.fail(f"appearance dim must be from 1 to {MOST_SIZE}, got {appearance_dim}")
+        elif key in _VOCAB_KEYS:
+            if len(header.parts) != 2:
+                line.fail(f"expected '#{key} <path>'")
+            vocab_paths[key] = header.parts[1]
+        else:
+            line.fail(f"unknown header key {key!r}")
+    missing = [k for k in _VOCAB_KEYS if k not in vocab_paths]
+    if not first and (appearance_dim is None or missing):
+        raise DataError(f"{path}: incomplete header (no pairs and missing declarations)")
+    if appearance_dim is None:
+        first[0].fail("pair line before '#appearance_dim' header")
+    if missing:
+        first[0].fail(f"pair line before vocabulary headers: {', '.join(missing)}")
+    vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
+    rows = _read_pairs(itertools.chain(first, lines), appearance_dim, vocabs)
+    return Dataset(*(vocabs[k] for k in _VOCAB_KEYS), PairTable.from_rows(rows, appearance_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -748,20 +751,17 @@ def synth_generate(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset, WordTab
     heldout_set = set(heldout)
 
     def emit(pairs_per_triplet, heldout_pairs):
-        rows: list[tuple] = []
-        for fam in families:
-            for t in fam:
-                n_pos = heldout_pairs if t in heldout_set else pairs_per_triplet
-                n_neg = round(cfg.synth_negative_ratio * n_pos)
-                for _ in range(n_pos):
-                    a_s, a_o = planted.appearance(t, t.s, t.o, rng)
-                    sub, obj = planted.boxes(t.p, rng)
-                    rows.append((len(rows), len(rows), sub, obj, t.s, t.o, a_s, a_o, (t.p,)))
-                for _ in range(n_neg):
-                    a_s, a_o = planted.appearance(None, t.s, t.o, rng)
-                    sub, obj = planted.boxes(None, rng)
-                    rows.append((len(rows), len(rows), sub, obj, t.s, t.o, a_s, a_o, ()))
-        return Dataset(subjects, predicates, objects, PairTable.from_rows(rows, cfg.synth_appearance_dim))
+        def rows():  # each triplet's positives, then its negatives
+            for fam in families:
+                for t in fam:
+                    n_pos = heldout_pairs if t in heldout_set else pairs_per_triplet
+                    for preds in [(t.p,)] * n_pos + [()] * round(cfg.synth_negative_ratio * n_pos):
+                        a_s, a_o = planted.appearance(t if preds else None, t.s, t.o, rng)
+                        sub, obj = planted.boxes(t.p if preds else None, rng)
+                        yield sub, obj, t.s, t.o, a_s, a_o, preds
+
+        numbered = ((i, i, *row) for i, row in enumerate(rows()))  # pair and image id = row
+        return Dataset(subjects, predicates, objects, PairTable.from_rows(numbered, cfg.synth_appearance_dim))
 
     train = emit(cfg.synth_train_pairs, heldout_pairs=0)
     test = emit(cfg.synth_test_pairs, heldout_pairs=cfg.synth_heldout_test_pairs)

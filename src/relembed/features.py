@@ -104,13 +104,15 @@ def visual_init(
 def visual_forward(
     vip: VisualInputParams, a_s: Array, a_o: Array, r: Array
 ) -> tuple[Array, tuple]:
-    """Descriptor x = [P_s(a_s); P_o(a_o); M(r)] for a batch of pairs."""
-    if a_s.shape != a_o.shape:
-        raise ShapeError(f"appearance shapes differ: {a_s.shape} vs {a_o.shape}")
-    ps, c1 = linear_forward(vip.sub_proj, a_s)
-    po, c2 = linear_forward(vip.obj_proj, a_o)
-    pr, c3 = mlp_forward(vip.spatial, r)
-    return np.concatenate([ps, po, pr], axis=-1), (c1, c2, c3)
+    """Descriptor x = [P_s(a_s); P_o(a_o); M(r)], each part written into x as it is computed."""
+    if a_s.shape != a_o.shape or a_s.shape[:-1] != r.shape[:-1]:  # x's slices would broadcast
+        raise ShapeError(f"pair input shapes differ: {a_s.shape}, {a_o.shape}, {r.shape}")
+    n1, n2 = vip.sub_proj.n_out, vip.obj_proj.n_out
+    x = np.empty(a_s.shape[:-1] + (vip.d_v,))
+    x[..., :n1], c1 = linear_forward(vip.sub_proj, a_s)
+    x[..., n1 : n1 + n2], c2 = linear_forward(vip.obj_proj, a_o)
+    x[..., n1 + n2 :], c3 = mlp_forward(vip.spatial, r)
+    return x, (c1, c2, c3)
 
 
 def visual_backward(vip: VisualInputParams, cache: tuple, grad_x: Array) -> dict[str, Array]:
@@ -118,9 +120,7 @@ def visual_backward(vip: VisualInputParams, cache: tuple, grad_x: Array) -> dict
     inputs are data, so no input gradient is computed."""
     c1, c2, c3 = cache
     n1, n2 = vip.sub_proj.n_out, vip.obj_proj.n_out
-    gs = grad_x[..., :n1]
-    go = grad_x[..., n1 : n1 + n2]
-    gr = grad_x[..., n1 + n2 :]
+    gs, go, gr = np.split(grad_x, [n1, n1 + n2], axis=-1)
     g_sub = linear_param_grads(vip.sub_proj, c1, gs)
     g_obj = linear_param_grads(vip.obj_proj, c2, go)
     g_spa, _ = mlp_backward(vip.spatial, c3, gr, need_input=False)

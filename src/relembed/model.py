@@ -395,7 +395,7 @@ def pair_embeddings(model: JointModel, pairs: PairTable) -> dict[str, Array]:
 
 
 def _embed_pairs(model: JointModel, pairs: PairTable) -> dict[str, Array]:
-    inputs, _ = branch_inputs(model, pairs, model.active_kinds)
+    inputs = branch_inputs(model, pairs, model.active_kinds)[0]  # the descriptor's cache is freed here
     return {kind: mlp_forward(model.branch(kind).f_v, inp)[0] for kind, inp in inputs.items()}
 
 

@@ -2,8 +2,10 @@
 manual backward passes, and Adam.
 
 All arrays are float64. Forward functions accept a single vector ``(n_in,)``
-or a batch ``(N, n_in)`` and return matching shapes. Backward passes consume
-the cache produced by the matching forward call; a cache must not be reused
+or a batch ``(N, n_in)`` and return matching shapes; they add biases and
+apply ReLU in place on arrays they allocated, so an MLP's cache holds its
+post-ReLU activation and no pre-activation. Backward passes consume the
+cache produced by the matching forward call; a cache must not be reused
 after the parameters it was computed with have been mutated. A caller that
 has no use for the gradient wrt a layer's input asks for the parameter
 gradients alone (``linear_param_grads``, ``mlp_backward(need_input=False)``)
@@ -82,13 +84,12 @@ def log_sigmoid(x: Array | float) -> Array | float:
 
 
 def normalize_rows(w: Array) -> tuple[Array, Array]:
-    """Rows scaled to unit L2 norm; returns (normalized, original norms).
-
-    A row of exact zeros cannot be normalized and raises.
-    """
-    norms = np.linalg.norm(w, axis=-1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise FloatingPointError("cannot normalize a zero-norm row")
+    """Rows scaled to unit L2 norm; returns (normalized, original norms). A row
+    of zero or non-finite norm raises, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norms) & (norms != 0.0)):
+        raise FloatingPointError("cannot normalize a row of zero or non-finite norm")
     return w / norms, norms
 
 
@@ -127,9 +128,9 @@ def linear_forward(lin: Linear, x: Array) -> tuple[Array, tuple]:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != lin.n_in:
         raise ShapeError(f"input dim {x.shape[-1]} != layer dim {lin.n_in}")
-    y = x @ lin.w.T
+    y = x @ lin.w.T  # always a fresh array
     if lin.b is not None:
-        y = y + lin.b
+        y += lin.b
     return y, (x,)
 
 
@@ -192,9 +193,10 @@ def mlp_forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Array, tuple]:
-    """y = second(dropout(relu(first(x)))). Dropout only when training."""
-    z1, c1 = linear_forward(mlp.first, x)
-    h = np.maximum(z1, 0.0)
+    """y = second(dropout(relu(first(x)))), dropout only when training. ReLU runs
+    in place: the cache is (first cache, post-ReLU h, dropout mask or None, second cache)."""
+    h, c1 = linear_forward(mlp.first, x)
+    np.maximum(h, 0.0, out=h)
     if training and mlp.dropout > 0.0:
         if rng is None:
             raise ValueError("training with dropout requires an rng")
@@ -202,19 +204,18 @@ def mlp_forward(
         mask = (rng.random(h.shape) < keep) / keep
         hd = h * mask
     else:
-        mask = None
-        hd = h
+        mask, hd = None, h
     y, c2 = linear_forward(mlp.second, hd)
-    return y, (c1, z1, mask, c2)
+    return y, (c1, h, mask, c2)
 
 
 def mlp_backward(mlp: Mlp, cache: tuple, grad_out: Array, need_input: bool = True) -> tuple[Mlp, Array | None]:
     """(parameter grads, input grad); the input grad is None, and not
     computed, unless ``need_input``."""
-    c1, z1, mask, c2 = cache
+    c1, h, mask, c2 = cache
     g2, ghd = linear_backward(mlp.second, c2, grad_out)
     gh = ghd if mask is None else ghd * mask
-    gz1 = gh * (z1 > 0.0)
+    gz1 = gh * (h > 0.0)
     if need_input:
         g1, gx = linear_backward(mlp.first, c1, gz1)
     else:

@@ -30,6 +30,21 @@ def desk_config(**overrides) -> RunConfig:
     return validate(RunConfig(**base))
 
 
+def wide_config(**overrides) -> RunConfig:
+    """The synthetic world of the benchmark's ``wide`` workload: 8,928
+    train and 3,904 test pairs, 40 appearance features."""
+    base = dict(
+        synth_subjects=12,
+        synth_predicates=20,
+        synth_objects=24,
+        synth_families=48,
+        synth_heldout=40,
+        synth_appearance_dim=40,
+    )
+    base.update(overrides)
+    return validate(RunConfig(**base))
+
+
 def row_triplets(table: PairTable) -> list[list[Triplet]]:
     """Each row's positive triplets in file order, read entry by entry."""
     offsets, preds = table.pos_offsets.tolist(), table.pos_preds.tolist()

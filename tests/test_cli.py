@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,32 @@ def test_eval_with_a_nan_vp_weight_is_one_data_error(run_dir, tmp_path, capsys, 
     assert main(["eval", "--config", cfg_path, "--mode", mode, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error:data: detection score must be finite in (0, 1), got nan"]
+    assert not (out / "results.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["inspect", "eval-direct", "eval-transfer"])
+def test_huge_language_weight_is_one_numeric_error(run_dir, tmp_path, capsys, command):
+    """Finite weights whose language embeddings overflow have no unit rows:
+    one error:numeric line, nothing on stdout, no numpy warning."""
+    cfg = effective(run_dir)
+    model, gamma, seed = load_checkpoint(cfg.checkpoint)
+    dict(named_parameters(model))["branch.s.f_w.first.w"][...] = 1e300
+    cfg.checkpoint = str(tmp_path / "big.ckpt")
+    save_checkpoint(cfg.checkpoint, model, gamma, seed)
+    cfg_path = str(tmp_path / "big.cfg")
+    write_config(cfg, cfg_path)
+    out = tmp_path / "eval"
+    if command == "inspect":
+        argv = ["inspect", "--checkpoint", cfg.checkpoint, "embeddings"]
+    else:
+        argv = ["eval", "--config", cfg_path, "--mode", command[len("eval-"):], "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error:numeric: cannot normalize a row of zero or non-finite norm"]
     assert not (out / "results.txt").exists()
 
 

@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 from dataclasses import fields
 
@@ -40,6 +41,7 @@ from conftest import (
     model_counts,
     row_triplets,
     triplet_counts,
+    wide_config,
 )
 
 
@@ -135,6 +137,58 @@ def test_empty_dataset_round_trip(tmp_path):
     assert len(back.pairs) == 0 and back.pairs.a_s.shape == (0, 3)
     assert triplet_counts(back) == {}
     assert_datasets_equal(ds, back)
+
+
+def oracle_rows(path) -> tuple[list[tuple], int]:
+    """The rows of a well-formed dataset file and its appearance dim, read
+    straight from the fixed field positions of each line."""
+    with open(path) as fh:
+        lines = [line.split() for line in fh if line.strip()]
+    header = {parts[0][1:]: parts[1] for parts in lines if parts[0].startswith("#")}
+    d = int(header["appearance_dim"])
+    base = os.path.dirname(path)
+    vocabs = {k: load_vocabulary(os.path.join(base, header[k])).index for k in ("subjects", "predicates", "objects")}
+    rows = []
+    for parts in lines:
+        if parts[0] != "pair":
+            continue
+        reals = [float(t) for t in parts[4:8] + parts[9:13] + parts[18 : 18 + d] + parts[19 + d : 19 + 2 * d]]
+        preds = [vocabs["predicates"][entry.split(":", 1)[1].replace("_", " ")] for entry in parts[20 + 2 * d :]]
+        rows.append((
+            int(parts[1]), int(parts[2]), BoundingBox(*reals[:4]), BoundingBox(*reals[4:8]),
+            vocabs["subjects"][parts[14].replace("_", " ")], vocabs["objects"][parts[16].replace("_", " ")],
+            reals[8 : 8 + d], reals[8 + d :], preds,
+        ))
+    return rows, d
+
+
+def stacked_table(rows: list[tuple], d: int) -> PairTable:
+    """The table of ``rows`` built by stacking each whole column at once."""
+    n = len(rows)
+    ids, images, subs, objs, scat, ocat, a_s, a_o, preds = zip(*rows) if rows else [()] * 9
+    return PairTable(
+        *(np.array(column, dtype=np.int64) for column in (ids, images, scat, ocat)),
+        *(np.array(a, dtype=np.float64).reshape(n, d) for a in (a_s, a_o)),
+        np.array([s.coords() + o.coords() for s, o in zip(subs, objs)], np.float64).reshape(n, 8),
+        np.cumsum([0, *map(len, preds)], dtype=np.int64),
+        np.array([p for ps in preds for p in ps], dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("world", ["desk", "wide"])
+def test_loader_columns_equal_the_straight_line_oracle(tmp_path, world):
+    """load_dataset's columnar reader and from_rows give every column the
+    bytes of whole-column stacking over rows parsed field by field."""
+    cfg = desk_config() if world == "desk" else wide_config()
+    _, test, _, _ = synth_generate(cfg, 0)
+    path = str(tmp_path / "test.ds")
+    write_dataset(test, path)
+    rows, d = oracle_rows(path)
+    want = stacked_table(rows, d)
+    assert len(want) == len(test.pairs) and d == cfg.synth_appearance_dim
+    assert_tables_equal(load_dataset(path).pairs, want)
+    assert_tables_equal(PairTable.from_rows(rows, d), want)
+    assert_tables_equal(test.pairs, want)
 
 
 def write_then_edit(tmp_path, transform):

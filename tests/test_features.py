@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from relembed.data import BoundingBox, Triplet, triplet_codes
 from relembed.features import (
@@ -10,7 +11,7 @@ from relembed.features import (
     visual_forward,
     visual_init,
 )
-from relembed.numkit import Linear, Mlp, mlp_forward
+from relembed.numkit import Linear, Mlp, ShapeError, linear_forward, mlp_forward
 
 from conftest import decode, encode
 from gradcheck import finite_diff_grad, max_relative_error
@@ -120,6 +121,35 @@ def test_visual_matches_straight_line_evaluation():
     h = np.maximum(vip.spatial.first.w @ r[0] + vip.spatial.first.b, 0.0)
     hand_r = vip.spatial.second.w @ h + vip.spatial.second.b
     assert np.allclose(x[0], np.concatenate([hand_s, hand_o, hand_r]), rtol=0, atol=1e-12)
+
+
+def test_visual_descriptor_is_bitwise_the_concatenation_of_its_parts():
+    """The slices written in place hold the same bytes as concatenating the
+    three parts' own forwards, for a batch and for one vector."""
+    rng = np.random.default_rng(12)
+    vip = visual_init(rng, 5, app_out=4, spatial_hidden=6, spatial_out=3)
+    for rows in [(9,), ()]:
+        a_s, a_o, r = rng.normal(size=rows + (5,)), rng.normal(size=rows + (5,)), rng.normal(size=rows + (8,))
+        x, _ = visual_forward(vip, a_s, a_o, r)
+        parts = [
+            linear_forward(vip.sub_proj, a_s)[0],
+            linear_forward(vip.obj_proj, a_o)[0],
+            mlp_forward(vip.spatial, r)[0],
+        ]
+        want = np.concatenate(parts, axis=-1)
+        assert x.shape == want.shape and x.dtype == want.dtype
+        assert x.tobytes() == want.tobytes()
+
+
+def test_visual_inputs_of_different_pair_counts_are_a_shape_error():
+    """A geometry block with one row for three pairs must not broadcast into
+    every row of the descriptor."""
+    vip = visual_init(np.random.default_rng(2), 5, app_out=4, spatial_hidden=6, spatial_out=3)
+    a = np.zeros((3, 5))
+    with pytest.raises(ShapeError):
+        visual_forward(vip, a, a, np.zeros((1, 8)))
+    with pytest.raises(ShapeError):
+        visual_forward(vip, a, np.zeros((2, 5)), np.zeros((3, 8)))
 
 
 def test_visual_geometry_changes_only_spatial_slots():

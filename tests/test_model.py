@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from relembed.model import (
 )
 from relembed.numkit import log_sigmoid, rng_stream, sigmoid
 
-from conftest import code, decode, desk_config
+from conftest import code, decode, desk_config, wide_config
 from gradcheck import finite_diff_grad, max_relative_error
 
 
@@ -308,6 +309,24 @@ def test_reused_pair_embeddings_are_the_same_only_inside_the_block(small_bench):
         assert pair_embeddings(model, train.pairs.take(range(5)))["s"] is not first["s"]  # other table
     zero_out(model.branches["s"].f_v)
     assert not np.array_equal(pair_embeddings(model, pairs)["s"], first["s"])
+
+
+def test_embedding_a_large_table_peaks_below_two_descriptors():
+    """Embedding the wide world's 3,904 test pairs with the default model
+    allocates at most 1.8x the N x d_v float64 pair descriptor at its peak:
+    the descriptor, one part of it at a time and the branch outputs."""
+    cfg = wide_config()
+    train, test, table, _ = synth_generate(cfg, 0)
+    model = build_model(cfg, train, table, 0)
+    descriptor = len(test.pairs) * model.visual.d_v * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pair_embeddings(model, test.pairs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * descriptor, peak / descriptor
 
 
 def test_scores_strictly_inside_unit_interval(small_bench):

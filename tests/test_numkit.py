@@ -204,6 +204,62 @@ def test_dropout_backward_matches_frozen_mask_finite_diff():
     assert max_relative_error(flatten_mlp(g), numeric) < 1e-5
 
 
+def reference_mlp(net: Mlp, x, mask, grad_out):
+    """Output, pre-activation and gradients of a two-layer net, written out
+    the way that keeps the pre-activation z1 and masks the backward by it."""
+    z1 = x @ net.first.w.T + net.first.b
+    h = np.maximum(z1, 0.0)
+    hd = h if mask is None else h * mask
+    y = hd @ net.second.w.T + net.second.b
+    ghd = grad_out @ net.second.w
+    gz1 = (ghd if mask is None else ghd * mask) * (z1 > 0.0)
+    grads = [gz1.T @ x, gz1.sum(axis=0), grad_out.T @ hd, grad_out.sum(axis=0), gz1 @ net.first.w]
+    return y, z1, grads
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_in_place_mlp_equals_the_reference_that_keeps_z1_bitwise(dropout):
+    """With and without dropout, with NaN and infinite inputs, the forward
+    output and every backward gradient have the reference's bytes."""
+    rng = np.random.default_rng(17)
+    net = mlp_init(rng, 4, 6, 3, dropout=dropout)
+    x = rng.normal(size=(8, 4))
+    x[2, 1], x[5, 3] = np.nan, -np.inf  # NaN pre-activations in rows 2 and 5
+    grad_out = rng.normal(size=(8, 3))
+    y, cache = mlp_forward(net, x, training=True, rng=np.random.default_rng(3))
+    mask = cache[2]
+    assert (mask is None) == (dropout == 0.0)
+    want_y, z1, want_grads = reference_mlp(net, x, mask, grad_out)
+    assert np.isnan(z1).any()
+    assert y.tobytes() == want_y.tobytes()
+    g, gx = mlp_backward(net, cache, grad_out)
+    got = [*flatten_mlp(g), gx]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want_grads]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_backward_masks_by_post_relu_h_exactly_as_by_z1():
+    """``h > 0`` equals ``z1 > 0`` for every pre-activation: NaN, -0.0,
+    +0.0, infinities, subnormals and ordinary values."""
+    rng = np.random.default_rng(23)
+    net = mlp_init(rng, 2, 9, 2)
+    x = rng.normal(size=(3, 2))
+    special = [np.nan, -0.0, 0.0, -np.inf, np.inf, 5e-324, -5e-324, 1.5, -1.5]
+    z1 = np.array([special, special[::-1], special[3:] + special[:3]])
+    assert np.signbit(z1).any() and np.isnan(z1).any()
+    h = np.maximum(z1, 0.0)
+    grad_out = rng.normal(size=(3, 2))
+    cache = ((x,), h, None, (h,))
+    ghd = grad_out @ net.second.w
+    gz1 = ghd * (z1 > 0.0)
+    g, gx = mlp_backward(net, cache, grad_out)
+    assert g.first.w.tobytes() == (gz1.T @ x).tobytes()
+    assert g.first.b.tobytes() == gz1.sum(axis=0).tobytes()
+    assert gx.tobytes() == (gz1 @ net.first.w).tobytes()
+    assert g.second.w.tobytes() == (grad_out.T @ h).tobytes()
+
+
 class _FrozenMaskRng:
     """Replays a fixed dropout mask through the rng.random interface."""
 
