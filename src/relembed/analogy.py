@@ -135,7 +135,7 @@ def gamma_input_matrix(model: JointModel, sources, targets) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def _slot_vectors(model: JointModel, codes) -> list[Array]:
+def slot_vectors(model: JointModel, codes) -> list[Array]:
     """Per-slot unit vectors used by G, in SLOTS order: the s, p and o branch
     embeddings when all three branches are active, the word vectors otherwise."""
     if all(slot in model.branches for slot in SLOTS):
@@ -145,12 +145,12 @@ def _slot_vectors(model: JointModel, codes) -> list[Array]:
     return [normalize_rows(table[index])[0] for index, table in zip(slots, words)]
 
 
-def similarity_many(model: JointModel, targets, pool) -> Array:
+def similarity_many(model: JointModel, targets, pool, pool_vectors=None) -> Array:
     """G between every target code (rows) and pool code (columns), clipped
-    to [0, 1]."""
+    to [0, 1]; ``pool_vectors`` are the pool's ``slot_vectors``, if held."""
     cfg = model.cfg
     alphas = (cfg.alpha_s, cfg.alpha_p, cfg.alpha_o)
-    vt, vp = _slot_vectors(model, targets), _slot_vectors(model, pool)
+    vt, vp = slot_vectors(model, targets), pool_vectors or slot_vectors(model, pool)
     g = sum(a * (t @ p.T) for a, t, p in zip(alphas, vt, vp))
     return np.clip(g, 0.0, 1.0)
 
@@ -160,13 +160,13 @@ def source_pool(model: JointModel) -> Array:
     return model.observed[model.counts >= model.cfg.rare_threshold]
 
 
-def select_sources(model: JointModel, u: int, pool) -> tuple[Array, Array]:
+def select_sources(model: JointModel, u: int, pool, pool_vectors=None) -> tuple[Array, Array]:
     """Codes and G weights of the top-k pool triplets for target code u, by
     G descending, ties by ascending code. The pool is taken as given:
     evaluation passes the frequent seen triplets, the target among them or not."""
     if not len(pool):
         raise DataError(f"empty source pool for target {triplet_of(model.dims, u)}")
-    sources, weights, _ = _top_k(similarity_many(model, [u], pool), pool, model.cfg.k)
+    sources, weights, _ = _top_k(similarity_many(model, [u], pool, pool_vectors), pool, model.cfg.k)
     return sources[0], weights[0]
 
 
@@ -209,9 +209,9 @@ def transferred_embeddings(model: JointModel, gamma: Gamma, targets, sources, we
     return (a[:, None, :] @ w.reshape(n, k, -1))[:, 0], (a, cache)
 
 
-def transfer_embedding(model: JointModel, gamma: Gamma, u: int, pool: Array | None = None) -> Array:
+def transfer_embedding(model: JointModel, gamma: Gamma, u: int, pool=None, pool_vectors=None) -> Array:
     """Target code u's embedding from its ``select_sources`` in ``pool``."""
-    sources, weights = select_sources(model, u, source_pool(model) if pool is None else pool)
+    sources, weights = select_sources(model, u, source_pool(model) if pool is None else pool, pool_vectors)
     return transferred_embeddings(model, gamma, [u], sources[None], weights[None])[0][0]
 
 

@@ -104,14 +104,14 @@ def visual_init(
 def visual_forward(
     vip: VisualInputParams, a_s: Array, a_o: Array, r: Array
 ) -> tuple[Array, tuple]:
-    """Descriptor x = [P_s(a_s); P_o(a_o); M(r)], each part written into x as it is computed."""
+    """Descriptor x = [P_s(a_s); P_o(a_o); M(r)], each part written into x, M's in place."""
     if a_s.shape != a_o.shape or a_s.shape[:-1] != r.shape[:-1]:  # x's slices would broadcast
         raise ShapeError(f"pair input shapes differ: {a_s.shape}, {a_o.shape}, {r.shape}")
     n1, n2 = vip.sub_proj.n_out, vip.obj_proj.n_out
     x = np.empty(a_s.shape[:-1] + (vip.d_v,))
     x[..., :n1], c1 = linear_forward(vip.sub_proj, a_s)
     x[..., n1 : n1 + n2], c2 = linear_forward(vip.obj_proj, a_o)
-    x[..., n1 + n2 :], c3 = mlp_forward(vip.spatial, r)
+    _, c3 = mlp_forward(vip.spatial, r, out=x[..., n1 + n2 :])
     return x, (c1, c2, c3)
 
 

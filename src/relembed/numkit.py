@@ -2,12 +2,12 @@
 manual backward passes, and Adam.
 
 All arrays are float64. Forward functions accept a single vector ``(n_in,)``
-or a batch ``(N, n_in)`` and return matching shapes; they add biases and
-apply ReLU in place on arrays they allocated, so an MLP's cache holds its
-post-ReLU activation and no pre-activation. Backward passes consume the
-cache produced by the matching forward call; a cache must not be reused
-after the parameters it was computed with have been mutated. A caller that
-has no use for the gradient wrt a layer's input asks for the parameter
+or a batch ``(N, n_in)`` and return matching shapes, fresh or (MLPs) in the
+caller's ``out``; they add biases and apply ReLU in place, so an MLP's cache
+holds its post-ReLU activation and no pre-activation. Backward passes
+consume the cache produced by the matching forward call; a cache must not be
+reused after the parameters it was computed with have been mutated. A caller
+that has no use for the gradient wrt a layer's input asks for the parameter
 gradients alone (``linear_param_grads``, ``mlp_backward(need_input=False)``)
 and that product is never computed.
 
@@ -66,13 +66,11 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
 
 
 def sigmoid(x: Array | float) -> Array | float:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function; e = exp(min(x, -x)) keeps a NaN's sign."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    out = np.where(x >= 0, 1.0 / d, e / d)
     return out if out.ndim else float(out)
 
 
@@ -192,9 +190,10 @@ def mlp_forward(
     x: Array,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    out: Array | None = None,
 ) -> tuple[Array, tuple]:
-    """y = second(dropout(relu(first(x)))), dropout only when training. ReLU runs
-    in place: the cache is (first cache, post-ReLU h, dropout mask or None, second cache)."""
+    """y = second(dropout(relu(first(x)))), dropout only when training, into ``out`` if given.
+    ReLU runs in place: the cache is (first cache, post-ReLU h, dropout mask or None, second cache)."""
     h, c1 = linear_forward(mlp.first, x)
     np.maximum(h, 0.0, out=h)
     if training and mlp.dropout > 0.0:
@@ -205,7 +204,12 @@ def mlp_forward(
         hd = h * mask
     else:
         mask, hd = None, h
-    y, c2 = linear_forward(mlp.second, hd)
+    if out is None:
+        y, c2 = linear_forward(mlp.second, hd)
+    else:  # the same product and bias, written into the caller's array
+        y, c2 = np.matmul(hd, mlp.second.w.T, out=out), (hd,)
+        if mlp.second.b is not None:
+            y += mlp.second.b
     return y, (c1, h, mask, c2)
 
 

@@ -2,11 +2,10 @@
 the ranking against ground truth by IoU on both boxes, and report average
 precision per query plus the mean over queries.
 
-A ranking and a query's ground truth are row selections of the dataset's
-pair table (``PairTable.take``): the ranking is every candidate pair, best
-score first, with its scores alongside; the ground truth is every pair that
-lists the query, in pair order. Matching reads their ``coords`` and
-``image_id`` columns.
+A ranking (``Ranking``) is every candidate pair, best score first, with its
+scores alongside: pair ids, image ids and boxes, never the appearance. A
+query's ground truth is every pair that lists it, in pair order, taken from
+the pair table (``PairTable.take``). Matching reads their boxes and images.
 
 Matching is greedy and one-to-one: ranked pairs are visited in descending
 score order, and each claims the best still-unmatched ground-truth pair in
@@ -14,8 +13,8 @@ its image whose subject and object boxes both clear the IoU threshold.
 AP is interpolation-free: the sum of precision at each true-positive rank,
 divided by the number of ground-truth positives.
 
-``evaluate_queries`` is the eval loop: it embeds the candidate pairs and
-indexes the ground truth once, then scores, ranks and matches each query.
+``evaluate_queries`` is the eval loop: it embeds the pairs and the source pool
+and indexes the ground truth once, then scores, ranks and matches each query.
 ``ground_truth_for`` is one query's ground truth. A query is scored and
 looked up by its triplet code, in an index of positive codes sorted once.
 """
@@ -29,7 +28,7 @@ import numpy as np
 
 from .data import Array, DataError, Dataset, PairTable, Triplet, fmt_reals, read_lines, triplet_text
 from .data import triplet_codes
-from .analogy import Gamma, source_pool, transfer_embedding
+from .analogy import Gamma, slot_vectors, source_pool, transfer_embedding
 from .model import JointModel, reuse_pair_embeddings, score_pairs
 
 
@@ -57,6 +56,18 @@ class MatchPolicy:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise DataError(f"iou threshold must be in (0, 1], got {self.tau}")
+
+
+@dataclass(frozen=True)
+class Ranking:
+    """Candidate pairs in rank order: the columns ranking and matching read."""
+
+    pair_id: Array
+    image_id: Array
+    coords: Array
+
+    def __len__(self) -> int:
+        return len(self.pair_id)
 
 
 @dataclass
@@ -94,9 +105,7 @@ def truth_rows(index: tuple[Array, Array], code: int) -> Array:
     return rows[np.searchsorted(codes, code) : np.searchsorted(codes, code, side="right")]
 
 
-def rank_candidates(
-    model: JointModel, query: int, pairs: PairTable, vp_override=None
-) -> tuple[PairTable, Array]:
+def rank_candidates(model: JointModel, query: int, pairs: PairTable, vp_override=None) -> tuple[Ranking, Array]:
     """The candidate pairs best score first, ties by pair id, and their
     scores, for the triplet of code ``query``."""
     scores = score_pairs(model, query, pairs, vp_override=vp_override)
@@ -105,10 +114,10 @@ def rank_candidates(
     bad = ~((scores > 0.0) & (scores < 1.0))  # NaN fails both comparisons
     if bad.any():
         raise DataError(f"detection score must be finite in (0, 1), got {float(scores[bad][0])}")
-    return pairs.take(order), scores
+    return Ranking(pairs.pair_id[order], pairs.image_id[order], pairs.coords[order]), scores
 
 
-def match_detections(ranked: PairTable, truth: PairTable, policy: MatchPolicy) -> Array:
+def match_detections(ranked: Ranking, truth: PairTable, policy: MatchPolicy) -> Array:
     """True-positive flag per ranked pair, in rank order.
 
     A ranked pair claims the unmatched same-image ground-truth pair with the
@@ -135,11 +144,7 @@ def match_detections(ranked: PairTable, truth: PairTable, policy: MatchPolicy) -
 
 
 def average_precision(
-    query: Triplet,
-    ranked: PairTable,
-    scores: Array,
-    truth: PairTable,
-    policy: MatchPolicy,
+    query: Triplet, ranked: Ranking, scores: Array, truth: PairTable, policy: MatchPolicy
 ) -> APResult:
     """Interpolation-free AP of a ranking (descending ``scores``) against
     ground truth."""
@@ -161,7 +166,7 @@ def evaluate_queries(
     queries: list[Triplet],
     policy: MatchPolicy,
     gamma: Gamma | None = None,
-) -> Iterator[tuple[Triplet, PairTable, Array, APResult]]:
+) -> Iterator[tuple[Triplet, Ranking, Array, APResult]]:
     """Rank every candidate pair of the dataset for each query, in order.
 
     Yields (query, ranked pairs, their scores, AP). The pair embeddings and
@@ -170,16 +175,17 @@ def evaluate_queries(
     each query is scored directly; with it, its vp factor is the embedding
     transferred from the source pool (analogy transfer).
     """
-    pool = None
+    pool = vectors = None
     if gamma is not None:
         pool = source_pool(model)
         if not pool.size:
             raise DataError("no transfer sources: every observed triplet is rare")
+        vectors = slot_vectors(model, pool)
     codes = triplet_codes(model.dims, np.array(queries, np.int64).reshape(-1, 3).T)
     index = ground_truth_index(dataset.pairs, model.dims)
     with reuse_pair_embeddings(model, dataset.pairs):
         for query, code in zip(queries, codes.tolist()):
-            override = None if pool is None else transfer_embedding(model, gamma, code, pool)
+            override = None if pool is None else transfer_embedding(model, gamma, code, pool, vectors)
             ranked, scores = rank_candidates(model, code, dataset.pairs, vp_override=override)
             truth = dataset.pairs.take(truth_rows(index, code))
             yield query, ranked, scores, average_precision(query, ranked, scores, truth, policy)

@@ -88,9 +88,10 @@ def box_table(rows) -> PairTable:
     return PairTable.from_rows(rows, 1)
 
 
-def assert_tables_equal(a: PairTable, b: PairTable):
-    """Every column of two pair tables has the same dtype, shape and bytes."""
-    for f in fields(PairTable):
+def assert_tables_equal(a, b: PairTable):
+    """Every column of ``a``, a pair table or a ranking, has the same dtype,
+    shape and bytes in the pair table ``b``."""
+    for f in fields(a):
         column_a, column_b = getattr(a, f.name), getattr(b, f.name)
         assert column_a.dtype == column_b.dtype and column_a.shape == column_b.shape, f.name
         assert column_a.tobytes() == column_b.tobytes(), f.name

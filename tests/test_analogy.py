@@ -561,8 +561,8 @@ def test_zero_weight_target_is_skipped_in_stage2_and_refused_in_eval(small_bench
     dead = bench_model(small_bench)[3].observed[0]
     real_g, real_sample, real_loss = similarity_many, sample_q_pairs, analogy_loss
 
-    def g(model, targets, pool):
-        out = real_g(model, targets, pool)
+    def g(model, targets, pool, pool_vectors=None):
+        out = real_g(model, targets, pool, pool_vectors)
         out[np.asarray(targets) == dead] = 0.0
         return out
 

@@ -440,6 +440,45 @@ def test_sigmoid_extremes_and_symmetry():
     assert np.allclose(np.log(sigmoid(xs)), log_sigmoid(xs), atol=1e-12)
 
 
+def masked_sigmoid(x):
+    """The boolean-mask logistic function that ``sigmoid`` replaced: one
+    formula per sign, gathered and scattered through masks."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+SPECIAL = [
+    0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    745.0, -745.0, 746.0, -746.0, 709.78, -709.78, 36.8, -36.8, 1e300, -1e300,
+    np.nan, np.copysign(np.nan, -1.0),
+]
+
+
+def test_sigmoid_is_bitwise_the_masked_form():
+    """Equal bytes to the masked form on random inputs at every scale, on
+    signed zeros, infinities, subnormals, exp's limits and NaN of both
+    signs, on 2-D input, and on Python scalars (still a float)."""
+    special = np.array(SPECIAL)
+    assert np.signbit(special[np.isnan(special)]).tolist() == [False, True]
+    rng = np.random.default_rng(0)
+    for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0, 30.0, 100.0, 800.0):
+        x = scale * rng.standard_normal(20_000)
+        assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes(), scale
+    assert sigmoid(special).tobytes() == masked_sigmoid(special).tobytes()
+    grid = rng.standard_normal((37, 53)) * 50.0
+    grid.flat[::7] = special[np.arange(grid.size)[::7] % len(special)]
+    got = sigmoid(grid)
+    assert got.shape == grid.shape and got.tobytes() == masked_sigmoid(grid).tobytes()
+    for v in SPECIAL + [0.3, -0.3]:
+        got, want = sigmoid(float(v)), masked_sigmoid(float(v))
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), v
+
+
 def test_rng_streams_are_independent_and_reproducible():
     a = rng_stream(5, "stage1").normal(size=4)
     b = rng_stream(5, "stage1").normal(size=4)

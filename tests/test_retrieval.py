@@ -1,13 +1,16 @@
 """Tests for retrieval evaluation: IoU, ranking, greedy matching, AP, mAP,
 and the results file round-trip."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relembed import retrieval
-from relembed.analogy import gamma_init, source_pool, train_stage2, transfer_embedding
+from relembed import analogy, retrieval
+from relembed.analogy import SLOTS, gamma_init, source_pool, train_stage2, transfer_embedding
 from relembed.data import (
     BoundingBox,
     DataError,
@@ -16,6 +19,7 @@ from relembed.data import (
     Triplet,
     Vocabulary,
     WordTable,
+    synth_generate,
 )
 from relembed.model import build_model, label_matrix, score_pairs, train_stage1
 from relembed.numkit import rng_stream
@@ -44,6 +48,7 @@ from conftest import (
     encode,
     row_triplets,
     triplet_counts,
+    wide_config,
 )
 
 
@@ -688,3 +693,84 @@ def test_eval_loop_is_byte_identical_to_per_query_oracle(trained_bench, tmp_path
     want = _write_eval(tmp_path / "oracle", test, _per_query_oracle(model, test, queries, gamma))
     assert got == want
     assert got[1].count(b"\n") == len(queries) * len(test.pairs)
+
+
+def test_transfer_eval_embeds_the_source_pool_once(trained_bench, monkeypatch):
+    """One transfer eval runs the s, p and o language nets over the source
+    pool once, not once per query; per query they embed only its own code."""
+    model, gamma, test, queries = trained_bench
+    pool = source_pool(model)
+    rows = []
+    real = analogy.embed_language_batch
+
+    def counted(model, kind, codes, mask=None):
+        if kind in SLOTS:
+            rows.append((kind, len(codes)))
+        return real(model, kind, codes, mask)
+
+    monkeypatch.setattr(analogy, "embed_language_batch", counted)
+    assert len(list(evaluate_queries(model, test, queries, MatchPolicy(0.5), gamma))) == len(queries) > 1
+    assert len(pool) > 1
+    assert [r for r in rows if r[1] == len(pool)] == [(kind, len(pool)) for kind in SLOTS]
+    own = [(kind, 1) for kind in SLOTS] * len(queries)
+    assert sorted(rows) == sorted([(kind, len(pool)) for kind in SLOTS] + own)
+
+
+def _straight_line_eval(model, dataset, queries, gamma):
+    """Per query: ``score_pairs`` over the whole table, ``np.lexsort`` by
+    score descending then pair id, the full table taken in that order, and
+    ``average_precision`` against the scanned ground truth."""
+    for q in queries:
+        u = code(model, q)
+        override = None if gamma is None else transfer_embedding(model, gamma, u)
+        scores = score_pairs(model, u, dataset.pairs, vp_override=override)
+        order = np.lexsort((dataset.pairs.pair_id, -scores))
+        ranked, scores = dataset.pairs.take(order), scores[order]
+        truth = dataset.pairs.take(ground_truth_scan(dataset, q))
+        yield q, ranked, scores, average_precision(q, ranked, scores, truth, MatchPolicy(0.5))
+
+
+@pytest.fixture(scope="module")
+def ranking_worlds(trained_bench):
+    """(model, gamma, dataset, queries) of three worlds: the benchmark's
+    wide test set (untrained model), the desk test set with its pair ids
+    shuffled against row order, and that table under a model whose every
+    score ties (each branch's visual output is zero)."""
+    model, gamma, test, queries = trained_bench
+    ids = np.random.default_rng(5).permutation(test.pairs.pair_id)
+    shuffled_pairs = dataclasses.replace(test.pairs, pair_id=ids)
+    shuffled = Dataset(test.subjects, test.predicates, test.objects, shuffled_pairs)
+    tied = copy.deepcopy(model)
+    for branch in tied.branches.values():
+        branch.f_v.second.w[...] = 0.0
+        branch.f_v.second.b[...] = 0.0
+    cfg = wide_config()
+    train, wide_test, table, heldout = synth_generate(cfg, 0)
+    wide = build_model(cfg, train, table, 0)
+    wide_gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    return {
+        "wide": (wide, wide_gamma, wide_test, list(heldout) + decode(wide.dims, wide.observed[:4])),
+        "shuffled_ids": (model, gamma, shuffled, queries),
+        "tied_scores": (tied, gamma, shuffled, queries),
+    }
+
+
+@pytest.mark.parametrize("mode", ["direct", "transfer"])
+@pytest.mark.parametrize("world", ["wide", "shuffled_ids", "tied_scores"])
+def test_eval_loop_ranks_as_the_straight_line_oracle(ranking_worlds, world, mode):
+    """``evaluate_queries`` yields the oracle's ranked pair ids, image ids,
+    boxes, scores and AP, byte for byte, query by query."""
+    model, gamma, dataset, queries = ranking_worlds[world]
+    gamma = gamma if mode == "transfer" else None
+    got = list(evaluate_queries(model, dataset, queries, MatchPolicy(0.5), gamma))
+    want = list(_straight_line_eval(model, dataset, queries, gamma))
+    assert len(got) == len(want) == len(queries)
+    for (q, ranked, scores, r), (q_want, ranked_want, scores_want, r_want) in zip(got, want):
+        assert q == q_want and r == r_want
+        assert scores.tobytes() == scores_want.tobytes()
+        assert_tables_equal(ranked, ranked_want)
+        if world == "tied_scores":
+            assert np.unique(scores).size == 1
+    assert sum(r.npos for *_, r in got) > 0
+    if world != "wide":
+        assert not np.array_equal(dataset.pairs.pair_id, np.sort(dataset.pairs.pair_id))
