@@ -55,6 +55,9 @@ if TYPE_CHECKING:
 # every score strictly inside (0, 1) in float64
 DOT_CLAMP = 30.0
 
+# rows per block when eval embeds a pair table (``pair_embeddings``)
+EMBED_ROWS = 512
+
 
 @dataclass(eq=False)
 class Branch:
@@ -260,7 +263,12 @@ def branch_inputs(model: JointModel, pairs: PairTable, kinds) -> tuple[dict[str,
     subject or object appearance for s and o, the shared pair descriptor
     (computed once) for every other kind. Also returns the descriptor's
     cache, None when no kind reads it."""
-    a_s, a_o, r = pair_arrays(pairs)
+    return _inputs_of(model, pair_arrays(pairs), kinds)
+
+
+def _inputs_of(model: JointModel, arrays, kinds) -> tuple[dict[str, Array], tuple | None]:
+    """``branch_inputs`` of the rows whose ``pair_arrays`` are ``arrays``."""
+    a_s, a_o, r = arrays
     x, x_cache = None, None
     if any(k not in ("s", "o") for k in kinds):
         x, x_cache = visual_forward(model.visual, a_s, a_o, r)
@@ -395,8 +403,24 @@ def pair_embeddings(model: JointModel, pairs: PairTable) -> dict[str, Array]:
 
 
 def _embed_pairs(model: JointModel, pairs: PairTable) -> dict[str, Array]:
-    inputs = branch_inputs(model, pairs, model.active_kinds)[0]  # the descriptor's cache is freed here
-    return {kind: mlp_forward(model.branch(kind).f_v, inp)[0] for kind, inp in inputs.items()}
+    """Each active branch's f_v output, one row per pair, filled block by
+    block: the descriptor and the nets' hidden activations hold one block's
+    rows at a time. Blocks are ``EMBED_ROWS`` rows, and a shorter tail joins
+    the block before it, so a table under 2 * EMBED_ROWS rows is one block."""
+    n = len(pairs)
+    arrays = pair_arrays(pairs)
+    bounds = [0, *range(EMBED_ROWS, n - EMBED_ROWS + 1, EMBED_ROWS), n]
+    out: dict[str, Array] = {}
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        inputs = _inputs_of(model, [a[lo:hi] for a in arrays], model.active_kinds)[0]  # the cache is freed here
+        for kind, inp in inputs.items():
+            f_v = model.branch(kind).f_v
+            # allocated where the whole-table pass allocated it, after the descriptor: all
+            # outputs allocated before it split the free heap and raised peak RSS
+            if kind not in out:
+                out[kind] = np.empty((n, f_v.n_out))
+            mlp_forward(f_v, inp, out=out[kind][lo:hi])
+    return out
 
 
 def score_from_embeddings(

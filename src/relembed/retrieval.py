@@ -95,7 +95,8 @@ def ground_truth_index(pairs: PairTable, dims) -> tuple[Array, Array]:
     rows, codes = pairs.positives(dims)
     order = np.argsort(codes, kind="stable")  # entries come in row order
     codes, rows = codes[order], rows[order]
-    first = np.r_[True, (np.diff(codes) != 0) | (np.diff(rows) != 0)]  # a repeat is one entry
+    first = np.ones(len(codes), bool)  # empty when no pair lists a triplet
+    first[1:] = (np.diff(codes) != 0) | (np.diff(rows) != 0)  # a repeat is one entry
     return codes[first], rows[first]
 
 

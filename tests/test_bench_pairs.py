@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import statistics
 
 import pytest
 
@@ -45,6 +46,9 @@ def test_summary_gives_quartiles_better_pairs_and_map_equality(bench_pairs):
     assert s["all_ok"] and s["map_equal"]
     text = bench_pairs.report(s)
     assert "1.05 [0.975, 1.125]" in text and "0.85 [0.775, 0.925]" in text and "-19.0%" in text
+    # per pair: -20%, -25%, +11.1%, -36.4%, whose median is -22.5%
+    assert e["per_pair"] == pytest.approx(statistics.median([0.8 / 1.0, 0.9 / 1.2, 1.0 / 0.9, 0.7 / 1.1]) - 1.0)
+    assert "-22.5%" in text
     assert "3/4" in text and text.splitlines()[-1] == "every run ok: yes; every mAP equal run for run: yes"
 
 
@@ -68,3 +72,26 @@ def test_summary_of_one_pair_has_zero_spread(bench_pairs):
     assert s["metrics"]["eval_s"]["parent"] == (1.0, 1.0, 1.0)
     assert s["metrics"]["eval_s"]["change"] == (0.8, 0.8, 0.8)
     assert s["metrics"]["eval_s"]["better_pairs"] == 1
+    assert s["metrics"]["eval_s"]["per_pair"] == pytest.approx(-0.2)
+
+
+def test_per_pair_median_differs_from_the_change_of_medians(bench_pairs):
+    """One slow parent run and one slow change run in other pairs move the
+    pooled medians, not the median of the per-pair changes."""
+    pairs = [
+        {"parent": run(1.0, 0.5), "change": run(1.02, 0.5)},
+        {"parent": run(2.0, 0.5), "change": run(1.98, 0.5)},
+        {"parent": run(1.0, 0.5), "change": run(2.0, 0.5)},
+        {"parent": run(1.1, 0.5), "change": run(1.1, 0.5)},
+        {"parent": run(0.9, 0.5), "change": run(0.9, 0.5)},
+    ]
+    s = bench_pairs.summarize(pairs, METRICS)
+    e = s["metrics"]["eval_s"]
+    assert e["relative"] == pytest.approx(1.1 / 1.0 - 1.0)  # +10% between the pooled medians
+    assert e["per_pair"] == pytest.approx(0.0)  # the middle of +2%, -1%, +100%, 0%, 0%
+    assert (e["better_pairs"], e["pairs"]) == (1, 5)
+    line = next(x for x in bench_pairs.report(s).splitlines() if x.startswith("eval_s"))
+    assert line.split()[-3:] == ["+10.0%", "+0.0%", "1/5"]
+    zero = [{"parent": run(1.0, 0.0), "change": run(1.0, 0.1)}]
+    assert bench_pairs.summarize(zero, METRICS)["metrics"]["map_rel"]["per_pair"] is None
+    assert "n/a" in bench_pairs.report(bench_pairs.summarize(zero, METRICS))

@@ -333,6 +333,36 @@ def test_eval_empty_query_list_fails(run_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:data:")
 
 
+@pytest.mark.parametrize("mode", ["direct", "transfer"])
+@pytest.mark.parametrize("test_set", ["headers_only", "three_negatives"])
+def test_eval_on_a_test_set_without_positives_is_one_data_error(run_dir, tmp_path, capsys, test_set, mode):
+    """A valid test set that lists no triplet, with no pairs or with three
+    unlabelled ones, leaves every query without ground truth."""
+    cfg = effective(run_dir)
+    for name in ("subjects.txt", "predicates.txt", "objects.txt"):
+        shutil.copy(os.path.join(run_dir, name), tmp_path / name)
+    with open(cfg.test_data) as fh:
+        lines = fh.readlines()
+    header, pairs = lines[:4], lines[4:]
+    assert not any(line.startswith("pair ") for line in header)
+    if test_set == "headers_only":
+        pairs = []
+    else:
+        pairs = [line.split(" labels")[0] + " labels\n" for line in pairs[:3]]
+    cfg.test_data = str(tmp_path / "test.ds")
+    with open(cfg.test_data, "w") as fh:
+        fh.writelines(header + pairs)
+    assert len(load_dataset(cfg.test_data).pairs) == len(pairs)
+    cfg_path = str(tmp_path / "eval.cfg")
+    write_config(cfg, cfg_path)
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", cfg_path, "--mode", mode, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error:data: every query was excluded (no ground-truth positives)"]
+    assert captured.out == ""
+    assert not (out / "results.txt").exists()
+
+
 @pytest.mark.parametrize("change", ["swapped", "more_subjects"])
 def test_eval_refuses_test_vocabularies_unlike_the_checkpoint(run_dir, tmp_path, capsys, change):
     cfg = effective(run_dir)

@@ -36,7 +36,7 @@ from relembed.model import (
     train_stage1,
     trainable,
 )
-from relembed.numkit import log_sigmoid, rng_stream, sigmoid
+from relembed.numkit import log_sigmoid, mlp_forward, rng_stream, sigmoid
 
 from conftest import code, decode, desk_config, wide_config
 from gradcheck import finite_diff_grad, max_relative_error
@@ -311,24 +311,53 @@ def test_reused_pair_embeddings_are_the_same_only_inside_the_block(small_bench):
     assert not np.array_equal(pair_embeddings(model, pairs)["s"], first["s"])
 
 
-def test_embedding_a_large_table_peaks_below_two_descriptors():
-    """Embedding the wide world's 3,904 test pairs with the default model
-    allocates at most 1.45x the N x d_v float64 pair descriptor at its
-    peak: the descriptor, one appearance part at a time, the geometry net's
-    hidden activation (its output goes straight into its slice) and the
-    branch outputs."""
+@pytest.fixture(scope="module")
+def wide_test_world():
+    """The default model, untrained, and the wide world's 3,904 test pairs."""
     cfg = wide_config()
     train, test, table, _ = synth_generate(cfg, 0)
-    model = build_model(cfg, train, table, 0)
-    descriptor = len(test.pairs) * model.visual.d_v * 8
+    return build_model(cfg, train, table, 0), test.pairs
+
+
+@pytest.mark.parametrize("copies", [1, 4])
+def test_embedding_peak_does_not_grow_with_the_table(wide_test_world, copies):
+    """Apart from its outputs, embedding a table allocates less than two pair
+    descriptors of the largest block, 2 * EMBED_ROWS - 1 rows: one block's
+    descriptor, one appearance part or hidden activation at a time, and the
+    table's geometry features. So the wide test table and four copies of it
+    meet the same bound."""
+    model, test_pairs = wide_test_world
+    pairs = test_pairs.take(np.tile(np.arange(len(test_pairs)), copies))
+    block_descriptor = (2 * model_mod.EMBED_ROWS - 1) * model.visual.d_v * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pair_embeddings(model, test.pairs)
+        out = pair_embeddings(model, pairs)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.45 * descriptor, peak / descriptor
+    held = peak - sum(v.nbytes for v in out.values())
+    assert held <= 2.0 * block_descriptor, held / block_descriptor
+
+
+def test_block_embeddings_match_the_whole_table_pass(wide_test_world):
+    """Under 2 * EMBED_ROWS rows the table is one block and the bytes are
+    the whole-table pass's; from there on, a block's products may differ
+    from the whole table's in their last bits."""
+    model, test_pairs = wide_test_world
+    assert model_mod.EMBED_ROWS == 512  # the row counts below sit at its block edges
+    for n in (1, 511, 976, 1023, 1024, 1535, 1536, 3904):
+        pairs = test_pairs.take(np.arange(n))
+        blocks = pair_embeddings(model, pairs)
+        inputs = model_mod.branch_inputs(model, pairs, model.active_kinds)[0]
+        assert list(blocks) == list(inputs)
+        for kind, inp in inputs.items():
+            whole = mlp_forward(model.branch(kind).f_v, inp)[0]
+            assert blocks[kind].shape == whole.shape
+            if n < 1024:
+                assert blocks[kind].tobytes() == whole.tobytes(), (n, kind)
+            else:
+                np.testing.assert_allclose(blocks[kind], whole, rtol=0, atol=1e-12, err_msg=f"{n} {kind}")
 
 
 def test_scores_strictly_inside_unit_interval(small_bench):

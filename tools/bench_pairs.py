@@ -16,7 +16,10 @@ defaults to the ``run_seconds`` of BENCHMARK.json.
 Every run is written to ``--out`` (default ``bench_pairs.json``) as it
 finishes. Then it prints, per end-to-end metric of BENCHMARK.json: the
 parent's and the change's median and quartiles, the change of the median,
-and in how many pairs the change was better (by the metric's direction).
+the median over pairs of each pair's change (change / parent - 1), and in
+how many pairs the change was better (by the metric's direction). The
+per-pair median is the steadier one where a run measures a metric once
+(``train_s``) or where a metric has modes that the seed does not fix.
 A last line says whether every run succeeded and whether every mAP was
 equal run for run. Standard library only; exits 1 when a run failed or
 reported itself incorrect.
@@ -45,9 +48,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per metric, each side's quartiles over its complete runs and the
-    count of complete pairs in which the change was better; whether every
-    run completed correctly; whether every pair's raw mAPs were equal.
+    """Per metric, each side's quartiles over its complete runs, the median
+    of the per-pair changes and the count of complete pairs in which the
+    change was better; whether every run completed correctly; whether every
+    pair's raw mAPs were equal.
 
     ``pairs`` holds {"parent": run, "change": run} records of ``run_once``;
     ``end_to_end`` is BENCHMARK.json's list of {"name", "better"} metrics.
@@ -64,6 +68,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "parent": parent,
             "change": change,
             "relative": change[1] / parent[1] - 1.0 if parent[1] else None,
+            "per_pair": statistics.median(b / a - 1.0 for a, b in both) if all(a for a, _ in both) else None,
             "better_pairs": sum(sign * (b - a) > 0.0 for a, b in both),
             "pairs": len(both),
         }
@@ -78,12 +83,12 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 def report(summary: dict) -> str:
     """The summary as aligned text lines."""
-    row = "{:<24} {:>30} {:>30} {:>8} {:>7}"
-    lines = [row.format("metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "better")]
+    row = "{:<24} {:>30} {:>30} {:>8} {:>8} {:>7}"
+    lines = [row.format("metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "per pair", "better")]
     for name, m in summary["metrics"].items():
         parent, change = ("{1:.4g} [{0:.4g}, {2:.4g}]".format(*m[side]) for side in SIDES)
-        rel = "n/a" if m["relative"] is None else f"{100.0 * m['relative']:+.1f}%"
-        lines.append(row.format(name, parent, change, rel, f"{m['better_pairs']}/{m['pairs']}"))
+        rel, per_pair = ("n/a" if m[key] is None else f"{100.0 * m[key]:+.1f}%" for key in ("relative", "per_pair"))
+        lines.append(row.format(name, parent, change, rel, per_pair, f"{m['better_pairs']}/{m['pairs']}"))
     lines.append(
         f"every run ok: {'yes' if summary['all_ok'] else 'NO'};"
         f" every mAP equal run for run: {'yes' if summary['map_equal'] else 'NO'}"

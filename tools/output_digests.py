@@ -28,11 +28,26 @@ normalized eval's config sets the key too.
 Then it writes ``OUT/SHA256SUMS``: one ``<sha256>  <path>`` line per file
 it produced, sorted by relative path (the format ``sha256sum -c`` reads).
 Standard library only; any failing command stops the run with exit 1.
+
+    python tools/output_digests.py --compare OUT_A OUT_B
+
+compares two finished runs. Every path whose SHA-256 differs between the
+two ``SHA256SUMS`` is read as text and compared token by token (tokens are
+split on whitespace). A numeric token is a real as relembed writes it
+(``repr`` of a float: it has a point, an exponent, or is inf or nan); every
+other token, integers included (ids, ranks, counts), must be equal. It
+prints, per differing file and over all of them, how many numeric tokens
+differ and the largest absolute and relative difference among them. It
+exits 1 when a path is on one side only, a file is not text, the token
+counts differ, a non-numeric token differs or a difference is not finite
+(inf or nan on one side); finite numeric differences alone exit 0, and the
+report gives their size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -81,7 +96,83 @@ def digests(out: str) -> list[str]:
     return [f"{digest}  {rel}\n" for rel, digest in sorted(lines)]
 
 
+def real(token: str) -> float | None:
+    """The value of a numeric token, None for any other token."""
+    try:
+        int(token)
+        return None  # an integer is an id, a rank or a count
+    except ValueError:
+        pass
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def compare_tokens(a: str, b: str) -> tuple[int, float, float, str | None]:
+    """(numeric tokens that differ, largest absolute and relative difference,
+    the first other difference or None) between two texts."""
+    ta, tb = a.split(), b.split()
+    if len(ta) != len(tb):
+        return 0, 0.0, 0.0, f"{len(ta)} tokens against {len(tb)}"
+    count, most_abs, most_rel = 0, 0.0, 0.0
+    for i, (x, y) in enumerate(zip(ta, tb)):
+        if x == y:
+            continue
+        fx, fy = real(x), real(y)
+        diff = None if fx is None or fy is None else abs(fx - fy)
+        if diff is None or not diff < math.inf:  # a word, an integer, or inf or nan on one side
+            return count, most_abs, most_rel, f"token {i + 1}: {x!r} against {y!r}"
+        count += 1
+        most_abs = max(most_abs, diff)
+        most_rel = max(most_rel, diff / max(abs(fx), abs(fy)) if diff else 0.0)
+    return count, most_abs, most_rel, None
+
+
+def read_sums(out: str) -> dict[str, str]:
+    """Relative path -> SHA-256 from ``OUT/SHA256SUMS``."""
+    with open(os.path.join(out, "SHA256SUMS")) as fh:
+        return {path: digest for digest, path in (line.rstrip("\n").split("  ", 1) for line in fh)}
+
+
+def read_text(out: str, path: str) -> str:
+    with open(os.path.join(out, path), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def compare(out_a: str, out_b: str) -> int:
+    """Print the differences between two runs' files; 1 when any is not numeric."""
+    sums_a, sums_b = read_sums(out_a), read_sums(out_b)
+    failed = False
+    for path in sorted(sums_a.keys() ^ sums_b.keys()):
+        print(f"{path}: only in {out_a if path in sums_a else out_b}")
+        failed = True
+    total, most_abs, most_rel = 0, 0.0, 0.0
+    differ = [path for path in sorted(sums_a.keys() & sums_b.keys()) if sums_a[path] != sums_b[path]]
+    for path in differ:
+        try:
+            count, file_abs, file_rel, other = compare_tokens(*(read_text(out, path) for out in (out_a, out_b)))
+        except UnicodeDecodeError:
+            other = "differs and is not text"
+        if other is not None:
+            print(f"{path}: {other}")
+            failed = True
+            continue
+        print(f"{path}: {count} numeric tokens differ, largest by {file_abs:.3g} absolute, {file_rel:.3g} relative")
+        total, most_abs, most_rel = total + count, max(most_abs, file_abs), max(most_rel, file_rel)
+    print(
+        f"{len(differ)} of {len(sums_a.keys() & sums_b.keys())} common files differ;"
+        f" {total} numeric tokens differ, largest by {most_abs:.3g} absolute, {most_rel:.3g} relative;"
+        f" other differences: {'yes' if failed else 'none'}"
+    )
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--compare"]:
+        if len(argv) != 3:
+            sys.exit(__doc__.split("\n\n")[-2])
+        return compare(argv[1], argv[2])
     if len(argv) < 2 or any("=" not in kv for kv in argv[2:]):
         sys.exit(__doc__.split("\n\n")[1])
     src, out = os.path.abspath(argv[0]), argv[1]
