@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .data import DataError, Dataset, PairTable, triplet_codes, triplet_of
 from .model import (
     JointModel,
@@ -61,10 +62,10 @@ SLOTS = ("s", "p", "o")
 class Gamma:
     """Correction map applied to a source embedding during transfer.
 
-    kind 'absent': no correction and no analogy training at all;
-    kind 'zero': analogy training happens but the correction is zero;
-    kind 'linear': single d x 3d matrix; kind 'deep': two bias-free layers
-    with ReLU between. No variant carries bias terms.
+    kind 'absent': no analogy training at all; kind 'zero': analogy training
+    happens. Neither has a net, and neither corrects anything. kind
+    'linear': single d x 3d matrix; kind 'deep': two bias-free layers with
+    ReLU between. No variant carries bias terms.
     """
 
     kind: str
@@ -72,39 +73,33 @@ class Gamma:
 
     @property
     def prefix(self) -> str:  # registry name of ``net``
-        return "gamma.lin" if self.kind == "linear" else "gamma.net"
+        return "gamma.net" if isinstance(self.net, Mlp) else "gamma.lin"
 
 
-def gamma_init(kind: str, embed_dim: int, hidden: int, rng: np.random.Generator) -> Gamma:
-    if kind in ("absent", "zero"):
-        return Gamma(kind)
-    if kind == "linear":
-        return Gamma(kind, Linear(glorot_uniform(rng, embed_dim, 3 * embed_dim)))
-    if kind == "deep":
-        first = Linear(glorot_uniform(rng, hidden, 3 * embed_dim))
-        second = Linear(glorot_uniform(rng, embed_dim, hidden))
-        return Gamma(kind, Mlp(first, second))
-    raise DataError(f"unknown gamma kind {kind!r}")
+def gamma_init(cfg: RunConfig, seed: int) -> Gamma:
+    """The config's Gamma: kind ``cfg.gamma``, drawn from the seed's "gamma" stream."""
+    d, hidden, rng = cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(seed, "gamma")
+    if cfg.gamma == "linear":
+        return Gamma(cfg.gamma, Linear(glorot_uniform(rng, d, 3 * d)))
+    if cfg.gamma == "deep":
+        first = Linear(glorot_uniform(rng, hidden, 3 * d))
+        second = Linear(glorot_uniform(rng, d, hidden))
+        return Gamma(cfg.gamma, Mlp(first, second))
+    return Gamma(cfg.gamma)
 
 
-def gamma_forward(gamma: Gamma, diffs: Array) -> tuple[Array, tuple | None]:
+def gamma_forward(gamma: Gamma, diffs: Array) -> tuple[Array, tuple]:
     """Corrections for stacked difference vectors (n, 3d) -> (n, d)."""
-    if gamma.kind == "zero":
-        return np.zeros((diffs.shape[0], diffs.shape[1] // 3)), None
-    if gamma.kind == "linear":
-        return linear_forward(gamma.net, diffs)
-    if gamma.kind == "deep":
+    if isinstance(gamma.net, Mlp):
         return mlp_forward(gamma.net, diffs)
-    raise DataError(f"gamma kind {gamma.kind!r} computes no correction")
+    return linear_forward(gamma.net, diffs)
 
 
 def gamma_backward(gamma: Gamma, cache, grad_out: Array) -> dict[str, Array]:
-    if gamma.kind == "zero":
-        return {}
-    if gamma.kind == "linear":
-        g = linear_param_grads(gamma.net, cache, grad_out)
-    else:
+    if isinstance(gamma.net, Mlp):
         g, _ = mlp_backward(gamma.net, cache, grad_out, need_input=False)
+    else:
+        g = linear_param_grads(gamma.net, cache, grad_out)
     return dict(layer_params(gamma.prefix, g))
 
 
@@ -203,7 +198,7 @@ def transferred_embeddings(model: JointModel, gamma: Gamma, targets, sources, we
     n, k = weights.shape
     sources = np.ravel(sources)
     w, cache = embed_language_batch(model, "vp", sources), None  # constant: no gradient
-    if gamma.kind != "absent":  # absent corrects nothing
+    if gamma.net is not None:  # absent and zero correct nothing
         corr, cache = gamma_forward(gamma, gamma_input_matrix(model, sources, np.repeat(targets, k)))
         w = w + corr
     return (a[:, None, :] @ w.reshape(n, k, -1))[:, 0], (a, cache)
@@ -258,8 +253,9 @@ def analogy_loss(
     w, (a, g_cache) = transferred_embeddings(model, gamma, targets, sources, weights)
     y = label_matrix(batch, targets, "full", model.dims)
     loss, g_v, g_w = logistic_terms(v, w, y)
-    # A.T @ g_w, one row per (target, source); it reaches the correction only
-    grads = gamma_backward(gamma, g_cache, (a[:, :, None] * g_w[:, None, :]).reshape(-1, g_w.shape[1]))
+    grads = {}
+    if gamma.net is not None:  # A.T @ g_w, one row per (target, source), reaches only the correction
+        grads = gamma_backward(gamma, g_cache, (a[:, :, None] * g_w[:, None, :]).reshape(-1, g_w.shape[1]))
     g_fv, _ = mlp_backward(br.f_v, v_cache, g_v, need_input=False)
     grads.update(layer_params("branch.vp.f_v", g_fv))
     return loss, grads

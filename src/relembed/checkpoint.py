@@ -42,7 +42,6 @@ from .analogy import Gamma, gamma_init
 from .config import PATH_KEYS, config_hash, emit_config, parse_config
 from .data import MOST_SIZE, DataError, Vocabulary, triplet_codes, triplet_dims
 from .model import JointModel, named_parameters, new_model
-from .numkit import rng_stream
 
 MAGIC = b"relembd1"
 FORMAT = 3
@@ -62,7 +61,7 @@ HEADER_KEYS = (
 )
 
 
-def save_checkpoint(path: str, model: JointModel, gamma: Gamma | None, seed: int):
+def save_checkpoint(path: str, model: JointModel, gamma: Gamma, seed: int):
     named = named_parameters(model, gamma)
     cfg = dataclasses.replace(model.cfg, **dict.fromkeys(PATH_KEYS, ""))
     header = {
@@ -76,7 +75,7 @@ def save_checkpoint(path: str, model: JointModel, gamma: Gamma | None, seed: int
         "word_dim": model.word_dim,
         "appearance_dim": model.appearance_dim,
         "observed": np.column_stack(np.unravel_index(model.observed, model.dims) + (model.counts,)).tolist(),
-        "gamma": gamma.kind if gamma is not None else "absent",
+        "gamma": gamma.kind,
         "params": [[name, list(arr.shape)] for name, arr in named],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -120,9 +119,8 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
     if config_hash(cfg) != header["config_hash"]:
         _fail(path, "config hash mismatch")
 
-    kind = header["gamma"]
-    if kind != cfg.gamma:
-        _fail(path, f"gamma kind {kind!r} disagrees with config {cfg.gamma!r}")
+    if header["gamma"] != cfg.gamma:
+        _fail(path, f"gamma kind {header['gamma']!r} disagrees with config {cfg.gamma!r}")
     if type(header["seed"]) is not int or header["seed"] < 0:
         _fail(path, f"header seed must be an integer >= 0, got {header['seed']!r}")
     for key in ("word_dim", "appearance_dim"):
@@ -142,9 +140,7 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
         )
     except DataError as e:
         _fail(path, str(e))
-    gamma = gamma_init(
-        kind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(header["seed"], "gamma")
-    )
+    gamma = gamma_init(cfg, header["seed"])
 
     named = named_parameters(model, gamma)
     catalog = [[name, list(arr.shape)] for name, arr in named]

@@ -33,7 +33,7 @@ from .data import (
 )
 from .features import BRANCH_MASK
 from .model import build_model, embed_language_batch, train_stage1
-from .numkit import NonFiniteGradient, ShapeError, rng_stream
+from .numkit import NonFiniteGradient, ShapeError
 from .retrieval import MatchPolicy, evaluate_queries, write_results
 
 
@@ -104,9 +104,7 @@ def cmd_train(args) -> int:
     )
     model = build_model(cfg, dataset, table, cfg.seed)
     trace1 = train_stage1(model, dataset, cfg.seed)
-    gamma = gamma_init(
-        cfg.gamma, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(cfg.seed, "gamma")
-    )
+    gamma = gamma_init(cfg, cfg.seed)
     trace2, skipped = train_stage2(model, gamma, dataset, cfg.seed)
     ckpt = cfg.checkpoint or os.path.join(out, "model.ckpt")
     cfg.checkpoint = ckpt

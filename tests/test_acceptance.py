@@ -8,6 +8,7 @@ synthetic benchmark and are the slow part; everything else is seconds.
 """
 
 import copy
+import dataclasses
 import os
 import statistics
 import time
@@ -15,7 +16,6 @@ import time
 import numpy as np
 
 from relembed.analogy import (
-    Gamma,
     analogy_loss,
     gamma_forward,
     gamma_init,
@@ -120,7 +120,7 @@ def test_criterion_1_gradient_correctness():
         gkind = _GAMMA_CYCLE[seed % len(_GAMMA_CYCLE)]
         cfg_vp = _fd_config(branches="vp")
         model_vp = build_model(cfg_vp, train, table, seed)
-        gamma = gamma_init(gkind, cfg_vp.embed_dim, cfg_vp.gamma_hidden_dim(), rng_stream(seed, "gamma"))
+        gamma = gamma_init(dataclasses.replace(cfg_vp, gamma=gkind), seed)
         observed = model_vp.observed
         targets = encode(model_vp.dims, sorted({t for row in row_triplets(batch) for t in row}))[:5]
         # three sources per target with unequal weights, so the check covers A.T
@@ -157,17 +157,13 @@ def test_criterion_2_analogy_identity():
 
     bitwise = True
     for gkind in ("linear", "deep"):
-        gamma = gamma_init(gkind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(1, "gamma"))
+        gamma = gamma_init(dataclasses.replace(cfg, gamma=gkind), 1)
         corr, _ = gamma_forward(gamma, gamma_input_matrix(model, probes, probes))
         bitwise = bitwise and bool(np.all(corr == 0.0))
 
     worst = 0.0
     for gkind in ("absent", "zero", "linear", "deep"):
-        gamma = (
-            Gamma("absent")
-            if gkind == "absent"
-            else gamma_init(gkind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(1, "gamma"))
-        )
+        gamma = gamma_init(dataclasses.replace(cfg, gamma=gkind), 1)
         for t in probes:
             direct = embed_language_batch(model, "vp", [t])[0]
             transferred = transfer_embedding(model, gamma, t, pool=[t])
@@ -185,7 +181,7 @@ def test_criterion_3_gradient_flow_restriction():
     cfg = desk_config(dropout=0.0)
     train, _, table, _ = synth_generate(cfg, seed=1)
     model = build_model(cfg, train, table, seed=1)
-    gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(1, "gamma"))
+    gamma = gamma_init(cfg, 1)
 
     rng = np.random.default_rng(7)
     batch = train.pairs.take(rng.choice(len(train.pairs), size=16, replace=False))
@@ -323,14 +319,10 @@ def test_criterion_5_transfer_variant_ordering():
         train, test, table, heldout = synth_generate(cfg, seed)
         model = build_model(cfg, train, table, seed)
         train_stage1(model, train, seed)
-        per["absent"].append(
-            _zero_shot_map(model, Gamma("absent"), test, heldout)
-        )
-        for gkind in ("zero", "linear", "deep"):
+        for gkind in ("absent", "zero", "linear", "deep"):
             trained = copy.deepcopy(model)
-            gamma = gamma_init(
-                gkind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(seed, "gamma")
-            )
+            trained.cfg.gamma = gkind
+            gamma = gamma_init(trained.cfg, seed)
             train_stage2(trained, gamma, train, seed)
             per[gkind].append(
                 _zero_shot_map(trained, gamma, test, heldout)

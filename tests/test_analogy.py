@@ -1,12 +1,13 @@
 """Tests for analogy-based transfer: Gamma, similarity, source selection,
 aggregation, the analogy loss, and stage-2 training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from relembed import analogy
 from relembed.analogy import (
-    Gamma,
     analogy_loss,
     build_source_sets,
     gamma_backward,
@@ -39,7 +40,7 @@ from relembed.model import (
     train_stage1,
     trainable,
 )
-from relembed.numkit import Linear, normalize_rows, rng_stream
+from relembed.numkit import Linear, normalize_rows
 
 from conftest import decode, desk_config, encode, model_counts, row_triplets
 from gradcheck import finite_diff_grad, max_relative_error
@@ -52,8 +53,7 @@ def bench_model(bench, seed=0, **overrides):
 
 
 def make_gamma(model, kind, seed=1):
-    cfg = model.cfg
-    return gamma_init(kind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(seed, "init"))
+    return gamma_init(dataclasses.replace(model.cfg, gamma=kind), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def make_gamma(model, kind, seed=1):
 
 def test_gamma_self_correction_is_bitwise_zero(small_bench):
     cfg, train, table, model = bench_model(small_bench)
-    for kind in ("zero", "linear", "deep"):
+    for kind in ("linear", "deep"):
         gamma = make_gamma(model, kind)
         t = model.observed[0]
         diffs = gamma_input_matrix(model, [t], [t])
@@ -96,7 +96,7 @@ def test_gamma_has_no_biases(small_bench):
 
 def test_gamma_deep_forward_by_hand():
     rng = np.random.default_rng(7)
-    gamma = gamma_init("deep", 2, 3, rng)
+    gamma = gamma_init(desk_config(embed_dim=2), 7)
     x = rng.normal(size=(4, 6))
     h = np.maximum(x @ gamma.net.first.w.T, 0.0)
     want = h @ gamma.net.second.w.T
@@ -107,7 +107,7 @@ def test_gamma_deep_forward_by_hand():
 def test_gamma_linear_grad_matches_finite_differences(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     rng = np.random.default_rng(3)
-    gamma = gamma_init("linear", cfg.embed_dim, 0, rng)
+    gamma = gamma_init(dataclasses.replace(cfg, gamma="linear"), 3)
     assert isinstance(gamma.net, Linear) and gamma.net.b is None
     x = rng.normal(size=(5, 3 * cfg.embed_dim))
     upstream = rng.normal(size=(5, cfg.embed_dim))
@@ -123,11 +123,6 @@ def test_gamma_linear_grad_matches_finite_differences(small_bench):
     numeric = finite_diff_grad(loss_fn, [a for _, a in named])
     for (name, _), num in zip(named, numeric):
         assert max_relative_error(grads[name], num) < 1e-6
-
-
-def test_gamma_unknown_kind_rejected():
-    with pytest.raises(DataError):
-        gamma_init("cubic", 4, 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +339,7 @@ def test_self_transfer_equals_direct_embedding(small_bench):
 
 def test_transfer_absent_gamma_skips_correction(small_bench):
     cfg, train, table, model = bench_model(small_bench)
-    absent = Gamma("absent")
+    absent = make_gamma(model, "absent")
     zero = make_gamma(model, "zero")
     u = model.observed[0]
     sources, weights = select_sources(model, u, model.observed[model.observed != u])
@@ -358,7 +353,8 @@ def test_corrected_embeddings_absent_gamma_is_uncorrected(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     sources = model.observed[1:4]
     u = model.observed[0]
-    got, (_, cache) = transferred_embeddings(model, Gamma("absent"), [u] * 3, sources[:, None], np.ones((3, 1)))
+    absent = make_gamma(model, "absent")
+    got, (_, cache) = transferred_embeddings(model, absent, [u] * 3, sources[:, None], np.ones((3, 1)))
     assert np.array_equal(got, embed_language_batch(model, "vp", sources))
     assert cache is None
 
@@ -419,7 +415,7 @@ def test_analogy_loss_empty_q_is_zero(small_bench):
 def test_analogy_loss_absent_gamma_rejected(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     with pytest.raises(DataError, match="absent"):
-        analogy_loss(model, Gamma("absent"), _batch(train), _vp_input(model, _batch(train)), [], [], [])
+        analogy_loss(model, make_gamma(model, "absent"), _batch(train), _vp_input(model, _batch(train)), [], [], [])
 
 
 def test_analogy_loss_matches_finite_differences(small_bench):
@@ -627,7 +623,7 @@ def test_stage2_trains_only_vp_and_gamma(small_bench):
 def test_stage2_absent_gamma_is_noop(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     before = model.branch("vp").f_v.first.w.copy()
-    trace, skipped = train_stage2(model, Gamma("absent"), train, seed=0)
+    trace, skipped = train_stage2(model, make_gamma(model, "absent"), train, seed=0)
     assert trace == [] and skipped == 0
     assert np.array_equal(before, model.branch("vp").f_v.first.w)
 

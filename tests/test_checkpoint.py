@@ -7,12 +7,11 @@ import struct
 import numpy as np
 import pytest
 
-from relembed.analogy import Gamma, gamma_init, train_stage2, transfer_embedding
+from relembed.analogy import gamma_init, train_stage2, transfer_embedding
 from relembed.checkpoint import HEADER_KEYS, MAGIC, load_checkpoint, save_checkpoint
 from relembed.cli import main
 from relembed.data import DataError
 from relembed.model import build_model, named_parameters, score_pairs, train_stage1
-from relembed.numkit import rng_stream
 
 from conftest import desk_config
 
@@ -23,7 +22,7 @@ def trained(small_bench):
     cfg = desk_config(stage1_epochs=1, stage2_epochs=1)
     model = build_model(cfg, train, table, seed=0)
     train_stage1(model, train, seed=0)
-    gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "init"))
+    gamma = gamma_init(cfg, 0)
     train_stage2(model, gamma, train, seed=0)
     return model, gamma, train, test
 
@@ -79,7 +78,7 @@ def test_gamma_kinds_round_trip(small_bench, tmp_path):
         cfg = desk_config(**overrides)
         kind = cfg.gamma
         model = build_model(cfg, train, table, seed=0)
-        gamma = gamma_init(kind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "init"))
+        gamma = gamma_init(cfg, 0)
         path, again = str(tmp_path / f"g{i}.ckpt"), str(tmp_path / f"g{i}-again.ckpt")
         save_checkpoint(path, model, gamma, seed=7)
         back, gback, seed = load_checkpoint(path)
@@ -289,7 +288,7 @@ def test_loader_rebuilds_the_label_universes_exactly(small_bench, tmp_path, vp_n
     cfg = desk_config(branches="s,o,p,vp,sp,po", vp_negatives=vp_negatives, gamma="absent")
     model = build_model(cfg, train, table, seed=0)
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, model, None, seed=0)
+    save_checkpoint(path, model, gamma_init(cfg, 0), seed=0)
     back, _, _ = load_checkpoint(path)
     assert list(back.labels) == list(model.labels) == list(cfg.branch_list())
     for kind, labels in model.labels.items():
@@ -297,13 +296,15 @@ def test_loader_rebuilds_the_label_universes_exactly(small_bench, tmp_path, vp_n
         assert got.dtype == labels.dtype and np.array_equal(got, labels), kind
 
 
-def test_absent_gamma_none_argument(small_bench, tmp_path):
-    """Saving with gamma=None records kind 'absent'."""
+def test_absent_gamma_saves_no_gamma_parameters(small_bench, tmp_path):
+    """Gamma 'absent' has no net: the header records its kind and the
+    catalog lists no gamma entry."""
     cfg, (train, test, table, heldout) = small_bench
     cfg = desk_config(gamma="absent")
     model = build_model(cfg, train, table, seed=0)
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, model, None, seed=0)
+    save_checkpoint(path, model, gamma_init(cfg, 0), seed=0)
     back, gback, _ = load_checkpoint(path)
-    assert gback.kind == "absent"
+    assert gback.kind == "absent" and gback.net is None
+    assert not [name for name, _ in named_parameters(back, gback) if name.startswith("gamma.")]
     assert np.array_equal(back.e_sub, model.e_sub)

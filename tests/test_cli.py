@@ -12,6 +12,7 @@ import pytest
 
 import relembed
 from relembed import model as model_mod
+from relembed.analogy import gamma_init
 from relembed.checkpoint import load_checkpoint, save_checkpoint
 from relembed.cli import main
 from relembed.config import RunConfig, load_config, write_config
@@ -548,7 +549,7 @@ def test_inspect_embeddings_lists_each_branch_universe(small_bench, tmp_path, ca
     cfg = desk_config(vp_negatives="cartesian", gamma="absent")
     model = build_model(cfg, train, table, seed=0)
     path = str(tmp_path / "cart.ckpt")
-    save_checkpoint(path, model, None, seed=0)
+    save_checkpoint(path, model, gamma_init(cfg, 0), seed=0)
     assert main(["inspect", "--checkpoint", path, "embeddings"]) == 0
     lines = capsys.readouterr().out.splitlines()
     sizes = {"s": len(train.subjects), "p": len(train.predicates), "o": len(train.objects)}

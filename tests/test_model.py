@@ -198,7 +198,7 @@ def test_language_inputs_are_built_once_per_stage_unless_words_train(small_bench
     train_stage1(model, train, seed=0)
     assert len(built) == 4
     built.clear()
-    gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    gamma = gamma_init(cfg, 0)
     train_stage2(model, gamma, train, seed=0)
     assert sum(codes is model.labels["vp"] for codes in built) == 1
     assert all(np.array_equal(a, b) for a, b in zip(words, (model.e_sub, model.e_pre, model.e_obj)))
@@ -423,7 +423,7 @@ def test_training_builds_no_label_universe(small_bench, monkeypatch):
     assert built == list(cfg.branch_list())
     built.clear()
     train_stage1(model, train, seed=0)
-    gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    gamma = gamma_init(cfg, 0)
     assert train_stage2(model, gamma, train, seed=0)[0]
     assert built == []
 
@@ -638,7 +638,7 @@ def test_default_model_trains_the_entry_counts_readme_states():
     cfg = validate(RunConfig())
     train, _, table, _ = synth_generate(cfg, 0)
     model = build_model(cfg, train, table, 0)
-    gamma = gamma_init(cfg.gamma, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    gamma = gamma_init(cfg, 0)
     assert model.visual.d_v == 800
     assert sum(a.size for _, a in trainable(model, 1)) == 217_928
     assert sum(a.size for _, a in trainable(model, 2, gamma)) == 114_944

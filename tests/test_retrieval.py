@@ -22,7 +22,6 @@ from relembed.data import (
     synth_generate,
 )
 from relembed.model import build_model, label_matrix, score_pairs, train_stage1
-from relembed.numkit import rng_stream
 from relembed.retrieval import (
     APResult,
     MatchPolicy,
@@ -655,7 +654,7 @@ def trained_bench(small_bench):
     cfg = desk_config(stage1_epochs=1, stage2_epochs=1)
     model = build_model(cfg, train, table, seed=0)
     train_stage1(model, train, seed=0)
-    gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    gamma = gamma_init(cfg, 0)
     train_stage2(model, gamma, train, seed=0)
     return model, gamma, test, list(heldout) + decode(model.dims, model.observed[:3])
 
@@ -747,7 +746,7 @@ def ranking_worlds(trained_bench):
     cfg = wide_config()
     train, wide_test, table, heldout = synth_generate(cfg, 0)
     wide = build_model(cfg, train, table, 0)
-    wide_gamma = gamma_init("deep", cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(0, "gamma"))
+    wide_gamma = gamma_init(cfg, 0)
     return {
         "wide": (wide, wide_gamma, wide_test, list(heldout) + decode(wide.dims, wide.observed[:4])),
         "shuffled_ids": (model, gamma, shuffled, queries),

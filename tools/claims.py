@@ -101,11 +101,10 @@ def measure(seed: int) -> dict[str, float]:
     """Every row of the table for one seed (runs with relembed importable)."""
     import copy
 
-    from relembed.analogy import Gamma, gamma_init, train_stage2
+    from relembed.analogy import gamma_init, train_stage2
     from relembed.config import RunConfig, validate
     from relembed.data import synth_generate, triplet_of
     from relembed.model import build_model, train_stage1
-    from relembed.numkit import rng_stream
     from relembed.retrieval import MatchPolicy, evaluate_queries, mean_ap
 
     cfg = validate(RunConfig())
@@ -120,12 +119,13 @@ def measure(seed: int) -> dict[str, float]:
         train_stage1(stage1, train, seed)
     seen = [triplet_of(model.dims, code) for code in model.observed.tolist()]
     out = {"spo": score(spo, heldout), "seen_so": score(so, seen), "seen_spo": score(spo, seen),
-           "seen1": score(model, seen), "absent": score(model, heldout, Gamma("absent"))}
-    for key, kind, normalize in (("deep", "deep", False), ("deep_norm", "deep", True),
-                                 ("linear", "linear", False), ("zero", "zero", False)):
+           "seen1": score(model, seen)}
+    for key, kind, normalize in (("absent", "absent", False), ("deep", "deep", False),
+                                 ("deep_norm", "deep", True), ("linear", "linear", False),
+                                 ("zero", "zero", False)):
         trained = copy.deepcopy(model)
-        trained.cfg.normalize_aggregation = normalize
-        gamma = gamma_init(kind, cfg.embed_dim, cfg.gamma_hidden_dim(), rng_stream(seed, "gamma"))
+        trained.cfg.normalize_aggregation, trained.cfg.gamma = normalize, kind
+        gamma = gamma_init(trained.cfg, seed)
         train_stage2(trained, gamma, train, seed)
         out[key] = score(trained, heldout, gamma)
         if key == "deep":
