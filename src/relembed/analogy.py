@@ -273,6 +273,21 @@ def build_source_sets(model: JointModel, pool: Array) -> tuple[Array, Array, Arr
     return _top_k(g, pool, model.cfg.k, exclude=model.observed)
 
 
+def stage2_pool(model: JointModel, kind: str) -> Array | None:
+    """The source pool stage 2 draws from with a Gamma of ``kind``; None for
+    'absent', which trains nothing. A model without a vp branch, or whose
+    observed triplets are all rare, cannot train stage 2: an error. It reads
+    nothing stage 1 trains, so a run can check before stage 1."""
+    if kind == "absent":
+        return None
+    if "vp" not in model.branches:
+        raise DataError("stage-2 training requires an active vp branch")
+    pool = source_pool(model)
+    if not pool.size:
+        raise DataError("no transfer sources: every observed triplet is rare")
+    return pool
+
+
 def train_stage2(
     model: JointModel, gamma: Gamma, dataset: Dataset, seed: int
 ) -> tuple[list[float], int]:
@@ -284,13 +299,9 @@ def train_stage2(
     target would be skipped and Gamma would learn nothing: an error.
     """
     cfg = model.cfg
-    if gamma.kind == "absent":
+    pool = stage2_pool(model, gamma.kind)
+    if pool is None:
         return [], 0
-    if "vp" not in model.branches:
-        raise DataError("stage-2 training requires an active vp branch")
-    pool = source_pool(model)
-    if not pool.size:
-        raise DataError("no transfer sources: every observed triplet is rare")
     # G reads only nets stage 2 does not train, so the sets hold for every epoch
     source_sets = build_source_sets(model, pool)
     rng = rng_stream(seed, "stage2")

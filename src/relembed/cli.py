@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .analogy import gamma_init, select_sources, source_pool, train_stage2
+from .analogy import gamma_init, select_sources, source_pool, stage2_pool, train_stage2
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config, write_config
 from .data import (
@@ -103,6 +103,7 @@ def cmd_train(args) -> int:
         cfg.word_table, (dataset.subjects, dataset.predicates, dataset.objects)
     )
     model = build_model(cfg, dataset, table, cfg.seed)
+    stage2_pool(model, cfg.gamma)  # refuses a model stage 2 cannot train before stage 1 runs
     trace1 = train_stage1(model, dataset, cfg.seed)
     gamma = gamma_init(cfg, cfg.seed)
     trace2, skipped = train_stage2(model, gamma, dataset, cfg.seed)
@@ -136,6 +137,11 @@ def cmd_eval(args) -> int:
     for key in ("subjects", "predicates", "objects"):
         if getattr(dataset, key).tokens != getattr(model, key).tokens:
             raise DataError(f"{cfg.test_data}: {key} differ from the checkpoint's")
+    if dataset.appearance_dim != model.appearance_dim:
+        raise DataError(
+            f"{cfg.test_data}: appearance dim {dataset.appearance_dim}"
+            f" differs from the checkpoint's {model.appearance_dim}"
+        )
     queries = load_queries(cfg.queries, dataset)
     if not queries:
         raise DataError(f"{cfg.queries}: empty query list")
@@ -173,6 +179,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    if args.what == "embeddings" and args.args:
+        raise UsageError(f"inspect embeddings takes no arguments, got {len(args.args)}")
+    if args.what == "sources" and len(args.args) != 3:
+        raise UsageError(f"inspect sources expects subject predicate object, got {len(args.args)} tokens")
     path = args.checkpoint
     if not path and args.config:
         path = load_config(args.config).checkpoint

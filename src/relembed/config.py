@@ -1,8 +1,9 @@
 """Run configuration: every knob of the pipeline in one flat key=value file.
 
 Files hold one ``key = value`` per line; blank lines and ``#`` comments are
-skipped. Unknown keys are rejected. ``emit`` writes a canonical form that
-reparses to an equal config, and ``config_hash`` fingerprints it.
+skipped. Unknown keys, and a key given twice, are rejected. ``emit`` writes
+a canonical form that reparses to an equal config, and ``config_hash``
+fingerprints it.
 """
 
 from __future__ import annotations
@@ -202,6 +203,7 @@ def parse_config(text: str, base: RunConfig | None = None, source: str = "<confi
     cfg = RunConfig(**vars(base)) if base is not None else RunConfig()
     known = {f.name: f.type for f in fields(RunConfig)}  # type names: annotations are strings
     types = {"int": int, "float": float, "str": str, "bool": bool}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -212,6 +214,9 @@ def parse_config(text: str, base: RunConfig | None = None, source: str = "<confi
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
         try:
             setattr(cfg, key, _parse_value(key, types[known[key]], value))
         except ConfigError as e:

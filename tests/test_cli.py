@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface: synth, train, eval,
 inspect, determinism of outputs, and error reporting."""
 
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import relembed
+from relembed import cli
 from relembed import model as model_mod
 from relembed.analogy import gamma_init
 from relembed.checkpoint import load_checkpoint, save_checkpoint
@@ -180,6 +182,33 @@ def test_train_with_no_transfer_sources_is_one_data_error(tmp_path, run_dir, cap
     assert captured.out == ""
     assert not os.path.exists(cfg.checkpoint)
     assert not os.path.exists(tmp_path / "loss_trace.txt")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(branches="s,o,p"), "stage-2 training requires an active vp branch"),
+        (dict(rare_threshold=1000), "no transfer sources: every observed triplet is rare"),
+    ],
+    ids=("no_vp_branch", "all_rare"),
+)
+def test_train_refuses_what_stage2_cannot_train_before_stage1(
+    tmp_path, run_dir, capsys, monkeypatch, change, message
+):
+    """Both configs once trained all of stage 1 before their error line."""
+
+    def stage1(*args, **kwargs):
+        raise AssertionError("stage 1 ran")
+
+    monkeypatch.setattr(cli, "train_stage1", stage1)
+    cfg = dataclasses.replace(effective(run_dir), checkpoint=str(tmp_path / "model.ckpt"), **change)
+    cfg_path = str(tmp_path / "run.cfg")
+    write_config(cfg, cfg_path)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error:data: {message}"]
+    assert captured.out == ""
+    assert not os.path.exists(cfg.checkpoint)
 
 
 def test_train_on_a_dataset_with_no_positive_pair_is_one_data_error(tmp_path, run_dir, capsys):
@@ -392,6 +421,26 @@ def test_eval_refuses_test_vocabularies_unlike_the_checkpoint(run_dir, tmp_path,
 
 
 @pytest.mark.parametrize("mode", ["direct", "transfer"])
+def test_eval_refuses_a_test_set_of_another_appearance_width(run_dir, tmp_path, capsys, mode):
+    """A test set wider than the checkpoint's once failed inside the visual
+    front end: one error:numeric line naming no file."""
+    cfg = effective(run_dir)
+    wide = cfg.synth_appearance_dim + 6
+    data, base = tmp_path / "data", str(tmp_path / "base.cfg")
+    write_config(desk_config(synth_appearance_dim=wide, seed=0), base)
+    assert main(["synth", "--config", base, "--out", str(data)]) == 0
+    cfg.test_data = str(data / "test.ds")
+    cfg_path = str(tmp_path / "eval.cfg")
+    write_config(cfg, cfg_path)
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", cfg_path, "--mode", mode, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    message = f"appearance dim {wide} differs from the checkpoint's {cfg.synth_appearance_dim}"
+    assert err == [f"error:data: {cfg.test_data}: {message}"]
+    assert not (out / "results.txt").exists()
+
+
+@pytest.mark.parametrize("mode", ["direct", "transfer"])
 def test_eval_embeds_test_pairs_once(run_dir, tmp_path, monkeypatch, mode):
     asked, computed = [], []
     ask, compute = model_mod.pair_embeddings, model_mod._embed_pairs
@@ -592,6 +641,24 @@ def test_inspect_unknown_triplet_fails(run_dir, capsys):
     code = main(["inspect", "--checkpoint", cfg.checkpoint, "sources", "nope", "nope", "nope"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:data:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["embeddings", "foo", "bar"], "inspect embeddings takes no arguments, got 2"),
+        (["sources", "sub0", "pre1"], "inspect sources expects subject predicate object, got 2 tokens"),
+    ],
+    ids=("embeddings_with_arguments", "sources_with_two_tokens"),
+)
+def test_inspect_with_a_wrong_argument_count_is_one_usage_error(run_dir, capsys, argv, message):
+    """Extra arguments to embeddings were once ignored, and two tokens to
+    sources were once a data error."""
+    cfg = effective(run_dir)
+    assert main(["inspect", "--checkpoint", cfg.checkpoint, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error:usage: {message}"]
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

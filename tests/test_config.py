@@ -61,6 +61,18 @@ def test_unknown_key_rejected_with_line(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_duplicate_key_rejected_with_line(tmp_path, capsys):
+    """A key given twice once let the last value win silently, even when the
+    two values differ."""
+    with pytest.raises(ConfigError, match=r"<config>:3: duplicate key 'k'"):
+        parse_config("k = 3\nseed = 1\nk = 4\n")
+    path = tmp_path / "run.cfg"
+    path.write_text("k = 3\nk = 3\n")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error:config: {path}:2: duplicate key 'k'"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_value_type_rejected():
     with pytest.raises(ConfigError, match="embed_dim"):
         parse_config("embed_dim = many\n")
@@ -196,7 +208,7 @@ def desk_world(tmp_path_factory):
     return (root / "run" / "effective.cfg").read_text()
 
 
-# test id -> (lines appended to the desk world's config, the config error they give)
+# test id -> (the line that sets a key of the desk world's config, the config error it gives)
 WIDTH_ERRORS = {
     f"{key}-{value}": (f"{key} = {value}\n", f"{key} must be <= 4096, got {value}")
     for value in ("100000000000000000000", "4097")
@@ -216,9 +228,10 @@ WIDTH_ERRORS.update(
 def test_width_above_the_ceiling_is_one_config_error(desk_world, tmp_path, capsys, case):
     """A width of 10**20 once ended train in a numpy traceback while the
     model was built; embed_dim = 4096 once asked for a 12,288-wide gamma."""
-    lines, message = WIDTH_ERRORS[case]
+    line, message = WIDTH_ERRORS[case]
+    key = line.partition("=")[0]
     path = tmp_path / "run.cfg"
-    path.write_text(desk_world + lines)
+    path.write_text("".join(kept for kept in desk_world.splitlines(True) if not kept.startswith(key)) + line)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error:config: {path}: {message}"], err
