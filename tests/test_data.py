@@ -300,6 +300,35 @@ def test_loader_names_file_and_line_for_each_malformed_pair_field(tmp_path, edit
     assert str(info.value) == f"{path}:5: {message}"
 
 
+# reals whose bits a parser could lose: NaN signs, infinities, overflow,
+# the smallest subnormal and normal, negative zero, underscores and a
+# non-ASCII digit (Arabic-Indic three)
+_SPECIAL_REALS = ["nan", "-nan", "inf", "-inf", "1_0", "1e400", "-1e400", "5e-324",
+                  "2.2250738585072014e-308", "-0.0", "٣"]
+
+
+@pytest.mark.parametrize("tok", _SPECIAL_REALS)
+def test_loader_keeps_the_bits_of_float_for_every_real_field(tmp_path, tok):
+    """A real read into an appearance field, and into a box field wherever
+    the box stays valid, has the bits ``float`` gives it, NaN's sign included."""
+    value = float(tok)
+    # the first pair line's subject box is (0, 0, 10, 10): x_min at 4, x_max at 6
+    box_at = 4 if value < 10.0 else 6 if value > 0.0 else None
+
+    def mangle(lines):
+        parts = lines[4].split()
+        for at in (18, 22) if box_at is None else (18, 22, box_at):
+            parts[at] = tok
+        lines[4] = " ".join(parts)
+        return lines
+
+    pairs = load_dataset(write_then_edit(tmp_path, mangle)).pairs
+    want = np.float64(value).tobytes()
+    assert pairs.a_s[0, 0].tobytes() == want and pairs.a_o[0, 0].tobytes() == want
+    if box_at is not None:
+        assert pairs.coords[0, box_at - 4].tobytes() == want
+
+
 def test_loader_rejects_undecodable_bytes_in_one_line(tmp_path):
     path = write_then_edit(tmp_path, lambda lines: lines)
     with open(path, "rb") as fh:
