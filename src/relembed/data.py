@@ -7,9 +7,10 @@ list of predicate labels, each annotating the triplet (subject_category,
 predicate, object_category). Candidate pairs live in one ``PairTable`` of
 columns, one row per pair; a dataset's pairs, every training batch, every
 eval candidate set, a query's ranking and its ground truth are tables, and
-``PairTable.take`` selects rows. Every table of rows, read or generated, is
-built by ``PairTable.from_rows`` one row at a time into growable typed
-columns; boxes enter as validated ``BoundingBox`` values.
+``PairTable.take`` selects rows. Every table, read or generated, is built
+by ``PairTable.from_blocks``, which appends blocks of ``READ_ROWS`` rows to
+growable typed columns: ``load_dataset`` converts each field of a block of
+pair lines at once, and ``from_rows`` takes rows with ``BoundingBox`` boxes.
 
 File formats (all line-oriented text, floats written with full precision):
 
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from array import array
 from dataclasses import dataclass, fields
@@ -196,25 +198,31 @@ class PairTable:
     pos_preds: Array  # int64 predicate indices
 
     @classmethod
+    def from_blocks(cls, blocks: Iterable[tuple], appearance_dim: int) -> "PairTable":
+        """A table from blocks of rows, each given as its columns (pair_id,
+        image_id, scat, ocat, a_s, a_o, coords, predicates, predicate counts)
+        and appended to typed columns that the arrays view."""
+        columns, offsets = [array(code) for code in "qqqqdddq"], array("q", [0])
+        for *block, counts in blocks:
+            for column, values in zip(columns, block):
+                column.frombytes(np.asarray(values, column.typecode).tobytes())
+            offsets.frombytes((offsets[-1] + np.cumsum(counts, dtype=np.int64)).tobytes())
+        n = len(offsets) - 1  # a row of the wrong width fails the reshape
+        ints = [np.frombuffer(c, np.int64) for c in (*columns[:4], offsets, columns[7])]
+        reals = (np.frombuffer(c).reshape(n, w) for c, w in zip(columns[4:7], (appearance_dim, appearance_dim, 8)))
+        return cls(*ints[:4], *reals, *ints[4:])
+
+    @classmethod
     def from_rows(cls, rows: Iterable[tuple], appearance_dim: int) -> "PairTable":
         """A table from (pair_id, image_id, sub_box, obj_box, scat, ocat, a_s, a_o,
-        predicates) rows, each appended to typed columns that the arrays view."""
-        ints, reals = [array("q") for _ in range(4)], [array("d") for _ in range(3)]
-        offsets, preds = array("q", [0]), array("q")
-        for pair_id, image_id, sub, obj, scat, ocat, a_s, a_o, row_preds in rows:
-            for column, value in zip(ints, (pair_id, image_id, scat, ocat)):
-                column.append(value)
-            reals[0].frombytes(np.asarray(a_s, np.float64).tobytes())
-            reals[1].frombytes(np.asarray(a_o, np.float64).tobytes())
-            reals[2].extend(sub.coords() + obj.coords())
-            preds.extend(row_preds)
-            offsets.append(len(preds))
-        n = len(offsets) - 1  # a row of the wrong width fails the reshape
-        return cls(
-            *(np.frombuffer(column, np.int64) for column in ints),
-            *(np.frombuffer(c).reshape(n, w) for c, w in zip(reals, (appearance_dim, appearance_dim, 8))),
-            *(np.frombuffer(column, np.int64) for column in (offsets, preds)),
-        )
+        predicates) rows, appended ``READ_ROWS`` rows at a time."""
+        def blocks(rows=iter(rows)):
+            while chunk := list(itertools.islice(rows, READ_ROWS)):
+                pair_id, image_id, sub, obj, scat, ocat, a_s, a_o, preds = zip(*chunk)
+                coords = [s.coords() + o.coords() for s, o in zip(sub, obj)]
+                yield pair_id, image_id, scat, ocat, a_s, a_o, coords, [*itertools.chain(*preds)], [*map(len, preds)]
+
+        return cls.from_blocks(blocks(), appearance_dim)
 
     def __len__(self) -> int:
         return len(self.pair_id)
@@ -457,39 +465,74 @@ def write_dataset(dataset: Dataset, path: str, write_vocabularies: bool = True):
             )
 
 
-def _read_pairs(lines: Iterable[Line], d: int, vocabs: dict[str, Vocabulary]) -> Iterator[tuple]:
-    """The ``PairTable.from_rows`` row of each pair line, one at a time."""
-    keywords = (  # (position, keyword) of every keyword of a pair line
-        (0, "pair"), (3, "sub"), (8, "obj"), (13, "scat"), (15, "ocat"),
-        (17, "afeat_s"), (18 + d, "afeat_o"), (19 + 2 * d, "labels"),
-    )
+READ_ROWS = 64  # pair lines converted at once; of 16 to 256 rows, 64 loaded fastest
+
+
+def _pair_keywords(d: int) -> tuple[tuple[int, str], ...]:
+    """(position, keyword) of every keyword of a pair line."""
+    return ((0, "pair"), (3, "sub"), (8, "obj"), (13, "scat"), (15, "ocat"),
+            (17, "afeat_s"), (18 + d, "afeat_o"), (19 + 2 * d, "labels"))
+
+
+def _check_pair_line(line: Line, d: int, vocabs: dict[str, Vocabulary], seen_ids: set[int]):
+    """Every test of one pair line, in field order, failing with the line's
+    first error; adds its pair id to ``seen_ids``."""
+    if line.parts[0].startswith("#"):
+        line.fail("header line after the first pair line")
+    line.expect(20 + 2 * d, _pair_keywords(d))
+    pair_id = line.integer(1, "pair id")
+    line.integer(2, "image id")
+    sub, obj = line.reals(4, 8, "sub box"), line.reals(9, 13, "obj box")
+    line.token(line.parts[14], vocabs["subjects"], "subject category")
+    line.token(line.parts[16], vocabs["objects"], "object category")
+    line.reals(18, 18 + d, "afeat_s")
+    line.reals(19 + d, 19 + 2 * d, "afeat_o")
+    for entry in line.parts[20 + 2 * d :]:
+        tag, sep, tok = entry.partition(":")
+        if not sep or not tag.startswith("p") or not tag[1:].isdigit():
+            line.fail(f"bad label entry {entry!r}, expected p<n>:<token>")
+        line.token(tok, vocabs["predicates"], "predicate")
+    try:
+        BoundingBox(*sub), BoundingBox(*obj)
+    except DataError as e:
+        line.fail(str(e))
+    if pair_id in seen_ids:
+        line.fail(f"duplicate pair id {pair_id}")
+    seen_ids.add(pair_id)
+
+
+def _read_pairs(lines: Iterator[Line], d: int, vocabs: dict[str, Vocabulary]) -> Iterator[tuple]:
+    """The ``PairTable.from_blocks`` block of each ``READ_ROWS`` pair lines,
+    each field converted once per block. A block that fails any test is
+    checked again line by line by ``_check_pair_line``, so the error is the
+    first bad line's, as that line gives it alone."""
+    (at, words), width = zip(*_pair_keywords(d)), 20 + 2 * d
+    keywords = operator.itemgetter(*at)
+    reals_of = operator.itemgetter(*range(4, 8), *range(9, 13), *range(18, 18 + d), *range(19 + d, width - 1))
+    subjects, predicates, objects = (vocabs[k].index for k in _VOCAB_KEYS)
     seen_ids: set[int] = set()
-    for line in lines:
-        if line.parts[0].startswith("#"):
-            line.fail("header line after the first pair line")
-        line.expect(20 + 2 * d, keywords)
-        pair_id = line.integer(1, "pair id")
-        image_id = line.integer(2, "image id")
-        sub = line.reals(4, 8, "sub box")
-        obj = line.reals(9, 13, "obj box")
-        scat = line.token(line.parts[14], vocabs["subjects"], "subject category")
-        ocat = line.token(line.parts[16], vocabs["objects"], "object category")
-        a_s = line.reals(18, 18 + d, "afeat_s")
-        a_o = line.reals(19 + d, 19 + 2 * d, "afeat_o")
-        preds = []
-        for entry in line.parts[20 + 2 * d :]:
-            tag, sep, tok = entry.partition(":")
-            if not sep or not tag.startswith("p") or not tag[1:].isdigit():
-                line.fail(f"bad label entry {entry!r}, expected p<n>:<token>")
-            preds.append(line.token(tok, vocabs["predicates"], "predicate"))
-        try:
-            boxes = BoundingBox(*sub), BoundingBox(*obj)
-        except DataError as e:
-            line.fail(str(e))
-        if pair_id in seen_ids:
-            line.fail(f"duplicate pair id {pair_id}")
-        seen_ids.add(pair_id)
-        yield pair_id, image_id, *boxes, scat, ocat, a_s, a_o, preds
+    while block := list(itertools.islice(lines, READ_ROWS)):
+        parts = [line.parts for line in block]
+        try:  # a short line fails with IndexError
+            pair_id, image_id = (np.array([int(p[i]) for p in parts], np.int64) for i in (1, 2))
+            reals = np.array([*itertools.chain.from_iterable(map(reals_of, parts))], np.float64).reshape(len(parts), -1)
+            corners = reals[:, :8].reshape(-1, 2, 2, 2)  # box, min or max corner, x or y
+            scat, ocat = ([vocab[token_from_file(p[i])] for p in parts] for vocab, i in ((subjects, 14), (objects, 16)))
+            labels = [p[width:] for p in parts]
+            entries = [entry.partition(":") for entry in itertools.chain.from_iterable(labels)]
+            preds = [predicates[token_from_file(tok)] for _, _, tok in entries]
+            ids = set(pair_id.tolist())  # NaN fails the box test, as it fails BoundingBox
+            if (any(keywords(p) != words for p in parts) or not (corners[:, :, 0] < corners[:, :, 1]).all()
+                    or not all(sep and tag.startswith("p") and tag[1:].isdigit() for tag, sep, _ in entries)
+                    or len(ids) < len(parts) or not seen_ids.isdisjoint(ids)):
+                raise ValueError("a misplaced keyword, a degenerate box, a bad label entry or a repeated pair id")
+        except (ValueError, KeyError, OverflowError, IndexError):
+            for line in block:
+                _check_pair_line(line, d, vocabs, seen_ids)
+            raise AssertionError(f"{block[0].path}: a block of pair lines failed a test that none fails alone")
+        seen_ids |= ids
+        a_s, a_o, coords = reals[:, 8 : 8 + d], reals[:, 8 + d :], reals[:, :8]
+        yield pair_id, image_id, scat, ocat, a_s, a_o, coords, preds, [*map(len, labels)]
 
 
 def load_dataset(path: str) -> Dataset:
@@ -529,8 +572,8 @@ def load_dataset(path: str) -> Dataset:
     if missing:
         first[0].fail(f"pair line before vocabulary headers: {', '.join(missing)}")
     vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
-    rows = _read_pairs(itertools.chain(first, lines), appearance_dim, vocabs)
-    return Dataset(*(vocabs[k] for k in _VOCAB_KEYS), PairTable.from_rows(rows, appearance_dim))
+    blocks = _read_pairs(itertools.chain(first, lines), appearance_dim, vocabs)
+    return Dataset(*(vocabs[k] for k in _VOCAB_KEYS), PairTable.from_blocks(blocks, appearance_dim))
 
 
 # ---------------------------------------------------------------------------

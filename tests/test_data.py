@@ -1,4 +1,7 @@
+import dataclasses
 import os
+import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 
@@ -7,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relembed import data as relembed_data
 from relembed.analogy import source_pool
 from relembed.config import RunConfig
 from relembed.data import (
     LANGUAGE_MASKS,
+    READ_ROWS,
     BoundingBox,
     DataError,
     Dataset,
@@ -43,6 +48,7 @@ from conftest import (
     triplet_counts,
     wide_config,
 )
+from test_error_contract_fuzz import FUZZ, mutate_lines
 
 
 def tiny_dataset() -> Dataset:
@@ -281,6 +287,8 @@ _MALFORMED_PAIR_LINES = [
     pytest.param(_set(14, "unicorn"), "unknown subject category token 'unicorn'", id="scat"),
     pytest.param(_set(16, "unicorn"), "unknown object category token 'unicorn'", id="ocat"),
     pytest.param(_set(26, "ride"), "bad label entry 'ride', expected p<n>:<token>", id="label_entry"),
+    pytest.param(_set(26, "q1:ride"), "bad label entry 'q1:ride', expected p<n>:<token>", id="label_tag"),
+    pytest.param(_set(26, "p:ride"), "bad label entry 'p:ride', expected p<n>:<token>", id="label_number"),
     pytest.param(_set(26, "p1:fly"), "unknown predicate token 'fly'", id="label_predicate"),
     pytest.param(_set(6, "0.0"), "degenerate box (0.0, 0.0, 0.0, 10.0)", id="degenerate_box"),
     pytest.param(lambda parts: parts[:23], "truncated line", id="cut_in_afeat_o"),
@@ -354,6 +362,180 @@ def test_loader_rejects_a_header_after_the_pair_lines(tmp_path):
     with pytest.raises(DataError) as info:
         load_dataset(path)
     assert str(info.value) == f"{path}:8: header line after the first pair line"
+
+
+# rows of the second and the third block of pair lines
+_SECOND, _THIRD = READ_ROWS, 2 * READ_ROWS
+
+
+def write_blocks(tmp_path, transform) -> str:
+    """A dataset of 3 blocks of pair lines and 5 more, every row a copy of
+    ``tiny_dataset``'s first with pair id = row, edited as in ``write_then_edit``;
+    row r sits on line 5 + r."""
+    ds = tiny_dataset()
+    n = 3 * READ_ROWS + 5
+    pairs = dataclasses.replace(ds.pairs.take([0] * n), pair_id=np.arange(n, dtype=np.int64))
+    path = tmp_path / "d.ds"
+    write_dataset(Dataset(ds.subjects, ds.predicates, ds.objects, pairs), str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(transform(lines)) + "\n")
+    return str(path)
+
+
+def edit_rows(edits):
+    """A transform applying each (row, edit) of ``edits`` to that row's fields."""
+    def transform(lines):
+        for row, edit in edits:
+            lines[4 + row] = " ".join(edit(lines[4 + row].split()))
+        return lines
+
+    return transform
+
+
+@pytest.mark.parametrize("edit, message", _MALFORMED_PAIR_LINES)
+def test_loader_names_a_malformed_line_at_either_end_of_a_later_block(tmp_path, edit, message):
+    for row in (_SECOND, _THIRD + READ_ROWS - 1):  # first line of the second block, last of the third
+        path = write_blocks(tmp_path, edit_rows([(row, edit)]))
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}:{5 + row}: {message}"
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(_SECOND + 3, _THIRD + 1), (_SECOND + 3, _SECOND + 9), (_THIRD - 1, _THIRD)],
+    ids=("blocks_apart", "one_block", "adjacent_blocks"),
+)
+def test_loader_names_the_earlier_of_two_malformed_lines(tmp_path, first, second):
+    """The earlier line is named whichever of the two errors a line would
+    meet first: a bad real comes before a keyword in a line's own order."""
+    bad_real, bad_keyword = _set(19, "oops"), _set(17, "afeat_x")
+    for edits, message in (
+        ([(first, bad_real), (second, bad_keyword)], "bad real in afeat_s: 'oops'"),
+        ([(first, bad_keyword), (second, bad_real)], "expected 'afeat_s', found 'afeat_x'"),
+    ):
+        path = write_blocks(tmp_path, edit_rows(edits))
+        with pytest.raises(DataError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}:{5 + first}: {message}"
+
+
+def test_loader_names_a_duplicate_of_a_pair_id_from_an_earlier_block(tmp_path):
+    path = write_blocks(tmp_path, edit_rows([(_THIRD + 7, _set(1, "5"))]))
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}:{5 + _THIRD + 7}: duplicate pair id 5"
+
+
+def test_loader_rejects_a_header_inside_a_later_block(tmp_path):
+    row = _THIRD + 4
+    path = write_blocks(tmp_path, lambda lines: lines[: 4 + row] + ["#appearance_dim 3"] + lines[4 + row :])
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}:{5 + row}: header line after the first pair line"
+
+
+@pytest.fixture(scope="module")
+def desk_train_file(tmp_path_factory):
+    """The desk world's train set, 594 pair lines (10 blocks), and the index
+    of its first pair line."""
+    path = tmp_path_factory.mktemp("blocks") / "train.ds"
+    write_dataset(synth_generate(desk_config(), 0)[0], str(path))
+    text = path.read_bytes()
+    return path, text, text[: text.index(b"\npair")].count(b"\n") + 1
+
+
+def load_line_by_line(path):
+    """``load_dataset`` with every pair line put through ``_check_pair_line``
+    alone, in file order; the table it returns is empty."""
+    def per_line(lines, d, vocabs):
+        seen_ids = set()
+        for line in lines:
+            relembed_data._check_pair_line(line, d, vocabs, seen_ids)
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relembed_data, "_read_pairs", per_line)
+        return load_dataset(path)
+
+
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_block_reader_agrees_with_the_per_line_checks_on_mutated_lines(desk_train_file, data):
+    """On 1-3 mutated pair lines, the block reader raises what the per-line
+    checks over the whole file raise, or both pass and the table has the
+    bytes of the straight-line oracle."""
+    path, text, first = desk_train_file
+    tmp = path.with_name("mutated.ds")
+    tmp.write_bytes(mutate_lines(data, text, first))
+    try:
+        load_line_by_line(str(tmp))
+    except ValueError as e:
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(tmp))
+        assert (type(info.value), str(info.value)) == (type(e), str(e))
+    else:
+        rows, d = oracle_rows(str(tmp))
+        assert_tables_equal(load_dataset(str(tmp)).pairs, stacked_table(rows, d))
+
+
+def traced_bytes(build) -> tuple[object, int, int]:
+    """``build()``, and the traced bytes it leaves held and its traced peak."""
+    tracemalloc.start()
+    try:
+        value = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held, peak
+
+
+def running_id_set(id_tokens: list[str]) -> set[int]:
+    """The loader's set of seen pair ids, grown as the loader grows it."""
+    seen: set[int] = set()
+    for start in range(0, len(id_tokens), READ_ROWS):
+        seen |= set(np.array([int(t) for t in id_tokens[start : start + READ_ROWS]], np.int64).tolist())
+    return seen
+
+
+def test_loader_holds_a_few_blocks_of_lines_besides_its_table(tmp_path):
+    """What ``load_dataset`` allocates besides the table it returns and its
+    running set of pair ids stays under one bound whatever the file's size.
+
+    While it reads, the loader holds the split pair lines of at most two
+    blocks (the block it converts, and the one before it until its names are
+    rebound) and the conversions of a block: a flat list of its real tokens
+    and their float array, 16 bytes per real against the 49-byte header of
+    each real's ``str``. So the bound is 3 x READ_ROWS x the bytes of one
+    split line (its tokens and their list, the longest line of the file):
+    two blocks of lines, and one more for the conversions and the reader's
+    buffers. A ``wide`` line is about 8 KB split, so the bound is about
+    1.5 MB, where a whole-file reader would hold every line's tokens, about
+    31 MB for ``wide``'s 3,904 test pairs. The table's bytes are the traced
+    bytes still held after the call: its columns' buffers, over-allocation
+    included. The set of seen pair ids, which duplicate ids are checked
+    against, grows with the file (as it did when lines were read one at a
+    time); its bytes are those of the same set grown the same way.
+    Measured on ``wide``'s test set and on its pair lines written 4 times
+    with new pair ids (15,616 pairs)."""
+    _, test, _, _ = synth_generate(wide_config(), 0)
+    path = tmp_path / "test.ds"
+    write_dataset(test, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    head, pair_lines = lines[:4], [line.split(" ") for line in lines[4:]]
+    n = len(pair_lines)
+    four = tmp_path / "four.ds"
+    four.write_text("".join(head + [
+        " ".join([parts[0], str(copy * n + int(parts[1])), *parts[2:]]) for copy in range(4) for parts in pair_lines
+    ]))
+    line_bytes = max(sys.getsizeof(parts) + sum(map(sys.getsizeof, parts)) for parts in map(str.split, lines[4:]))
+    bound = 3 * READ_ROWS * line_bytes
+    for file, rows in ((path, n), (four, 4 * n)):
+        dataset, held, peak = traced_bytes(lambda: load_dataset(str(file)))
+        ids = [line.split(" ", 2)[1] for line in file.read_text().splitlines()[4:]]
+        seen, id_bytes, _ = traced_bytes(lambda: running_id_set(ids))
+        assert len(dataset.pairs) == rows == len(seen)
+        assert peak - held - id_bytes < bound, (file.name, peak - held, id_bytes, bound)
 
 
 @pytest.mark.parametrize(
