@@ -95,3 +95,61 @@ def test_per_pair_median_differs_from_the_change_of_medians(bench_pairs):
     zero = [{"parent": run(1.0, 0.0), "change": run(1.0, 0.1)}]
     assert bench_pairs.summarize(zero, METRICS)["metrics"]["map_rel"]["per_pair"] is None
     assert "n/a" in bench_pairs.report(bench_pairs.summarize(zero, METRICS))
+
+
+BOUNDED = [{"name": "eval_s", "better": "lower", "bound": 0.25}, {"name": "map_rel", "better": "higher", "bound": 0.25}]
+
+
+def shifted(by: list[float], map_rel=0.5) -> list[dict]:
+    """Ten pairs: the parent's eval_s runs 1.00, 1.01, ..., 1.09 (quartiles
+    1.0225 and 1.0675, so an interquartile range of 0.045), the change's
+    each shifted by the matching entry of ``by``."""
+    return [
+        {"parent": run(1.0 + 0.01 * i, 0.5), "change": run(1.0 + 0.01 * i + d, map_rel)} for i, d in enumerate(by)
+    ]
+
+
+def verdict(bench_pairs, pairs, name="eval_s", metrics=BOUNDED) -> tuple[bool, bool | None, str]:
+    s = bench_pairs.summarize(pairs, metrics)
+    line = next(x for x in bench_pairs.report(s).splitlines() if x.startswith(f"verdict {name}:"))
+    return s["metrics"][name]["claim"], s["metrics"][name]["beyond_bound"], line
+
+
+def test_claim_verdict_needs_nine_of_ten_pairs_and_medians_apart_by_more_than_the_iqr(bench_pairs):
+    claim, _, line = verdict(bench_pairs, shifted([-0.1] * 10))
+    assert claim and line.startswith("verdict eval_s: gain claimable yes (10/10 pairs better, median moved -0.1,")
+    assert "parent IQR 0.045)" in line
+    # nine of ten is enough, eight is not; a tie counts for neither side
+    assert verdict(bench_pairs, shifted([0.01] + [-0.1] * 9))[0]
+    assert not verdict(bench_pairs, shifted([0.01, 0.0] + [-0.1] * 8))[0]
+    # every pair better, but the medians only 0.02 apart: inside the parent's spread
+    claim, _, line = verdict(bench_pairs, shifted([-0.02] * 10))
+    assert not claim and "gain claimable no (10/10 pairs better" in line
+    # a pair that did not complete is not a win
+    pairs = shifted([-0.1] * 10)
+    pairs[3]["change"] = {"seed": 0, "returncode": 1, "stderr": ["boom"]}
+    assert verdict(bench_pairs, pairs)[0]
+    pairs[4]["change"] = pairs[3]["change"]
+    assert not verdict(bench_pairs, pairs)[0]
+    # a higher-is-better metric must rise: 0.6 against 0.5 in every pair, the parent's spread 0
+    assert verdict(bench_pairs, shifted([0.0] * 10, map_rel=0.6), "map_rel")[0]
+    assert not verdict(bench_pairs, shifted([0.0] * 10, map_rel=0.4), "map_rel")[0]
+
+
+def test_bound_verdict_compares_the_medians_with_the_metrics_bound(bench_pairs):
+    # the parent's median eval_s is 1.045; a 25% bound allows up to 1.30625
+    _, beyond, line = verdict(bench_pairs, shifted([0.3] * 10))
+    assert beyond and line.endswith("worse than its bound of 25%: yes")
+    _, beyond, line = verdict(bench_pairs, shifted([0.2] * 10))
+    assert beyond is False and line.endswith("worse than its bound of 25%: no")
+    assert verdict(bench_pairs, shifted([-0.3] * 10))[1] is False
+    # for a higher-is-better metric, falling is worse: 0.5 -> 0.35 is -30%, 0.5 -> 0.65 is +30%
+    assert verdict(bench_pairs, shifted([0.0] * 10, map_rel=0.35), "map_rel")[1]
+    assert verdict(bench_pairs, shifted([0.0] * 10, map_rel=0.65), "map_rel")[1] is False
+    # no bound given, or a parent median of 0: no verdict
+    _, beyond, line = verdict(bench_pairs, shifted([0.3] * 10), metrics=METRICS)
+    assert beyond is None and line.endswith("worse than its bound: n/a")
+    zero = [{"parent": run(1.0, 0.0), "change": run(1.0, 0.1)}]
+    assert verdict(bench_pairs, zero, "map_rel")[1] is None
+    text = bench_pairs.report(bench_pairs.summarize(shifted([0.3] * 10), BOUNDED))
+    assert text.splitlines()[-1] == "every run ok: yes; every mAP equal run for run: yes"

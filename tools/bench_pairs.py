@@ -20,9 +20,13 @@ the median over pairs of each pair's change (change / parent - 1), and in
 how many pairs the change was better (by the metric's direction). The
 per-pair median is the steadier one where a run measures a metric once
 (``train_s``) or where a metric has modes that the seed does not fix.
-A last line says whether every run succeeded and whether every mAP was
-equal run for run. Standard library only; exits 1 when a run failed or
-reported itself incorrect.
+Then two verdicts per metric: whether a gain may be claimed (the change
+better in at least 9 of every 10 pairs run, ties counting for neither, and
+the medians further apart than the parent's interquartile range), and
+whether the change's median is worse than the parent's by more than the
+metric's ``bound`` in BENCHMARK.json. A last line says whether every run
+succeeded and whether every mAP was equal run for run. Standard library
+only; exits 1 when a run failed or reported itself incorrect.
 """
 
 from __future__ import annotations
@@ -49,12 +53,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric, each side's quartiles over its complete runs, the median
-    of the per-pair changes and the count of complete pairs in which the
-    change was better; whether every run completed correctly; whether every
-    pair's raw mAPs were equal.
+    of the per-pair changes, the count of complete pairs in which the change
+    was better, whether a gain may be claimed (``claim``) and whether the
+    change's median is worse than the parent's by more than the metric's
+    bound (``beyond_bound``, None without a bound or a parent median);
+    whether every run completed correctly; whether every pair's raw mAPs
+    were equal.
 
     ``pairs`` holds {"parent": run, "change": run} records of ``run_once``;
-    ``end_to_end`` is BENCHMARK.json's list of {"name", "better"} metrics.
+    ``end_to_end`` is BENCHMARK.json's list of {"name", "better"[, "bound"]}
+    metrics, a bound being the largest relative worsening allowed.
     """
     complete = [p for p in pairs if all("metrics" in p[side] for side in SIDES)]
     metrics = {}
@@ -64,17 +72,24 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         if not both:
             continue
         parent, change = quartiles([a for a, _ in both]), quartiles([b for _, b in both])
+        relative = change[1] / parent[1] - 1.0 if parent[1] else None
+        better = sum(sign * (b - a) > 0.0 for a, b in both)
         metrics[name] = {
             "parent": parent,
             "change": change,
-            "relative": change[1] / parent[1] - 1.0 if parent[1] else None,
+            "relative": relative,
             "per_pair": statistics.median(b / a - 1.0 for a, b in both) if all(a for a, _ in both) else None,
-            "better_pairs": sum(sign * (b - a) > 0.0 for a, b in both),
+            "better_pairs": better,
             "pairs": len(both),
+            # out of every pair run: an incomplete pair is not a win
+            "claim": 10 * better >= 9 * len(pairs) and sign * (change[1] - parent[1]) > parent[2] - parent[0],
+            "bound": m.get("bound"),
+            "beyond_bound": None if relative is None or "bound" not in m else -sign * relative > m["bound"],
         }
     runs = [p[side] for p in pairs for side in SIDES]
     return {
         "metrics": metrics,
+        "pairs_run": len(pairs),
         "all_ok": all(r["returncode"] == 0 and r.get("correct", False) for r in runs),
         "map_equal": bool(complete) and len(complete) == len(pairs)
         and all(p["parent"]["map"] == p["change"]["map"] for p in complete),
@@ -89,6 +104,14 @@ def report(summary: dict) -> str:
         parent, change = ("{1:.4g} [{0:.4g}, {2:.4g}]".format(*m[side]) for side in SIDES)
         rel, per_pair = ("n/a" if m[key] is None else f"{100.0 * m[key]:+.1f}%" for key in ("relative", "per_pair"))
         lines.append(row.format(name, parent, change, rel, per_pair, f"{m['better_pairs']}/{m['pairs']}"))
+    yes_no = {None: "n/a", True: "yes", False: "no"}
+    for name, m in summary["metrics"].items():
+        (q1, median, q3), bound = m["parent"], "" if m["bound"] is None else f" of {100.0 * m['bound']:.0f}%"
+        lines.append(
+            f"verdict {name}: gain claimable {yes_no[m['claim']]} ({m['better_pairs']}/{summary['pairs_run']}"
+            f" pairs better, median moved {m['change'][1] - median:+.4g}, parent IQR {q3 - q1:.4g});"
+            f" worse than its bound{bound}: {yes_no[m['beyond_bound']]}"
+        )
     lines.append(
         f"every run ok: {'yes' if summary['all_ok'] else 'NO'};"
         f" every mAP equal run for run: {'yes' if summary['map_equal'] else 'NO'}"
