@@ -465,7 +465,7 @@ def write_dataset(dataset: Dataset, path: str, write_vocabularies: bool = True):
             )
 
 
-READ_ROWS = 64  # pair lines converted at once; of 16 to 256 rows, 64 loaded fastest
+READ_ROWS = 32  # pair lines converted at once; 64 loaded as fast, but moved more peak memory
 
 
 def _pair_keywords(d: int) -> tuple[tuple[int, str], ...]:
