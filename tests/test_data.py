@@ -437,8 +437,8 @@ def test_loader_rejects_a_header_inside_a_later_block(tmp_path):
 
 @pytest.fixture(scope="module")
 def desk_train_file(tmp_path_factory):
-    """The desk world's train set, 594 pair lines (10 blocks), and the index
-    of its first pair line."""
+    """The desk world's train set, 594 pair lines (many blocks), and the
+    index of its first pair line."""
     path = tmp_path_factory.mktemp("blocks") / "train.ds"
     write_dataset(synth_generate(desk_config(), 0)[0], str(path))
     text = path.read_bytes()
@@ -509,9 +509,9 @@ def test_loader_holds_a_few_blocks_of_lines_besides_its_table(tmp_path):
     each real's ``str``. So the bound is 3 x READ_ROWS x the bytes of one
     split line (its tokens and their list, the longest line of the file):
     two blocks of lines, and one more for the conversions and the reader's
-    buffers. A ``wide`` line is about 8 KB split, so the bound is about
-    1.5 MB, where a whole-file reader would hold every line's tokens, about
-    31 MB for ``wide``'s 3,904 test pairs. The table's bytes are the traced
+    buffers. A ``wide`` line is about 7.7 KB split, so with 32-row blocks
+    the bound is about 0.74 MB, where a whole-file reader would hold every
+    line's tokens, about 31 MB for ``wide``'s 3,904 test pairs. The table's bytes are the traced
     bytes still held after the call: its columns' buffers, over-allocation
     included. The set of seen pair ids, which duplicate ids are checked
     against, grows with the file (as it did when lines were read one at a
