@@ -513,7 +513,7 @@ def _read_pairs(lines: Iterator[Line], d: int, vocabs: dict[str, Vocabulary]) ->
     seen_ids: set[int] = set()
     while block := list(itertools.islice(lines, READ_ROWS)):
         parts = [line.parts for line in block]
-        try:  # a short line fails with IndexError
+        try:  # a line too short for its keywords fails with IndexError
             pair_id, image_id = (np.array([int(p[i]) for p in parts], np.int64) for i in (1, 2))
             reals = np.array([*itertools.chain.from_iterable(map(reals_of, parts))], np.float64).reshape(len(parts), -1)
             corners = reals[:, :8].reshape(-1, 2, 2, 2)  # box, min or max corner, x or y
