@@ -7,13 +7,18 @@ differences between source and target, and sums them with their G weights
 (``transferred_embeddings``). Gamma has no bias terms anywhere, so a
 triplet transferred from itself is corrected by exactly zero.
 
+Sources are selected by one function, ``select_sources``, for many targets
+at once from one G matrix (targets x pool): evaluation passes every query
+with the frequent seen triplets as the pool (``transfer_embedding``), and
+stage 2 every seen triplet with the others (``build_source_sets``).
+
 The second training stage finetunes the visual-phrase branch while
 learning Gamma from analogies among seen triplets: each target is scored
-against that same k-source sum over the other seen triplets, with source
-sets taken from one G matrix. Gradients of the analogy term reach only
-Gamma and the visual-phrase visual projection. Targets, pools and sources
-are triplet codes: a pool is an ascending code array, and ties in G go to
-the smaller code, which is the lexicographically smaller triplet.
+against that same k-source sum over the other seen triplets. Gradients of
+the analogy term reach only Gamma and the visual-phrase visual projection.
+Targets, pools and sources are triplet codes: a pool is an ascending code
+array, and ties in G go to the smaller code, which is the lexicographically
+smaller triplet.
 """
 
 from __future__ import annotations
@@ -140,12 +145,12 @@ def slot_vectors(model: JointModel, codes) -> list[Array]:
     return [normalize_rows(table[index])[0] for index, table in zip(slots, words)]
 
 
-def similarity_many(model: JointModel, targets, pool, pool_vectors=None) -> Array:
+def similarity_many(model: JointModel, targets, pool) -> Array:
     """G between every target code (rows) and pool code (columns), clipped
-    to [0, 1]; ``pool_vectors`` are the pool's ``slot_vectors``, if held."""
+    to [0, 1]."""
     cfg = model.cfg
     alphas = (cfg.alpha_s, cfg.alpha_p, cfg.alpha_o)
-    vt, vp = slot_vectors(model, targets), pool_vectors or slot_vectors(model, pool)
+    vt, vp = slot_vectors(model, targets), slot_vectors(model, pool)
     g = sum(a * (t @ p.T) for a, t, p in zip(alphas, vt, vp))
     return np.clip(g, 0.0, 1.0)
 
@@ -155,25 +160,20 @@ def source_pool(model: JointModel) -> Array:
     return model.observed[model.counts >= model.cfg.rare_threshold]
 
 
-def select_sources(model: JointModel, u: int, pool, pool_vectors=None) -> tuple[Array, Array]:
-    """Codes and G weights of the top-k pool triplets for target code u, by
-    G descending, ties by ascending code. The pool is taken as given:
-    evaluation passes the frequent seen triplets, the target among them or not."""
+def select_sources(model: JointModel, targets, pool, exclude: Array | None = None) -> tuple[Array, Array, Array]:
+    """Per target code, from one G matrix, the k pool codes of largest G but
+    the target's ``exclude`` code, descending, ties by ascending code: codes
+    and weights, (targets, min(k, pool)), and each target's count of
+    sources, which come first; the weights past a target's count are 0. The
+    pool is taken as given: evaluation passes the frequent seen triplets,
+    a target among them or not."""
     if not len(pool):
-        raise DataError(f"empty source pool for target {triplet_of(model.dims, u)}")
-    sources, weights, _ = _top_k(similarity_many(model, [u], pool, pool_vectors), pool, model.cfg.k)
-    return sources[0], weights[0]
-
-
-def _top_k(g: Array, pool, k: int, exclude: Array | None = None) -> tuple[Array, Array, Array]:
-    """Per row of G, the k pool codes of largest G but the row's ``exclude``
-    code, descending, ties by ascending code: codes and weights, (rows,
-    min(k, pool)), and each row's count of sources, which come first; the
-    weights past a row's count are 0."""
+        raise DataError(f"empty source pool for target {triplet_of(model.dims, targets[0])}")
+    g = similarity_many(model, targets, pool)
     pool = np.broadcast_to(np.asarray(pool, np.int64), g.shape)
     skip = np.zeros(g.shape, bool) if exclude is None else pool == exclude[:, None]
-    order = np.lexsort((pool, -g, skip), axis=-1)[:, :k]
-    count = np.minimum(k, g.shape[1] - skip.sum(axis=1))
+    order = np.lexsort((pool, -g, skip), axis=-1)[:, : model.cfg.k]
+    count = np.minimum(model.cfg.k, g.shape[1] - skip.sum(axis=1))
     weights = np.where(np.arange(order.shape[1]) < count[:, None], np.take_along_axis(g, order, 1), 0.0)
     return np.take_along_axis(pool, order, 1), weights, count
 
@@ -201,13 +201,14 @@ def transferred_embeddings(model: JointModel, gamma: Gamma, targets, sources, we
     if gamma.net is not None:  # absent and zero correct nothing
         corr, cache = gamma_forward(gamma, gamma_input_matrix(model, sources, np.repeat(targets, k)))
         w = w + corr
-    return (a[:, None, :] @ w.reshape(n, k, -1))[:, 0], (a, cache)
+    return (a[:, None, :] @ w.reshape(n, k, w.shape[1]))[:, 0], (a, cache)
 
 
-def transfer_embedding(model: JointModel, gamma: Gamma, u: int, pool=None, pool_vectors=None) -> Array:
-    """Target code u's embedding from its ``select_sources`` in ``pool``."""
-    sources, weights = select_sources(model, u, source_pool(model) if pool is None else pool, pool_vectors)
-    return transferred_embeddings(model, gamma, [u], sources[None], weights[None])[0][0]
+def transfer_embedding(model: JointModel, gamma: Gamma, targets, pool) -> Array:
+    """The embeddings of target codes, (targets, d), each transferred from
+    its ``select_sources`` in ``pool``."""
+    sources, weights, _ = select_sources(model, targets, pool)
+    return transferred_embeddings(model, gamma, targets, sources, weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +268,8 @@ def analogy_loss(
 
 
 def build_source_sets(model: JointModel, pool: Array) -> tuple[Array, Array, Array]:
-    """``_top_k`` source sets of every observed triplet but itself, by
-    ``select_sources``' rule from one G matrix (last bits may differ)."""
-    g = similarity_many(model, model.observed, pool)
-    return _top_k(g, pool, model.cfg.k, exclude=model.observed)
+    """The ``select_sources`` of every observed triplet, itself excluded."""
+    return select_sources(model, model.observed, pool, exclude=model.observed)
 
 
 def stage2_pool(model: JointModel, kind: str) -> Array | None:

@@ -200,7 +200,8 @@ def cmd_inspect(args) -> int:
         return 0
     # sources
     u = triplet_codes(model.dims, parse_triplet(vocabs, args.args))
-    for code, g in zip(*(a.tolist() for a in select_sources(model, u, source_pool(model)))):
+    sources, weights, _ = select_sources(model, [u], source_pool(model))
+    for code, g in zip(sources[0].tolist(), weights[0].tolist()):
         out.write(f"source {triplet_text(vocabs, triplet_of(model.dims, code))} g {fmt_reals([g])}\n")
     return 0
 

@@ -13,8 +13,9 @@ its image whose subject and object boxes both clear the IoU threshold.
 AP is interpolation-free: the sum of precision at each true-positive rank,
 divided by the number of ground-truth positives.
 
-``evaluate_queries`` is the eval loop: it embeds the pairs and the source pool
-and indexes the ground truth once, then scores, ranks and matches each query.
+``evaluate_queries`` is the eval loop: it embeds the pairs, transfers every
+query's vp embedding from one G matrix and indexes the ground truth once,
+then scores, ranks and matches each query.
 ``ground_truth_for`` is one query's ground truth. A query is scored and
 looked up by its triplet code, in an index of positive codes sorted once.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .data import Array, DataError, Dataset, PairTable, Triplet, fmt_reals, read_lines, triplet_text
 from .data import triplet_codes
-from .analogy import Gamma, slot_vectors, source_pool, transfer_embedding
+from .analogy import Gamma, source_pool, transfer_embedding
 from .model import JointModel, reuse_pair_embeddings, score_pairs
 
 
@@ -173,20 +174,20 @@ def evaluate_queries(
     Yields (query, ranked pairs, their scores, AP). The pair embeddings and
     the ground-truth index are built once, on the first step; each query's
     ``pair_embeddings`` call then returns the same arrays. Without ``gamma``
-    each query is scored directly; with it, its vp factor is the embedding
-    transferred from the source pool (analogy transfer).
+    each query is scored directly; with it, the vp factor of query i is row
+    i of one ``transfer_embedding`` call over every query, whose sources
+    come from the source pool (analogy transfer).
     """
-    pool = vectors = None
+    codes = triplet_codes(model.dims, np.array(queries, np.int64).reshape(-1, 3).T)
+    overrides = [None] * len(codes)
     if gamma is not None:
         pool = source_pool(model)
         if not pool.size:
             raise DataError("no transfer sources: every observed triplet is rare")
-        vectors = slot_vectors(model, pool)
-    codes = triplet_codes(model.dims, np.array(queries, np.int64).reshape(-1, 3).T)
+        overrides = transfer_embedding(model, gamma, codes, pool)
     index = ground_truth_index(dataset.pairs, model.dims)
     with reuse_pair_embeddings(model, dataset.pairs):
-        for query, code in zip(queries, codes.tolist()):
-            override = None if pool is None else transfer_embedding(model, gamma, code, pool, vectors)
+        for query, code, override in zip(queries, codes.tolist(), overrides):
             ranked, scores = rank_candidates(model, code, dataset.pairs, vp_override=override)
             truth = dataset.pairs.take(truth_rows(index, code))
             yield query, ranked, scores, average_precision(query, ranked, scores, truth, policy)

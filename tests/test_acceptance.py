@@ -166,7 +166,7 @@ def test_criterion_2_analogy_identity():
         gamma = gamma_init(dataclasses.replace(cfg, gamma=gkind), 1)
         for t in probes:
             direct = embed_language_batch(model, "vp", [t])[0]
-            transferred = transfer_embedding(model, gamma, t, pool=[t])
+            transferred = transfer_embedding(model, gamma, [t], [t])[0]
             worst = max(worst, float(np.max(np.abs(transferred - direct))))
     ok = bitwise and worst <= 1e-12
     _report(2, "analogy identity", ok, f"self-transfer err {worst:.2e}")

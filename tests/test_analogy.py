@@ -207,8 +207,9 @@ def test_select_sources_matches_full_sort(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = model.observed
     u = pool[len(pool) // 2]
-    sources, weights = select_sources(model, u, pool)
-    got = list(zip(decode(model.dims, sources), weights.tolist()))
+    sources, weights, count = select_sources(model, [u], pool)
+    assert count.tolist() == [cfg.k]
+    got = list(zip(decode(model.dims, sources[0]), weights[0].tolist()))
     g = similarity_many(model, [u], pool)[0]
     ranked = sorted(zip(decode(model.dims, pool), g.tolist()), key=lambda tg: (-tg[1], tg[0]))
     want = [(t, float(gv)) for t, gv in ranked[: cfg.k]]
@@ -219,14 +220,14 @@ def test_select_sources_matches_full_sort(small_bench):
 def test_select_sources_small_pool_returns_all(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = model.observed[:3]
-    sources, weights = select_sources(model, model.observed[0], pool)
-    assert len(sources) == len(weights) == 3
+    sources, weights, count = select_sources(model, model.observed[:1], pool)
+    assert sources.shape == weights.shape == (1, 3) and count.tolist() == [3]
 
 
 def test_select_sources_empty_pool_rejected(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     with pytest.raises(DataError, match="empty source pool"):
-        select_sources(model, model.observed[0], [])
+        select_sources(model, model.observed[:1], [])
 
 
 def test_source_pool_applies_rare_threshold(small_bench):
@@ -287,9 +288,9 @@ def test_build_source_sets_agree_with_select_sources(small_bench):
     sources, weights, count = build_source_sets(model, pool)
     assert len(sources) == len(weights) == len(count) == len(model.observed)
     for u, row, w, n in zip(model.observed, sources, weights, count):
-        want_sources, want_weights = select_sources(model, u, pool[pool != u])
-        assert row[:n].tolist() == want_sources.tolist(), u
-        assert np.allclose(w[:n], want_weights, rtol=0, atol=1e-12), u
+        want_sources, want_weights, _ = select_sources(model, [u], pool[pool != u])
+        assert row[:n].tolist() == want_sources[0].tolist(), u
+        assert np.allclose(w[:n], want_weights[0], rtol=0, atol=1e-12), u
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def test_self_transfer_equals_direct_embedding(small_bench):
         gamma = make_gamma(model, kind)
         for u in model.observed[:4]:
             direct = embed_language_batch(model, "vp", [u])[0]
-            transferred = transfer_embedding(model, gamma, u, pool=model.observed)
+            transferred = transfer_embedding(model, gamma, [u], model.observed)[0]
             assert np.max(np.abs(transferred - direct)) < 1e-12, kind
 
 
@@ -342,9 +343,9 @@ def test_transfer_absent_gamma_skips_correction(small_bench):
     absent = make_gamma(model, "absent")
     zero = make_gamma(model, "zero")
     u = model.observed[0]
-    sources, weights = select_sources(model, u, model.observed[model.observed != u])
-    a, _ = transferred_embeddings(model, absent, [u], sources[None], weights[None])
-    b, _ = transferred_embeddings(model, zero, [u], sources[None], weights[None])
+    sources, weights, _ = select_sources(model, [u], model.observed[model.observed != u])
+    a, _ = transferred_embeddings(model, absent, [u], sources, weights)
+    b, _ = transferred_embeddings(model, zero, [u], sources, weights)
     assert np.array_equal(a, b)
 
 
@@ -427,7 +428,7 @@ def test_analogy_loss_matches_finite_differences(small_bench):
     x = _vp_input(model, batch)
     u0 = batch.positives(model.dims)[1][0]  # labelled in the batch
     u1, *others = model.observed[model.observed != u0]
-    # the second set is ragged: its count is 2 of k = 3, as _top_k pads it
+    # the second set is ragged: its count is 2 of k = 3, as select_sources pads it
     q = ([u0, u1], [others[:3], [others[3], others[4], u1]], [[0.9, 0.5, 0.2], [0.7, 0.3, 0.0]])
     for normalize in (False, True):
         model.cfg.normalize_aggregation = normalize
@@ -444,7 +445,9 @@ def test_analogy_loss_matches_finite_differences(small_bench):
 
 def test_analogy_loss_scores_the_embedding_eval_transfers(small_bench, monkeypatch):
     """For every observed target, the column the analogy loss scores is the
-    embedding eval transfers to it from the pool without it."""
+    embedding eval transfers to it from the pool without it. Eval transfers
+    all its queries in one call; each row is the query's transfer alone,
+    from the same source codes."""
     scored = []
     real = analogy.logistic_terms
 
@@ -461,7 +464,12 @@ def test_analogy_loss_scores_the_embedding_eval_transfers(small_bench, monkeypat
         assert skipped == 0 and np.array_equal(q[0], model.observed)
         analogy_loss(model, gamma, train.pairs, _vp_input(model, train.pairs), *q)
         for u, w in zip(model.observed, scored.pop()):
-            assert np.max(np.abs(w - transfer_embedding(model, gamma, u, pool[pool != u]))) <= 1e-12, u
+            assert np.max(np.abs(w - transfer_embedding(model, gamma, [u], pool[pool != u])[0])) <= 1e-12, u
+        codes = np.concatenate([encode(model.dims, small_bench[1][3]), model.observed])
+        batch, (sources, _, _) = transfer_embedding(model, gamma, codes, pool), select_sources(model, codes, pool)
+        for u, w, row in zip(codes, batch, sources):
+            assert np.max(np.abs(w - transfer_embedding(model, gamma, [u], pool)[0])) <= 1e-12, u
+            assert row.tolist() == select_sources(model, [u], pool)[0][0].tolist(), u
 
 
 def test_analogy_loss_language_side_sees_zero_gradient(small_bench):
@@ -557,8 +565,8 @@ def test_zero_weight_target_is_skipped_in_stage2_and_refused_in_eval(small_bench
     dead = bench_model(small_bench)[3].observed[0]
     real_g, real_sample, real_loss = similarity_many, sample_q_pairs, analogy_loss
 
-    def g(model, targets, pool, pool_vectors=None):
-        out = real_g(model, targets, pool, pool_vectors)
+    def g(model, targets, pool):
+        out = real_g(model, targets, pool)
         out[np.asarray(targets) == dead] = 0.0
         return out
 
@@ -587,7 +595,7 @@ def test_zero_weight_target_is_skipped_in_stage2_and_refused_in_eval(small_bench
         assert not any(kept for _, kept, _ in seen)
         assert np.all(np.isfinite(trace)) and np.all(np.isfinite(losses))
         with pytest.raises(DataError, match="no informative sources"):
-            transfer_embedding(model, gamma, dead)
+            transfer_embedding(model, gamma, [dead], source_pool(model))
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +673,10 @@ def test_stage2_changes_transfer_scores(small_bench):
     u = model.observed[0]
     pairs = train.pairs.take(range(4))
     before = score_pairs(
-        model, u, pairs, vp_override=transfer_embedding(model, gamma, u)
+        model, u, pairs, vp_override=transfer_embedding(model, gamma, [u], source_pool(model))[0]
     )
     train_stage2(model, gamma, train, seed=0)
     after = score_pairs(
-        model, u, pairs, vp_override=transfer_embedding(model, gamma, u)
+        model, u, pairs, vp_override=transfer_embedding(model, gamma, [u], source_pool(model))[0]
     )
     assert not np.array_equal(before, after)

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from relembed.analogy import gamma_init, train_stage2, transfer_embedding
+from relembed.analogy import gamma_init, source_pool, train_stage2, transfer_embedding
 from relembed.checkpoint import HEADER_KEYS, MAGIC, load_checkpoint, save_checkpoint
 from relembed.cli import main
 from relembed.data import DataError
@@ -53,8 +53,8 @@ def test_round_trip_preserves_scores_bitwise(trained, tmp_path):
     for query in model.observed[:3]:
         assert np.array_equal(score_pairs(model, query, pairs), score_pairs(back, query, pairs))
     u = model.observed[0]
-    a = transfer_embedding(model, gamma, u)
-    b = transfer_embedding(back, gback, u)
+    a = transfer_embedding(model, gamma, [u], source_pool(model))
+    b = transfer_embedding(back, gback, [u], source_pool(back))
     assert np.array_equal(a, b)
 
 

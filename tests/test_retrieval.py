@@ -659,12 +659,19 @@ def trained_bench(small_bench):
     return model, gamma, test, list(heldout) + decode(model.dims, model.observed[:3])
 
 
+def _transfers(model, gamma, queries):
+    """Each query's vp override: in transfer mode its row of the one
+    ``transfer_embedding`` call over every query that eval makes."""
+    if gamma is None:
+        return [None] * len(queries)
+    return transfer_embedding(model, gamma, encode(model.dims, queries), source_pool(model))
+
+
 def _per_query_oracle(model, test, queries, gamma):
     """The eval loop written per query: every query embeds the pairs again
     and scans the dataset for its ground truth."""
-    for q in queries:
+    for q, override in zip(queries, _transfers(model, gamma, queries)):
         u = code(model, q)
-        override = None if gamma is None else transfer_embedding(model, gamma, u, source_pool(model))
         ranked, scores = rank_candidates(model, u, test.pairs, vp_override=override)
         truth = test.pairs.take(ground_truth_scan(test, q))
         yield q, ranked, scores, average_precision(q, ranked, scores, truth, MatchPolicy(0.5))
@@ -695,8 +702,8 @@ def test_eval_loop_is_byte_identical_to_per_query_oracle(trained_bench, tmp_path
 
 
 def test_transfer_eval_embeds_the_source_pool_once(trained_bench, monkeypatch):
-    """One transfer eval runs the s, p and o language nets over the source
-    pool once, not once per query; per query they embed only its own code."""
+    """One transfer eval runs the s, p and o language nets of G exactly
+    twice each: once over every query code, then once over the source pool."""
     model, gamma, test, queries = trained_bench
     pool = source_pool(model)
     rows = []
@@ -709,19 +716,31 @@ def test_transfer_eval_embeds_the_source_pool_once(trained_bench, monkeypatch):
 
     monkeypatch.setattr(analogy, "embed_language_batch", counted)
     assert len(list(evaluate_queries(model, test, queries, MatchPolicy(0.5), gamma))) == len(queries) > 1
-    assert len(pool) > 1
-    assert [r for r in rows if r[1] == len(pool)] == [(kind, len(pool)) for kind in SLOTS]
-    own = [(kind, 1) for kind in SLOTS] * len(queries)
-    assert sorted(rows) == sorted([(kind, len(pool)) for kind in SLOTS] + own)
+    assert len(pool) > 1 and len(pool) != len(queries)
+    assert rows == [(kind, len(queries)) for kind in SLOTS] + [(kind, len(pool)) for kind in SLOTS]
+
+
+def test_transfer_eval_computes_g_once_for_every_query(trained_bench, monkeypatch):
+    """One transfer eval computes one G: every query code against the pool."""
+    model, gamma, test, queries = trained_bench
+    calls = []
+    real = analogy.similarity_many
+
+    def counted(model, targets, pool):
+        calls.append((np.asarray(targets).tolist(), np.asarray(pool).tolist()))
+        return real(model, targets, pool)
+
+    monkeypatch.setattr(analogy, "similarity_many", counted)
+    assert len(list(evaluate_queries(model, test, queries, MatchPolicy(0.5), gamma))) == len(queries) > 1
+    assert calls == [(encode(model.dims, queries).tolist(), source_pool(model).tolist())]
 
 
 def _straight_line_eval(model, dataset, queries, gamma):
     """Per query: ``score_pairs`` over the whole table, ``np.lexsort`` by
     score descending then pair id, the full table taken in that order, and
     ``average_precision`` against the scanned ground truth."""
-    for q in queries:
+    for q, override in zip(queries, _transfers(model, gamma, queries)):
         u = code(model, q)
-        override = None if gamma is None else transfer_embedding(model, gamma, u)
         scores = score_pairs(model, u, dataset.pairs, vp_override=override)
         order = np.lexsort((dataset.pairs.pair_id, -scores))
         ranked, scores = dataset.pairs.take(order), scores[order]
