@@ -157,12 +157,6 @@ class Vocabulary:
     def __getitem__(self, i: int) -> str:
         return self.tokens[i]
 
-    def lookup(self, token: str) -> int:
-        try:
-            return self.index[token]
-        except KeyError:
-            raise DataError(f"unknown token {token!r}") from None
-
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -503,34 +497,26 @@ def _check_pair_line(line: Line, d: int, vocabs: dict[str, Vocabulary], seen_ids
 
 def _read_pairs(lines: Iterator[Line], d: int, vocabs: dict[str, Vocabulary]) -> Iterator[tuple]:
     """The ``PairTable.from_blocks`` block of each ``READ_ROWS`` pair lines,
-    each field converted once per block. A block that fails any test is
-    checked again line by line by ``_check_pair_line``, so the error is the
-    first bad line's, as that line gives it alone."""
+    each field converted once per block. A block that fails a test of its
+    lines raises; ``load_dataset`` then checks every pair line again."""
     (at, words), width = zip(*_pair_keywords(d)), 20 + 2 * d
     keywords = operator.itemgetter(*at)
     reals_of = operator.itemgetter(*range(4, 8), *range(9, 13), *range(18, 18 + d), *range(19 + d, width - 1))
     subjects, predicates, objects = (vocabs[k].index for k in _VOCAB_KEYS)
-    seen_ids: set[int] = set()
     while block := list(itertools.islice(lines, READ_ROWS)):
         parts = [line.parts for line in block]
-        try:  # a line too short for its keywords fails with IndexError
-            pair_id, image_id = (np.array([int(p[i]) for p in parts], np.int64) for i in (1, 2))
-            reals = np.array([*itertools.chain.from_iterable(map(reals_of, parts))], np.float64).reshape(len(parts), -1)
-            corners = reals[:, :8].reshape(-1, 2, 2, 2)  # box, min or max corner, x or y
-            scat, ocat = ([vocab[token_from_file(p[i])] for p in parts] for vocab, i in ((subjects, 14), (objects, 16)))
-            labels = [p[width:] for p in parts]
-            entries = [entry.partition(":") for entry in itertools.chain.from_iterable(labels)]
-            preds = [predicates[token_from_file(tok)] for _, _, tok in entries]
-            ids = set(pair_id.tolist())  # NaN fails the box test, as it fails BoundingBox
-            if (any(keywords(p) != words for p in parts) or not (corners[:, :, 0] < corners[:, :, 1]).all()
-                    or not all(sep and tag.startswith("p") and tag[1:].isdigit() for tag, sep, _ in entries)
-                    or len(ids) < len(parts) or not seen_ids.isdisjoint(ids)):
-                raise ValueError("a misplaced keyword, a degenerate box, a bad label entry or a repeated pair id")
-        except (ValueError, KeyError, OverflowError, IndexError):
-            for line in block:
-                _check_pair_line(line, d, vocabs, seen_ids)
-            raise AssertionError(f"{block[0].path}: a block of pair lines failed a test that none fails alone")
-        seen_ids |= ids
+        # a line too short for its keywords fails with IndexError
+        pair_id, image_id = (np.array([int(p[i]) for p in parts], np.int64) for i in (1, 2))
+        reals = np.array([*itertools.chain.from_iterable(map(reals_of, parts))], np.float64).reshape(len(parts), -1)
+        corners = reals[:, :8].reshape(-1, 2, 2, 2)  # box, min or max corner, x or y
+        scat, ocat = ([vocab[token_from_file(p[i])] for p in parts] for vocab, i in ((subjects, 14), (objects, 16)))
+        labels = [p[width:] for p in parts]
+        entries = [entry.partition(":") for entry in itertools.chain.from_iterable(labels)]
+        preds = [predicates[token_from_file(tok)] for _, _, tok in entries]
+        # NaN fails the box test, as it fails BoundingBox
+        if (any(keywords(p) != words for p in parts) or not (corners[:, :, 0] < corners[:, :, 1]).all()
+                or not all(sep and tag.startswith("p") and tag[1:].isdigit() for tag, sep, _ in entries)):
+            raise ValueError("a misplaced keyword, a degenerate box or a bad label entry")
         a_s, a_o, coords = reals[:, 8 : 8 + d], reals[:, 8 + d :], reals[:, :8]
         yield pair_id, image_id, scat, ocat, a_s, a_o, coords, preds, [*map(len, labels)]
 
@@ -573,7 +559,19 @@ def load_dataset(path: str) -> Dataset:
         first[0].fail(f"pair line before vocabulary headers: {', '.join(missing)}")
     vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
     blocks = _read_pairs(itertools.chain(first, lines), appearance_dim, vocabs)
-    return Dataset(*(vocabs[k] for k in _VOCAB_KEYS), PairTable.from_blocks(blocks, appearance_dim))
+    try:
+        pairs = PairTable.from_blocks(blocks, appearance_dim)
+        ids = np.sort(pairs.pair_id)
+        if (ids[1:] == ids[:-1]).any():
+            raise ValueError("a repeated pair id")
+    except (ValueError, KeyError, OverflowError, IndexError):  # undecodable text is a DataError, a ValueError
+        # every pair line again, alone and in file order: the error is the first bad line's
+        seen_ids: set[int] = set()
+        for line in read_lines(path):
+            if line.lineno >= first[0].lineno:
+                _check_pair_line(line, appearance_dim, vocabs, seen_ids)
+        raise AssertionError(f"{path}: the pair lines failed a test that none fails alone")
+    return Dataset(*(vocabs[k] for k in _VOCAB_KEYS), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +596,7 @@ def parse_triplet(vocabs, tokens: list[str]) -> Triplet:
         tok = token_from_file(tok)
         if tok not in vocab:
             raise DataError(f"unknown {slot} token {tok!r}")
-        index.append(vocab.lookup(tok))
+        index.append(vocab.index[tok])
     return Triplet(*index)
 
 

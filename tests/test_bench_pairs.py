@@ -153,3 +153,13 @@ def test_bound_verdict_compares_the_medians_with_the_metrics_bound(bench_pairs):
     assert verdict(bench_pairs, zero, "map_rel")[1] is None
     text = bench_pairs.report(bench_pairs.summarize(shifted([0.3] * 10), BOUNDED))
     assert text.splitlines()[-1] == "every run ok: yes; every mAP equal run for run: yes"
+
+
+def test_an_empty_seed_range_is_refused_before_any_run(bench_pairs, monkeypatch, capsys):
+    """``--seeds 5-3`` names no seed: a usage error, exit 2, and no run."""
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["parent", "change", "--workload", "default", "--seeds", "5-3"])
+    assert info.value.code == 2
+    assert "no seed in '5-3'" in capsys.readouterr().err
+    assert bench_pairs.parse_seeds("3-5") == [3, 4, 5] and bench_pairs.parse_seeds("7,2") == [7, 2]

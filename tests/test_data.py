@@ -100,7 +100,7 @@ def test_vocabulary_file_round_trip_with_spaces(tmp_path):
     assert "sports_ball" in path.read_text()
     back = load_vocabulary(str(path))
     assert back.tokens == ["person", "sports ball"]
-    assert back.lookup("sports ball") == 1
+    assert back.index["sports ball"] == 1
 
 
 def test_vocabulary_file_names_the_line_of_a_repeated_token(tmp_path):
@@ -479,6 +479,24 @@ def test_block_reader_agrees_with_the_per_line_checks_on_mutated_lines(desk_trai
         assert_tables_equal(load_dataset(str(tmp)).pairs, stacked_table(rows, d))
 
 
+def test_loader_names_a_bad_line_before_undecodable_text_in_its_block(desk_train_file):
+    """A malformed pair line, then undecodable bytes 31 lines (about 22 KB)
+    later in the same block: the error is the malformed line's, as the
+    per-line checks give it, not the undecodable text's."""
+    path, text, first = desk_train_file
+    lines = text.split(b"\n")
+    row = first + READ_ROWS  # the first line of the second block
+    lines[row] = lines[row].replace(b" obj ", b" objx ", 1)
+    lines[row + READ_ROWS - 1] = lines[row + READ_ROWS - 1].replace(b" labels", b" \xff labels", 1)
+    bad = path.with_name("undecodable.ds")
+    bad.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataError) as want:
+        load_line_by_line(str(bad))
+    with pytest.raises(DataError) as got:
+        load_dataset(str(bad))
+    assert str(got.value) == str(want.value) == f"{bad}:{row + 1}: expected 'obj', found 'objx'"
+
+
 def traced_bytes(build) -> tuple[object, int, int]:
     """``build()``, and the traced bytes it leaves held and its traced peak."""
     tracemalloc.start()
@@ -490,17 +508,9 @@ def traced_bytes(build) -> tuple[object, int, int]:
     return value, held, peak
 
 
-def running_id_set(id_tokens: list[str]) -> set[int]:
-    """The loader's set of seen pair ids, grown as the loader grows it."""
-    seen: set[int] = set()
-    for start in range(0, len(id_tokens), READ_ROWS):
-        seen |= set(np.array([int(t) for t in id_tokens[start : start + READ_ROWS]], np.int64).tolist())
-    return seen
-
-
 def test_loader_holds_a_few_blocks_of_lines_besides_its_table(tmp_path):
-    """What ``load_dataset`` allocates besides the table it returns and its
-    running set of pair ids stays under one bound whatever the file's size.
+    """What ``load_dataset`` allocates besides the table it returns and one
+    int64 copy of its pair ids stays under one bound whatever the file's size.
 
     While it reads, the loader holds the split pair lines of at most two
     blocks (the block it converts, and the one before it until its names are
@@ -513,9 +523,8 @@ def test_loader_holds_a_few_blocks_of_lines_besides_its_table(tmp_path):
     the bound is about 0.74 MB, where a whole-file reader would hold every
     line's tokens, about 31 MB for ``wide``'s 3,904 test pairs. The table's bytes are the traced
     bytes still held after the call: its columns' buffers, over-allocation
-    included. The set of seen pair ids, which duplicate ids are checked
-    against, grows with the file (as it did when lines were read one at a
-    time); its bytes are those of the same set grown the same way.
+    included. Duplicate pair ids are found in a sorted copy of the table's
+    pair id column, 8 bytes a pair, which grows with the file.
     Measured on ``wide``'s test set and on its pair lines written 4 times
     with new pair ids (15,616 pairs)."""
     _, test, _, _ = synth_generate(wide_config(), 0)
@@ -532,9 +541,8 @@ def test_loader_holds_a_few_blocks_of_lines_besides_its_table(tmp_path):
     bound = 3 * READ_ROWS * line_bytes
     for file, rows in ((path, n), (four, 4 * n)):
         dataset, held, peak = traced_bytes(lambda: load_dataset(str(file)))
-        ids = [line.split(" ", 2)[1] for line in file.read_text().splitlines()[4:]]
-        seen, id_bytes, _ = traced_bytes(lambda: running_id_set(ids))
-        assert len(dataset.pairs) == rows == len(seen)
+        id_bytes = 8 * rows
+        assert len(dataset.pairs) == rows
         assert peak - held - id_bytes < bound, (file.name, peak - held, id_bytes, bound)
 
 

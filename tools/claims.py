@@ -64,10 +64,15 @@ SEEN = (
 
 
 def parse_seeds(text: str) -> list[int]:
+    """``a-b`` (inclusive) or ``a,b,...``; a range that holds no seed is an error."""
     if "-" in text:
         first, _, last = text.partition("-")
-        return list(range(int(first), int(last) + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(int(first), int(last) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seed in {text!r}")
+    return seeds
 
 
 def environment() -> dict:
