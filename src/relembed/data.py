@@ -7,10 +7,10 @@ list of predicate labels, each annotating the triplet (subject_category,
 predicate, object_category). Candidate pairs live in one ``PairTable`` of
 columns, one row per pair; a dataset's pairs, every training batch, every
 eval candidate set, a query's ranking and its ground truth are tables, and
-``PairTable.take`` selects rows. Every table, read or generated, is built
-by ``PairTable.from_blocks``, which appends blocks of ``READ_ROWS`` rows to
-growable typed columns: ``load_dataset`` converts each field of a block of
-pair lines at once, and ``from_rows`` takes rows with ``BoundingBox`` boxes.
+``PairTable.take`` selects rows. ``load_dataset`` converts each field of a
+block of ``READ_ROWS`` pair lines at once, and ``PairTable.from_blocks``
+appends the blocks to growable typed columns; the synthetic generator fills
+columns allocated once, one triplet's block of rows at a time.
 
 File formats (all line-oriented text, floats written with full precision):
 
@@ -205,18 +205,6 @@ class PairTable:
         ints = [np.frombuffer(c, np.int64) for c in (*columns[:4], offsets, columns[7])]
         reals = (np.frombuffer(c).reshape(n, w) for c, w in zip(columns[4:7], (appearance_dim, appearance_dim, 8)))
         return cls(*ints[:4], *reals, *ints[4:])
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple], appearance_dim: int) -> "PairTable":
-        """A table from (pair_id, image_id, sub_box, obj_box, scat, ocat, a_s, a_o,
-        predicates) rows, appended ``READ_ROWS`` rows at a time."""
-        def blocks(rows=iter(rows)):
-            while chunk := list(itertools.islice(rows, READ_ROWS)):
-                pair_id, image_id, sub, obj, scat, ocat, a_s, a_o, preds = zip(*chunk)
-                coords = [s.coords() + o.coords() for s, o in zip(sub, obj)]
-                yield pair_id, image_id, scat, ocat, a_s, a_o, coords, [*itertools.chain(*preds)], [*map(len, preds)]
-
-        return cls.from_blocks(blocks(), appearance_dim)
 
     def __len__(self) -> int:
         return len(self.pair_id)
@@ -434,32 +422,27 @@ _VOCAB_KEYS = ("subjects", "predicates", "objects")
 def write_dataset(dataset: Dataset, path: str, write_vocabularies: bool = True):
     """Write a dataset file plus (by default) its three vocabulary files,
     ``<key>.txt`` next to it for 'subjects', 'predicates' and 'objects'."""
-    base = os.path.dirname(os.path.abspath(path))
+    base, vocabs = os.path.dirname(os.path.abspath(path)), (dataset.subjects, dataset.predicates, dataset.objects)
     if write_vocabularies:
-        for key, vocab in zip(_VOCAB_KEYS, (dataset.subjects, dataset.predicates, dataset.objects)):
+        for key, vocab in zip(_VOCAB_KEYS, vocabs):
             write_vocabulary(vocab, os.path.join(base, f"{key}.txt"))
     with open(path, "w") as fh:
         fh.write(f"#appearance_dim {dataset.appearance_dim}\n")
         for key in _VOCAB_KEYS:
             fh.write(f"#{key} {key}.txt\n")
-        t = dataset.pairs
-        offsets, preds = t.pos_offsets.tolist(), t.pos_preds.tolist()
-        columns = (t.pair_id, t.image_id, t.coords, t.scat, t.ocat)  # small: listed at once
-        for i, (pair_id, image_id, xy, scat, ocat) in enumerate(zip(*(c.tolist() for c in columns))):
-            row_preds = preds[offsets[i] : offsets[i + 1]]
-            labels = " ".join(f"p{j + 1}:{token_to_file(dataset.predicates[p])}" for j, p in enumerate(row_preds))
-            fh.write(
-                f"pair {pair_id} {image_id}"
-                f" sub {fmt_reals(xy[:4])} obj {fmt_reals(xy[4:])}"
-                f" scat {token_to_file(dataset.subjects[scat])}"
-                f" ocat {token_to_file(dataset.objects[ocat])}"
-                f" afeat_s {fmt_reals(t.a_s[i].tolist())}"
-                f" afeat_o {fmt_reals(t.a_o[i].tolist())}"
-                f" labels{' ' if labels else ''}{labels}\n"
-            )
+        t, reals = dataset.pairs, " %r" * dataset.appearance_dim  # %r of a float is fmt_reals's repr
+        line = f"pair %d %d sub %r %r %r %r obj %r %r %r %r scat %s ocat %s afeat_s{reals} afeat_o{reals} labels%s\n"
+        subjects, predicates, objects = ([*map(token_to_file, vocab.tokens)] for vocab in vocabs)
+        preds, offsets = t.pos_preds.tolist(), t.pos_offsets
+        columns = (t.pair_id, t.image_id, t.coords, t.scat, t.ocat, t.a_s, t.a_o, offsets[:-1], offsets[1:])
+        for first in range(0, len(t), READ_ROWS):  # the columns listed a block of rows at a time
+            block = zip(*(c[first : first + READ_ROWS].tolist() for c in columns))
+            for pair_id, image_id, xy, scat, ocat, a_s, a_o, start, stop in block:
+                labels = "".join(f" p{j + 1}:{predicates[p]}" for j, p in enumerate(preds[start:stop]))
+                fh.write(line % (pair_id, image_id, *xy, subjects[scat], objects[ocat], *a_s, *a_o, labels))
 
 
-READ_ROWS = 32  # pair lines converted at once; 64 loaded as fast, but moved more peak memory
+READ_ROWS = 32  # pair lines converted at once, read or written; 64 loaded as fast, but moved more peak memory
 
 
 def _pair_keywords(d: int) -> tuple[tuple[int, str], ...]:
@@ -681,33 +664,54 @@ class _Planted:
         code[self.n_clusters + o] = APPEARANCE_IDENTITY
         return code
 
-    def appearance(self, t: Triplet | None, s: int, o: int, rng: np.random.Generator) -> tuple[Array, Array]:
-        """Appearance features for one pair; t=None means non-interacting."""
-        cfg = self.cfg
-        d_a = cfg.synth_appearance_dim
-        a_s = self.map_sub @ self.sub_code(s, t.p if t else None)
-        a_o = self.map_obj @ self.obj_code(o)
-        if t is not None:
-            a_o = a_o + self.interaction[t.p, t.o]
-            a_o = a_o + PAIR_STYLE_SCALE * self.style_sign[t.p, t.o] * self.style_dir
-        a_s = a_s + cfg.synth_noise * rng.normal(size=d_a)
-        a_o = a_o + cfg.synth_noise * rng.normal(size=d_a)
-        return a_s, a_o
+    def rows(self, t: Triplet, n_pos: int, n_neg: int, rng: np.random.Generator) -> tuple[Array, Array, Array]:
+        """The a_s, a_o and coords rows of t's n_pos positives, then of its n_neg
+        non-interacting negatives. The draws are a row-at-a-time emitter's, in
+        order: per row 2·d_a + 3 normals (noise, subject box), then 4 normals (a
+        positive's object box) or 4 uniforms; the positives draw in one call."""
+        cfg, d = self.cfg, self.cfg.synth_appearance_dim
+        pos, neg, uni = rng.normal(size=(n_pos, 2 * d + 7)), np.empty((n_neg, 2 * d + 3)), np.empty((n_neg, 4))
+        for i in range(n_neg):
+            neg[i], uni[i] = rng.normal(size=2 * d + 3), rng.random(4)
+        z, jitter, counts = np.concatenate((pos[:, : 2 * d + 3], neg)), pos[:, 2 * d + 3 :], (n_pos, n_neg)
+        proto_o = self.map_obj @ self.obj_code(t.o)
+        style = PAIR_STYLE_SCALE * self.style_sign[t.p, t.o] * self.style_dir
+        proto_s = np.stack([self.map_sub @ self.sub_code(t.s, p) for p in (t.p, None)])
+        proto_o = np.stack([proto_o + self.interaction[t.p, t.o] + style, proto_o])
+        a_s = np.repeat(proto_s, counts, axis=0) + cfg.synth_noise * z[:, :d]
+        a_o = np.repeat(proto_o, counts, axis=0) + cfg.synth_noise * z[:, d : 2 * d]
+        centre = 50.0 + cfg.synth_noise * 10.0 * z[:, 2 * d : 2 * d + 2]
+        half = np.maximum(2.0, 10.0 * (1.0 + cfg.synth_noise * 0.5 * z[:, 2 * d + 2 :]))
+        # a negative's uniforms map as rng.uniform(-60, 60) and rng.uniform(8, 30) map them
+        obj = np.concatenate((centre[:n_pos] + self.pred_offset[t.p] + OFFSET_JITTER * jitter[:, :2],
+                              centre[n_pos:] + (-60.0 + 120.0 * uni[:, :2])))
+        size = np.maximum(2.0, np.concatenate((self.pred_obj_size[t.p] * (1.0 + SIZE_JITTER * jitter[:, 2:]),
+                                               8.0 + 22.0 * uni[:, 2:])))
+        return a_s, a_o, np.hstack((centre - half, centre + half, obj - size / 2.0, obj + size / 2.0))
 
-    def boxes(self, p: int | None, rng: np.random.Generator) -> tuple[BoundingBox, BoundingBox]:
-        cfg = self.cfg
-        cx, cy = 50.0 + cfg.synth_noise * 10.0 * rng.normal(size=2)
-        half = max(2.0, 10.0 * (1.0 + cfg.synth_noise * 0.5 * rng.normal()))
-        sub = BoundingBox(cx - half, cy - half, cx + half, cy + half)
-        if p is not None:
-            ox, oy = (cx, cy) + self.pred_offset[p] + OFFSET_JITTER * rng.normal(size=2)
-            w, h = self.pred_obj_size[p] * (1.0 + SIZE_JITTER * rng.normal(size=2))
-        else:
-            ox, oy = (cx, cy) + rng.uniform(-60.0, 60.0, size=2)
-            w, h = rng.uniform(8.0, 30.0, size=2)
-        w, h = max(2.0, w), max(2.0, h)
-        obj = BoundingBox(ox - w / 2.0, oy - h / 2.0, ox + w / 2.0, oy + h / 2.0)
-        return sub, obj
+
+def _synth_pairs(planted: _Planted, triplets: list[Triplet], n_pos: list[int], rng: np.random.Generator) -> PairTable:
+    """One split: each triplet's n_pos positives, then its round(ratio · n_pos)
+    negatives, pair and image id = row. A value that overflowed, then the first
+    degenerate box in row order (subject box first), is an error."""
+    cfg = planted.cfg
+    n_neg = [round(cfg.synth_negative_ratio * n) for n in n_pos]
+    sizes = np.add(n_pos, n_neg)
+    ends, d = np.cumsum(sizes).tolist(), cfg.synth_appearance_dim
+    a_s, a_o, coords = np.empty((ends[-1], d)), np.empty((ends[-1], d)), np.empty((ends[-1], 8))
+    for t, k, m, end in zip(triplets, n_pos, n_neg, ends):
+        a_s[end - k - m : end], a_o[end - k - m : end], coords[end - k - m : end] = planted.rows(t, k, m, rng)
+    if not all(np.isfinite(c).all() for c in (a_s, a_o, coords)):
+        raise DataError(f"synth_noise = {cfg.synth_noise} overflows a synthetic feature or box coordinate")
+    boxes = coords.reshape(-1, 4)
+    degenerate = (boxes[:, :2] >= boxes[:, 2:]).any(axis=1)
+    if degenerate.any():
+        BoundingBox(*boxes[degenerate.argmax()])  # raises that box's error
+    ids = np.arange(ends[-1])
+    labels = np.repeat(np.tile([1, 0], len(triplets)), np.column_stack((n_pos, n_neg)).ravel())
+    cats = (np.repeat([getattr(t, slot) for t in triplets], sizes) for slot in ("s", "o"))
+    preds = np.repeat([t.p for t in triplets], n_pos)
+    return PairTable(ids, ids.copy(), *cats, a_s, a_o, coords, np.cumsum(np.r_[0, labels]), preds)
 
 
 def _family_triplets(cfg: RunConfig, rng: np.random.Generator, n_clusters: int):
@@ -729,6 +733,7 @@ def _family_triplets(cfg: RunConfig, rng: np.random.Generator, n_clusters: int):
     return families
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing noise key is a DataError, not a warning
 def synth_generate(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset, WordTable, list[Triplet]]:
     """Generate (train, test, word_table, heldout) with planted structure
     from the config's ``synth_*`` keys.
@@ -778,6 +783,8 @@ def synth_generate(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset, WordTab
         vec[base + planted.cluster_of(i)] = CLUSTER_CODE
         vec[base + planted.n_clusters + i] = IDENTITY_CODE
         vectors[tok] = vec + cfg.synth_word_noise * rng.normal(size=d_w)
+    if not all(np.isfinite(v).all() for v in vectors.values()):
+        raise DataError(f"synth_word_noise = {cfg.synth_word_noise} overflows a word vector")
     table = WordTable(d_w, vectors)
 
     families = _family_triplets(cfg, rng, planted.n_clusters)
@@ -791,18 +798,11 @@ def synth_generate(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset, WordTab
         heldout.append(fam[int(rng.integers(len(fam)))])
     heldout_set = set(heldout)
 
-    def emit(pairs_per_triplet, heldout_pairs):
-        def rows():  # each triplet's positives, then its negatives
-            for fam in families:
-                for t in fam:
-                    n_pos = heldout_pairs if t in heldout_set else pairs_per_triplet
-                    for preds in [(t.p,)] * n_pos + [()] * round(cfg.synth_negative_ratio * n_pos):
-                        a_s, a_o = planted.appearance(t if preds else None, t.s, t.o, rng)
-                        sub, obj = planted.boxes(t.p if preds else None, rng)
-                        yield sub, obj, t.s, t.o, a_s, a_o, preds
+    triplets = [t for fam in families for t in fam]
 
-        numbered = ((i, i, *row) for i, row in enumerate(rows()))  # pair and image id = row
-        return Dataset(subjects, predicates, objects, PairTable.from_rows(numbered, cfg.synth_appearance_dim))
+    def emit(pairs_per_triplet, heldout_pairs):
+        n_pos = [heldout_pairs if t in heldout_set else pairs_per_triplet for t in triplets]
+        return Dataset(subjects, predicates, objects, _synth_pairs(planted, triplets, n_pos, rng))
 
     train = emit(cfg.synth_train_pairs, heldout_pairs=0)
     test = emit(cfg.synth_test_pairs, heldout_pairs=cfg.synth_heldout_test_pairs)

@@ -85,7 +85,21 @@ def box_table(rows) -> PairTable:
     one zero appearance feature, no labels."""
     a = np.zeros(1)
     rows = [(i, img, sub, obj, 0, 0, a, a, ()) for i, (img, sub, obj) in enumerate(rows)]
-    return PairTable.from_rows(rows, 1)
+    return rows_table(rows, 1)
+
+
+def rows_table(rows, appearance_dim: int) -> PairTable:
+    """The table of (pair_id, image_id, sub_box, obj_box, scat, ocat, a_s, a_o,
+    predicates) rows, boxes ``BoundingBox``es, each whole column stacked at once."""
+    n = len(rows)
+    ids, images, subs, objs, scat, ocat, a_s, a_o, preds = zip(*rows) if rows else [()] * 9
+    return PairTable(
+        *(np.array(column, dtype=np.int64) for column in (ids, images, scat, ocat)),
+        *(np.array(a, dtype=np.float64).reshape(n, appearance_dim) for a in (a_s, a_o)),
+        np.array([s.coords() + o.coords() for s, o in zip(subs, objs)], np.float64).reshape(n, 8),
+        np.cumsum([0, *map(len, preds)], dtype=np.int64),
+        np.array([p for ps in preds for p in ps], dtype=np.int64),
+    )
 
 
 def assert_tables_equal(a, b: PairTable):

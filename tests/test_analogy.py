@@ -26,7 +26,6 @@ from relembed.data import (
     BoundingBox,
     DataError,
     Dataset,
-    PairTable,
     Triplet,
     Vocabulary,
     WordTable,
@@ -42,7 +41,7 @@ from relembed.model import (
 )
 from relembed.numkit import Linear, normalize_rows
 
-from conftest import decode, desk_config, encode, model_counts, row_triplets
+from conftest import decode, desk_config, encode, model_counts, row_triplets, rows_table
 from gradcheck import finite_diff_grad, max_relative_error
 
 
@@ -147,7 +146,7 @@ def _word_mode_world():
     }
     table = WordTable(2, vectors)
     box = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    pairs = PairTable.from_rows(
+    pairs = rows_table(
         [
             (0, 0, box, box, 0, 0, np.zeros(4), np.zeros(4), (0,)),
             (1, 0, box, box, 1, 1, np.zeros(4), np.zeros(4), (1,)),
@@ -252,7 +251,7 @@ def test_source_pool_threshold_boundary():
                     0, 0, rng.normal(size=2), rng.normal(size=2), (p,),
                 )
             )
-    ds = Dataset(subjects, predicates, objects, PairTable.from_rows(rows, 2))
+    ds = Dataset(subjects, predicates, objects, rows_table(rows, 2))
     table = WordTable(2, {tok: rng.normal(size=2) for tok in ("s", "p0", "p1", "p2", "o")})
     model = build_model(desk_config(rare_threshold=10), ds, table, seed=0)
     assert model_counts(model) == {Triplet(0, 0, 0): 5, Triplet(0, 1, 0): 10, Triplet(0, 2, 0): 11}

@@ -118,6 +118,27 @@ def test_synth_world_rule_is_one_error_naming_its_key(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("synth_word_noise", "synth_word_noise = 1e+308 overflows a word vector"),
+        ("synth_noise", "synth_noise = 1e+308 overflows a synthetic feature or box coordinate"),
+    ],
+)
+def test_synth_noise_that_overflows_is_one_error_naming_its_key(tmp_path, capsys, key, message):
+    """A finite noise key whose draws overflow float64: one error:data: line,
+    no numpy warning, no output directory."""
+    cfg_path = str(tmp_path / "world.cfg")
+    write_config(desk_config(**{key: 1e308}), cfg_path)
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["synth", "--config", cfg_path, "--out", str(out)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [f"error:data: {message}"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -755,8 +776,8 @@ def test_negative_seed_is_one_config_error(tmp_path, capsys):
 
 
 def test_training_is_byte_identical_across_blas_thread_counts(tmp_path):
-    """The package pins BLAS to one thread, so a train process started with
-    two writes the same bytes as one started with one."""
+    """The package pins BLAS to one thread, so a synth or train process
+    started with two writes the same bytes as one started with one."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(relembed.__file__)))
 
     def relembed_cli(cwd, *args, threads="1"):
@@ -768,13 +789,12 @@ def test_training_is_byte_identical_across_blas_thread_counts(tmp_path):
         assert done.returncode == 0, done.stderr
 
     one, two = tmp_path / "one", tmp_path / "two"
-    one.mkdir()
-    write_config(RunConfig(stage1_epochs=4, stage2_epochs=0), str(one / "run.cfg"))
-    relembed_cli(one, "synth", "--config", "run.cfg", "--out", "data")
-    shutil.copytree(one, two)
-    relembed_cli(one, "train", "--config", "data/effective.cfg", "--out", "train", threads="1")
-    relembed_cli(two, "train", "--config", "data/effective.cfg", "--out", "train", threads="2")
-    for name in ("data/model.ckpt", "train/loss_trace.txt"):
+    for root, threads in ((one, "1"), (two, "2")):
+        root.mkdir()
+        write_config(RunConfig(stage1_epochs=4, stage2_epochs=0), str(root / "run.cfg"))
+        relembed_cli(root, "synth", "--config", "run.cfg", "--out", "data", threads=threads)
+        relembed_cli(root, "train", "--config", "data/effective.cfg", "--out", "train", threads=threads)
+    for name in ("data/train.ds", "data/test.ds", "data/words.tbl", "data/model.ckpt", "train/loss_trace.txt"):
         assert read_bytes(one / name) == read_bytes(two / name), name
 
 

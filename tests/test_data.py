@@ -19,7 +19,6 @@ from relembed.data import (
     BoundingBox,
     DataError,
     Dataset,
-    PairTable,
     Triplet,
     Vocabulary,
     WordTable,
@@ -45,9 +44,11 @@ from conftest import (
     encode,
     model_counts,
     row_triplets,
+    rows_table,
     triplet_counts,
     wide_config,
 )
+from synth_reference import reference_pairs
 from test_error_contract_fuzz import FUZZ, mutate_lines
 
 
@@ -73,7 +74,7 @@ def tiny_dataset() -> Dataset:
             1, 0, rng.normal(size=3), rng.normal(size=3), (),
         ),
     ]
-    return Dataset(subjects, predicates, objects, PairTable.from_rows(rows, 3))
+    return Dataset(subjects, predicates, objects, rows_table(rows, 3))
 
 
 def assert_datasets_equal(a: Dataset, b: Dataset):
@@ -168,32 +169,18 @@ def oracle_rows(path) -> tuple[list[tuple], int]:
     return rows, d
 
 
-def stacked_table(rows: list[tuple], d: int) -> PairTable:
-    """The table of ``rows`` built by stacking each whole column at once."""
-    n = len(rows)
-    ids, images, subs, objs, scat, ocat, a_s, a_o, preds = zip(*rows) if rows else [()] * 9
-    return PairTable(
-        *(np.array(column, dtype=np.int64) for column in (ids, images, scat, ocat)),
-        *(np.array(a, dtype=np.float64).reshape(n, d) for a in (a_s, a_o)),
-        np.array([s.coords() + o.coords() for s, o in zip(subs, objs)], np.float64).reshape(n, 8),
-        np.cumsum([0, *map(len, preds)], dtype=np.int64),
-        np.array([p for ps in preds for p in ps], dtype=np.int64),
-    )
-
-
 @pytest.mark.parametrize("world", ["desk", "wide"])
 def test_loader_columns_equal_the_straight_line_oracle(tmp_path, world):
-    """load_dataset's columnar reader and from_rows give every column the
-    bytes of whole-column stacking over rows parsed field by field."""
+    """load_dataset's columnar reader and the generator give every column
+    the bytes of whole-column stacking over rows parsed field by field."""
     cfg = desk_config() if world == "desk" else wide_config()
     _, test, _, _ = synth_generate(cfg, 0)
     path = str(tmp_path / "test.ds")
     write_dataset(test, path)
     rows, d = oracle_rows(path)
-    want = stacked_table(rows, d)
+    want = rows_table(rows, d)
     assert len(want) == len(test.pairs) and d == cfg.synth_appearance_dim
     assert_tables_equal(load_dataset(path).pairs, want)
-    assert_tables_equal(PairTable.from_rows(rows, d), want)
     assert_tables_equal(test.pairs, want)
 
 
@@ -476,7 +463,7 @@ def test_block_reader_agrees_with_the_per_line_checks_on_mutated_lines(desk_trai
         assert (type(info.value), str(info.value)) == (type(e), str(e))
     else:
         rows, d = oracle_rows(str(tmp))
-        assert_tables_equal(load_dataset(str(tmp)).pairs, stacked_table(rows, d))
+        assert_tables_equal(load_dataset(str(tmp)).pairs, rows_table(rows, d))
 
 
 def test_loader_names_a_bad_line_before_undecodable_text_in_its_block(desk_train_file):
@@ -827,6 +814,53 @@ def test_every_synth_key_reaches_the_generator(tmp_path, key):
     value = getattr(base, key)
     changed = desk_config(**{key: value + (1 if isinstance(value, int) else 0.5)})
     assert synth_files(changed, tmp_path / "changed") != synth_files(base, tmp_path / "base")
+
+
+# the desk world and its variants; "default" and "wide" are the benchmark's worlds
+SYNTH_WORLDS = {
+    "desk": {},
+    "ratio-0": dict(synth_negative_ratio=0.0),
+    "ratio-0.5": dict(synth_negative_ratio=0.5),
+    "ratio-2.7": dict(synth_negative_ratio=2.7),
+    "no-train-pairs": dict(synth_train_pairs=0),
+    "no-noise": dict(synth_noise=0.0),
+}
+
+
+def synth_world(name: str) -> RunConfig:
+    if name == "default":
+        return RunConfig()
+    return wide_config() if name == "wide" else desk_config(**SYNTH_WORLDS[name])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("world", ["default", "wide", *SYNTH_WORLDS])
+def test_synth_columns_equal_the_row_at_a_time_reference(monkeypatch, world, seed):
+    """Every column, word vector and held-out triplet the block emitter
+    generates has the bytes of the row-at-a-time reference's."""
+    cfg = synth_world(world)
+    got = synth_generate(cfg, seed)
+    monkeypatch.setattr(relembed_data, "_synth_pairs", reference_pairs)
+    want = synth_generate(cfg, seed)
+    for split, reference in zip(got[:2], want[:2]):
+        assert_tables_equal(split.pairs, reference.pairs)
+    assert {tok: v.tobytes() for tok, v in got[2].vectors.items()} == {
+        tok: v.tobytes() for tok, v in want[2].vectors.items()}
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("noise", [1e20, 1e200])
+def test_synth_degenerate_box_is_the_reference_first(monkeypatch, noise):
+    """With boxes so large that adding a half-width is lost, the first
+    degenerate box, in row order and subject box first, is the reference's."""
+    for seed in (0, 1, 7):
+        with pytest.raises(DataError, match=r"^degenerate box \(") as got:
+            synth_generate(desk_config(synth_noise=noise), seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(relembed_data, "_synth_pairs", reference_pairs)
+            with pytest.raises(DataError) as want:
+                synth_generate(desk_config(synth_noise=noise), seed)
+        assert str(got.value) == str(want.value)
 
 
 def test_synth_rejects_excessive_heldout():

@@ -8,6 +8,7 @@ inputs; the whole file runs in a few seconds.
 """
 
 import re
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -36,9 +37,13 @@ TOKENS = [
     b"\x00", b"1" * 5000,
 ]
 
-# values a hand-edited synth_* line might hold: they parse, some out of range
+# values a hand-edited synth_* line might hold: they parse, some out of range,
+# and the largest make noise draws overflow
 SIZES = [b"0", b"-1", b"1", b"2", b"3", b"4", b"5", b"6", b"8", b"11", b"12", b"20", b"64", b"65",
-         b"0.0", b"-0.5", b"1e3"]
+         b"0.0", b"-0.5", b"1e3", b"1e155", b"1e200", b"1e308"]
+
+# synth_* keys that scale drawn values; every other bounds the world's size
+NOISE_KEYS = ("synth_noise", "synth_word_noise")
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +150,13 @@ def test_synth_on_mutated_config_lines_keeps_the_error_contract(desk_run, capsys
         cfg = load_config(str(root / "synth.cfg"))
     except Exception:  # main must report it; assert_contract checks how
         cfg = None
-    # every synth_* value bounded, so that no example generates a large world
-    assume(cfg is None or all(getattr(cfg, f.name) <= 64 for f in fields(cfg) if f.name.startswith("synth_")))
-    assert_contract(["synth", "--config", str(root / "synth.cfg"), "--out", str(root / "synth")], capsys)
+    # every size key bounded, so that no example generates a large world
+    assume(cfg is None or all(getattr(cfg, f.name) <= 64 for f in fields(cfg)
+                              if f.name.startswith("synth_") and f.name not in NOISE_KEYS))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_contract(["synth", "--config", str(root / "synth.cfg"), "--out", str(root / "synth")], capsys)
+    assert [str(w.message) for w in caught] == []
 
 
 @settings(FUZZ, max_examples=200)

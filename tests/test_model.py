@@ -38,7 +38,7 @@ from relembed.model import (
 )
 from relembed.numkit import log_sigmoid, mlp_forward, rng_stream, sigmoid
 
-from conftest import code, decode, desk_config, wide_config
+from conftest import code, decode, desk_config, rows_table, wide_config
 from gradcheck import finite_diff_grad, max_relative_error
 
 
@@ -52,7 +52,7 @@ def one_label_world():
     """Single-token vocabularies and one interacting pair."""
     subjects, predicates, objects = Vocabulary(["s0"]), Vocabulary(["p0"]), Vocabulary(["o0"])
     rng = np.random.default_rng(3)
-    pair = PairTable.from_rows(
+    pair = rows_table(
         [(0, 0, BoundingBox(0, 0, 10, 10), BoundingBox(5, 0, 15, 10),
           0, 0, rng.normal(size=4), rng.normal(size=4), (0,))],
         4,

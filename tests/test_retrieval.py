@@ -46,6 +46,7 @@ from conftest import (
     desk_config,
     encode,
     row_triplets,
+    rows_table,
     triplet_counts,
     wide_config,
 )
@@ -182,7 +183,7 @@ def test_detection_score_must_be_open_unit(monkeypatch):
 def _identical_pairs_world(order):
     subs, pres, objs = Vocabulary(["s0"]), Vocabulary(["p0"]), Vocabulary(["o0"])
     a = np.full(4, 0.3)
-    pairs = PairTable.from_rows([(i, 0, UNIT, box(5, 0, 15, 10), 0, 0, a, a, (0,)) for i in order], 4)
+    pairs = rows_table([(i, 0, UNIT, box(5, 0, 15, 10), 0, 0, a, a, (0,)) for i in order], 4)
     ds = Dataset(subs, pres, objs, pairs)
     rng = np.random.default_rng(11)
     table = WordTable(3, {t: rng.normal(size=3) for t in ("s0", "p0", "o0")})
@@ -604,7 +605,7 @@ def test_ground_truth_index_lists_what_ground_truth_for_returns(small_bench):
         Vocabulary(["s0", "s1"]),
         Vocabulary(["p0", "p1", "p2"]),
         Vocabulary(["o0"]),
-        PairTable.from_rows(
+        rows_table(
             [
                 (i, i % 2, UNIT, box(i, 0, i + 10, 10), i % 2, 0, a, a, pos)
                 for i, pos in enumerate([(0, 1), (1,), (), (2, 0, 1), (1, 0)])
@@ -635,7 +636,7 @@ def test_a_predicate_listed_twice_counts_twice_is_labelled_once_and_is_one_truth
         (1, 0, UNIT, UNIT, 0, 0, a, a, (1,)),
         (2, 1, UNIT, UNIT, 0, 0, a, a, ()),
     ]
-    ds = Dataset(Vocabulary(["s"]), Vocabulary(["p0", "p1"]), Vocabulary(["o"]), PairTable.from_rows(rows, 2))
+    ds = Dataset(Vocabulary(["s"]), Vocabulary(["p0", "p1"]), Vocabulary(["o"]), rows_table(rows, 2))
     t = Triplet(0, 1, 0)
     assert triplet_counts(ds) == {t: 3}
     columns = encode(ds.dims, [Triplet(0, 0, 0), t])
