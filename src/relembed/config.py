@@ -35,9 +35,9 @@ MOST = dict.fromkeys(
     MOST_SIZE,
 )
 
-# the most rows a synthetic split may hold: synth_generate builds one Python
-# row at a time, about 29,000 rows a second and 2 KB a row at the default
-# appearance width, so a split at the ceiling takes about 10 s and 0.5 GB.
+# the most rows a synthetic split may hold: synth_generate fills about 200,000
+# rows a second at 0.45 KB a row (default appearance width) and write_dataset
+# writes 20,000, so a split at the ceiling takes 0.12 GB and 1 s, then 13 s.
 # validate bounds the default world's splits at 3,456 rows, wide's at 13,824
 MOST_SPLIT_ROWS = 2**18
 
