@@ -106,30 +106,16 @@ def test_synth_seed_key_changes_data(tmp_path):
             "synth_heldout", 6,
             "synth_heldout 6 exceeds synth_families 5: a family holds out at most one triplet",
         ),
+        # finite noise whose draws overflow float64
+        ("synth_word_noise", 1e308, "synth_word_noise = 1e+308 overflows a word vector"),
+        ("synth_noise", 1e308, "synth_noise = 1e+308 overflows a synthetic feature or box coordinate"),
     ],
-    ids=("synth_appearance_dim", "synth_families", "synth_heldout"),
+    ids=("synth_appearance_dim", "synth_families", "synth_heldout", "synth_word_noise", "synth_noise"),
 )
 def test_synth_world_rule_is_one_error_naming_its_key(tmp_path, capsys, key, value, message):
+    """One error:data: line, no numpy warning, no output directory."""
     cfg_path = str(tmp_path / "world.cfg")
     write_config(desk_config(**{key: value}), cfg_path)
-    out = tmp_path / "run"
-    assert main(["synth", "--config", cfg_path, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error:data: {message}"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "key, message",
-    [
-        ("synth_word_noise", "synth_word_noise = 1e+308 overflows a word vector"),
-        ("synth_noise", "synth_noise = 1e+308 overflows a synthetic feature or box coordinate"),
-    ],
-)
-def test_synth_noise_that_overflows_is_one_error_naming_its_key(tmp_path, capsys, key, message):
-    """A finite noise key whose draws overflow float64: one error:data: line,
-    no numpy warning, no output directory."""
-    cfg_path = str(tmp_path / "world.cfg")
-    write_config(desk_config(**{key: 1e308}), cfg_path)
     out = tmp_path / "run"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
