@@ -156,8 +156,12 @@ def similarity_many(model: JointModel, targets, pool) -> Array:
 
 
 def source_pool(model: JointModel) -> Array:
-    """Codes of the seen triplets frequent enough to donate embeddings, ascending."""
-    return model.observed[model.counts >= model.cfg.rare_threshold]
+    """Codes of the seen triplets frequent enough to donate embeddings,
+    ascending; an error when there is none."""
+    pool = model.observed[model.counts >= model.cfg.rare_threshold]
+    if not pool.size:
+        raise DataError("no transfer sources: every observed triplet is rare")
+    return pool
 
 
 def select_sources(model: JointModel, targets, pool, exclude: Array | None = None) -> tuple[Array, Array, Array]:
@@ -167,8 +171,6 @@ def select_sources(model: JointModel, targets, pool, exclude: Array | None = Non
     sources, which come first; the weights past a target's count are 0. The
     pool is taken as given: evaluation passes the frequent seen triplets,
     a target among them or not."""
-    if not len(pool):
-        raise DataError(f"empty source pool for target {triplet_of(model.dims, targets[0])}")
     g = similarity_many(model, targets, pool)
     pool = np.broadcast_to(np.asarray(pool, np.int64), g.shape)
     skip = np.zeros(g.shape, bool) if exclude is None else pool == exclude[:, None]
@@ -252,7 +254,7 @@ def analogy_loss(
     br = model.branch("vp")
     v, v_cache = mlp_forward(br.f_v, x, training=training, rng=rng)
     w, (a, g_cache) = transferred_embeddings(model, gamma, targets, sources, weights)
-    y = label_matrix(batch, targets, "full", model.dims)
+    y = label_matrix(batch, targets, "vp", model.dims)
     loss, g_v, g_w = logistic_terms(v, w, y)
     grads = {}
     if gamma.net is not None:  # A.T @ g_w, one row per (target, source), reaches only the correction
@@ -281,10 +283,7 @@ def stage2_pool(model: JointModel, kind: str) -> Array | None:
         return None
     if "vp" not in model.branches:
         raise DataError("stage-2 training requires an active vp branch")
-    pool = source_pool(model)
-    if not pool.size:
-        raise DataError("no transfer sources: every observed triplet is rare")
-    return pool
+    return source_pool(model)
 
 
 def train_stage2(

@@ -31,7 +31,6 @@ from .data import (
     write_queries,
     write_word_table,
 )
-from .features import BRANCH_MASK
 from .model import build_model, embed_language_batch, train_stage1
 from .numkit import NonFiniteGradient, ShapeError
 from .retrieval import MatchPolicy, evaluate_queries, write_results
@@ -195,7 +194,7 @@ def cmd_inspect(args) -> int:
         for kind in model.active_kinds:
             labels = model.labels[kind]
             for code, row in zip(labels.tolist(), embed_language_batch(model, kind, labels)):
-                label = triplet_text(vocabs, triplet_of(model.dims, code), BRANCH_MASK[kind])
+                label = triplet_text(vocabs, triplet_of(model.dims, code), kind)
                 out.write(f"{kind} {label} {fmt_reals(row)}\n")
         return 0
     # sources

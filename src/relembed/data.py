@@ -94,13 +94,14 @@ class Triplet(NamedTuple):
     o: int
 
 
-# slot multipliers (subject, predicate, object) per language-input variant;
-# a label triplet holds 0 in every slot its mask zeroes
+# slot multipliers (subject, predicate, object) of each branch kind's
+# language input, in canonical branch order; a label triplet holds 0 in
+# every slot its mask zeroes, and "vp" keeps all three
 LANGUAGE_MASKS = {
-    "full": (1.0, 1.0, 1.0),
     "s": (1.0, 0.0, 0.0),
-    "p": (0.0, 1.0, 0.0),
     "o": (0.0, 0.0, 1.0),
+    "p": (0.0, 1.0, 0.0),
+    "vp": (1.0, 1.0, 1.0),
     "sp": (1.0, 1.0, 0.0),
     "po": (0.0, 1.0, 1.0),
 }
@@ -123,7 +124,7 @@ def triplet_dims(vocabs) -> tuple[int, int, int]:
     return dims
 
 
-def triplet_codes(dims, slots, mask: str = "full") -> Array:
+def triplet_codes(dims, slots, mask: str = "vp") -> Array:
     """The int64 code of each triplet of the (s, p, o) index arrays
     ``slots``; a slot that ``mask`` zeroes is encoded as 0."""
     kept = tuple(np.asarray(i, np.int64) * int(k) for i, k in zip(slots, LANGUAGE_MASKS[mask]))
@@ -230,7 +231,7 @@ class PairTable:
         rows.flags.writeable = False  # every call returns this array
         return rows, (self.scat[rows], self.pos_preds, self.ocat[rows])
 
-    def positives(self, dims, mask: str = "full") -> tuple[Array, Array]:
+    def positives(self, dims, mask: str = "vp") -> tuple[Array, Array]:
         """Row index and triplet code (scat, predicate, ocat), masked by
         ``mask``, of every positive entry, in entry order. The row and
         slot columns are gathered on the first call; each call masks them."""
@@ -562,7 +563,7 @@ def load_dataset(path: str) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def triplet_text(vocabs, t: Triplet, mask: str = "full") -> str:
+def triplet_text(vocabs, t: Triplet, mask: str = "vp") -> str:
     """File tokens of the slots of t that ``mask`` keeps, subject first;
     ``vocabs`` are the subject, predicate and object vocabularies."""
     return " ".join(
@@ -767,25 +768,18 @@ def synth_generate(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset, WordTab
     predicates = Vocabulary([f"pre{i}" for i in range(cfg.synth_predicates)])
     objects = Vocabulary([f"obj{i}" for i in range(cfg.synth_objects)])
 
-    d_w = cfg.synth_subjects + cfg.synth_predicates + planted.n_clusters + cfg.synth_objects
-    vectors: dict[str, Array] = {}
-    for i, tok in enumerate(subjects.tokens):
-        vec = np.zeros(d_w)
-        vec[i] = 1.0
-        vectors[tok] = vec + cfg.synth_word_noise * rng.normal(size=d_w)
-    for i, tok in enumerate(predicates.tokens):
-        vec = np.zeros(d_w)
-        vec[cfg.synth_subjects + i] = 1.0
-        vectors[tok] = vec + cfg.synth_word_noise * rng.normal(size=d_w)
-    base = cfg.synth_subjects + cfg.synth_predicates
-    for i, tok in enumerate(objects.tokens):
-        vec = np.zeros(d_w)
-        vec[base + planted.cluster_of(i)] = CLUSTER_CODE
-        vec[base + planted.n_clusters + i] = IDENTITY_CODE
-        vectors[tok] = vec + cfg.synth_word_noise * rng.normal(size=d_w)
-    if not all(np.isfinite(v).all() for v in vectors.values()):
+    # one identity code per token, subjects then predicates then objects;
+    # an object's code also holds its cluster's shared component
+    base, objs = cfg.synth_subjects + cfg.synth_predicates, np.arange(cfg.synth_objects)
+    codes = np.zeros((base + cfg.synth_objects, base + planted.n_clusters + cfg.synth_objects))
+    codes[:base, :base] = np.eye(base)
+    codes[base + objs, base + planted.cluster_of(objs)] = CLUSTER_CODE
+    codes[base + objs, base + planted.n_clusters + objs] = IDENTITY_CODE
+    vectors = codes + cfg.synth_word_noise * rng.normal(size=codes.shape)
+    if not np.isfinite(vectors).all():
         raise DataError(f"synth_word_noise = {cfg.synth_word_noise} overflows a word vector")
-    table = WordTable(d_w, vectors)
+    tokens = subjects.tokens + predicates.tokens + objects.tokens
+    table = WordTable(codes.shape[1], dict(zip(tokens, vectors)))
 
     families = _family_triplets(cfg, rng, planted.n_clusters)
     if cfg.synth_heldout > cfg.synth_families:

@@ -35,10 +35,7 @@ from .numkit import (
 )
 
 # canonical branch order; also the parameter-block order in checkpoints
-BRANCH_KINDS = ("s", "o", "p", "vp", "sp", "po")
-
-# language-input variant used by each branch (a key of LANGUAGE_MASKS)
-BRANCH_MASK = {"s": "s", "o": "o", "p": "p", "vp": "full", "sp": "sp", "po": "po"}
+BRANCH_KINDS = tuple(LANGUAGE_MASKS)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 from .config import RunConfig
 from .data import DataError, Dataset, PairTable, Vocabulary, WordTable, triplet_codes, triplet_dims, triplet_of
 from .features import (
-    BRANCH_MASK,
     LANGUAGE_MASKS,
     VisualInputParams,
     language_matrix,
@@ -204,14 +203,13 @@ def branch_universe(model: JointModel, kind: str) -> Array:
     every subject-predicate-object combination when ``vp_negatives`` is
     ``cartesian``.
     """
-    if kind not in BRANCH_MASK:
+    if kind not in LANGUAGE_MASKS:
         raise DataError(f"unknown branch kind {kind!r}")
-    mask = BRANCH_MASK[kind]
     if kind in ("s", "p", "o") or (kind == "vp" and model.cfg.vp_negatives == "cartesian"):
-        sizes = [n if keep else 1 for n, keep in zip(model.dims, LANGUAGE_MASKS[mask])]
+        sizes = [n if keep else 1 for n, keep in zip(model.dims, LANGUAGE_MASKS[kind])]
         labels = triplet_codes(model.dims, np.indices(sizes).reshape(3, -1))
     else:
-        labels = np.unique(triplet_codes(model.dims, np.unravel_index(model.observed, model.dims), mask))
+        labels = np.unique(triplet_codes(model.dims, np.unravel_index(model.observed, model.dims), kind))
     if not len(labels):
         raise DataError(f"empty label universe for branch {kind!r}")
     return labels
@@ -246,14 +244,14 @@ def label_matrix(batch: PairTable, columns, mask: str, dims, branch: str | None 
 
 def language_input(model: JointModel, kind: str) -> Array:
     """A branch's language input, one row per label of its universe."""
-    return language_matrix(model.labels[kind], model.e_sub, model.e_pre, model.e_obj, BRANCH_MASK[kind])
+    return language_matrix(model.labels[kind], model.e_sub, model.e_pre, model.e_obj, kind)
 
 
 def embed_language_batch(model: JointModel, kind: str, codes, mask: str | None = None) -> Array:
     """Unit-norm language embeddings of a branch, one row per triplet code,
     under the branch's slot mask or an explicit ``mask``."""
     br = model.branch(kind)
-    q = language_matrix(codes, model.e_sub, model.e_pre, model.e_obj, mask or BRANCH_MASK[kind])
+    q = language_matrix(codes, model.e_sub, model.e_pre, model.e_obj, mask or kind)
     w, _ = mlp_forward(br.f_w, q)
     return normalize_rows(w)[0]
 
@@ -308,7 +306,7 @@ def branch_terms(model, kind, batch, inp, training, rng, need_input, q=None):
     labels = model.labels[kind]
     if q is None:
         q = language_input(model, kind)
-    y = label_matrix(batch, labels, BRANCH_MASK[kind], model.dims, kind)
+    y = label_matrix(batch, labels, kind, model.dims, kind)
 
     v, v_cache = mlp_forward(br.f_v, inp, training=training, rng=rng)
     w_raw, w_cache = mlp_forward(br.f_w, q)
@@ -507,8 +505,6 @@ def fit(model: JointModel, dataset: Dataset, named, epochs: int, rng, step) -> l
 
 def train_stage1(model: JointModel, dataset: Dataset, seed: int) -> list[float]:
     """Optimize the joint loss; returns mean batch loss per epoch."""
-    if not dataset.pairs.pos_preds.size:
-        raise DataError("dataset has no positive pairs")
     rng = rng_stream(seed, "stage1")
     # the word vectors do not train, so each language input holds for the whole fit
     language = {k: language_input(model, k) for k in model.active_kinds}

@@ -181,10 +181,7 @@ def evaluate_queries(
     codes = triplet_codes(model.dims, np.array(queries, np.int64).reshape(-1, 3).T)
     overrides = [None] * len(codes)
     if gamma is not None:
-        pool = source_pool(model)
-        if not pool.size:
-            raise DataError("no transfer sources: every observed triplet is rare")
-        overrides = transfer_embedding(model, gamma, codes, pool)
+        overrides = transfer_embedding(model, gamma, codes, source_pool(model))
     index = ground_truth_index(dataset.pairs, model.dims)
     with reuse_pair_embeddings(model, dataset.pairs):
         for query, code, override in zip(queries, codes.tolist(), overrides):

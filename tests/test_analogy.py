@@ -223,18 +223,13 @@ def test_select_sources_small_pool_returns_all(small_bench):
     assert sources.shape == weights.shape == (1, 3) and count.tolist() == [3]
 
 
-def test_select_sources_empty_pool_rejected(small_bench):
-    cfg, train, table, model = bench_model(small_bench)
-    with pytest.raises(DataError, match="empty source pool"):
-        select_sources(model, model.observed[:1], [])
-
-
 def test_source_pool_applies_rare_threshold(small_bench):
     cfg, train, table, model = bench_model(small_bench)
     pool = source_pool(model)
     assert decode(model.dims, pool) == sorted(t for t, c in model_counts(model).items() if c >= cfg.rare_threshold)
     model.cfg.rare_threshold = 10**9
-    assert source_pool(model).tolist() == []
+    with pytest.raises(DataError, match="^no transfer sources: every observed triplet is rare$"):
+        source_pool(model)
 
 
 def test_source_pool_threshold_boundary():
@@ -257,7 +252,8 @@ def test_source_pool_threshold_boundary():
     assert model_counts(model) == {Triplet(0, 0, 0): 5, Triplet(0, 1, 0): 10, Triplet(0, 2, 0): 11}
     assert decode(model.dims, source_pool(model)) == [Triplet(0, 1, 0), Triplet(0, 2, 0)]
     model.cfg.rare_threshold = 12
-    assert source_pool(model).tolist() == []
+    with pytest.raises(DataError, match="^no transfer sources: every observed triplet is rare$"):
+        source_pool(model)
 
 
 def test_build_source_sets_exclude_target(small_bench):

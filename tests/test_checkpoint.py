@@ -136,6 +136,27 @@ def test_loader_rejects_tampered_config(trained, tmp_path):
         load_checkpoint(path)
 
 
+# byte edits of the container around the header, each one error line
+CONTAINER_EDITS = {
+    "header_length_cut": (lambda raw: raw[: len(MAGIC) + 2], "truncated header length"),
+    "header_a_list": (lambda raw: MAGIC + struct.pack("<I", 2) + b"[]", "header is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CONTAINER_EDITS))
+def test_loader_rejects_a_container_without_a_header_object(trained, tmp_path, capsys, edit):
+    model, gamma, _, _ = trained
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, model, gamma, seed=0)
+    cut, message = CONTAINER_EDITS[edit]
+    raw = open(path, "rb").read()
+    open(path, "wb").write(cut(raw))
+    assert main(["inspect", "--checkpoint", path, "embeddings"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error:data: {path}: {message}"]
+    assert captured.out == ""
+
+
 def _edit_header(path: str, edit):
     """Rewrite the checkpoint with ``edit`` applied to its header, blocks untouched."""
     raw = open(path, "rb").read()
@@ -262,6 +283,25 @@ HEADER_EDITS = {
     "subjects_duplicate": (
         "subjects", lambda h: h["subjects"][:1] * 2 + h["subjects"][2:],
         r"model\.ckpt: duplicate token 'sub0'",
+    ),
+    "gamma_unlike_config": (
+        "gamma", lambda h: "linear", r"model\.ckpt: gamma kind 'linear' disagrees with config 'deep'$"
+    ),
+    # the three ways a catalog departs from the registry besides an entry
+    # that differs (CATALOG_EDITS)
+    "params_not_a_list": (
+        "params", lambda h: 5,
+        r"model\.ckpt: parameter catalog disagrees with the model:"
+        r" expected a list of \[name, shape\] entries, got int$",
+    ),
+    "params_missing_entry": (
+        "params", lambda h: h["params"][:-1],
+        r"model\.ckpt: parameter catalog disagrees with the model:"
+        r" missing entry 44 \['gamma\.net\.second\.w', \[16, 48\]\]$",
+    ),
+    "params_extra_entry": (
+        "params", lambda h: h["params"] + [["extra", [1]]],
+        r"model\.ckpt: parameter catalog disagrees with the model: 1 extra entries after 45$",
     ),
 }
 

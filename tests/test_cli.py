@@ -218,6 +218,29 @@ def test_train_refuses_what_stage2_cannot_train_before_stage1(
     assert not os.path.exists(cfg.checkpoint)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["eval", "--mode", "transfer"], ["inspect", "sources", "sub0", "pre0", "obj0"]],
+    ids=("eval_transfer", "inspect_sources"),
+)
+def test_an_all_rare_checkpoint_is_the_one_pool_refusal(tmp_path, run_dir, capsys, command):
+    """Gamma absent trains no stage 2, so train saves the checkpoint; what
+    then asks for sources prints the refusal train prints. inspect once
+    printed its own line, with vocabulary indices for tokens."""
+    cfg = dataclasses.replace(
+        effective(run_dir), gamma="absent", rare_threshold=1000, stage1_epochs=0,
+        checkpoint=str(tmp_path / "rare.ckpt"),
+    )
+    cfg_path = str(tmp_path / "rare.cfg")
+    write_config(cfg, cfg_path)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "train")]) == 0
+    capsys.readouterr()
+    assert main([command[0], "--config", cfg_path, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error:data: no transfer sources: every observed triplet is rare"]
+    assert captured.out == ""
+
+
 def test_train_on_a_dataset_with_no_positive_pair_is_one_data_error(tmp_path, run_dir, capsys):
     cfg = effective(run_dir)
     for name in ("subjects.txt", "predicates.txt", "objects.txt"):
@@ -665,6 +688,23 @@ def test_inspect_with_a_wrong_argument_count_is_one_usage_error(run_dir, capsys,
     assert main(["inspect", "--checkpoint", cfg.checkpoint, *argv]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error:usage: {message}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--config", "run.cfg", "--out", "out"], "checkpoint, test_data and queries paths must be set"),
+        (["inspect", "--config", "run.cfg", "embeddings"], "--checkpoint (or a config with one) is required"),
+    ],
+    ids=("eval", "inspect"),
+)
+def test_a_command_without_its_paths_is_one_config_error(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("seed = 0\n")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error:config: {message}"]
     assert captured.out == ""
 
 

@@ -95,6 +95,19 @@ def test_enum_fields_validated():
             parse_config(line + "\n")
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("", "at least one branch required"), (",", "at least one branch required"), ("s,o,s", "duplicate kinds")],
+    ids=("empty", "comma", "repeated"),
+)
+def test_branches_with_no_kind_or_a_kind_twice_is_one_config_error(tmp_path, capsys, value, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"branches = {value}\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error:config: {path}: branches: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_range_checks():
     for line in (
         "dropout = 1.0",

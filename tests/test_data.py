@@ -547,6 +547,35 @@ def test_loader_rejects_a_header_key_given_twice(tmp_path, header):
     assert str(info.value) == f"{path}:5: duplicate header key {key!r}"
 
 
+# header edits of ``tiny_dataset``'s file (lines 1-4: appearance_dim,
+# subjects, predicates, objects), each with what follows the path in its error
+_MALFORMED_HEADERS = [
+    pytest.param(lambda lines: lines[:1] + ["#"] + lines[1:], ":2: empty header line", id="empty"),
+    pytest.param(
+        lambda lines: ["#appearance_dim 3 4"] + lines[1:], ":1: expected '#appearance_dim <d_a>'",
+        id="appearance_dim_fields",
+    ),
+    pytest.param(lambda lines: lines[:1] + ["#subjects"] + lines[2:], ":2: expected '#subjects <path>'",
+                 id="subjects_fields"),
+    pytest.param(lambda lines: lines[:4] + ["#colour red"] + lines[4:], ":5: unknown header key 'colour'",
+                 id="unknown_key"),
+    pytest.param(lambda lines: lines[:3], ": incomplete header (no pairs and missing declarations)",
+                 id="incomplete"),
+    pytest.param(
+        lambda lines: lines[:1] + lines[3:], ":3: pair line before vocabulary headers: subjects, predicates",
+        id="vocabularies_missing",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", _MALFORMED_HEADERS)
+def test_loader_names_file_and_line_for_each_malformed_header(tmp_path, edit, message):
+    path = write_then_edit(tmp_path, edit)
+    with pytest.raises(DataError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}{message}"
+
+
 def test_loader_requires_headers_before_pairs(tmp_path):
     def mangle(lines):
         return lines[1:]  # drop #appearance_dim
@@ -607,6 +636,27 @@ def test_word_table_rejects_a_token_listed_twice(tmp_path, text, message):
     with pytest.raises(DataError) as info:
         load_word_table(str(path), [Vocabulary(["a"])])
     assert str(info.value) == f"{path}:{message}"
+
+
+def _word_table(path):
+    return load_word_table(path, [Vocabulary(["a"])])
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (_word_table, "dim\na 1 2\n", ":1: expected header 'dim <d_w>'"),
+        (_word_table, "\n\n", ": empty word table"),
+        (load_vocabulary, "a\nb c\n", ":2: vocabulary lines hold exactly one token"),
+    ],
+    ids=("no_dim", "empty", "vocabulary_two_tokens"),
+)
+def test_word_table_and_vocabulary_refuse_a_malformed_file(tmp_path, load, text, message):
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load(str(path))
+    assert str(info.value) == f"{path}{message}"
 
 
 def test_word_table_lists_all_missing_tokens(tmp_path):

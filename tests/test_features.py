@@ -188,7 +188,7 @@ def language_input(e_s, e_p, e_o, mask: str):
 
 def test_language_input_full_and_masked():
     e_s, e_p, e_o = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])
-    assert np.array_equal(language_input(e_s, e_p, e_o, "full"), [1, 2, 3, 4, 5, 6])
+    assert np.array_equal(language_input(e_s, e_p, e_o, "vp"), [1, 2, 3, 4, 5, 6])
     o_only = language_input(e_s, e_p, e_o, "o")
     assert np.all(o_only[:4] == 0.0)
     assert np.array_equal(o_only[4:], [5, 6])
@@ -240,5 +240,5 @@ def test_masked_triplet_keeps_its_slots_and_its_language_rows():
 
 def test_language_matrix_empty_list():
     e = np.zeros((2, 3))
-    mat = language_matrix([], e, e, e, "full")
+    mat = language_matrix([], e, e, e, "vp")
     assert mat.shape == (0, 9)

@@ -19,7 +19,7 @@ from relembed.data import (
     synth_generate,
     triplet_dims,
 )
-from relembed.features import BRANCH_KINDS, BRANCH_MASK
+from relembed.features import BRANCH_KINDS
 from relembed.model import (
     batch_iter,
     branch_universe,
@@ -467,7 +467,7 @@ def test_label_matrix_matches_positive_keys_oracle(small_bench):
             for i in range(len(batch)):
                 for key in positive_keys(batch.take([i]), kind):
                     want[i, keys.index(key)] = 1.0
-            got = label_matrix(batch, labels, BRANCH_MASK[kind], model.dims, kind)
+            got = label_matrix(batch, labels, kind, model.dims, kind)
             assert np.array_equal(got, want), kind
 
 
@@ -478,7 +478,7 @@ def test_label_matrix_labels_every_copy_of_a_repeated_column(small_bench):
     i, t = first_positive(train.pairs)
     t = code(model, t)
     other = next(u for u in model.observed.tolist() if u != t)
-    y = label_matrix(train.pairs.take([i, len(train.pairs) - 1]), [t, other, t], "full", model.dims)
+    y = label_matrix(train.pairs.take([i, len(train.pairs) - 1]), [t, other, t], "vp", model.dims)
     assert y.tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
 
 
@@ -493,7 +493,7 @@ def test_label_outside_branch_universe_is_an_error(small_bench):
     with pytest.raises(DataError, match=message):
         joint_loss(model, pair, kinds=("vp",))
     # without a branch named, the positive stays unlabeled
-    y = label_matrix(pair, model.labels["vp"], "full", model.dims)
+    y = label_matrix(pair, model.labels["vp"], "vp", model.dims)
     assert y.shape == (1, len(model.labels["vp"])) and not y.any()
 
 

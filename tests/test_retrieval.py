@@ -640,7 +640,7 @@ def test_a_predicate_listed_twice_counts_twice_is_labelled_once_and_is_one_truth
     t = Triplet(0, 1, 0)
     assert triplet_counts(ds) == {t: 3}
     columns = encode(ds.dims, [Triplet(0, 0, 0), t])
-    assert label_matrix(ds.pairs, columns, "full", ds.dims, "vp").tolist() == [[0, 1], [0, 1], [0, 0]]
+    assert label_matrix(ds.pairs, columns, "vp", ds.dims, "vp").tolist() == [[0, 1], [0, 1], [0, 0]]
     assert label_matrix(ds.pairs, encode(ds.dims, [t]), "p", ds.dims, "p").tolist() == [[1], [1], [0]]
     codes, rows = ground_truth_index(ds.pairs, ds.dims)
     assert decode(ds.dims, codes) == [t, t] and rows.tolist() == [0, 1] and ground_truth_scan(ds, t) == [0, 1]
