@@ -40,7 +40,7 @@ import numpy as np
 
 from .analogy import Gamma, gamma_init
 from .config import PATH_KEYS, config_hash, emit_config, parse_config
-from .data import MOST_SIZE, DataError, Vocabulary, triplet_codes, triplet_dims
+from .data import MOST_SIZE, VOCAB_KEYS, DataError, Vocabulary, triplet_codes, triplet_dims
 from .model import JointModel, named_parameters, new_model
 
 MAGIC = b"relembd1"
@@ -129,7 +129,7 @@ def load_checkpoint(path: str) -> tuple[JointModel, Gamma, int]:
 
     try:  # every error from here to the model names the file once
         vocabs = []
-        for key in ("subjects", "predicates", "objects"):
+        for key in VOCAB_KEYS:
             tokens = header[key]
             if not isinstance(tokens, list) or not all(isinstance(t, str) and t for t in tokens):
                 raise DataError(f"header {key} must be a list of non-empty strings")

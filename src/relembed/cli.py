@@ -17,6 +17,7 @@ from .analogy import gamma_init, select_sources, source_pool, stage2_pool, train
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_config, write_config
 from .data import (
+    VOCAB_KEYS,
     DataError,
     fmt_reals,
     load_dataset,
@@ -48,10 +49,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args, *paths: str) -> RunConfig:
+    """The ``--config`` file's configuration, refused unless each key of ``paths`` is set."""
     if not args.config:
         raise ConfigError("--config is required for this command")
-    return load_config(args.config)
+    cfg = load_config(args.config)
+    if not all(getattr(cfg, key) for key in paths):
+        raise ConfigError(f"{', '.join(paths[:-1])} and {paths[-1]} paths must be set")
+    return cfg
 
 
 def _outdir(args) -> str:
@@ -93,10 +98,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
-    out = _outdir(args)
-    if not cfg.train_data or not cfg.word_table:
-        raise ConfigError("train_data and word_table paths must be set")
+    cfg = _load_run_config(args, "train_data", "word_table")
     dataset = load_dataset(cfg.train_data)
     table = load_word_table(
         cfg.word_table, (dataset.subjects, dataset.predicates, dataset.objects)
@@ -106,6 +108,7 @@ def cmd_train(args) -> int:
     trace1 = train_stage1(model, dataset, cfg.seed)
     gamma = gamma_init(cfg, cfg.seed)
     trace2, skipped = train_stage2(model, gamma, dataset, cfg.seed)
+    out = _outdir(args)  # created only once there is something to write
     ckpt = cfg.checkpoint or os.path.join(out, "model.ckpt")
     cfg.checkpoint = ckpt
     save_checkpoint(ckpt, model, gamma, cfg.seed)
@@ -127,13 +130,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.top < 0:
         raise UsageError(f"--top must be >= 0, got {args.top}")
-    cfg = _load_run_config(args)
-    out = _outdir(args)
-    if not cfg.checkpoint or not cfg.test_data or not cfg.queries:
-        raise ConfigError("checkpoint, test_data and queries paths must be set")
+    cfg = _load_run_config(args, "checkpoint", "test_data", "queries")
     model, gamma, _ = load_checkpoint(cfg.checkpoint)
     dataset = load_dataset(cfg.test_data)
-    for key in ("subjects", "predicates", "objects"):
+    for key in VOCAB_KEYS:
         if getattr(dataset, key).tokens != getattr(model, key).tokens:
             raise DataError(f"{cfg.test_data}: {key} differ from the checkpoint's")
     if dataset.appearance_dim != model.appearance_dim:
@@ -158,6 +158,7 @@ def cmd_eval(args) -> int:
                     f"query {toks} rank {rank} pair {pair_id}"
                     f" image {image_id} score {fmt_reals([score])}\n"
                 )
+    out = _outdir(args)
     write_results(
         os.path.join(out, "results.txt"),
         results,

@@ -199,8 +199,8 @@ def validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def parse_config(text: str, base: RunConfig | None = None, source: str = "<config>") -> RunConfig:
-    cfg = RunConfig(**vars(base)) if base is not None else RunConfig()
+def parse_config(text: str, source: str = "<config>") -> RunConfig:
+    cfg = RunConfig()
     known = {f.name: f.type for f in fields(RunConfig)}  # type names: annotations are strings
     types = {"int": int, "float": float, "str": str, "bool": bool}
     seen = set()
@@ -227,13 +227,13 @@ def parse_config(text: str, base: RunConfig | None = None, source: str = "<confi
         raise ConfigError(f"{source}: {e}") from None
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: undecodable text: {e.reason}") from None
-    return parse_config(text, base, source=path)
+    return parse_config(text, source=path)
 
 
 def emit_config(cfg: RunConfig) -> str:

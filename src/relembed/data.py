@@ -417,7 +417,9 @@ def load_word_table(path: str, vocabularies: Iterable[Vocabulary]) -> WordTable:
 # Dataset files
 # ---------------------------------------------------------------------------
 
-_VOCAB_KEYS = ("subjects", "predicates", "objects")
+# the vocabularies in slot order, named as Dataset and JointModel attributes
+# and as dataset and checkpoint header keys
+VOCAB_KEYS = ("subjects", "predicates", "objects")
 
 
 def write_dataset(dataset: Dataset, path: str, write_vocabularies: bool = True):
@@ -425,11 +427,11 @@ def write_dataset(dataset: Dataset, path: str, write_vocabularies: bool = True):
     ``<key>.txt`` next to it for 'subjects', 'predicates' and 'objects'."""
     base, vocabs = os.path.dirname(os.path.abspath(path)), (dataset.subjects, dataset.predicates, dataset.objects)
     if write_vocabularies:
-        for key, vocab in zip(_VOCAB_KEYS, vocabs):
+        for key, vocab in zip(VOCAB_KEYS, vocabs):
             write_vocabulary(vocab, os.path.join(base, f"{key}.txt"))
     with open(path, "w") as fh:
         fh.write(f"#appearance_dim {dataset.appearance_dim}\n")
-        for key in _VOCAB_KEYS:
+        for key in VOCAB_KEYS:
             fh.write(f"#{key} {key}.txt\n")
         t, reals = dataset.pairs, " %r" * dataset.appearance_dim  # %r of a float is fmt_reals's repr
         line = f"pair %d %d sub %r %r %r %r obj %r %r %r %r scat %s ocat %s afeat_s{reals} afeat_o{reals} labels%s\n"
@@ -486,7 +488,7 @@ def _read_pairs(lines: Iterator[Line], d: int, vocabs: dict[str, Vocabulary]) ->
     (at, words), width = zip(*_pair_keywords(d)), 20 + 2 * d
     keywords = operator.itemgetter(*at)
     reals_of = operator.itemgetter(*range(4, 8), *range(9, 13), *range(18, 18 + d), *range(19 + d, width - 1))
-    subjects, predicates, objects = (vocabs[k].index for k in _VOCAB_KEYS)
+    subjects, predicates, objects = (vocabs[k].index for k in VOCAB_KEYS)
     while block := list(itertools.islice(lines, READ_ROWS)):
         parts = [line.parts for line in block]
         # a line too short for its keywords fails with IndexError
@@ -528,20 +530,20 @@ def load_dataset(path: str) -> Dataset:
             appearance_dim = header.integer(1, "appearance dim")
             if not 1 <= appearance_dim <= MOST_SIZE:
                 line.fail(f"appearance dim must be from 1 to {MOST_SIZE}, got {appearance_dim}")
-        elif key in _VOCAB_KEYS:
+        elif key in VOCAB_KEYS:
             if len(header.parts) != 2:
                 line.fail(f"expected '#{key} <path>'")
             vocab_paths[key] = header.parts[1]
         else:
             line.fail(f"unknown header key {key!r}")
-    missing = [k for k in _VOCAB_KEYS if k not in vocab_paths]
+    missing = [k for k in VOCAB_KEYS if k not in vocab_paths]
     if not first and (appearance_dim is None or missing):
         raise DataError(f"{path}: incomplete header (no pairs and missing declarations)")
     if appearance_dim is None:
         first[0].fail("pair line before '#appearance_dim' header")
     if missing:
         first[0].fail(f"pair line before vocabulary headers: {', '.join(missing)}")
-    vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in _VOCAB_KEYS}
+    vocabs = {k: load_vocabulary(os.path.join(base, vocab_paths[k])) for k in VOCAB_KEYS}
     blocks = _read_pairs(itertools.chain(first, lines), appearance_dim, vocabs)
     try:
         pairs = PairTable.from_blocks(blocks, appearance_dim)
@@ -555,7 +557,7 @@ def load_dataset(path: str) -> Dataset:
             if line.lineno >= first[0].lineno:
                 _check_pair_line(line, appearance_dim, vocabs, seen_ids)
         raise AssertionError(f"{path}: the pair lines failed a test that none fails alone")
-    return Dataset(*(vocabs[k] for k in _VOCAB_KEYS), pairs)
+    return Dataset(*(vocabs[k] for k in VOCAB_KEYS), pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ every masked slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -82,11 +81,6 @@ class VisualInputParams:
     def d_v(self) -> int:
         return self.sub_proj.n_out + self.obj_proj.n_out + self.spatial.n_out
 
-    def params(self) -> Iterator[tuple[str, Array]]:
-        yield from layer_params("visual.sub_proj", self.sub_proj)
-        yield from layer_params("visual.obj_proj", self.obj_proj)
-        yield from layer_params("visual.spatial", self.spatial)
-
 
 def visual_init(
     rng: np.random.Generator, appearance_dim: int, app_out: int, spatial_hidden: int, spatial_out: int
@@ -113,16 +107,15 @@ def visual_forward(
 
 
 def visual_backward(vip: VisualInputParams, cache: tuple, grad_x: Array) -> dict[str, Array]:
-    """Parameter gradients of visual_forward; named like ``params()``. Its
-    inputs are data, so no input gradient is computed."""
+    """Parameter gradients of visual_forward, named as the registry names
+    the front end. Its inputs are data, so no input gradient is computed."""
     c1, c2, c3 = cache
     n1, n2 = vip.sub_proj.n_out, vip.obj_proj.n_out
     gs, go, gr = np.split(grad_x, [n1, n1 + n2], axis=-1)
     g_sub = linear_param_grads(vip.sub_proj, c1, gs)
     g_obj = linear_param_grads(vip.obj_proj, c2, go)
     g_spa, _ = mlp_backward(vip.spatial, c3, gr, need_input=False)
-    grads = VisualInputParams(g_sub, g_obj, g_spa)
-    return dict(grads.params())
+    return dict(layer_params("visual", VisualInputParams(g_sub, g_obj, g_spa)))
 
 
 # ---------------------------------------------------------------------------

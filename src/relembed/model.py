@@ -144,16 +144,16 @@ def build_model(cfg: RunConfig, dataset: Dataset, table: WordTable, seed: int) -
 def named_parameters(model: JointModel, gamma: Gamma | None = None) -> list[tuple[str, Array]]:
     """Every persistent array, in checkpoint order: word vectors, the visual
     front end, each active branch's f_v and f_w in branch order, then Gamma.
+    A layer's arrays are named by their field paths (``layer_params``)
+    below ``visual``, ``branch.<kind>`` and ``Gamma.prefix``.
 
     Training stages, checkpoints and tests all take their parameter lists
     from here (see ``trainable``).
     """
     named = [("words.sub", model.e_sub), ("words.pre", model.e_pre), ("words.obj", model.e_obj)]
-    named.extend(model.visual.params())
+    named.extend(layer_params("visual", model.visual))
     for kind in model.active_kinds:
-        br = model.branch(kind)
-        named.extend(layer_params(f"branch.{kind}.f_v", br.f_v))
-        named.extend(layer_params(f"branch.{kind}.f_w", br.f_w))
+        named.extend(layer_params(f"branch.{kind}", model.branch(kind)))
     if gamma is not None and gamma.net is not None:
         named.extend(layer_params(gamma.prefix, gamma.net))
     return named
@@ -318,9 +318,7 @@ def branch_terms(model, kind, batch, inp, training, rng, need_input, q=None):
 
     g_fv, g_inp = mlp_backward(br.f_v, v_cache, g_v, need_input)
     g_fw, _ = mlp_backward(br.f_w, w_cache, g_w_raw, need_input=False)  # word vectors stay fixed
-    grads = dict(layer_params(f"branch.{kind}.f_v", g_fv))
-    grads.update(layer_params(f"branch.{kind}.f_w", g_fw))
-    return loss, grads, g_inp
+    return loss, dict(layer_params(f"branch.{kind}", Branch(g_fv, g_fw))), g_inp
 
 
 def joint_loss(

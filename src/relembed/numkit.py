@@ -20,7 +20,7 @@ step count as they were.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator
 
 import numpy as np
@@ -227,17 +227,17 @@ def mlp_backward(mlp: Mlp, cache: tuple, grad_out: Array, need_input: bool = Tru
     return Mlp(g1, g2, mlp.dropout), gx
 
 
-def layer_params(prefix: str, obj: Linear | Mlp) -> Iterator[tuple[str, Array]]:
-    """Named parameter arrays of a layer in fixed traversal order."""
-    if isinstance(obj, Linear):
-        yield f"{prefix}.w", obj.w
-        if obj.b is not None:
-            yield f"{prefix}.b", obj.b
-    elif isinstance(obj, Mlp):
-        yield from layer_params(f"{prefix}.first", obj.first)
-        yield from layer_params(f"{prefix}.second", obj.second)
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"not a layer: {type(obj)!r}")
+def layer_params(prefix: str, layer) -> Iterator[tuple[str, Array]]:
+    """Named parameter arrays of a layer dataclass, in field order: every
+    array field is named by its field path below ``prefix``, and a field
+    holding a dataclass is walked in turn. None and other non-array fields
+    (an absent bias, a dropout rate) hold no parameter."""
+    for f in fields(layer):
+        name, value = f"{prefix}.{f.name}", getattr(layer, f.name)
+        if isinstance(value, np.ndarray):
+            yield name, value
+        elif is_dataclass(value):
+            yield from layer_params(name, value)
 
 
 # ---------------------------------------------------------------------------

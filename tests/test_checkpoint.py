@@ -66,13 +66,55 @@ def test_same_model_saves_identical_bytes(trained, tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+# (name, shape) of every registry entry of a six-branch desk model, in
+# checkpoint order, then its Gamma's: a saved checkpoint lists exactly these,
+# so a renamed entry would make every existing checkpoint unreadable
+SIX_BRANCH_CATALOG = [
+    ("words.sub", (4, 17)), ("words.pre", (5, 17)), ("words.obj", (6, 17)),
+    ("visual.sub_proj.w", (12, 12)), ("visual.sub_proj.b", (12,)),
+    ("visual.obj_proj.w", (12, 12)), ("visual.obj_proj.b", (12,)),
+    ("visual.spatial.first.w", (12, 8)), ("visual.spatial.first.b", (12,)),
+    ("visual.spatial.second.w", (8, 12)), ("visual.spatial.second.b", (8,)),
+    ("branch.s.f_v.first.w", (16, 12)), ("branch.s.f_v.first.b", (16,)),
+    ("branch.s.f_v.second.w", (16, 16)), ("branch.s.f_v.second.b", (16,)),
+    ("branch.s.f_w.first.w", (16, 51)), ("branch.s.f_w.first.b", (16,)),
+    ("branch.s.f_w.second.w", (16, 16)), ("branch.s.f_w.second.b", (16,)),
+    ("branch.o.f_v.first.w", (16, 12)), ("branch.o.f_v.first.b", (16,)),
+    ("branch.o.f_v.second.w", (16, 16)), ("branch.o.f_v.second.b", (16,)),
+    ("branch.o.f_w.first.w", (16, 51)), ("branch.o.f_w.first.b", (16,)),
+    ("branch.o.f_w.second.w", (16, 16)), ("branch.o.f_w.second.b", (16,)),
+    ("branch.p.f_v.first.w", (16, 32)), ("branch.p.f_v.first.b", (16,)),
+    ("branch.p.f_v.second.w", (16, 16)), ("branch.p.f_v.second.b", (16,)),
+    ("branch.p.f_w.first.w", (16, 51)), ("branch.p.f_w.first.b", (16,)),
+    ("branch.p.f_w.second.w", (16, 16)), ("branch.p.f_w.second.b", (16,)),
+    ("branch.vp.f_v.first.w", (16, 32)), ("branch.vp.f_v.first.b", (16,)),
+    ("branch.vp.f_v.second.w", (16, 16)), ("branch.vp.f_v.second.b", (16,)),
+    ("branch.vp.f_w.first.w", (16, 51)), ("branch.vp.f_w.first.b", (16,)),
+    ("branch.vp.f_w.second.w", (16, 16)), ("branch.vp.f_w.second.b", (16,)),
+    ("branch.sp.f_v.first.w", (16, 32)), ("branch.sp.f_v.first.b", (16,)),
+    ("branch.sp.f_v.second.w", (16, 16)), ("branch.sp.f_v.second.b", (16,)),
+    ("branch.sp.f_w.first.w", (16, 51)), ("branch.sp.f_w.first.b", (16,)),
+    ("branch.sp.f_w.second.w", (16, 16)), ("branch.sp.f_w.second.b", (16,)),
+    ("branch.po.f_v.first.w", (16, 32)), ("branch.po.f_v.first.b", (16,)),
+    ("branch.po.f_v.second.w", (16, 16)), ("branch.po.f_v.second.b", (16,)),
+    ("branch.po.f_w.first.w", (16, 51)), ("branch.po.f_w.first.b", (16,)),
+    ("branch.po.f_w.second.w", (16, 16)), ("branch.po.f_w.second.b", (16,)),
+]
+GAMMA_CATALOG = {
+    "linear": [("gamma.lin.w", (16, 48))],
+    "deep": [("gamma.net.first.w", (48, 48)), ("gamma.net.second.w", (16, 48))],
+}
+
+
 def test_gamma_kinds_round_trip(small_bench, tmp_path):
     """Every catalog shape loads back and saves to the same bytes: each Gamma
-    kind, and the fewest and the most branches."""
+    kind, and the fewest and the most branches. The most branches, under
+    Gamma linear and deep, list the pinned catalog."""
     cfg, (train, test, table, heldout) = small_bench
     cases = [dict(gamma=kind) for kind in ("absent", "zero", "linear", "deep")] + [
         dict(branches="s,o"),
-        dict(branches="s,o,p,vp,sp,po"),
+        dict(branches="s,o,p,vp,sp,po", gamma="linear"),
+        dict(branches="s,o,p,vp,sp,po", gamma="deep"),
     ]
     for i, overrides in enumerate(cases):
         cfg = desk_config(**overrides)
@@ -83,6 +125,10 @@ def test_gamma_kinds_round_trip(small_bench, tmp_path):
         save_checkpoint(path, model, gamma, seed=7)
         back, gback, seed = load_checkpoint(path)
         assert seed == 7 and gback.kind == kind
+        if cfg.branches == "s,o,p,vp,sp,po":
+            for m, g in ((model, gamma), (back, gback)):
+                catalog = [(name, arr.shape) for name, arr in named_parameters(m, g)]
+                assert catalog == SIX_BRANCH_CATALOG + GAMMA_CATALOG[kind], overrides
         if kind == "linear":
             assert np.array_equal(gback.net.w, gamma.net.w)
         if kind == "deep":

@@ -694,10 +694,11 @@ def test_inspect_with_a_wrong_argument_count_is_one_usage_error(run_dir, capsys,
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["train", "--config", "run.cfg", "--out", "out"], "train_data and word_table paths must be set"),
         (["eval", "--config", "run.cfg", "--out", "out"], "checkpoint, test_data and queries paths must be set"),
         (["inspect", "--config", "run.cfg", "embeddings"], "--checkpoint (or a config with one) is required"),
     ],
-    ids=("eval", "inspect"),
+    ids=("train", "eval", "inspect"),
 )
 def test_a_command_without_its_paths_is_one_config_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -706,6 +707,26 @@ def test_a_command_without_its_paths_is_one_config_error(tmp_path, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error:config: {message}"]
     assert captured.out == ""
+    assert os.listdir(tmp_path) == ["run.cfg"]  # no --out directory
+
+
+@pytest.mark.parametrize(
+    "command, paths",
+    [
+        ("train", "train_data = missing.ds\nword_table = missing.tbl\n"),
+        ("eval", "checkpoint = missing.ckpt\ntest_data = missing.ds\nqueries = missing.txt\n"),
+    ],
+    ids=("train", "eval"),
+)
+def test_a_command_on_a_missing_input_file_leaves_no_out_directory(tmp_path, monkeypatch, capsys, command, paths):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(paths)
+    assert main([command, "--config", "run.cfg", "--out", "out"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:io: ") and "missing." in err[0], err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 # ---------------------------------------------------------------------------

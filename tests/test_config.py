@@ -278,10 +278,3 @@ def test_config_hash_tracks_content():
     assert config_hash(a) == config_hash(b)
     b.seed = 99
     assert config_hash(a) != config_hash(b)
-
-
-def test_parse_layers_over_base():
-    base = validate(RunConfig(embed_dim=32))
-    cfg = parse_config("seed = 5\n", base=base)
-    assert cfg.embed_dim == 32 and cfg.seed == 5
-    assert base.seed == 0  # base untouched

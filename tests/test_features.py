@@ -11,7 +11,7 @@ from relembed.features import (
     visual_forward,
     visual_init,
 )
-from relembed.numkit import Linear, Mlp, ShapeError, linear_forward, mlp_forward
+from relembed.numkit import Linear, Mlp, ShapeError, layer_params, linear_forward, mlp_forward
 
 from conftest import decode, encode
 from gradcheck import finite_diff_grad, max_relative_error
@@ -166,8 +166,7 @@ def test_visual_backward_matches_finite_differences():
     rng = np.random.default_rng(13)
     vip = visual_init(rng, 3, app_out=2, spatial_hidden=4, spatial_out=2)
     a_s, a_o, r = rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 8))
-    names = [n for n, _ in vip.params()]
-    arrays = [a for _, a in vip.params()]
+    names, arrays = zip(*layer_params("visual", vip))
 
     def loss():
         x, _ = visual_forward(vip, a_s, a_o, r)

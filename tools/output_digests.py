@@ -52,7 +52,7 @@ import os
 import subprocess
 import sys
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+from claims import THREAD_VARS
 
 
 # the trained checkpoint with normalize_aggregation set: argv[1] -> argv[2]
